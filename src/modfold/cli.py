@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .congruence import InconsistentSystem
-from .grouping import propose_grouping, render_proposal
+from .grouping import _pq, propose_grouping, render_proposal
 from .multistage import (
     parse_tree,
     per_group_reference_bounds,
@@ -34,10 +33,6 @@ from .robust import (
     theta_bound,
 )
 from .simulate import TrialConfig, stats_to_csv, sweep
-
-
-def _pq(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,6 +141,8 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.tau_max < 0:
+        raise ValueError("--tau-max must be >= 0")
     tree = parse_tree(args.grouping) if args.grouping else None
     cfg = TrialConfig(
         moduli=tuple(args.moduli),

@@ -7,6 +7,10 @@ modulo n (the bias is below n / 2**64, irrelevant at these ranges).  Draw
 order per trial: the unknown integer first, then one error per modulus.
 Substreams make serial and (hypothetical) parallel executions agree.
 
+A sweep draws each trial once and replays it at every error level: the
+raw error draws do not depend on the level, only their mapping to the
+level's range does.  Its rows are identical to separate per-level runs.
+
 Inconsistent reconstructions count as folding failures; when the solver
 still produced a fused value (single-stage negative-folding case) that
 value enters the error statistics, otherwise the trial is excluded from
@@ -16,10 +20,11 @@ the mean and the max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .multistage import GroupTree, _tree_program
 from .robust import (
@@ -58,6 +63,15 @@ def _splitmix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_int(name: str, value, low: int | None = None) -> int:
+    """Return value if it is an int (not a bool) and at least low."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """One simulation campaign.
@@ -79,10 +93,9 @@ class TrialConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", tuple(self.moduli))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        _check_int("trials", self.trials, 1)
+        _check_int("tau", self.tau, 0)
+        _check_int("rng_seed", self.rng_seed)
         if self.error_model not in (ONE_SIDED, SYMMETRIC):
             raise ValueError(f"unknown error model {self.error_model!r}")
 
@@ -107,77 +120,100 @@ class TrialStats:
 
 def run_trials(cfg: TrialConfig) -> TrialStats:
     """Run one campaign and aggregate the statistics."""
+    return _run_levels(cfg, [cfg.tau])[0]
+
+
+def sweep(cfg_base: TrialConfig, taus: Iterable[int]) -> list[TrialStats]:
+    """One campaign per error level, same seed and trial count.
+
+    Each row equals run_trials(replace(cfg_base, tau=tau)); the trials are
+    drawn once and replayed at every level.
+    """
+    return _run_levels(cfg_base, [_check_int("tau", t, 0) for t in taus])
+
+
+def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
+    """Run cfg's trials once and score every trial at each level of taus.
+
+    A trial's unknown, true remainders and raw error draws do not depend
+    on the error level, so they are drawn once; each level maps the raw
+    draws to its own range and keeps its own counters.  cfg.tau is unused.
+    """
+    if not taus:
+        return []
     ms = validate_moduli(cfg.moduli)
     lam = math.lcm(*ms)
-    tau = cfg.tau
-    one_sided = cfg.error_model == ONE_SIDED
-
     if cfg.tree is None:
         if len(ms) < 2:
             raise ValueError("single-stage simulation needs >= 2 moduli")
         plan = _folding_plan(ms, select_reference(ms))
-
-        def reconstruct(rt: list[int]) -> int:
-            return _solve_with_plan(plan, rt)[1]
-
+        reconstruct = partial(_solve_with_plan, plan)
     else:
-        program = _tree_program(ms, cfg.tree)
+        reconstruct = partial(_tree_program(ms, cfg.tree).run, collect=False)
 
-        def reconstruct(rt: list[int]) -> int:
-            return program.run(rt, collect=False)[1]
-
-    total_err = 0
-    max_err = 0
-    violations = 0
-    failures = 0
-    estimated = 0
-    bound = tau  # the fused estimate stays within the error level
-    span = tau + 1 if one_sided else 2 * tau + 1
-    shift = 0 if one_sided else tau
+    one_sided = cfg.error_model == ONE_SIDED
+    # (index, tau, span, shift): an error is raw % span - shift
+    levels = [
+        (i, tau, tau + 1, 0) if one_sided else (i, tau, 2 * tau + 1, tau)
+        for i, tau in enumerate(taus)
+    ]
+    # per-level counters, indexed like taus
+    total_err = [0] * len(taus)
+    max_err = [0] * len(taus)
+    violations = [0] * len(taus)
+    failures = [0] * len(taus)
+    estimated = [0] * len(taus)
     seed = cfg.rng_seed
     clamp = cfg.clamp_remainders
-    mix = _splitmix64
+    draw_index = range(1, len(ms) + 1)
 
     for t in range(cfg.trials):
-        key = mix(seed, t)
-        n = mix(key, 0) % lam
-        rt: list[int] = []
-        for j, m in enumerate(ms):
-            v = n % m + mix(key, j + 1) % span - shift
+        key = _splitmix64(seed, t)
+        n = _splitmix64(key, 0) % lam
+        # (true remainder, raw error draw, modulus) per modulus
+        cells = [
+            (n % m, _splitmix64(key, j), m) for j, m in zip(draw_index, ms)
+        ]
+        for i, tau, span, shift in levels:
             if clamp:
-                v = min(max(v, 0), m - 1)
-            rt.append(v)
-        try:
-            est = reconstruct(rt)
-        except FoldingFailure as exc:
-            failures += 1
-            est = exc.partial_estimate
-        if est is None:
-            continue
-        err = abs(est - n)
-        estimated += 1
-        total_err += err
-        if err > max_err:
-            max_err = err
-        if err > bound:
-            violations += 1
+                rt = [
+                    min(max(r + raw % span - shift, 0), m - 1)
+                    for r, raw, m in cells
+                ]
+            else:
+                rt = [r + raw % span - shift for r, raw, _ in cells]
+            try:
+                est = reconstruct(rt)[1]
+            except FoldingFailure as exc:
+                failures[i] += 1
+                est = exc.partial_estimate
+                if est is None:
+                    continue
+            err = abs(est - n)
+            estimated[i] += 1
+            total_err[i] += err
+            if err > max_err[i]:
+                max_err[i] = err
+            if err > tau:  # the fused estimate stays within the error level
+                violations[i] += 1
 
-    mean = Fraction(total_err, estimated) if estimated else Fraction(0)
-    return TrialStats(
-        tau=tau,
-        trials=cfg.trials,
-        mean_abs_error=mean,
-        max_abs_error=max_err,
-        bound=bound,
-        bound_violations=violations,
-        folding_failures=failures,
-        estimated_trials=estimated,
-    )
-
-
-def sweep(cfg_base: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
-    """One campaign per error level, same seed and trial count."""
-    return [run_trials(replace(cfg_base, tau=int(t))) for t in taus]
+    return [
+        TrialStats(
+            tau=tau,
+            trials=cfg.trials,
+            mean_abs_error=(
+                Fraction(total_err[i], estimated[i])
+                if estimated[i]
+                else Fraction(0)
+            ),
+            max_abs_error=max_err[i],
+            bound=tau,
+            bound_violations=violations[i],
+            folding_failures=failures[i],
+            estimated_trials=estimated[i],
+        )
+        for i, tau, _, _ in levels
+    ]
 
 
 def stats_to_csv(rows: Sequence[TrialStats]) -> str:

@@ -149,6 +149,12 @@ class TestSimulate:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    def test_negative_tau_max_is_invalid_input(self, capsys):
+        code, out, err = run(capsys, "simulate", "7", "9", "--tau-max", "-3")
+        assert code == 2
+        assert out == ""
+        assert "--tau-max" in err
+
 
 class TestParsing:
     def test_unknown_command(self, capsys):

@@ -1,11 +1,22 @@
 import math
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
 
-from modfold.multistage import parse_tree
-from modfold.robust import SearchCapExceeded, theta_bound
+from modfold import simulate
+from modfold.multistage import _tree_program, parse_tree
+from modfold.robust import (
+    FoldingFailure,
+    SearchCapExceeded,
+    _folding_plan,
+    _solve_with_plan,
+    select_reference,
+    theta_bound,
+    validate_moduli,
+)
 from modfold.simulate import (
+    ONE_SIDED,
     SYMMETRIC,
     ExactnessReport,
     TrialConfig,
@@ -25,6 +36,22 @@ class TestTrialConfig:
             TrialConfig(moduli=(8, 12), tau=-1)
         with pytest.raises(ValueError):
             TrialConfig(moduli=(8, 12), error_model="gaussian")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau", 2.5),
+            ("tau", True),
+            ("trials", 10.0),
+            ("trials", True),
+            ("rng_seed", 1.5),
+            ("rng_seed", False),
+            ("rng_seed", "7"),
+        ],
+    )
+    def test_rejects_non_int(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrialConfig(moduli=(8, 12), **{field: value})
 
 
 class TestRunTrials:
@@ -170,6 +197,170 @@ class TestSweep:
         ]
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "0"
+
+    @pytest.mark.parametrize("tau", [2.7, True, Fraction(2), -1])
+    def test_rejects_bad_level(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            sweep(TrialConfig(moduli=(8, 12, 15), trials=10), [0, tau])
+
+    def test_each_trial_drawn_once(self, monkeypatch):
+        draws = []
+        real = simulate._splitmix64
+
+        def counting(seed, index):
+            draws.append(index)
+            return real(seed, index)
+
+        monkeypatch.setattr(simulate, "_splitmix64", counting)
+        cfg = TrialConfig(moduli=(135, 180, 162), trials=50, rng_seed=5)
+        assert sweep(cfg, []) == []
+        assert draws == []
+        sweep(cfg, range(26))
+        # per trial: the substream key, the unknown, one error per modulus
+        assert len(draws) == 50 * (2 + 3)
+
+
+def _per_level_oracle(cfg: TrialConfig) -> TrialStats:
+    """One campaign at cfg.tau, drawing every trial afresh."""
+    ms = validate_moduli(cfg.moduli)
+    lam = math.lcm(*ms)
+    tau = cfg.tau
+    one_sided = cfg.error_model == ONE_SIDED
+
+    if cfg.tree is None:
+        plan = _folding_plan(ms, select_reference(ms))
+
+        def reconstruct(rt):
+            return _solve_with_plan(plan, rt)[1]
+
+    else:
+        program = _tree_program(ms, cfg.tree)
+
+        def reconstruct(rt):
+            return program.run(rt, collect=False)[1]
+
+    total_err = max_err = violations = failures = estimated = 0
+    span = tau + 1 if one_sided else 2 * tau + 1
+    shift = 0 if one_sided else tau
+    mix = simulate._splitmix64
+    for t in range(cfg.trials):
+        key = mix(cfg.rng_seed, t)
+        n = mix(key, 0) % lam
+        rt = []
+        for j, m in enumerate(ms):
+            v = n % m + mix(key, j + 1) % span - shift
+            if cfg.clamp_remainders:
+                v = min(max(v, 0), m - 1)
+            rt.append(v)
+        try:
+            est = reconstruct(rt)
+        except FoldingFailure as exc:
+            failures += 1
+            est = exc.partial_estimate
+        if est is None:
+            continue
+        err = abs(est - n)
+        estimated += 1
+        total_err += err
+        max_err = max(max_err, err)
+        if err > tau:
+            violations += 1
+    return TrialStats(
+        tau=tau,
+        trials=cfg.trials,
+        mean_abs_error=(
+            Fraction(total_err, estimated) if estimated else Fraction(0)
+        ),
+        max_abs_error=max_err,
+        bound=tau,
+        bound_violations=violations,
+        folding_failures=failures,
+        estimated_trials=estimated,
+    )
+
+
+# (config, levels): unsorted, with repeats; the first three are the
+# determinism goldens' configurations, each with its golden level second
+DIFFERENTIAL_CASES = [
+    (TrialConfig(moduli=(8, 12, 15), trials=500, rng_seed=123), [4, 1, 0, 1]),
+    (
+        TrialConfig(
+            moduli=(135, 180, 162),
+            tree=parse_tree("[[0,1],[2]]"),
+            trials=500,
+            rng_seed=9,
+        ),
+        [11, 3, 0, 3, 7],
+    ),
+    (
+        TrialConfig(
+            moduli=(8, 12, 15),
+            trials=400,
+            rng_seed=7,
+            error_model=SYMMETRIC,
+            clamp_remainders=True,
+        ),
+        [5, 2, 0, 2],
+    ),
+    (
+        TrialConfig(moduli=(135, 180, 162), trials=300, rng_seed=5),
+        [25, 7, 0, 13, 7],
+    ),
+    (
+        TrialConfig(
+            moduli=(8, 12, 15), trials=300, rng_seed=2, error_model=SYMMETRIC
+        ),
+        [3, 1, 3, 0],
+    ),
+    (
+        TrialConfig(
+            moduli=(70, 75, 80, 90),
+            trials=300,
+            rng_seed=4,
+            clamp_remainders=True,
+        ),
+        [9, 2, 9, 0],
+    ),
+    (
+        TrialConfig(
+            moduli=(192, 288, 216, 360, 320, 448),
+            tree=parse_tree("[[[0,1],[2,3]],[4,5]]"),
+            trials=200,
+            rng_seed=11,
+        ),
+        [19, 0, 4, 4],
+    ),
+    (
+        TrialConfig(
+            moduli=(192, 288, 216, 360, 320, 448),
+            tree=parse_tree("[[[0,1],[2,3]],[4,5]]"),
+            trials=200,
+            rng_seed=3,
+            error_model=SYMMETRIC,
+            clamp_remainders=True,
+        ),
+        [6, 1, 0, 6],
+    ),
+]
+
+
+class TestSweepMatchesPerLevelRuns:
+    @pytest.mark.parametrize("cfg, taus", DIFFERENTIAL_CASES)
+    def test_rows_equal_separate_runs(self, cfg, taus):
+        rows = sweep(cfg, taus)
+        assert [r.tau for r in rows] == taus
+        for row, tau in zip(rows, taus):
+            want = _per_level_oracle(replace(cfg, tau=tau))
+            assert asdict(row) == asdict(want)
+
+    def test_goldens_through_sweep(self):
+        rows = [sweep(cfg, taus)[1] for cfg, taus in DIFFERENTIAL_CASES[:3]]
+        assert rows[0].mean_abs_error == Fraction(229, 500)
+        assert rows[1].mean_abs_error == Fraction(187, 100)
+        assert (rows[2].mean_abs_error, rows[2].bound_violations) == (
+            Fraction(1203, 40),
+            244,
+        )
 
 
 class TestVerifyExactness:
