@@ -23,7 +23,6 @@ from .grouping import (
     candidate_sets,
     minimal_covers,
     propose_grouping,
-    prune_subset_sets,
     render_proposal,
 )
 from .intmath import (
@@ -58,7 +57,6 @@ from .robust import (
     FoldingSolution,
     SearchCapExceeded,
     check_ns_condition,
-    estimate_q_hat,
     folding_oracle,
     per_remainder_bounds,
     prune_redundant,
@@ -104,7 +102,6 @@ __all__ = [
     "crt_coprime_closed_form",
     "crt_general",
     "crt_pair_merge",
-    "estimate_q_hat",
     "ext_gcd",
     "folding_oracle",
     "fused_error_bound",
@@ -116,7 +113,6 @@ __all__ = [
     "per_remainder_bounds",
     "propose_grouping",
     "prune_redundant",
-    "prune_subset_sets",
     "reconstruct_tree",
     "reconstruct_two_stage",
     "remainders_of",

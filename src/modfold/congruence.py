@@ -1,8 +1,10 @@
 """Error-free remainder reconstruction.
 
-Classical closed-form CRT for pairwise-coprime moduli plus a generalized
-pairwise-merge solver that accepts non-coprime moduli and detects
-contradictory residue systems.
+One generalized CRT merge serves the whole package: a left-to-right
+schedule of merge steps, precomputed from the moduli alone, and one loop
+that applies it to residues.  It accepts non-coprime moduli and detects
+contradictory residue systems.  The single-sum formula for pairwise-coprime
+moduli stays as an independent reference.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intmath import mod_inverse
+from .intmath import _check_int, _check_ints, mod_inverse
 
 __all__ = [
     "InconsistentSystem",
@@ -35,8 +37,8 @@ class CongruenceSystem:
     moduli: tuple[int, ...]
 
     def __init__(self, residues: Sequence[int], moduli: Sequence[int]):
-        residues = tuple(int(r) for r in residues)
-        moduli = tuple(int(m) for m in moduli)
+        residues = tuple(_check_ints("residue", residues))
+        moduli = tuple(_check_ints("modulus", moduli))
         if len(residues) != len(moduli):
             raise ValueError(
                 f"{len(residues)} residues but {len(moduli)} moduli"
@@ -53,24 +55,61 @@ class CongruenceSystem:
         return len(self.moduli)
 
 
+def _merge_schedule(
+    moduli: Sequence[int],
+) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """Precompute the left-to-right merge of x == r_i (mod moduli[i]).
+
+    Returns the first modulus and one step (g, n // g, inverse, running
+    modulus) per later modulus n, where g = gcd(running modulus, n) and the
+    inverse is that of running modulus // g modulo n // g.  Depends on the
+    moduli only, so callers with fixed moduli build it once.
+    """
+    acc = moduli[0]
+    steps = []
+    for n in moduli[1:]:
+        g = math.gcd(acc, n)
+        ndg = n // g
+        inv = mod_inverse(acc // g, ndg) if ndg > 1 else 0
+        steps.append((g, ndg, inv, acc))
+        acc *= ndg
+    return moduli[0], tuple(steps)
+
+
+def _merge(
+    schedule: tuple[int, tuple[tuple[int, int, int, int], ...]],
+    residues: Sequence[int],
+) -> int | None:
+    """Smallest nonnegative x meeting every congruence of the schedule.
+
+    The result lies in [0, lcm(moduli)).  Returns None when the residues
+    contradict each other, so each caller raises its own exception.
+    """
+    first, steps = schedule
+    acc_r = residues[0] % first
+    for r, (g, ndg, inv, acc_m) in zip(residues[1:], steps):
+        diff = r - acc_r
+        if diff % g != 0:
+            return None
+        acc_r += acc_m * (((diff // g) * inv) % ndg)
+    return acc_r
+
+
 def crt_pair_merge(a: int, m: int, b: int, n: int) -> tuple[int, int]:
     """Merge x == a (mod m) and x == b (mod n) into x == c (mod lcm(m, n)).
 
     Returns (c, lcm) with 0 <= c < lcm.  Raises InconsistentSystem when
     gcd(m, n) does not divide b - a, i.e. no x satisfies both congruences.
     """
+    _check_ints("residue or modulus", (a, m, b, n))
     if m <= 0 or n <= 0:
         raise ValueError("moduli must be positive")
-    g = math.gcd(m, n)
-    diff = b - a
-    if diff % g != 0:
+    c = _merge(_merge_schedule((m, n)), (a, b))
+    if c is None:
         raise InconsistentSystem(
             f"x == {a} (mod {m}) contradicts x == {b} (mod {n})"
         )
-    ndg = n // g
-    t = ((diff // g) * mod_inverse(m // g, ndg)) % ndg
-    l = m * ndg
-    return (a + m * t) % l, l
+    return c, math.lcm(m, n)
 
 
 def crt_general(system: CongruenceSystem) -> int:
@@ -81,10 +120,13 @@ def crt_general(system: CongruenceSystem) -> int:
     """
     if len(system) == 0:
         raise ValueError("empty congruence system")
-    acc_r, acc_m = system.residues[0], system.moduli[0]
-    for r, m in zip(system.residues[1:], system.moduli[1:]):
-        acc_r, acc_m = crt_pair_merge(acc_r, acc_m, r, m)
-    return acc_r
+    x = _merge(_merge_schedule(system.moduli), system.residues)
+    if x is None:
+        raise InconsistentSystem(
+            f"residues {system.residues} contradict each other modulo "
+            f"{system.moduli}"
+        )
+    return x
 
 
 def crt_coprime_closed_form(system: CongruenceSystem) -> int:
@@ -114,7 +156,8 @@ def crt_coprime_closed_form(system: CongruenceSystem) -> int:
 
 def remainders_of(n: int, moduli: Sequence[int]) -> tuple[int, ...]:
     """Exact remainders of n for each modulus, each in [0, modulus)."""
-    for m in moduli:
+    _check_int("n", n)
+    for m in _check_ints("modulus", moduli):
         if m <= 0:
             raise ValueError(f"moduli must be positive, got {m}")
     return tuple(n % m for m in moduli)

@@ -31,7 +31,6 @@ __all__ = [
     "CandidateSet",
     "GroupingProposal",
     "candidate_sets",
-    "prune_subset_sets",
     "minimal_covers",
     "propose_grouping",
     "render_proposal",
@@ -86,27 +85,6 @@ def candidate_sets(moduli: Sequence[int]) -> list[CandidateSet]:
                 members.add(j)
         out.append(CandidateSet(anchor=i, members=frozenset(members)))
     return out
-
-
-def prune_subset_sets(cands: Sequence[CandidateSet]) -> list[CandidateSet]:
-    """Drop candidate sets whose members are contained in an earlier-kept one.
-
-    Keeps the first maximal set under input order; equal member sets keep
-    only the first.  Note this shrinks the pool of irreducible covers, so
-    the full search works on the unpruned list.
-    """
-    kept: list[CandidateSet] = []
-    for i, c in enumerate(cands):
-        dominated = False
-        for j, d in enumerate(cands):
-            if j == i or not (c.members <= d.members):
-                continue
-            if c.members != d.members or j < i:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(c)
-    return kept
 
 
 def minimal_covers(

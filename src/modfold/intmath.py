@@ -25,6 +25,28 @@ class NotInvertibleError(ValueError):
     """Raised when a modular inverse does not exist (gcd != 1)."""
 
 
+def _check_int(name: str, value, low: int | None = None) -> int:
+    """Return value if it is an int (not a bool) and at least low.
+
+    Every public entry point passes its integer inputs through here, so a
+    float or a bool is rejected instead of being truncated or carried on.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
+def _check_ints(name: str, values: Iterable) -> list[int]:
+    """_check_int on every value; returns them as a list."""
+    values = list(values)
+    if set(map(type, values)) - {int}:  # only then can a value be rejected
+        for v in values:
+            _check_int(name, v)
+    return values
+
+
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: return (g, x, y) with g = gcd(|a|, |b|) and a*x + b*y = g.
 

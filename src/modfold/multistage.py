@@ -10,7 +10,9 @@ the same way, composing the folding numbers downwards:
 Trees are written as nested index lists, e.g. [[0, 1], [2, 3]] for two
 groups of two, or [[[0, 1], [2, 3]], [4, 5]] for a three-stage plan.  Leaves
 may share indices (a modulus can back more than one group); children of a
-node must have pairwise-distinct lcms.
+node must have pairwise-distinct lcms.  Every walk over a tree goes through
+one iterative post-order walker, so a plan's depth is bounded by memory,
+not by the interpreter's recursion limit.
 
 The module also computes the stage-bound calculus: a per-group bound for
 each leaf, a cross bound for each internal node over its children's lcms,
@@ -26,16 +28,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .intmath import round_half_up, round_half_up_div
+from .intmath import _check_ints, round_half_up, round_half_up_div
 from .robust import (
     FoldingFailure,
     FoldingSolution,
     _folding_plan,
+    _maxmin_gcd,
     _solve_with_plan,
-    select_reference,
-    theta_bound,
     validate_moduli,
 )
 
@@ -81,9 +82,16 @@ GroupTree = Leaf | Node
 
 
 def parse_tree(layout: str | Sequence) -> GroupTree:
-    """Build a GroupTree from a JSON string or nested lists of indices."""
-    data = json.loads(layout) if isinstance(layout, str) else layout
-    return _parse_node(data)
+    """Build a GroupTree from a JSON string or nested lists of indices.
+
+    Raises ValueError for malformed layouts, including ones nested too
+    deeply for the parser.
+    """
+    try:
+        data = json.loads(layout) if isinstance(layout, str) else layout
+        return _parse_node(data)
+    except RecursionError:
+        raise ValueError("grouping is nested too deeply") from None
 
 
 def _parse_node(data) -> GroupTree:
@@ -103,40 +111,75 @@ def tree_to_nested(tree: GroupTree) -> list:
     return [tree_to_nested(c) for c in tree.children]
 
 
+def _post_order(
+    tree: GroupTree,
+) -> Iterator[tuple[GroupTree, tuple[int, ...]]]:
+    """Every subtree with its child-index path from the root (root = ()).
+
+    Children come before their parent and siblings left to right, so the
+    leaves appear in left-to-right order and the root comes last.
+    """
+    stack: list[tuple[GroupTree, tuple[int, ...], bool]] = [(tree, (), False)]
+    while stack:
+        t, path, expanded = stack.pop()
+        if expanded or isinstance(t, Leaf):
+            yield t, path
+            continue
+        stack.append((t, path, True))
+        for ci in range(len(t.children) - 1, -1, -1):
+            stack.append((t.children[ci], path + (ci,), False))
+
+
 def tree_leaves(tree: GroupTree) -> list[Leaf]:
     """All leaves in left-to-right order."""
-    if isinstance(tree, Leaf):
-        return [tree]
-    out: list[Leaf] = []
-    for c in tree.children:
-        out.extend(tree_leaves(c))
-    return out
+    return [t for t, _ in _post_order(tree) if isinstance(t, Leaf)]
 
 
 def validate_tree(tree: GroupTree, n_moduli: int) -> None:
     """Structural checks: index range, full coverage, node arity."""
     seen: set[int] = set()
-
-    def walk(t: GroupTree) -> None:
-        if isinstance(t, Leaf):
-            if len(t.indices) == 0:
-                raise ValueError("leaf with no indices")
-            if len(set(t.indices)) != len(t.indices):
-                raise ValueError(f"leaf repeats an index: {t.indices}")
-            for i in t.indices:
-                if not 0 <= i < n_moduli:
-                    raise ValueError(f"leaf index {i} out of range")
-            seen.update(t.indices)
-        else:
+    for t, _ in _post_order(tree):
+        if isinstance(t, Node):
             if len(t.children) < 2:
                 raise ValueError("inner node needs at least two children")
-            for c in t.children:
-                walk(c)
-
-    walk(tree)
+            continue
+        if len(t.indices) == 0:
+            raise ValueError("leaf with no indices")
+        if len(set(t.indices)) != len(t.indices):
+            raise ValueError(f"leaf repeats an index: {t.indices}")
+        for i in t.indices:
+            if not 0 <= i < n_moduli:
+                raise ValueError(f"leaf index {i} out of range")
+        seen.update(t.indices)
     missing = set(range(n_moduli)) - seen
     if missing:
         raise ValueError(f"moduli indices {sorted(missing)} appear in no leaf")
+
+
+def _layout(
+    tree: GroupTree, moduli: tuple[int, ...]
+) -> list[tuple[GroupTree, tuple[int, ...], tuple[int, ...]]]:
+    """The validated tree in post-order as (subtree, path, parts).
+
+    parts are the values a stage solves over: a leaf's moduli, or a node's
+    child lcms.  Raises DegenerateTreeError when siblings share an lcm.
+    """
+    validate_tree(tree, len(moduli))
+    lams: list[int] = []  # lcms of the subtrees not yet joined
+    out = []
+    for t, path in _post_order(tree):
+        if isinstance(t, Leaf):
+            parts = tuple(moduli[i] for i in t.indices)
+        else:
+            parts = tuple(lams[-len(t.children):])
+            del lams[-len(t.children):]
+            if len(set(parts)) != len(parts):
+                raise DegenerateTreeError(
+                    f"children of node {path} share an lcm: {list(parts)}"
+                )
+        lams.append(math.lcm(*parts))
+        out.append((t, path, parts))
+    return out
 
 
 @dataclass(frozen=True)
@@ -185,65 +228,38 @@ class GroupReferenceBounds:
     per_group_tau: tuple[Fraction, ...]  # all strict
 
 
-def _group_bound(moduli: Sequence[int]) -> Fraction:
-    if len(moduli) == 1:
-        return Fraction(moduli[0], 4)
-    return theta_bound(moduli)
-
-
-def _maxmin_quarter(values: Sequence[int]) -> Fraction:
-    best = 0
-    for i in range(len(values)):
-        g = min(
-            math.gcd(values[i], values[j])
-            for j in range(len(values))
-            if j != i
-        )
-        best = max(best, g)
-    return Fraction(best, 4)
+def _stage_bound(parts: Sequence[int]) -> Fraction:
+    """Robustness bound of one stage: the max-min gcd of its parts over 4."""
+    return Fraction(_maxmin_gcd(parts)[0], 4)
 
 
 def stage_bounds(tree: GroupTree, moduli: Sequence[int]) -> StageBounds:
     """Group, cross and effective bounds of a plan over the given moduli."""
-    ms = validate_moduli(moduli)
-    validate_tree(tree, len(ms))
-
-    per_group: list[Fraction] = []
-    node_cross: list[tuple[tuple[int, ...], Fraction]] = []
+    layout = _layout(tree, validate_moduli(moduli))
+    bounds = [_stage_bound(parts) for _, _, parts in layout]
+    node_cross = tuple(
+        (path, b)
+        for (t, path, _), b in zip(layout, bounds)
+        if isinstance(t, Node)
+    )
+    # parents before children: each node's limit is the least cross bound
+    # on its path, and a leaf's effective bound is its own bound under it
+    limit: dict[tuple[int, ...], Fraction] = {}
     effective: list[Fraction] = []
-
-    def walk(t: GroupTree, path: tuple[int, ...]) -> int:
-        """Returns the subtree lcm; records bounds along the way."""
+    for (t, path, _), b in zip(reversed(layout), reversed(bounds)):
+        if path:
+            b = min(b, limit[path[:-1]])
         if isinstance(t, Leaf):
-            sub = [ms[i] for i in t.indices]
-            per_group.append(_group_bound(sub))
-            return math.lcm(*sub)
-        lams = [walk(c, path + (ci,)) for ci, c in enumerate(t.children)]
-        if len(set(lams)) != len(lams):
-            raise DegenerateTreeError(
-                f"children of node {path} share an lcm: {lams}"
-            )
-        node_cross.append((path, _maxmin_quarter(lams)))
-        return math.lcm(*lams)
-
-    walk(tree, ())
-    crosses = dict(node_cross)
-
-    def eff(t: GroupTree, path: tuple[int, ...], above: Fraction | None):
-        if isinstance(t, Leaf):
-            own = per_group[len(effective)]
-            effective.append(own if above is None else min(own, above))
-            return
-        here = crosses[path]
-        limit = here if above is None else min(here, above)
-        for ci, c in enumerate(t.children):
-            eff(c, path + (ci,), limit)
-
-    eff(tree, (), None)
+            effective.append(b)
+        else:
+            limit[path] = b
+    effective.reverse()
     return StageBounds(
-        per_group=tuple(per_group),
-        node_cross=tuple(node_cross),
-        cross=crosses.get((), None),
+        per_group=tuple(
+            b for (t, _, _), b in zip(layout, bounds) if isinstance(t, Leaf)
+        ),
+        node_cross=node_cross,
+        cross=node_cross[-1][1] if node_cross else None,
         per_leaf_effective=tuple(effective),
     )
 
@@ -260,131 +276,106 @@ def fused_error_bound(
     return round_half_up(total / sum(group_sizes))
 
 
-class _CTree:
-    """One compiled subtree: solver plan plus static occurrence layout."""
-
-    __slots__ = ("kind", "idxs", "plan", "lam", "children", "factors", "occ")
-
-    def __init__(self, kind, idxs, plan, lam, children, factors, occ):
-        self.kind = kind            # "leaf1" | "leaf" | "node"
-        self.idxs = idxs            # leaf: modulus indices
-        self.plan = plan            # folding plan (None for leaf1)
-        self.lam = lam              # subtree lcm
-        self.children = children    # node: compiled children
-        self.factors = factors      # node: per child, lam_child // M per occ
-        self.occ = occ              # modulus index per leaf occurrence
-
-
 class _TreeProgram:
-    """Prevalidated reconstruction plan for a fixed (moduli, tree) pair."""
+    """Prevalidated reconstruction plan for a fixed (moduli, tree) pair.
+
+    steps holds the tree in post-order as (plan, indices, factors).  A leaf
+    step (factors None) solves its group's remainders, or passes a single
+    remainder through when plan is None.  A node step solves the estimates
+    of its len(factors) children over their lcms and scales each child's
+    foldings by its multiplier times lcm_child // M (factors, one tuple per
+    child).  Every step pushes (foldings per leaf occurrence, estimate)
+    onto a value stack; node steps pop their children's entries.
+    """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):
-        validate_tree(tree, len(moduli))
         self.moduli = moduli
-        self.tree = tree
-        self.root = self._compile(tree)
-        self.root_is_leaf = isinstance(tree, Leaf)
-        self.occ_indices = self.root.occ
-
-    def _compile(self, t: GroupTree) -> _CTree:
-        ms = self.moduli
-        if isinstance(t, Leaf):
-            idxs = t.indices
-            if len(idxs) == 1:
-                return _CTree("leaf1", idxs, None, ms[idxs[0]], (), (), idxs)
-            sub = tuple(ms[i] for i in idxs)
-            plan = _folding_plan(sub, select_reference(sub))
-            return _CTree("leaf", idxs, plan, math.lcm(*sub), (), (), idxs)
-        children = tuple(self._compile(c) for c in t.children)
-        lams = tuple(c.lam for c in children)
-        if len(set(lams)) != len(lams):
-            raise DegenerateTreeError(f"sibling groups share an lcm: {lams}")
-        plan = _folding_plan(lams, select_reference(lams))
-        factors = tuple(
-            tuple(c.lam // ms[i] for i in c.occ) for c in children
+        steps = []
+        occs: list[tuple[int, ...]] = []  # occurrences per pending subtree
+        for t, _, parts in _layout(tree, moduli):
+            plan = (
+                _folding_plan(parts, _maxmin_gcd(parts)[1])
+                if len(parts) > 1
+                else None
+            )
+            if isinstance(t, Leaf):
+                steps.append((plan, t.indices, None))
+                occs.append(t.indices)
+                continue
+            children = occs[-len(parts):]
+            del occs[-len(parts):]
+            factors = tuple(
+                tuple(lam // moduli[i] for i in occ)
+                for lam, occ in zip(parts, children)
+            )
+            steps.append((plan, None, factors))
+            occs.append(tuple(i for occ in children for i in occ))
+        self.steps = tuple(steps)
+        self.occ_indices = occs[0]
+        plan, idxs, _ = steps[-1]
+        # a single-leaf plan is the single-stage solver, reference included
+        self.reference_index = (
+            idxs[plan.k] if idxs is not None and plan is not None else None
         )
-        occ = tuple(i for c in children for i in c.occ)
-        return _CTree("node", (), plan, math.lcm(*lams), children, factors, occ)
 
     def run(self, remainders: Sequence[int], collect: bool = True):
         """Solve every stage bottom-up.
 
         Returns (foldings aligned with occ_indices, estimate, records);
-        records is (leaf_estimates, node_estimates, node_multipliers) or
-        None when collect is False.  FoldingFailure propagates from any
-        stage.
+        records is (per_group_estimates, outer_folding) as StageSolution
+        lays them out, or None when collect is False.  FoldingFailure
+        propagates from any stage.
         """
-        rt = remainders
         leaf_est: list[int] = []
         node_est: list[int] = []
-        node_mult: list[list[tuple[int, ...]]] = [[], []]  # [inner, root]
-
-        def run_sub(c: _CTree, is_root: bool) -> tuple[list[int], int]:
-            if c.kind == "leaf1":
-                est = rt[c.idxs[0]]
+        node_mult: list[tuple[int, ...]] = []
+        fold_stack: list[list[int]] = []
+        est_stack: list[int] = []
+        for plan, idxs, factors in self.steps:
+            if factors is None:
+                if plan is None:
+                    folds, est = [0], remainders[idxs[0]]
+                else:
+                    folding, est = _solve_with_plan(
+                        plan, [remainders[i] for i in idxs]
+                    )
+                    folds = list(folding)
                 if collect:
                     leaf_est.append(est)
-                return [0], est
-            if c.kind == "leaf":
-                folding, est = _solve_with_plan(
-                    c.plan, [rt[i] for i in c.idxs]
-                )
+            else:
+                c = len(factors)
+                mult, est = _solve_with_plan(plan, est_stack[-c:])
+                folds = [
+                    f + m * fac
+                    for child, m, facs in zip(fold_stack[-c:], mult, factors)
+                    for f, fac in zip(child, facs)
+                ]
+                del fold_stack[-c:], est_stack[-c:]
                 if collect:
-                    leaf_est.append(est)
-                return list(folding), est
-            folds: list[list[int]] = []
-            ests: list[int] = []
-            for ch in c.children:
-                f, e = run_sub(ch, False)
-                folds.append(f)
-                ests.append(e)
-            mult, est = _solve_with_plan(c.plan, ests)
-            if collect:
-                node_mult[1 if is_root else 0].append(mult)
-                if not is_root:
                     node_est.append(est)
-            merged: list[int] = []
-            for f, m, facs in zip(folds, mult, c.factors):
-                merged.extend(fv + m * fac for fv, fac in zip(f, facs))
-            return merged, est
-
-        folds, est = run_sub(self.root, True)
+                    node_mult.append(mult)
+            fold_stack.append(folds)
+            est_stack.append(est)
         if not collect:
             return folds, est, None
-        # root multipliers come first, then inner nodes in completion order
-        multipliers = node_mult[1] + node_mult[0]
-        return folds, est, (leaf_est, node_est, multipliers)
+        # the root closes the post-order: its estimate is the final one,
+        # not a group record, and its multipliers come first
+        group_est = tuple(leaf_est + node_est)[:-1]
+        outer = tuple(x for m in node_mult[-1:] + node_mult[:-1] for x in m)
+        return folds, est, (group_est, outer)
 
     def finalize(self, remainders: Sequence[int]) -> StageSolution:
-        folds, _root_est, records = self.run(remainders, collect=True)
-        leaf_est, node_est, multipliers = records
-        rt = remainders
-        ms = self.moduli
-
-        if self.root_is_leaf:
-            # degenerate plan: identical to the single-stage solver
-            final = FoldingSolution(
-                folding=self._by_index(folds),
-                estimate=_occurrence_estimate(folds, self.occ_indices, ms, rt),
-                reference_index=self.occ_indices[self.root.plan.k]
-                if self.root.plan is not None
-                else None,
-            )
-            return StageSolution(
-                per_group_estimates=(),
-                outer_folding=(),
-                final=final,
-            )
-
-        final = FoldingSolution(
-            folding=self._by_index(folds),
-            estimate=_occurrence_estimate(folds, self.occ_indices, ms, rt),
-            reference_index=None,
-        )
+        folds, _, (group_est, outer) = self.run(remainders, collect=True)
         return StageSolution(
-            per_group_estimates=tuple(leaf_est) + tuple(node_est),
-            outer_folding=tuple(x for m in multipliers for x in m),
-            final=final,
+            per_group_estimates=group_est,
+            outer_folding=outer,
+            final=FoldingSolution(
+                folding=self._by_index(folds),
+                estimate=_occurrence_estimate(
+                    folds, self.occ_indices, self.moduli, remainders
+                ),
+                reference_index=self.reference_index,
+            ),
         )
 
     def _by_index(self, folds: list[int]) -> tuple[int, ...]:
@@ -411,6 +402,18 @@ def _tree_program(moduli: tuple[int, ...], tree: GroupTree) -> _TreeProgram:
     return _TreeProgram(moduli, tree)
 
 
+def _program_for(moduli: tuple[int, ...], tree: GroupTree) -> _TreeProgram:
+    """The cached program; ValueError when the tree is too deep to hash.
+
+    The cache key hashes and compares the frozen tree recursively, which
+    exhausts the interpreter's recursion limit on very deep plans.
+    """
+    try:
+        return _tree_program(moduli, tree)
+    except RecursionError:
+        raise ValueError("grouping plan is nested too deeply") from None
+
+
 def reconstruct_tree(
     moduli: Sequence[int],
     remainders: Sequence[int],
@@ -426,7 +429,8 @@ def reconstruct_tree(
         tree = parse_tree(tree)
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
-    return _tree_program(ms, tree).finalize(list(remainders))
+    rt = _check_ints("remainder", remainders)
+    return _program_for(ms, tree).finalize(rt)
 
 
 def reconstruct_two_stage(
@@ -463,17 +467,13 @@ def per_group_reference_bounds(
         and all(isinstance(c, Leaf) for c in tree.children)
     ):
         raise ValueError("reference bounds require a depth-2 plan")
-    validate_tree(tree, len(ms))
-    groups = [[ms[i] for i in leaf.indices] for leaf in tree.children]
-    g_bounds = [_group_bound(g) for g in groups]
-    lams = [math.lcm(*g) for g in groups]
-    if len(set(lams)) != len(lams):
-        raise DegenerateTreeError(f"groups share an lcm: {lams}")
-    cross = _maxmin_quarter(lams)
-    k = select_reference(lams)
+    *leaves, (_, _, lams) = _layout(tree, ms)
+    g_bounds = [_stage_bound(parts) for _, _, parts in leaves]
+    cross_gcd, k = _maxmin_gcd(lams)
+    cross = Fraction(cross_gcd, 4)
     ref_term = min(g_bounds[k], cross)
     taus: list[Fraction] = []
-    for j in range(len(groups)):
+    for j in range(len(lams)):
         if j == k:
             taus.append(ref_term)
         else:

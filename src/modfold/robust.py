@@ -9,7 +9,8 @@ bounds computed here.  The method:
   2. divide each remainder difference by gcd(M_k, M_i) and round it to an
      integer quotient estimate,
   3. turn the quotient estimates into congruences for n_k via modular
-     inverses and solve them with the generalized CRT,
+     inverses and solve them with the generalized CRT merge, whose
+     schedule is precomputed once per (moduli, reference),
   4. derive every other folding number by an exact division.
 
 Failures of step 3 or 4 (contradictory congruences, non-exact division,
@@ -30,7 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .intmath import mod_inverse, round_half_up_div
+from .congruence import _merge, _merge_schedule
+from .intmath import _check_int, _check_ints, mod_inverse, round_half_up_div
 
 __all__ = [
     "FoldingFailure",
@@ -42,7 +44,6 @@ __all__ = [
     "select_reference",
     "per_remainder_bounds",
     "prune_redundant",
-    "estimate_q_hat",
     "check_ns_condition",
     "solve_folding",
     "folding_oracle",
@@ -107,12 +108,11 @@ def validate_moduli(
     With divisor_free=True additionally reject sets where one modulus
     divides another (prune_redundant output satisfies this).
     """
-    ms = tuple(int(m) for m in moduli)
+    ms = tuple(_check_ints("modulus", moduli))
     if not ms:
         raise ValueError("empty moduli set")
-    for m in ms:
-        if m <= 0:
-            raise ValueError(f"moduli must be positive, got {m}")
+    if min(ms) <= 0:
+        raise ValueError(f"moduli must be positive, got {min(ms)}")
     if len(set(ms)) != len(ms):
         raise ValueError(f"moduli must be distinct, got {ms}")
     if divisor_free:
@@ -125,8 +125,21 @@ def validate_moduli(
     return ms
 
 
-def _min_pair_gcd(ms: Sequence[int], i: int) -> int:
-    return min(math.gcd(ms[i], ms[j]) for j in range(len(ms)) if j != i)
+def _maxmin_gcd(values: Sequence[int]) -> tuple[int, int]:
+    """max_i min_{j!=i} gcd(values[i], values[j]) and the first i attaining it.
+
+    A single value has no partner; its own value stands in, which makes the
+    bound of a one-modulus group M/4.
+    """
+    best, best_i = -1, 0
+    for i, v in enumerate(values):
+        g = min(
+            (math.gcd(v, w) for j, w in enumerate(values) if j != i),
+            default=v,
+        )
+        if g > best:
+            best, best_i = g, i
+    return best, best_i
 
 
 def theta_bound(moduli: Sequence[int]) -> Fraction:
@@ -138,7 +151,7 @@ def theta_bound(moduli: Sequence[int]) -> Fraction:
     ms = validate_moduli(moduli)
     if len(ms) < 2:
         raise ValueError("theta_bound needs at least two moduli")
-    return Fraction(max(_min_pair_gcd(ms, i) for i in range(len(ms))), 4)
+    return Fraction(_maxmin_gcd(ms)[0], 4)
 
 
 def select_reference(moduli: Sequence[int]) -> int:
@@ -146,12 +159,7 @@ def select_reference(moduli: Sequence[int]) -> int:
     ms = validate_moduli(moduli)
     if len(ms) < 2:
         raise ValueError("select_reference needs at least two moduli")
-    best, best_i = -1, 0
-    for i in range(len(ms)):
-        g = _min_pair_gcd(ms, i)
-        if g > best:
-            best, best_i = g, i
-    return best_i
+    return _maxmin_gcd(ms)[1]
 
 
 def per_remainder_bounds(moduli: Sequence[int], k: int) -> BoundsReport:
@@ -164,22 +172,23 @@ def per_remainder_bounds(moduli: Sequence[int], k: int) -> BoundsReport:
     ms = validate_moduli(moduli)
     if len(ms) < 2:
         raise ValueError("per_remainder_bounds needs at least two moduli")
-    if not 0 <= k < len(ms):
+    if not 0 <= _check_int("reference index", k) < len(ms):
         raise ValueError(f"reference index {k} out of range")
-    theta = theta_bound(ms)
-    ref_quarter = Fraction(_min_pair_gcd(ms, k), 4)
+    theta = Fraction(_maxmin_gcd(ms)[0], 4)
+    gcds = [math.gcd(ms[k], m) for m in ms]
+    ref_quarter = Fraction(min(g for i, g in enumerate(gcds) if i != k), 4)
     if ref_quarter != theta:
         raise ValueError(
             f"index {k} does not attain the max-min bound {theta}"
         )
     bounds: list[Fraction] = []
     strict: list[bool] = []
-    for i in range(len(ms)):
+    for i, g in enumerate(gcds):
         if i == k:
             bounds.append(ref_quarter)
             strict.append(True)
         else:
-            bounds.append(Fraction(math.gcd(ms[k], ms[i]), 2) - ref_quarter)
+            bounds.append(Fraction(g, 2) - ref_quarter)
             strict.append(False)
     return BoundsReport(
         theta=theta,
@@ -208,11 +217,6 @@ def prune_redundant(moduli: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-def estimate_q_hat(rt_i: int, rt_ref: int, m: int) -> int:
-    """Rounded quotient estimate of the remainder difference over gcd m."""
-    return round_half_up_div(rt_i - rt_ref, m)
-
-
 def check_ns_condition(
     deltas: Sequence[int], moduli: Sequence[int], k: int
 ) -> bool:
@@ -225,7 +229,7 @@ def check_ns_condition(
     ms = tuple(moduli)
     if len(deltas) != len(ms):
         raise ValueError("deltas and moduli lengths differ")
-    if not 0 <= k < len(ms):
+    if not 0 <= _check_int("reference index", k) < len(ms):
         raise ValueError(f"reference index {k} out of range")
     dk = deltas[k]
     for i in range(len(ms)):
@@ -241,87 +245,28 @@ def check_ns_condition(
 class _FoldingPlan:
     """Precomputed constants for solve_folding on a fixed (moduli, k).
 
-    Holds the pairwise gcds, cofactors, modular inverses and the CRT merge
-    schedule (or closed-form weights when the congruence moduli are pairwise
-    coprime), so repeated solves only perform a handful of integer ops.
+    terms holds, per index i != k, (i, g, n, inverse, cofactor) with
+    g = gcd(M_k, M_i), congruence modulus n = M_i / g, cofactor M_k / g and
+    the inverse of the cofactor modulo n (0 when n = 1).  schedule is the
+    merge schedule of the congruences for n_k over the n's, so repeated
+    solves only perform a handful of integer ops.
     """
 
-    __slots__ = (
-        "moduli",
-        "k",
-        "others",
-        "pair_gcds",
-        "ref_cofactors",
-        "cong_moduli",
-        "inverses",
-        "coprime",
-        "weights",
-        "weight_mod",
-        "merge_steps",
-        "first_mod",
-    )
+    __slots__ = ("moduli", "k", "terms", "cong_moduli", "schedule")
 
     def __init__(self, moduli: tuple[int, ...], k: int):
         self.moduli = moduli
         self.k = k
         mk = moduli[k]
-        self.others = tuple(i for i in range(len(moduli)) if i != k)
-        self.pair_gcds = tuple(math.gcd(mk, moduli[i]) for i in self.others)
-        self.ref_cofactors = tuple(mk // g for g in self.pair_gcds)
-        self.cong_moduli = tuple(
-            moduli[i] // g for i, g in zip(self.others, self.pair_gcds)
-        )
-        self.inverses = tuple(
-            mod_inverse(c, n) if n > 1 else 0
-            for c, n in zip(self.ref_cofactors, self.cong_moduli)
-        )
-        mods = self.cong_moduli
-        self.coprime = all(
-            math.gcd(mods[a], mods[b]) == 1
-            for a in range(len(mods))
-            for b in range(a + 1, len(mods))
-        )
-        if self.coprime:
-            total = math.prod(mods)
-            self.weight_mod = total
-            self.weights = tuple(
-                (total // n) * mod_inverse(total // n, n) if n > 1 else 0
-                for n in mods
-            )
-            self.merge_steps = ()
-            self.first_mod = 0
-        else:
-            self.weights = ()
-            self.weight_mod = 0
-            # merge schedule: fold congruences left to right, remembering
-            # the running modulus so the inverses can be precomputed
-            self.first_mod = mods[0]
-            acc = mods[0]
-            steps = []
-            for n in mods[1:]:
-                g = math.gcd(acc, n)
-                ndg = n // g
-                inv = mod_inverse((acc // g) % ndg, ndg) if ndg > 1 else 0
-                steps.append((g, ndg, inv, acc))
-                acc *= ndg
-            self.merge_steps = tuple(steps)
-
-    def solve_reference(self, xis: Sequence[int]) -> int:
-        """Smallest nonnegative folding number of the reference modulus."""
-        if self.coprime:
-            return (
-                sum(x * w for x, w in zip(xis, self.weights))
-                % self.weight_mod
-            )
-        acc_r = xis[0] % self.first_mod
-        for xi, (g, ndg, inv, acc_m) in zip(xis[1:], self.merge_steps):
-            diff = xi - acc_r
-            if diff % g != 0:
-                raise FoldingFailure(
-                    "remainder errors produced contradictory congruences"
-                )
-            acc_r += acc_m * (((diff // g) * inv) % ndg)
-        return acc_r
+        terms = []
+        for i, m in enumerate(moduli):
+            if i != k:
+                g = math.gcd(mk, m)
+                n, c = m // g, mk // g
+                terms.append((i, g, n, mod_inverse(c, n) if n > 1 else 0, c))
+        self.terms = tuple(terms)
+        self.cong_moduli = tuple(t[2] for t in terms)
+        self.schedule = _merge_schedule(self.cong_moduli)
 
 
 @lru_cache(maxsize=512)
@@ -330,36 +275,30 @@ def _folding_plan(moduli: tuple[int, ...], k: int) -> _FoldingPlan:
 
 
 def _solve_with_plan(
-    plan: _FoldingPlan,
-    remainders: Sequence[int],
-    force_merge: bool = False,
+    plan: _FoldingPlan, remainders: Sequence[int]
 ) -> tuple[tuple[int, ...], int]:
     """Hot path shared by solve_folding and the multi-stage engine."""
     moduli = plan.moduli
     rt_ref = remainders[plan.k]
     qs = []
     xis = []
-    for i, g, n, inv in zip(
-        plan.others, plan.pair_gcds, plan.cong_moduli, plan.inverses
-    ):
-        d = remainders[i] - rt_ref
-        q = (2 * d + g) // (2 * g)
+    for i, g, n, inv, _ in plan.terms:
+        q = (2 * (remainders[i] - rt_ref) + g) // (2 * g)
         qs.append(q)
-        xis.append((q * inv) % n if n > 1 else 0)
-    if force_merge and plan.coprime:
-        # the schedule the non-coprime path would have used, for cross-checks
-        n_ref = _merge_all(xis, plan.cong_moduli)
-    else:
-        n_ref = plan.solve_reference(xis)
+        xis.append((q * inv) % n)
+    n_ref = _merge(plan.schedule, xis)
+    if n_ref is None:
+        raise FoldingFailure(
+            "remainder errors produced contradictory congruences"
+        )
 
     folding = [0] * len(moduli)
     folding[plan.k] = n_ref
-    for pos, i in enumerate(plan.others):
-        num = n_ref * plan.ref_cofactors[pos] - qs[pos]
-        den = plan.cong_moduli[pos]
-        if num % den != 0:
+    for (i, _, n, _, c), q in zip(plan.terms, qs):
+        num = n_ref * c - q
+        if num % n != 0:
             raise FoldingFailure("folding derivation is not an exact division")
-        folding[i] = num // den
+        folding[i] = num // n
 
     total = sum(f * m + r for f, m, r in zip(folding, moduli, remainders))
     est = round_half_up_div(total, len(moduli))
@@ -372,37 +311,16 @@ def _solve_with_plan(
     return tuple(folding), est
 
 
-def _merge_all(xis: Sequence[int], mods: Sequence[int]) -> int:
-    acc_r = xis[0] % mods[0]
-    acc_m = mods[0]
-    for xi, n in zip(xis[1:], mods[1:]):
-        g = math.gcd(acc_m, n)
-        diff = xi - acc_r
-        if diff % g != 0:
-            raise FoldingFailure(
-                "remainder errors produced contradictory congruences"
-            )
-        ndg = n // g
-        inv = mod_inverse((acc_m // g) % ndg, ndg) if ndg > 1 else 0
-        acc_r += acc_m * (((diff // g) * inv) % ndg)
-        acc_m *= ndg
-    return acc_r
-
-
 def solve_folding(
     moduli: Sequence[int],
     remainders: Sequence[int],
     k: int,
-    *,
-    closed_form: bool | None = None,
 ) -> FoldingSolution:
     """Recover all folding numbers from erroneous remainders, reference k.
 
     Remainders are taken as given, even outside [0, M_i): the arithmetic
-    only uses differences, so no wrapping is applied here.  closed_form
-    selects the single-sum reconstruction of the reference folding number
-    (None = automatic when the congruence moduli are pairwise coprime,
-    True = require it, False = always use the pairwise merge).
+    only uses differences, so no wrapping is applied here.  Moduli and
+    remainders must be ints.
 
     Raises FoldingFailure when the errors were too large for recovery to be
     trusted: contradictory congruences, a non-exact derivation, or a
@@ -413,15 +331,10 @@ def solve_folding(
         raise ValueError("solve_folding needs at least two moduli")
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
-    if not 0 <= k < len(ms):
+    if not 0 <= _check_int("reference index", k) < len(ms):
         raise ValueError(f"reference index {k} out of range")
-    plan = _folding_plan(ms, k)
-    if closed_form is True and not plan.coprime:
-        raise ValueError(
-            "closed form requires pairwise-coprime congruence moduli"
-        )
-    force_merge = closed_form is False
-    folding, est = _solve_with_plan(plan, list(remainders), force_merge)
+    rt = _check_ints("remainder", remainders)
+    folding, est = _solve_with_plan(_folding_plan(ms, k), rt)
     return FoldingSolution(folding=folding, estimate=est, reference_index=k)
 
 

@@ -26,7 +26,8 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .multistage import GroupTree, _tree_program
+from .intmath import _check_int
+from .multistage import GroupTree, _program_for
 from .robust import (
     FoldingFailure,
     SearchCapExceeded,
@@ -63,15 +64,6 @@ def _splitmix64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _check_int(name: str, value, low: int | None = None) -> int:
-    """Return value if it is an int (not a bool) and at least low."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}")
-    return value
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """One simulation campaign.
@@ -92,7 +84,7 @@ class TrialConfig:
     clamp_remainders: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(self.moduli))
+        object.__setattr__(self, "moduli", validate_moduli(self.moduli))
         _check_int("trials", self.trials, 1)
         _check_int("tau", self.tau, 0)
         _check_int("rng_seed", self.rng_seed)
@@ -141,7 +133,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     """
     if not taus:
         return []
-    ms = validate_moduli(cfg.moduli)
+    ms = cfg.moduli
     lam = math.lcm(*ms)
     if cfg.tree is None:
         if len(ms) < 2:
@@ -149,7 +141,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         plan = _folding_plan(ms, select_reference(ms))
         reconstruct = partial(_solve_with_plan, plan)
     else:
-        reconstruct = partial(_tree_program(ms, cfg.tree).run, collect=False)
+        reconstruct = partial(_program_for(ms, cfg.tree).run, collect=False)
 
     one_sided = cfg.error_model == ONE_SIDED
     # (index, tau, span, shift): an error is raw % span - shift

@@ -156,6 +156,24 @@ class TestSimulate:
         assert "--tau-max" in err
 
 
+class TestDeepGrouping:
+    DEEP = "[" * 3000 + "0,1" + "]" * 3000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "3", "5"),
+            ("reconstruct", "3", "5", "--remainders", "1", "2"),
+            ("simulate", "3", "5", "--tau-max", "1", "--trials", "5"),
+        ],
+    )
+    def test_exit_two_without_traceback(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--grouping", self.DEEP)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "too deep" in err
+
+
 class TestParsing:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -151,3 +151,15 @@ class TestCongruenceSystem:
     def test_positive_moduli_required(self):
         with pytest.raises(ValueError):
             CongruenceSystem([1], [0])
+
+    def test_rejects_non_int(self):
+        with pytest.raises(ValueError, match="n must be an int"):
+            remainders_of(1000.5, (7, 9))
+        with pytest.raises(ValueError, match="modulus"):
+            crt_pair_merge(1, 4.0, 3, 6)
+        with pytest.raises(ValueError, match="residue"):
+            CongruenceSystem([1.5], [4])
+        with pytest.raises(ValueError, match="modulus"):
+            CongruenceSystem([1], [4.2])
+        with pytest.raises(ValueError, match="residue"):
+            CongruenceSystem([True], [4])

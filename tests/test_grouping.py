@@ -9,7 +9,6 @@ from modfold.grouping import (
     candidate_sets,
     minimal_covers,
     propose_grouping,
-    prune_subset_sets,
     render_proposal,
 )
 from modfold.robust import SearchCapExceeded, theta_bound
@@ -48,30 +47,6 @@ class TestCandidateSets:
             candidate_sets((8, 12))  # too few
         with pytest.raises(ValueError):
             candidate_sets((8, 16, 12))  # 8 divides 16
-
-
-class TestPruneSubsetSets:
-    def test_subset_removed(self):
-        a = CandidateSet(0, frozenset({0, 1}))
-        b = CandidateSet(2, frozenset({0, 1, 2}))
-        assert prune_subset_sets([a, b]) == [b]
-
-    def test_disjoint_unchanged(self):
-        a = CandidateSet(0, frozenset({0, 1}))
-        b = CandidateSet(2, frozenset({2, 3}))
-        assert prune_subset_sets([a, b]) == [a, b]
-
-    def test_equal_sets_keep_first(self):
-        a = CandidateSet(0, frozenset({0, 1}))
-        b = CandidateSet(1, frozenset({0, 1}))
-        assert prune_subset_sets([a, b]) == [a]
-
-    def test_example_set_prunes_pair_sets(self):
-        # pairwise subset check: the four two-element sets sit inside the
-        # two big ones, so only three maximal sets survive
-        cands = candidate_sets(EX8)
-        kept = prune_subset_sets(cands)
-        assert [c.anchor for c in kept] == [0, 1, 2]
 
 
 class TestMinimalCovers:

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from modfold.intmath import round_half_up_div
 from modfold.multistage import (
     DegenerateTreeError,
+    StageBounds,
+    StageSolution,
+    _tree_program,
     Leaf,
     Node,
     fused_error_bound,
@@ -20,6 +24,9 @@ from modfold.multistage import (
 )
 from modfold.robust import (
     FoldingFailure,
+    FoldingSolution,
+    _folding_plan,
+    _solve_with_plan,
     folding_oracle,
     select_reference,
     solve_folding,
@@ -370,3 +377,299 @@ class TestPerGroupReferenceBounds:
     def test_depth_two_only(self):
         with pytest.raises(ValueError):
             per_group_reference_bounds("[[[0,1],[2,3]],[4,5]]", EX_THREE)
+
+
+# -- reference: the recursive tree engine the flat step program replaced --
+
+
+def _maxmin_quarter(values):
+    if len(values) == 1:
+        return Fraction(values[0], 4)
+    return max(
+        min(Fraction(math.gcd(v, w), 4) for j, w in enumerate(values) if j != i)
+        for i, v in enumerate(values)
+    )
+
+
+def recursive_stage_bounds(tree, ms):
+    per_group, node_cross, effective = [], [], []
+
+    def walk(t, path):
+        if isinstance(t, Leaf):
+            sub = [ms[i] for i in t.indices]
+            per_group.append(_maxmin_quarter(sub))
+            return math.lcm(*sub)
+        lams = [walk(c, path + (ci,)) for ci, c in enumerate(t.children)]
+        if len(set(lams)) != len(lams):
+            raise DegenerateTreeError(f"children of node {path} share an lcm")
+        node_cross.append((path, _maxmin_quarter(lams)))
+        return math.lcm(*lams)
+
+    walk(tree, ())
+    crosses = dict(node_cross)
+
+    def eff(t, path, above):
+        if isinstance(t, Leaf):
+            own = per_group[len(effective)]
+            effective.append(own if above is None else min(own, above))
+            return
+        limit = crosses[path] if above is None else min(crosses[path], above)
+        for ci, c in enumerate(t.children):
+            eff(c, path + (ci,), limit)
+
+    eff(tree, (), None)
+    return StageBounds(
+        per_group=tuple(per_group),
+        node_cross=tuple(node_cross),
+        cross=crosses.get((), None),
+        per_leaf_effective=tuple(effective),
+    )
+
+
+def recursive_reconstruct(ms, rt, tree):
+    """Solve every subtree recursively, recording as StageSolution does."""
+    leaf_est, node_est, inner_mult, root_mult = [], [], [], []
+
+    def solve(t, is_root):
+        """Returns (leaf occurrences, foldings per occurrence, lcm, est)."""
+        if isinstance(t, Leaf):
+            idxs = t.indices
+            if len(idxs) == 1:
+                folds, est = [0], rt[idxs[0]]
+            else:
+                sub = tuple(ms[i] for i in idxs)
+                plan = _folding_plan(sub, select_reference(sub))
+                folding, est = _solve_with_plan(plan, [rt[i] for i in idxs])
+                folds = list(folding)
+            leaf_est.append(est)
+            return list(idxs), folds, math.lcm(*(ms[i] for i in idxs)), est
+        kids = [solve(c, False) for c in t.children]
+        lams = tuple(k[2] for k in kids)
+        if len(set(lams)) != len(lams):
+            raise DegenerateTreeError("sibling groups share an lcm")
+        plan = _folding_plan(lams, select_reference(lams))
+        mult, est = _solve_with_plan(plan, [k[3] for k in kids])
+        (root_mult if is_root else inner_mult).append(mult)
+        if not is_root:
+            node_est.append(est)
+        occ, folds = [], []
+        for (c_occ, c_folds, lam, _), m in zip(kids, mult):
+            occ.extend(c_occ)
+            folds.extend(f + m * (lam // ms[i]) for f, i in zip(c_folds, c_occ))
+        return occ, folds, math.lcm(*lams), est
+
+    occ, folds, _, _ = solve(tree, True)
+    by_idx = {}
+    for i, f in zip(occ, folds):
+        if by_idx.setdefault(i, f) != f:
+            raise FoldingFailure(
+                f"conflicting folding numbers for modulus index {i}"
+            )
+    total = sum(f * ms[i] + rt[i] for f, i in zip(folds, occ))
+    root_leaf = isinstance(tree, Leaf)
+    if root_leaf and len(tree.indices) > 1:
+        ref = tree.indices[select_reference([ms[i] for i in tree.indices])]
+    else:
+        ref = None
+    return StageSolution(
+        per_group_estimates=() if root_leaf else tuple(leaf_est + node_est),
+        outer_folding=tuple(x for m in root_mult + inner_mult for x in m),
+        final=FoldingSolution(
+            folding=tuple(by_idx[i] for i in range(len(ms))),
+            estimate=round_half_up_div(total, len(folds)),
+            reference_index=ref,
+        ),
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FoldingFailure as exc:
+        return ("failure", exc.reason, exc.partial_folding, exc.partial_estimate)
+
+
+DIFF_PLANS = [
+    (EX_SIM, "[0,1,2]"),
+    (EX_SIM, "[[0,1],[2]]"),
+    (EX_SIM, "[[0],[1],[2]]"),
+    ((12, 18, 35), "[[0,1],[0,2]]"),
+    (EX_SPLIT, "[[0,1],[2,3]]"),
+    (EX_SPLIT, "[[[0,1],[2]],[3]]"),
+    (EX_THREE, "[[[0,1],[2,3]],[4,5]]"),
+    (EX_THREE, "[[[0,1],[2,3]],[[4],[5]]]"),
+    (EX_THREE, "[[[[0,1],[2]],[3]],[4,5]]"),
+    (EX_THREE, "[[[[0,1],[2,3]],[4]],[5]]"),
+    ((70, 75, 80, 90), "[[3],[0,1,2]]"),
+]
+
+
+class TestFlatProgramMatchesRecursive:
+    @pytest.mark.parametrize("ms, layout", DIFF_PLANS)
+    def test_stage_bounds(self, ms, layout):
+        tree = parse_tree(layout)
+        assert stage_bounds(tree, ms) == recursive_stage_bounds(tree, ms)
+
+    @pytest.mark.parametrize("ms, layout", DIFF_PLANS)
+    def test_every_field_and_failure(self, ms, layout):
+        tree = parse_tree(layout)
+        theta = min(stage_bounds(tree, ms).per_leaf_effective)
+        rng = random.Random(hash(layout) % 1000 + len(ms))
+        lam = math.lcm(*ms)
+        failures = wrong = 0
+        # error levels inside the bound, at it, and far beyond it
+        edge = math.ceil(theta)
+        for tau in (0, edge - 1, edge, 3 * edge + 5):
+            for _ in range(60):
+                n = rng.randrange(lam)
+                rt = [n % m + rng.randint(-tau, tau) for m in ms]
+                flat = outcome(reconstruct_tree, ms, rt, tree)
+                assert flat == outcome(recursive_reconstruct, ms, rt, tree)
+                if isinstance(flat, tuple):
+                    failures += 1
+                elif flat.final.folding != tuple(n // m for m in ms):
+                    wrong += 1
+        assert failures + wrong > 0  # beyond the bound was exercised
+
+    def test_depth_three_record_order(self):
+        # leaves left to right, then inner nodes bottom-up; root multipliers
+        # first, then the inner nodes'
+        tree = parse_tree("[[[0,1],[2,3]],[4,5]]")
+        n = 54321
+        rt = [n % m for m in EX_THREE]
+        sol = reconstruct_tree(EX_THREE, rt, tree)
+        l01, l23 = math.lcm(192, 288), math.lcm(216, 360)
+        l0123, l45 = math.lcm(l01, l23), math.lcm(320, 448)
+        assert sol.per_group_estimates == (n % l01, n % l23, n % l45, n % l0123)
+        assert sol.outer_folding == (
+            n // l0123,
+            n // l45,
+            (n % l0123) // l01,
+            (n % l0123) // l23,
+        )
+        assert sol == recursive_reconstruct(EX_THREE, rt, tree)
+
+    def test_run_without_records_matches(self):
+        tree = parse_tree("[[[0,1],[2,3]],[4,5]]")
+        program = _tree_program(EX_THREE, tree)
+        rng = random.Random(151)
+        for _ in range(100):
+            n = rng.randrange(math.lcm(*EX_THREE))
+            rt = [n % m + rng.randint(-30, 30) for m in EX_THREE]
+            try:
+                folds, est, records = program.run(rt, collect=False)
+            except FoldingFailure as exc:
+                with pytest.raises(FoldingFailure) as again:
+                    program.run(rt)
+                assert again.value.reason == exc.reason
+                continue
+            assert records is None
+            assert (folds, est) == program.run(rt)[:2]
+
+
+def deep_chain(depth):
+    """A plan over (3, 5) nested depth levels deep: [0, [1, [0, ...]]]."""
+    tree = Node((Leaf((0,)), Leaf((1,))))
+    for level in range(depth - 1):
+        tree = Node((Leaf((level % 2,)), tree))
+    return tree
+
+
+class TestDeepPlans:
+    def test_walks_are_iterative(self):
+        tree = deep_chain(1200)
+        validate_tree(tree, 2)
+        assert len(tree_leaves(tree)) == 1201
+        b = stage_bounds(tree, (3, 5))
+        assert len(b.node_cross) == 1200
+        assert b.cross == Fraction(3, 4)
+        assert max(b.per_leaf_effective) == Fraction(3, 4)
+
+    def test_too_deep_to_run_is_a_value_error(self):
+        with pytest.raises(ValueError, match="too deep"):
+            reconstruct_tree((3, 5), [1, 2], deep_chain(1200))
+
+    def test_parse_rejects_deep_nesting(self):
+        with pytest.raises(ValueError, match="too deep"):
+            parse_tree("[" * 3000 + "0,1" + "]" * 3000)
+        nested = [0, 1]
+        for _ in range(3000):
+            nested = [[0], nested]
+        with pytest.raises(ValueError, match="too deep"):
+            parse_tree(nested)
+
+
+class TestExactIntegers:
+    def test_reconstruct_tree_rejects_float_remainders(self):
+        with pytest.raises(ValueError, match="remainder"):
+            reconstruct_tree(EX_SIM, [1, 2.5, 3], "[[0,1],[2]]")
+        with pytest.raises(ValueError, match="remainder"):
+            reconstruct_tree(EX_SIM, [1, True, 3], "[[0,1],[2]]")
+
+
+def random_entangled(rng, size):
+    """Distinct moduli built from a few shared prime powers."""
+    while True:
+        ms = {
+            math.prod(rng.choice((1, 2, 4, 8, 3, 9, 5, 7)) for _ in range(4))
+            for _ in range(size)
+        }
+        ms.discard(1)
+        if len(ms) == size:
+            return tuple(sorted(ms))
+
+
+class TestEffectiveBoundSoundness:
+    """Errors one step inside every leaf's effective bound recover exactly."""
+
+    def check(self, ms, tree, rng, trials):
+        b = stage_bounds(tree, ms)
+        # a modulus in several leaves obeys the tightest of them
+        cap = {}
+        for leaf, eff in zip(tree_leaves(tree), b.per_leaf_effective):
+            for i in leaf.indices:
+                cap[i] = min(cap.get(i, eff), eff)
+        tau = [math.ceil(cap[i]) - 1 for i in range(len(ms))]
+        lam = math.lcm(*ms)
+        for _ in range(trials):
+            n = rng.randrange(lam)
+            # mostly at the edge, sometimes inside it
+            deltas = [
+                rng.choice((-t, t, rng.randint(-t, t))) for t in tau
+            ]
+            rt = [n % m + d for m, d in zip(ms, deltas)]
+            sol = reconstruct_tree(ms, rt, tree)
+            assert sol.final.folding == tuple(n // m for m in ms)
+            assert abs(sol.final.estimate - n) <= max(tau)
+
+    def test_depth_three_plans(self):
+        rng = random.Random(211)
+        layouts = ("[[[0,1],[2,3]],[4,5]]", "[[[0,1],[2]],[[3],[4,5]]]",
+                   "[[[[0,1],[2]],[3,4]],[5]]")
+        checked = 0
+        for _ in range(60):
+            ms = random_entangled(rng, 6)
+            for layout in layouts:
+                try:
+                    self.check(ms, parse_tree(layout), rng, 15)
+                except DegenerateTreeError:
+                    continue
+                checked += 1
+        self.check(EX_THREE, parse_tree(layouts[0]), rng, 200)
+        assert checked > 100
+
+    def test_shared_index_leaves(self):
+        rng = random.Random(223)
+        layouts = ("[[0,1],[0,2]]", "[[0,1],[0,2],[0,3]]",
+                   "[[[0,1],[1,2]],[2,3]]")
+        checked = 0
+        for _ in range(80):
+            for layout in layouts:
+                ms = random_entangled(rng, 3 if layout == layouts[0] else 4)
+                try:
+                    self.check(ms, parse_tree(layout), rng, 15)
+                except DegenerateTreeError:
+                    continue
+                checked += 1
+        self.check((12, 18, 35), parse_tree(layouts[0]), rng, 200)
+        assert checked > 100

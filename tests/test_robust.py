@@ -7,9 +7,9 @@ import pytest
 
 from modfold.robust import (
     FoldingFailure,
+    _folding_plan,
     SearchCapExceeded,
     check_ns_condition,
-    estimate_q_hat,
     folding_oracle,
     per_remainder_bounds,
     prune_redundant,
@@ -153,13 +153,6 @@ class TestPruneRedundant:
 
 
 class TestQHatAndCondition:
-    @pytest.mark.parametrize(
-        "rt_i,rt_ref,m,expected",
-        [(25, 20, 5, 1), (22, 20, 5, 0), (23, 20, 5, 1)],
-    )
-    def test_q_hat(self, rt_i, rt_ref, m, expected):
-        assert estimate_q_hat(rt_i, rt_ref, m) == expected
-
     def test_zero_deltas(self):
         assert check_ns_condition([0, 0, 0, 0], EX1, 3)
 
@@ -220,24 +213,32 @@ class TestSolveFolding:
                 found = True
         assert found
 
-    def test_closed_form_and_merge_agree(self):
+    def test_coprime_plan_matches_oracle(self):
         # reference 3 on EX1 yields pairwise-coprime congruence moduli
+        plan = _folding_plan(EX1, 3)
+        assert math.lcm(*plan.cong_moduli) == math.prod(plan.cong_moduli)
         rng = random.Random(53)
-        for _ in range(100):
+        for _ in range(12):
             n = rng.randrange(math.lcm(*EX1))
             rt = [n % m + rng.randint(-2, 2) for m in EX1]
-            try:
-                a = solve_folding(EX1, rt, 3, closed_form=True)
-            except FoldingFailure:
-                with pytest.raises(FoldingFailure):
-                    solve_folding(EX1, rt, 3, closed_form=False)
-                continue
-            b = solve_folding(EX1, rt, 3, closed_form=False)
-            assert a == b
+            sol = solve_folding(EX1, rt, 3)
+            assert sol.folding == true_folding(n, EX1)
+            oracle = folding_oracle(EX1, rt, 2)
+            assert (sol.folding, sol.estimate) in [
+                (s.folding, s.estimate) for s in oracle
+            ]
 
-    def test_closed_form_rejected_when_not_coprime(self):
-        with pytest.raises(ValueError):
-            solve_folding((135, 180, 162), [0, 0, 0], 0, closed_form=True)
+    @pytest.mark.parametrize("bad", [22.5, 23.0, False])
+    def test_rejects_non_int_remainders(self, bad):
+        with pytest.raises(ValueError, match="remainder"):
+            solve_folding(EX1, [bad, 23, 41, 10], 3)
+
+    def test_rejects_non_int_reference(self):
+        solve_folding(EX1, [22, 23, 41, 10], 3)  # plan for index 3 cached
+        with pytest.raises(ValueError, match="reference index"):
+            solve_folding(EX1, [22, 23, 41, 10], 3.0)
+        with pytest.raises(ValueError, match="reference index"):
+            per_remainder_bounds(EX1, 3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -338,3 +339,81 @@ class TestValidateModuli:
             validate_moduli((3, -1))
         with pytest.raises(ValueError):
             validate_moduli(())
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "5", Fraction(5)])
+    def test_rejects_non_int(self, bad):
+        with pytest.raises(ValueError, match="modulus"):
+            validate_moduli((bad, 7))
+        with pytest.raises(ValueError, match="modulus"):
+            theta_bound((12, bad))
+
+
+def random_sets(rng, count, scale=1):
+    """Seeded moduli sets of 2-5 distinct values with shared factors."""
+    out = []
+    while len(out) < count:
+        ms = {
+            scale * math.prod(rng.choice((1, 2, 3, 4, 5, 6, 9)) for _ in range(3))
+            for _ in range(rng.randint(2, 5))
+        }
+        if len(ms) >= 2:
+            out.append(tuple(rng.sample(sorted(ms), len(ms))))
+    return out
+
+
+class TestBoundEdges:
+    """The bound theorems at their edges, not only by uniform sampling."""
+
+    def test_largest_integer_below_theta_recovers(self):
+        rng = random.Random(307)
+        for ms in random_sets(rng, 150):
+            t = math.ceil(theta_bound(ms)) - 1  # largest int < theta
+            k = select_reference(ms)
+            lam = math.lcm(*ms)
+            for _ in range(12):
+                n = rng.randrange(lam)
+                deltas = [rng.choice((-t, t)) for _ in ms]
+                rt = [n % m + d for m, d in zip(ms, deltas)]
+                sol = solve_folding(ms, rt, k)
+                assert sol.folding == true_folding(n, ms), (ms, n, deltas)
+                assert abs(sol.estimate - n) <= t
+
+    def test_inclusive_per_remainder_bounds_recover(self):
+        # moduli scaled by 4 make every per-remainder bound an integer, so
+        # the errors sit exactly on the inclusive bounds
+        rng = random.Random(311)
+        for ms in random_sets(rng, 150, scale=4):
+            k = select_reference(ms)
+            rep = per_remainder_bounds(ms, k)
+            assert all(b.denominator == 1 for b in rep.per_remainder)
+            edge = [
+                int(b) - 1 if strict else int(b)
+                for b, strict in zip(rep.per_remainder, rep.strict)
+            ]
+            lam = math.lcm(*ms)
+            for _ in range(12):
+                n = rng.randrange(lam)
+                deltas = [rng.choice((-e, e)) for e in edge]
+                rt = [n % m + d for m, d in zip(ms, deltas)]
+                assert check_ns_condition(deltas, ms, k)
+                sol = solve_folding(ms, rt, k)
+                assert sol.folding == true_folding(n, ms), (ms, n, deltas)
+
+    def test_one_past_an_inclusive_bound_can_fail(self):
+        # the inclusive bounds are tight: one more unit on a non-reference
+        # remainder, against the reference error, breaks exactness
+        rng = random.Random(313)
+        for ms in random_sets(rng, 60, scale=4):
+            k = select_reference(ms)
+            rep = per_remainder_bounds(ms, k)
+            i = next(j for j in range(len(ms)) if j != k)
+            deltas = [0] * len(ms)
+            deltas[k] = -(int(rep.per_remainder[k]) - 1)
+            deltas[i] = int(rep.per_remainder[i]) + 1
+            assert not check_ns_condition(deltas, ms, k)
+            n = rng.randrange(math.lcm(*ms))
+            rt = [n % m + d for m, d in zip(ms, deltas)]
+            try:
+                assert solve_folding(ms, rt, k).folding != true_folding(n, ms)
+            except FoldingFailure:
+                pass

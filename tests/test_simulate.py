@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from modfold import simulate
-from modfold.multistage import _tree_program, parse_tree
+from modfold.multistage import Leaf, Node, _tree_program, parse_tree
 from modfold.robust import (
     FoldingFailure,
     SearchCapExceeded,
@@ -52,6 +52,11 @@ class TestTrialConfig:
     def test_rejects_non_int(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrialConfig(moduli=(8, 12), **{field: value})
+
+    @pytest.mark.parametrize("bad", [135.9, 135.0, True])
+    def test_rejects_non_int_moduli(self, bad):
+        with pytest.raises(ValueError, match="modulus"):
+            TrialConfig(moduli=(bad, 180, 162), tau=2, trials=50)
 
 
 class TestRunTrials:
@@ -202,6 +207,14 @@ class TestSweep:
     def test_rejects_bad_level(self, tau):
         with pytest.raises(ValueError, match="tau"):
             sweep(TrialConfig(moduli=(8, 12, 15), trials=10), [0, tau])
+
+    def test_too_deep_plan_is_a_value_error(self):
+        tree = Node((Leaf((0,)), Leaf((1,))))
+        for level in range(1199):
+            tree = Node((Leaf((level % 2,)), tree))
+        cfg = TrialConfig(moduli=(3, 5), tree=tree, trials=5)
+        with pytest.raises(ValueError, match="too deep"):
+            sweep(cfg, [0, 1])
 
     def test_each_trial_drawn_once(self, monkeypatch):
         draws = []
