@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .congruence import InconsistentSystem
-from .grouping import _pq, propose_grouping, render_proposal
+from .grouping import _group_lines, _pq, propose_grouping, render_proposal
 from .multistage import (
     parse_tree,
     per_group_reference_bounds,
@@ -80,12 +80,11 @@ def _cmd_bounds(args) -> int:
     if args.grouping:
         tree = parse_tree(args.grouping)
         b = stage_bounds(tree, ms)
-        leaves = tree_leaves(tree)
+        groups = [leaf.indices for leaf in tree_leaves(tree)]
         print(f"moduli: {' '.join(map(str, ms))}")
         print(f"single-stage bound: {_pq(theta_bound(ms))}")
-        for leaf, gb, eff in zip(leaves, b.per_group, b.per_leaf_effective):
-            vals = " ".join(str(ms[i]) for i in leaf.indices)
-            print(f"group [{vals}]: bound {_pq(gb)}, effective {_pq(eff)}")
+        for line in _group_lines(ms, groups, b):
+            print(line)
         for path, cb in b.node_cross:
             label = "root" if not path else "node " + "/".join(map(str, path))
             print(f"cross bound at {label}: {_pq(cb)}")

@@ -2,10 +2,10 @@
 
 For each modulus, collect the partners whose pairwise gcd/4 exceeds the
 single-stage bound theta; enumerate every irreducible cover of the moduli
-by those candidate sets; keep the covers whose per-group bounds and cross
-bound all exceed theta.  When several covers qualify, the one with the
-largest worst-case group bound wins (ties: fewer groups, then lexicographic
-index order).
+by those candidate sets; keep the covers whose effective group bounds (each
+group's bound capped by the cross bound) all exceed theta.  When several
+covers qualify, the one with the largest worst-case effective bound wins
+(ties: fewer groups, then lexicographic index order).
 
 For moduli of the form M * c_i with pairwise-coprime c_i no grouping can
 help, and the search reports failure.
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .multistage import DegenerateTreeError, Leaf, Node, StageBounds, stage_bounds
 from .robust import (
@@ -55,7 +55,7 @@ class GroupingProposal:
     on failure.  bounds is the StageBounds of the winning depth-2 plan.
     shared_reference marks a proposal that only succeeded after inserting
     the reference modulus into singleton groups (relaxed criterion: no
-    group bound below theta, at least one above).
+    effective bound below theta, at least one above).
     """
 
     moduli: tuple[int, ...]
@@ -122,107 +122,57 @@ def minimal_covers(
     return covers
 
 
-def _evaluate_cover(
-    ms: tuple[int, ...], groups: list[tuple[int, ...]]
-) -> StageBounds:
-    tree = Node(children=tuple(Leaf(indices=g) for g in groups))
-    return stage_bounds(tree, ms)
-
-
-def _worst_bound(bounds: StageBounds) -> Fraction:
-    return min(bounds.per_leaf_effective)
-
-
 def propose_grouping(
-    moduli: Sequence[int],
-    *,
-    share_reference: bool = False,
-    cover_cap: int = COVER_CAP_DEFAULT,
+    moduli: Sequence[int], *, share_reference: bool = False
 ) -> GroupingProposal:
     """Run the full grouping search.
 
-    Success requires a cover whose cross bound and every group bound
-    strictly exceed theta.  With share_reference=True, a failed search is
-    retried with the reference modulus inserted into each singleton group,
-    accepting covers where no effective group bound drops below theta and
-    at least one rises above it.
+    Each minimal cover of two or more groups forms a depth-2 plan, which
+    is accepted on its effective bounds (StageBounds.per_leaf_effective):
+    every one must strictly exceed theta.  With share_reference=True, a
+    failed search is retried with the reference modulus inserted into each
+    singleton group, accepting plans whose effective bounds are all at
+    least theta and at least one above it.
     """
     ms = validate_moduli(moduli, divisor_free=True)
-    if len(ms) < 3:
-        raise ValueError("grouping search needs at least three moduli")
-    theta = theta_bound(ms)
     cands = candidate_sets(ms)
-    covers = minimal_covers(cands, len(ms), cap=cover_cap)
-
-    def groups_of(cover: tuple[CandidateSet, ...]) -> list[tuple[int, ...]]:
-        return [tuple(sorted(c.members)) for c in cover]
-
-    def pick(
-        scored: list[tuple[Fraction, int, tuple, StageBounds]]
-    ) -> tuple[tuple[tuple[int, ...], ...], StageBounds]:
-        # best worst-case bound, then fewer groups, then lexicographic
-        best = sorted(scored, key=lambda s: (-s[0], s[1], s[2]))[0]
-        return tuple(best[2]), best[3]
-
-    successes = []
-    for cover in covers:
-        groups = groups_of(cover)
-        if len(groups) < 2:
-            continue  # a single group is just the single-stage solver
-        try:
-            bounds = _evaluate_cover(ms, groups)
-        except DegenerateTreeError:
-            continue  # sibling groups with equal lcms cannot form a plan
-        if bounds.cross > theta and all(g > theta for g in bounds.per_group):
-            successes.append(
-                (_worst_bound(bounds), len(groups), tuple(groups), bounds)
-            )
-    if successes:
-        groups, bounds = pick(successes)
-        return GroupingProposal(
-            moduli=ms,
-            theta=theta,
-            verdict="success",
-            groups=groups,
-            bounds=bounds,
-        )
-
-    if share_reference:
-        ref = select_reference(ms)
-        shared = []
+    theta = theta_bound(ms)
+    covers = minimal_covers(cands, len(ms))
+    for shared in (False, True) if share_reference else (False,):
+        ref = select_reference(ms) if shared else None
+        accepted = []
         for cover in covers:
-            groups = [
-                tuple(sorted(set(g) | {ref})) if len(g) == 1 else g
-                for g in groups_of(cover)
-            ]
-            if len(groups) < 2 or len(set(groups)) != len(groups):
-                continue
+            groups = tuple(
+                tuple(sorted(c.members | {ref}))
+                if shared and len(c.members) == 1
+                else tuple(sorted(c.members))
+                for c in cover
+            )
+            if len(groups) < 2:
+                continue  # a single group is just the single-stage solver
             try:
-                bounds = _evaluate_cover(ms, groups)
-            except DegenerateTreeError:
-                continue
-            eff = bounds.per_leaf_effective
-            if all(e >= theta for e in eff) and any(e > theta for e in eff):
-                shared.append(
-                    (_worst_bound(bounds), len(groups), tuple(groups), bounds)
+                bounds = stage_bounds(
+                    Node(children=tuple(Leaf(indices=g) for g in groups)), ms
                 )
-        if shared:
-            groups, bounds = pick(shared)
+            except DegenerateTreeError:
+                continue  # sibling groups with equal lcms cannot form a plan
+            eff = bounds.per_leaf_effective
+            worst = min(eff)
+            if worst > theta or (shared and worst == theta < max(eff)):
+                accepted.append((-worst, len(groups), groups, bounds))
+        if accepted:
+            # best worst-case bound, then fewer groups, then lexicographic
+            _, _, groups, bounds = min(accepted, key=lambda a: a[:3])
             return GroupingProposal(
                 moduli=ms,
                 theta=theta,
                 verdict="success",
                 groups=groups,
                 bounds=bounds,
-                shared_reference=True,
+                shared_reference=shared,
             )
-
     return GroupingProposal(
-        moduli=ms,
-        theta=theta,
-        verdict="failure",
-        groups=(),
-        bounds=None,
+        moduli=ms, theta=theta, verdict="failure", groups=(), bounds=None
     )
 
 
@@ -237,15 +187,24 @@ def render_proposal(proposal: GroupingProposal) -> str:
         lines.append("note: reference modulus shared into singleton groups")
     if proposal.verdict == "success" and proposal.bounds is not None:
         b = proposal.bounds
-        for g, gb, eff in zip(
-            proposal.groups, b.per_group, b.per_leaf_effective
-        ):
-            vals = " ".join(str(proposal.moduli[i]) for i in g)
-            lines.append(
-                f"group [{vals}]: bound {_pq(gb)}, effective {_pq(eff)}"
-            )
+        lines += _group_lines(proposal.moduli, proposal.groups, b)
         lines.append(f"cross bound: {_pq(b.cross)}")
     return "\n".join(lines)
+
+
+def _group_lines(
+    moduli: Sequence[int],
+    groups: Iterable[Sequence[int]],
+    bounds: StageBounds,
+) -> list[str]:
+    """One "group [values]: bound p/q, effective p/q" line per leaf group."""
+    return [
+        f"group [{' '.join(str(moduli[i]) for i in g)}]: "
+        f"bound {_pq(gb)}, effective {_pq(eff)}"
+        for g, gb, eff in zip(
+            groups, bounds.per_group, bounds.per_leaf_effective
+        )
+    ]
 
 
 def _pq(f: Fraction) -> str:

@@ -81,12 +81,15 @@ class Node:
 GroupTree = Leaf | Node
 
 
-def parse_tree(layout: str | Sequence) -> GroupTree:
+def parse_tree(layout: GroupTree | str | Sequence) -> GroupTree:
     """Build a GroupTree from a JSON string or nested lists of indices.
 
-    Raises ValueError for malformed layouts, including ones nested too
-    deeply for the parser.
+    A GroupTree is returned unchanged, so every function that takes a plan
+    passes it through here.  Raises ValueError for malformed layouts,
+    including ones nested too deeply for the parser.
     """
+    if isinstance(layout, (Leaf, Node)):
+        return layout
     try:
         data = json.loads(layout) if isinstance(layout, str) else layout
         return _parse_node(data)
@@ -130,15 +133,16 @@ def _post_order(
             stack.append((t.children[ci], path + (ci,), False))
 
 
-def tree_leaves(tree: GroupTree) -> list[Leaf]:
+def tree_leaves(tree: GroupTree | str | Sequence) -> list[Leaf]:
     """All leaves in left-to-right order."""
-    return [t for t, _ in _post_order(tree) if isinstance(t, Leaf)]
+    walk = _post_order(parse_tree(tree))
+    return [t for t, _ in walk if isinstance(t, Leaf)]
 
 
-def validate_tree(tree: GroupTree, n_moduli: int) -> None:
+def validate_tree(tree: GroupTree | str | Sequence, n_moduli: int) -> None:
     """Structural checks: index range, full coverage, node arity."""
     seen: set[int] = set()
-    for t, _ in _post_order(tree):
+    for t, _ in _post_order(parse_tree(tree)):
         if isinstance(t, Node):
             if len(t.children) < 2:
                 raise ValueError("inner node needs at least two children")
@@ -233,9 +237,11 @@ def _stage_bound(parts: Sequence[int]) -> Fraction:
     return Fraction(_maxmin_gcd(parts)[0], 4)
 
 
-def stage_bounds(tree: GroupTree, moduli: Sequence[int]) -> StageBounds:
+def stage_bounds(
+    tree: GroupTree | str | Sequence, moduli: Sequence[int]
+) -> StageBounds:
     """Group, cross and effective bounds of a plan over the given moduli."""
-    layout = _layout(tree, validate_moduli(moduli))
+    layout = _layout(parse_tree(tree), validate_moduli(moduli))
     bounds = [_stage_bound(parts) for _, _, parts in layout]
     node_cross = tuple(
         (path, b)
@@ -425,12 +431,22 @@ def reconstruct_tree(
     stage may raise FoldingFailure; it propagates untouched.
     """
     ms = validate_moduli(moduli)
-    if not isinstance(tree, (Leaf, Node)):
-        tree = parse_tree(tree)
+    tree = parse_tree(tree)
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
     rt = _check_ints("remainder", remainders)
     return _program_for(ms, tree).finalize(rt)
+
+
+def _two_stage(tree: GroupTree | str | Sequence) -> Node:
+    """The parsed plan; ValueError unless it is one node of leaf groups."""
+    tree = parse_tree(tree)
+    if not (
+        isinstance(tree, Node)
+        and all(isinstance(c, Leaf) for c in tree.children)
+    ):
+        raise ValueError("plan must be depth 2: one node of leaf groups")
+    return tree
 
 
 def reconstruct_two_stage(
@@ -439,14 +455,7 @@ def reconstruct_two_stage(
     tree: GroupTree | str | Sequence,
 ) -> StageSolution:
     """Depth-2 reconstruction: groups solved first, then fused across."""
-    if not isinstance(tree, (Leaf, Node)):
-        tree = parse_tree(tree)
-    if not (
-        isinstance(tree, Node)
-        and all(isinstance(c, Leaf) for c in tree.children)
-    ):
-        raise ValueError("two-stage plan must be one node of leaf groups")
-    return reconstruct_tree(moduli, remainders, tree)
+    return reconstruct_tree(moduli, remainders, _two_stage(tree))
 
 
 def per_group_reference_bounds(
@@ -460,14 +469,7 @@ def per_group_reference_bounds(
     min(G_j, gcd(lcm_j, lcm_k)/2 - min(G_k, G)).
     """
     ms = validate_moduli(moduli)
-    if not isinstance(tree, (Leaf, Node)):
-        tree = parse_tree(tree)
-    if not (
-        isinstance(tree, Node)
-        and all(isinstance(c, Leaf) for c in tree.children)
-    ):
-        raise ValueError("reference bounds require a depth-2 plan")
-    *leaves, (_, _, lams) = _layout(tree, ms)
+    *leaves, (_, _, lams) = _layout(_two_stage(tree), ms)
     g_bounds = [_stage_bound(parts) for _, _, parts in leaves]
     cross_gcd, k = _maxmin_gcd(lams)
     cross = Fraction(cross_gcd, 4)

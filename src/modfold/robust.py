@@ -360,7 +360,7 @@ def folding_oracle(
     lam = math.lcm(*ms)
     if lam > cap:
         raise SearchCapExceeded(f"lcm {lam} exceeds oracle cap {cap}")
-    rt = list(remainders)
+    rt = _check_ints("remainder", remainders)
     out: list[FoldingSolution] = []
     seen: set[tuple[int, ...]] = set()
     for n in range(lam):

@@ -27,7 +27,7 @@ from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .intmath import _check_int
-from .multistage import GroupTree, _program_for
+from .multistage import GroupTree, _program_for, parse_tree
 from .robust import (
     FoldingFailure,
     SearchCapExceeded,
@@ -69,14 +69,15 @@ class TrialConfig:
     """One simulation campaign.
 
     tree=None runs the single-stage solver with the automatic reference;
-    otherwise the grouping plan drives a multi-stage reconstruction.
+    otherwise the grouping plan (a GroupTree, a JSON string or nested
+    lists, parsed at construction) drives a multi-stage reconstruction.
     error_model "one-sided" draws integer errors uniformly from {0..tau},
     "symmetric" from {-tau..tau}.  clamp_remainders forces perturbed
     remainders back into [0, M_i - 1].
     """
 
     moduli: tuple[int, ...]
-    tree: GroupTree | None = None
+    tree: GroupTree | str | Sequence | None = None
     tau: int = 0
     trials: int = 100_000
     rng_seed: int = 0
@@ -85,6 +86,8 @@ class TrialConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", validate_moduli(self.moduli))
+        if self.tree is not None:
+            object.__setattr__(self, "tree", parse_tree(self.tree))
         _check_int("trials", self.trials, 1)
         _check_int("tau", self.tau, 0)
         _check_int("rng_seed", self.rng_seed)
@@ -104,10 +107,6 @@ class TrialStats:
     bound_violations: int
     folding_failures: int
     estimated_trials: int
-
-    @property
-    def mean_abs_error_decimal(self) -> float:
-        return float(self.mean_abs_error)
 
 
 def run_trials(cfg: TrialConfig) -> TrialStats:
@@ -269,6 +268,8 @@ def verify_exactness_condition(
     if total > cap:
         raise SearchCapExceeded(f"{total} cases exceed the cap {cap}")
     k = select_reference(ms) if reference is None else reference
+    if not 0 <= _check_int("reference index", k) < len(ms):
+        raise ValueError(f"reference index {k} out of range")
     cond = condition or check_ns_condition
     plan = _folding_plan(ms, k)
 

@@ -1,17 +1,25 @@
-import math
 import random
+from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from modfold.grouping import (
     CandidateSet,
+    GroupingProposal,
     candidate_sets,
     minimal_covers,
     propose_grouping,
     render_proposal,
 )
-from modfold.robust import SearchCapExceeded, theta_bound
+from modfold.multistage import DegenerateTreeError, Leaf, Node, stage_bounds
+from modfold.robust import (
+    SearchCapExceeded,
+    select_reference,
+    theta_bound,
+    validate_moduli,
+)
 
 EX8 = (210, 143, 77, 128, 81, 125, 169)
 
@@ -161,3 +169,120 @@ class TestRenderProposal:
         text = render_proposal(propose_grouping((25, 35, 80, 95)))
         assert "verdict: failure" in text
         assert "single-stage bound: 5/4" in text
+
+
+# -- differential test: one cover loop against the former two loops --------
+
+
+def two_loop_propose_grouping(moduli, *, share_reference=False, cover_cap=16):
+    """The former search: a strict loop, then a shared-reference loop."""
+    ms = validate_moduli(moduli, divisor_free=True)
+    if len(ms) < 3:
+        raise ValueError("grouping search needs at least three moduli")
+    theta = theta_bound(ms)
+    cands = candidate_sets(ms)
+    covers = minimal_covers(cands, len(ms), cap=cover_cap)
+
+    def groups_of(cover):
+        return [tuple(sorted(c.members)) for c in cover]
+
+    def evaluate(groups):
+        tree = Node(children=tuple(Leaf(indices=g) for g in groups))
+        return stage_bounds(tree, ms)
+
+    def pick(scored):
+        best = sorted(scored, key=lambda s: (-s[0], s[1], s[2]))[0]
+        return tuple(best[2]), best[3]
+
+    successes = []
+    for cover in covers:
+        groups = groups_of(cover)
+        if len(groups) < 2:
+            continue
+        try:
+            bounds = evaluate(groups)
+        except DegenerateTreeError:
+            continue
+        if bounds.cross > theta and all(g > theta for g in bounds.per_group):
+            successes.append(
+                (min(bounds.per_leaf_effective), len(groups), tuple(groups),
+                 bounds)
+            )
+    if successes:
+        groups, bounds = pick(successes)
+        return GroupingProposal(ms, theta, "success", groups, bounds)
+
+    if share_reference:
+        ref = select_reference(ms)
+        shared = []
+        for cover in covers:
+            groups = [
+                tuple(sorted(set(g) | {ref})) if len(g) == 1 else g
+                for g in groups_of(cover)
+            ]
+            if len(groups) < 2 or len(set(groups)) != len(groups):
+                continue
+            try:
+                bounds = evaluate(groups)
+            except DegenerateTreeError:
+                continue
+            eff = bounds.per_leaf_effective
+            if all(e >= theta for e in eff) and any(e > theta for e in eff):
+                shared.append(
+                    (min(eff), len(groups), tuple(groups), bounds)
+                )
+        if shared:
+            groups, bounds = pick(shared)
+            return GroupingProposal(
+                ms, theta, "success", groups, bounds, shared_reference=True
+            )
+
+    return GroupingProposal(ms, theta, "failure", (), None)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def random_divisor_free(rng):
+    """3-7 distinct moduli, each a product of 2-4 small primes."""
+    size = rng.randint(3, 7)
+    while True:
+        ms = set()
+        while len(ms) < size:
+            m = 1
+            for _ in range(rng.randint(2, 4)):
+                m *= rng.choice(SMALL_PRIMES)
+            ms.add(m)
+        ms = tuple(rng.sample(sorted(ms), size))
+        if not any(a != b and a % b == 0 for a in ms for b in ms):
+            return ms
+
+
+class TestOneLoopMatchesTwoLoops:
+    @pytest.mark.parametrize("seed", [401, 402])
+    def test_random_sets(self, seed):
+        rng = random.Random(seed)
+        outcomes = Counter()
+        for _ in range(1300):
+            ms = random_divisor_free(rng)
+            for share in (False, True):
+                got = propose_grouping(ms, share_reference=share)
+                want = two_loop_propose_grouping(ms, share_reference=share)
+                for f in fields(GroupingProposal):
+                    assert getattr(got, f.name) == getattr(want, f.name), (
+                        ms, share, f.name
+                    )
+                outcomes[got.verdict, got.shared_reference] += 1
+        # 2,600 searches per seed; every kind of outcome is exercised
+        assert outcomes["success", False] > 1000
+        assert outcomes["success", True] > 300
+        assert outcomes["failure", False] > 400
+
+    def test_cap_exceeded(self):
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+        ms = primes + (59,)  # 17 candidate sets, one past the cover cap
+        for share in (False, True):
+            with pytest.raises(SearchCapExceeded):
+                two_loop_propose_grouping(ms, share_reference=share)
+            with pytest.raises(SearchCapExceeded):
+                propose_grouping(ms, share_reference=share)

@@ -64,6 +64,27 @@ class TestTreeStructure:
         with pytest.raises(ValueError):
             parse_tree("[]")
 
+    def test_parse_returns_tree_unchanged(self):
+        tree = parse_tree("[[0,1],[2]]")
+        assert parse_tree(tree) is tree
+        assert parse_tree(tree.children[0]) is tree.children[0]
+
+    @pytest.mark.parametrize("layout", ["[[0,1],[2]]", [[0, 1], [2]]])
+    def test_every_plan_function_takes_a_layout(self, layout):
+        tree = parse_tree("[[0,1],[2]]")
+        assert stage_bounds(layout, EX_SIM) == stage_bounds(tree, EX_SIM)
+        assert tree_leaves(layout) == tree_leaves(tree)
+        assert validate_tree(layout, 3) is None
+        with pytest.raises(ValueError):
+            validate_tree(layout, 4)  # index 3 uncovered
+        rt = [700 % m + 1 for m in EX_SIM]
+        want = reconstruct_tree(EX_SIM, rt, tree)
+        assert reconstruct_tree(EX_SIM, rt, layout) == want
+        assert reconstruct_two_stage(EX_SIM, rt, layout) == want
+        assert per_group_reference_bounds(
+            layout, EX_SIM
+        ) == per_group_reference_bounds(tree, EX_SIM)
+
     def test_leaves_in_order(self):
         tree = parse_tree("[[[0,1],[2,3]],[4,5]]")
         assert [l.indices for l in tree_leaves(tree)] == [

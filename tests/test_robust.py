@@ -310,6 +310,18 @@ class TestFoldingOracle:
     def test_inconsistent_empty(self):
         assert folding_oracle((4, 6), (1, 2), 0) == []
 
+    def test_rejects_non_int_remainders(self):
+        # a float remainder once leaked into the estimate (2.0)
+        with pytest.raises(ValueError, match="remainder"):
+            folding_oracle((8, 12), (1.5, 2), 1)
+        with pytest.raises(ValueError, match="remainder"):
+            folding_oracle((8, 12), (True, 2), 1)
+
+    def test_fraction_tau_accepted(self):
+        sols = folding_oracle((8, 12), (1, 5), Fraction(3, 2))
+        assert [s.folding for s in sols] == [(2, 1)]
+        assert type(sols[0].estimate) is int
+
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
             folding_oracle((1013, 1019, 1021), (0, 0, 0), 0, cap=10_000)

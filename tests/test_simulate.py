@@ -58,6 +58,20 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match="modulus"):
             TrialConfig(moduli=(bad, 180, 162), tau=2, trials=50)
 
+    @pytest.mark.parametrize("layout", ["[[0,1],[2]]", [[0, 1], [2]]])
+    def test_tree_layout_parsed(self, layout):
+        tree = parse_tree("[[0,1],[2]]")
+        cfg = TrialConfig(
+            moduli=(135, 180, 162), tree=layout, tau=3, trials=200
+        )
+        assert cfg.tree == tree
+        assert run_trials(cfg) == run_trials(replace(cfg, tree=tree))
+
+    @pytest.mark.parametrize("layout", ["[[0,1],[2]", "[0,[1,2]]", [], "{}"])
+    def test_malformed_layout_rejected_at_construction(self, layout):
+        with pytest.raises(ValueError):
+            TrialConfig(moduli=(135, 180, 162), tree=layout)
+
 
 class TestRunTrials:
     def test_zero_tau_is_error_free(self):
@@ -413,3 +427,8 @@ class TestVerifyExactness:
         rep = verify_exactness_condition((8, 12, 15), window=2, reference=1)
         assert rep.reference == 1
         assert rep.passed
+
+    @pytest.mark.parametrize("bad", [1.0, -1, 3, True])
+    def test_rejects_bad_reference(self, bad):
+        with pytest.raises(ValueError, match="reference index"):
+            verify_exactness_condition((8, 12, 15), window=1, reference=bad)
