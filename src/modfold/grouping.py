@@ -7,6 +7,12 @@ group's bound capped by the cross bound) all exceed theta.  When several
 covers qualify, the one with the largest worst-case effective bound wins
 (ties: fewer groups, then lexicographic index order).
 
+The search runs on integers: every bound is a gcd over 4, so it compares
+the gcds themselves (the multistage bound calculus, _bound_gcds) and
+enumerates covers as index bit masks.  The moduli are validated once, the
+covers it builds are valid plans by construction, and Fractions (a
+StageBounds) are built only for the winning plan.
+
 For moduli of the form M * c_i with pairwise-coprime c_i no grouping can
 help, and the search reports failure.
 """
@@ -19,13 +25,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .multistage import DegenerateTreeError, Leaf, Node, StageBounds, stage_bounds
-from .robust import (
-    SearchCapExceeded,
-    select_reference,
-    theta_bound,
-    validate_moduli,
+from .intmath import _check_int
+from .multistage import (
+    DegenerateTreeError,
+    Leaf,
+    Node,
+    StageBounds,
+    _bound_gcds,
+    _layout,
+    _stage_bounds,
 )
+from .robust import SearchCapExceeded, _maxmin_gcd, validate_moduli
 
 __all__ = [
     "CandidateSet",
@@ -74,14 +84,23 @@ def candidate_sets(moduli: Sequence[int]) -> list[CandidateSet]:
     prune_redundant first).
     """
     ms = validate_moduli(moduli, divisor_free=True)
+    return _candidate_sets(ms, _theta_gcd(ms))
+
+
+def _theta_gcd(ms: tuple[int, ...]) -> int:
+    """4 * theta of validated moduli; ValueError below three of them."""
     if len(ms) < 3:
         raise ValueError("grouping search needs at least three moduli")
-    theta = theta_bound(ms)
+    return _maxmin_gcd(ms)[0]
+
+
+def _candidate_sets(ms: tuple[int, ...], theta_gcd: int) -> list[CandidateSet]:
+    """candidate_sets of validated moduli, compared on gcds."""
     out = []
     for i, a in enumerate(ms):
         members = {i}
         for j, b in enumerate(ms):
-            if j != i and Fraction(math.gcd(a, b), 4) > theta:
+            if j != i and math.gcd(a, b) > theta_gcd:
                 members.add(j)
         out.append(CandidateSet(anchor=i, members=frozenset(members)))
     return out
@@ -96,29 +115,34 @@ def minimal_covers(
     """All irreducible covers of the index set 0..n_moduli-1.
 
     A combination qualifies when its union is the full index set and
-    removing any one member loses coverage.  Enumeration is exponential in
-    the number of candidate sets; SearchCapExceeded guards beyond cap sets.
+    removing any one member loses coverage.  Covers come ordered by size,
+    then lexicographically by candidate position.  Enumeration is
+    exponential in the number of candidate sets; SearchCapExceeded guards
+    beyond cap sets.
     """
     if len(cands) > cap:
         raise SearchCapExceeded(
             f"{len(cands)} candidate sets exceed the cover cap {cap}"
         )
-    universe = frozenset(range(n_moduli))
+    full = (1 << _check_int("n_moduli", n_moduli, 0)) - 1
+    # members as bit masks; a set reaching outside the index set is in no
+    # cover, and leaving it out keeps the order of the remaining combinations
+    masks = {}
+    for pos, c in enumerate(cands):
+        if all(0 <= i < n_moduli for i in c.members):
+            masks[pos] = sum(1 << i for i in c.members)
     covers = []
-    for r in range(1, len(cands) + 1):
-        for combo in combinations(range(len(cands)), r):
-            union = frozenset().union(*(cands[i].members for i in combo))
-            if union != universe:
-                continue
-            if any(
-                frozenset().union(
-                    *(cands[i].members for i in combo if i != skip)
-                )
-                == universe
-                for skip in combo
-            ):
-                continue
-            covers.append(tuple(cands[i] for i in combo))
+    # every member of an irreducible cover owns an index no other covers,
+    # so no cover has more members than there are indices
+    for r in range(1, min(len(masks), n_moduli) + 1):
+        for combo in combinations(masks, r):
+            seen = twice = 0
+            for pos in combo:
+                m = masks[pos]
+                twice |= seen & m
+                seen |= m
+            if seen == full and all(masks[pos] & ~twice for pos in combo):
+                covers.append(tuple(cands[pos] for pos in combo))
     return covers
 
 
@@ -135,11 +159,11 @@ def propose_grouping(
     least theta and at least one above it.
     """
     ms = validate_moduli(moduli, divisor_free=True)
-    cands = candidate_sets(ms)
-    theta = theta_bound(ms)
-    covers = minimal_covers(cands, len(ms))
+    theta_gcd = _theta_gcd(ms)
+    theta = Fraction(theta_gcd, 4)
+    covers = minimal_covers(_candidate_sets(ms, theta_gcd), len(ms))
     for shared in (False, True) if share_reference else (False,):
-        ref = select_reference(ms) if shared else None
+        ref = _maxmin_gcd(ms)[1] if shared else None
         accepted = []
         for cover in covers:
             groups = tuple(
@@ -150,25 +174,28 @@ def propose_grouping(
             )
             if len(groups) < 2:
                 continue  # a single group is just the single-stage solver
+            # a valid plan by construction: two or more groups of distinct
+            # in-range indices that together cover every index
+            tree = Node(children=tuple(Leaf(indices=g) for g in groups))
             try:
-                bounds = stage_bounds(
-                    Node(children=tuple(Leaf(indices=g) for g in groups)), ms
-                )
+                layout = _layout(tree, ms)
             except DegenerateTreeError:
                 continue  # sibling groups with equal lcms cannot form a plan
-            eff = bounds.per_leaf_effective
+            gcds, eff = _bound_gcds(layout)
             worst = min(eff)
-            if worst > theta or (shared and worst == theta < max(eff)):
-                accepted.append((-worst, len(groups), groups, bounds))
+            if worst > theta_gcd or (shared and worst == theta_gcd < max(eff)):
+                accepted.append(
+                    (-worst, len(groups), groups, layout, gcds, eff)
+                )
         if accepted:
             # best worst-case bound, then fewer groups, then lexicographic
-            _, _, groups, bounds = min(accepted, key=lambda a: a[:3])
+            _, _, groups, *scored = min(accepted, key=lambda a: a[:3])
             return GroupingProposal(
                 moduli=ms,
                 theta=theta,
                 verdict="success",
                 groups=groups,
-                bounds=bounds,
+                bounds=_stage_bounds(*scored),
                 shared_reference=shared,
             )
     return GroupingProposal(

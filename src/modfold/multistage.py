@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .intmath import _check_ints, round_half_up, round_half_up_div
+from .intmath import _check_int, _check_ints, round_half_up, round_half_up_div
 from .robust import (
     FoldingFailure,
     FoldingSolution,
@@ -109,9 +109,14 @@ def _parse_node(data) -> GroupTree:
 
 def tree_to_nested(tree: GroupTree) -> list:
     """Inverse of parse_tree (up to list/tuple type)."""
-    if isinstance(tree, Leaf):
-        return list(tree.indices)
-    return [tree_to_nested(c) for c in tree.children]
+    done: list[list] = []  # nested lists of the subtrees not yet joined
+    for t, _ in _post_order(tree):
+        if isinstance(t, Leaf):
+            done.append(list(t.indices))
+        else:
+            cut = len(done) - len(t.children)
+            done[cut:] = [done[cut:]]
+    return done[0]
 
 
 def _post_order(
@@ -163,12 +168,12 @@ def validate_tree(tree: GroupTree | str | Sequence, n_moduli: int) -> None:
 def _layout(
     tree: GroupTree, moduli: tuple[int, ...]
 ) -> list[tuple[GroupTree, tuple[int, ...], tuple[int, ...]]]:
-    """The validated tree in post-order as (subtree, path, parts).
+    """The tree in post-order as (subtree, path, parts).
 
     parts are the values a stage solves over: a leaf's moduli, or a node's
-    child lcms.  Raises DegenerateTreeError when siblings share an lcm.
+    child lcms.  The tree must already be valid (validate_tree).  Raises
+    DegenerateTreeError when siblings share an lcm.
     """
-    validate_tree(tree, len(moduli))
     lams: list[int] = []  # lcms of the subtrees not yet joined
     out = []
     for t, path in _post_order(tree):
@@ -232,52 +237,76 @@ class GroupReferenceBounds:
     per_group_tau: tuple[Fraction, ...]  # all strict
 
 
-def _stage_bound(parts: Sequence[int]) -> Fraction:
-    """Robustness bound of one stage: the max-min gcd of its parts over 4."""
-    return Fraction(_maxmin_gcd(parts)[0], 4)
+def _bound_gcds(layout) -> tuple[list[int], list[int]]:
+    """The bound calculus in integers: every bound is a gcd over 4.
+
+    Returns the max-min gcd of each step's parts (in layout order) and the
+    effective gcd of each leaf, left to right.
+    """
+    gcds = [_maxmin_gcd(parts)[0] for _, _, parts in layout]
+    # parents before children: each node's limit is the least cross gcd
+    # on its path, and a leaf's effective gcd is its own gcd under it
+    limit: dict[tuple[int, ...], int] = {}
+    effective: list[int] = []
+    for (t, path, _), g in zip(reversed(layout), reversed(gcds)):
+        if path:
+            g = min(g, limit[path[:-1]])
+        if isinstance(t, Leaf):
+            effective.append(g)
+        else:
+            limit[path] = g
+    effective.reverse()
+    return gcds, effective
+
+
+def _stage_bounds(
+    layout, gcds: list[int], effective: list[int]
+) -> StageBounds:
+    """The StageBounds of a layout from its _bound_gcds."""
+    node_cross = tuple(
+        (path, Fraction(g, 4))
+        for (t, path, _), g in zip(layout, gcds)
+        if isinstance(t, Node)
+    )
+    return StageBounds(
+        per_group=tuple(
+            Fraction(g, 4)
+            for (t, _, _), g in zip(layout, gcds)
+            if isinstance(t, Leaf)
+        ),
+        node_cross=node_cross,
+        cross=node_cross[-1][1] if node_cross else None,
+        per_leaf_effective=tuple(Fraction(g, 4) for g in effective),
+    )
 
 
 def stage_bounds(
     tree: GroupTree | str | Sequence, moduli: Sequence[int]
 ) -> StageBounds:
     """Group, cross and effective bounds of a plan over the given moduli."""
-    layout = _layout(parse_tree(tree), validate_moduli(moduli))
-    bounds = [_stage_bound(parts) for _, _, parts in layout]
-    node_cross = tuple(
-        (path, b)
-        for (t, path, _), b in zip(layout, bounds)
-        if isinstance(t, Node)
-    )
-    # parents before children: each node's limit is the least cross bound
-    # on its path, and a leaf's effective bound is its own bound under it
-    limit: dict[tuple[int, ...], Fraction] = {}
-    effective: list[Fraction] = []
-    for (t, path, _), b in zip(reversed(layout), reversed(bounds)):
-        if path:
-            b = min(b, limit[path[:-1]])
-        if isinstance(t, Leaf):
-            effective.append(b)
-        else:
-            limit[path] = b
-    effective.reverse()
-    return StageBounds(
-        per_group=tuple(
-            b for (t, _, _), b in zip(layout, bounds) if isinstance(t, Leaf)
-        ),
-        node_cross=node_cross,
-        cross=node_cross[-1][1] if node_cross else None,
-        per_leaf_effective=tuple(effective),
-    )
+    ms = validate_moduli(moduli)
+    tree = parse_tree(tree)
+    validate_tree(tree, len(ms))
+    layout = _layout(tree, ms)
+    return _stage_bounds(layout, *_bound_gcds(layout))
 
 
 def fused_error_bound(
     taus: Sequence[Fraction | int], group_sizes: Sequence[int]
 ) -> int:
-    """Error bound of the fused estimate: the rounded size-weighted mean."""
+    """Error bound of the fused estimate: the rounded size-weighted mean.
+
+    Taus must be ints or Fractions and group sizes positive ints.
+    """
     if len(taus) != len(group_sizes):
         raise ValueError("taus and group_sizes lengths differ")
     if not taus:
         raise ValueError("empty bound list")
+    for t in taus:
+        if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
+            raise ValueError(f"tau must be an int or a Fraction, got {t!r}")
+    for size in group_sizes:
+        _check_int("group size", size, 1)
     total = sum(Fraction(t) * s for t, s in zip(taus, group_sizes))
     return round_half_up(total / sum(group_sizes))
 
@@ -295,6 +324,7 @@ class _TreeProgram:
     """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):
+        validate_tree(tree, len(moduli))
         self.moduli = moduli
         steps = []
         occs: list[tuple[int, ...]] = []  # occurrences per pending subtree
@@ -469,8 +499,10 @@ def per_group_reference_bounds(
     min(G_j, gcd(lcm_j, lcm_k)/2 - min(G_k, G)).
     """
     ms = validate_moduli(moduli)
-    *leaves, (_, _, lams) = _layout(_two_stage(tree), ms)
-    g_bounds = [_stage_bound(parts) for _, _, parts in leaves]
+    tree = _two_stage(tree)
+    validate_tree(tree, len(ms))
+    *leaves, (_, _, lams) = _layout(tree, ms)
+    g_bounds = [Fraction(_maxmin_gcd(parts)[0], 4) for _, _, parts in leaves]
     cross_gcd, k = _maxmin_gcd(lams)
     cross = Fraction(cross_gcd, 4)
     ref_term = min(g_bounds[k], cross)

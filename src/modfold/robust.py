@@ -128,17 +128,26 @@ def validate_moduli(
 def _maxmin_gcd(values: Sequence[int]) -> tuple[int, int]:
     """max_i min_{j!=i} gcd(values[i], values[j]) and the first i attaining it.
 
-    A single value has no partner; its own value stands in, which makes the
-    bound of a one-modulus group M/4.
+    Values must be positive.  A single value has no partner; its own value
+    stands in, which makes the bound of a one-modulus group M/4.  Each row
+    starts from the value itself (every gcd with it is at most the value)
+    and stops once its minimum can no longer beat the best row so far.
     """
+    gcd = math.gcd
     best, best_i = -1, 0
     for i, v in enumerate(values):
-        g = min(
-            (math.gcd(v, w) for j, w in enumerate(values) if j != i),
-            default=v,
-        )
-        if g > best:
-            best, best_i = g, i
+        low = v
+        if low <= best:
+            continue
+        for j, w in enumerate(values):
+            if j != i:
+                g = gcd(v, w)
+                if g < low:
+                    low = g
+                    if low <= best:
+                        break
+        if low > best:
+            best, best_i = low, i
     return best, best_i
 
 
@@ -225,18 +234,26 @@ def check_ns_condition(
     True iff for every i != k the error difference delta_i - delta_k lies in
     [-gcd(M_k, M_i)/2, gcd(M_k, M_i)/2).  This is necessary and sufficient
     for solve_folding (with reference k) to recover every folding number.
+    Deltas and moduli must be ints.
     """
-    ms = tuple(moduli)
+    ms = validate_moduli(moduli)
     if len(deltas) != len(ms):
         raise ValueError("deltas and moduli lengths differ")
     if not 0 <= _check_int("reference index", k) < len(ms):
         raise ValueError(f"reference index {k} out of range")
-    dk = deltas[k]
-    for i in range(len(ms)):
+    return _ns_condition(_check_ints("delta", deltas), ms, k)
+
+
+def _ns_condition(
+    deltas: Sequence[int], moduli: Sequence[int], k: int
+) -> bool:
+    """check_ns_condition on inputs already known to be valid."""
+    mk, dk = moduli[k], deltas[k]
+    for i, (m, d) in enumerate(zip(moduli, deltas)):
         if i == k:
             continue
-        g = math.gcd(ms[k], ms[i])
-        d2 = 2 * (deltas[i] - dk)
+        g = math.gcd(mk, m)
+        d2 = 2 * (d - dk)
         if not (-g <= d2 < g):
             return False
     return True

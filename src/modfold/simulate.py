@@ -32,8 +32,8 @@ from .robust import (
     FoldingFailure,
     SearchCapExceeded,
     _folding_plan,
+    _ns_condition,
     _solve_with_plan,
-    check_ns_condition,
     select_reference,
     validate_moduli,
 )
@@ -262,6 +262,8 @@ def verify_exactness_condition(
     ms = validate_moduli(moduli)
     if len(ms) < 2:
         raise ValueError("verification needs at least two moduli")
+    _check_int("window", window, 0)
+    _check_int("cap", cap)
     lam = math.lcm(*ms)
     span = 2 * window + 1
     total = lam * span ** len(ms)
@@ -270,7 +272,7 @@ def verify_exactness_condition(
     k = select_reference(ms) if reference is None else reference
     if not 0 <= _check_int("reference index", k) < len(ms):
         raise ValueError(f"reference index {k} out of range")
-    cond = condition or check_ns_condition
+    cond = condition or _ns_condition
     plan = _folding_plan(ms, k)
 
     cases = 0

@@ -1,7 +1,9 @@
+import math
 import random
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,13 +15,8 @@ from modfold.grouping import (
     propose_grouping,
     render_proposal,
 )
-from modfold.multistage import DegenerateTreeError, Leaf, Node, stage_bounds
-from modfold.robust import (
-    SearchCapExceeded,
-    select_reference,
-    theta_bound,
-    validate_moduli,
-)
+from modfold.multistage import DegenerateTreeError, StageBounds
+from modfold.robust import SearchCapExceeded, theta_bound
 
 EX8 = (210, 143, 77, 128, 81, 125, 169)
 
@@ -89,6 +86,11 @@ class TestMinimalCovers:
         cands = [CandidateSet(i, frozenset({i})) for i in range(20)]
         with pytest.raises(SearchCapExceeded):
             minimal_covers(cands, 20, cap=16)
+
+    @pytest.mark.parametrize("n", [-1, 3.0, True])
+    def test_rejects_bad_index_count(self, n):
+        with pytest.raises(ValueError, match="n_moduli"):
+            minimal_covers([CandidateSet(0, frozenset({0}))], n)
 
 
 class TestProposeGrouping:
@@ -171,24 +173,89 @@ class TestRenderProposal:
         assert "single-stage bound: 5/4" in text
 
 
-# -- differential test: one cover loop against the former two loops --------
+# -- differential test: the search against the former two-loop search -----
+#
+# The reference below is the former frozenset/Fraction search, kept here
+# with its own theta, candidate sets, covers and depth-2 stage bounds so
+# that it shares no arithmetic with the integer search it checks.
+
+
+def ref_maxmin(values):
+    """(max_i min_{j!=i} gcd, first argmax); a single value stands in."""
+    rows = [
+        min((math.gcd(v, w) for j, w in enumerate(values) if j != i),
+            default=v)
+        for i, v in enumerate(values)
+    ]
+    return max(rows), rows.index(max(rows))
+
+
+def ref_theta(ms):
+    return Fraction(ref_maxmin(ms)[0], 4)
+
+
+def ref_candidate_sets(ms):
+    theta = ref_theta(ms)
+    out = []
+    for i, a in enumerate(ms):
+        members = {i}
+        for j, b in enumerate(ms):
+            if j != i and Fraction(math.gcd(a, b), 4) > theta:
+                members.add(j)
+        out.append(CandidateSet(anchor=i, members=frozenset(members)))
+    return out
+
+
+def ref_minimal_covers(cands, n_moduli, cap=16):
+    if len(cands) > cap:
+        raise SearchCapExceeded("cover cap")
+    universe = frozenset(range(n_moduli))
+    covers = []
+    for r in range(1, len(cands) + 1):
+        for combo in combinations(range(len(cands)), r):
+            union = frozenset().union(*(cands[i].members for i in combo))
+            if union != universe:
+                continue
+            if any(
+                frozenset().union(
+                    *(cands[i].members for i in combo if i != skip)
+                )
+                == universe
+                for skip in combo
+            ):
+                continue
+            covers.append(tuple(cands[i] for i in combo))
+    return covers
+
+
+def ref_stage_bounds(groups, ms):
+    """StageBounds of the depth-2 plan with these leaf groups."""
+    lams = [math.lcm(*(ms[i] for i in g)) for g in groups]
+    if len(set(lams)) != len(lams):
+        raise DegenerateTreeError("sibling groups share an lcm")
+    per_group = tuple(
+        Fraction(ref_maxmin([ms[i] for i in g])[0], 4) for g in groups
+    )
+    cross = Fraction(ref_maxmin(lams)[0], 4)
+    return StageBounds(
+        per_group=per_group,
+        node_cross=(((), cross),),
+        cross=cross,
+        per_leaf_effective=tuple(min(b, cross) for b in per_group),
+    )
 
 
 def two_loop_propose_grouping(moduli, *, share_reference=False, cover_cap=16):
     """The former search: a strict loop, then a shared-reference loop."""
-    ms = validate_moduli(moduli, divisor_free=True)
+    ms = tuple(moduli)
     if len(ms) < 3:
         raise ValueError("grouping search needs at least three moduli")
-    theta = theta_bound(ms)
-    cands = candidate_sets(ms)
-    covers = minimal_covers(cands, len(ms), cap=cover_cap)
+    theta = ref_theta(ms)
+    cands = ref_candidate_sets(ms)
+    covers = ref_minimal_covers(cands, len(ms), cap=cover_cap)
 
     def groups_of(cover):
         return [tuple(sorted(c.members)) for c in cover]
-
-    def evaluate(groups):
-        tree = Node(children=tuple(Leaf(indices=g) for g in groups))
-        return stage_bounds(tree, ms)
 
     def pick(scored):
         best = sorted(scored, key=lambda s: (-s[0], s[1], s[2]))[0]
@@ -200,7 +267,7 @@ def two_loop_propose_grouping(moduli, *, share_reference=False, cover_cap=16):
         if len(groups) < 2:
             continue
         try:
-            bounds = evaluate(groups)
+            bounds = ref_stage_bounds(groups, ms)
         except DegenerateTreeError:
             continue
         if bounds.cross > theta and all(g > theta for g in bounds.per_group):
@@ -213,7 +280,7 @@ def two_loop_propose_grouping(moduli, *, share_reference=False, cover_cap=16):
         return GroupingProposal(ms, theta, "success", groups, bounds)
 
     if share_reference:
-        ref = select_reference(ms)
+        ref = ref_maxmin(ms)[1]
         shared = []
         for cover in covers:
             groups = [
@@ -223,7 +290,7 @@ def two_loop_propose_grouping(moduli, *, share_reference=False, cover_cap=16):
             if len(groups) < 2 or len(set(groups)) != len(groups):
                 continue
             try:
-                bounds = evaluate(groups)
+                bounds = ref_stage_bounds(groups, ms)
             except DegenerateTreeError:
                 continue
             eff = bounds.per_leaf_effective
@@ -265,6 +332,11 @@ class TestOneLoopMatchesTwoLoops:
         outcomes = Counter()
         for _ in range(1300):
             ms = random_divisor_free(rng)
+            cands = candidate_sets(ms)
+            assert cands == ref_candidate_sets(ms), ms
+            assert minimal_covers(cands, len(ms)) == ref_minimal_covers(
+                cands, len(ms)
+            ), ms
             for share in (False, True):
                 got = propose_grouping(ms, share_reference=share)
                 want = two_loop_propose_grouping(ms, share_reference=share)
@@ -277,6 +349,22 @@ class TestOneLoopMatchesTwoLoops:
         assert outcomes["success", False] > 1000
         assert outcomes["success", True] > 300
         assert outcomes["failure", False] > 400
+
+    def test_covers_of_arbitrary_sets(self):
+        # empty, duplicate and out-of-range members, more sets than indices
+        rng = random.Random(403)
+        found = 0
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            pool = range(-1, n + 2)
+            cands = [
+                CandidateSet(i, frozenset(rng.sample(pool, rng.randint(0, 3))))
+                for i in range(rng.randint(0, 9))
+            ]
+            got = minimal_covers(cands, n, cap=16)
+            assert got == ref_minimal_covers(cands, n), (cands, n)
+            found += len(got)
+        assert found > 250
 
     def test_cap_exceeded(self):
         primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)

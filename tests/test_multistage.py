@@ -9,6 +9,7 @@ from modfold.multistage import (
     DegenerateTreeError,
     StageBounds,
     StageSolution,
+    _post_order,
     _tree_program,
     Leaf,
     Node,
@@ -213,6 +214,20 @@ class TestFusedErrorBound:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fused_error_bound([1], [1, 2])
+
+    @pytest.mark.parametrize(
+        "taus,sizes",
+        [
+            ([0.1, 1], [1, 1]),
+            ([True, 1], [1, 1]),
+            ([1, 1], [1, -1]),
+            ([1, 1], [1, 0]),
+            ([1, 1], [1, 1.5]),
+        ],
+    )
+    def test_rejects_float_taus_and_bad_sizes(self, taus, sizes):
+        with pytest.raises(ValueError):
+            fused_error_bound(taus, sizes)
 
 
 class TestReconstructTwoStage:
@@ -605,6 +620,27 @@ class TestDeepPlans:
         assert len(b.node_cross) == 1200
         assert b.cross == Fraction(3, 4)
         assert max(b.per_leaf_effective) == Fraction(3, 4)
+
+    def test_nested_round_trip(self):
+        tree = deep_chain(1200)
+        nested = tree_to_nested(tree)
+        # rebuild without recursion: parse_tree and == both recurse
+        spine = []
+        while not isinstance(nested[0], int):
+            assert len(nested) == 2
+            spine.append(nested[0])
+            nested = nested[1]
+        rebuilt = Leaf(tuple(nested))
+        for first in reversed(spine):
+            rebuilt = Node((Leaf(tuple(first)), rebuilt))
+
+        def shape(t):
+            return [
+                (p, s.indices if isinstance(s, Leaf) else len(s.children))
+                for s, p in _post_order(t)
+            ]
+
+        assert shape(rebuilt) == shape(tree)
 
     def test_too_deep_to_run_is_a_value_error(self):
         with pytest.raises(ValueError, match="too deep"):

@@ -8,6 +8,7 @@ import pytest
 from modfold.robust import (
     FoldingFailure,
     _folding_plan,
+    _maxmin_gcd,
     SearchCapExceeded,
     check_ns_condition,
     folding_oracle,
@@ -166,6 +167,44 @@ class TestQHatAndCondition:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             check_ns_condition([0, 0], EX1, 3)
+
+    @pytest.mark.parametrize(
+        "deltas,moduli",
+        [
+            ([0.4, 0, 0], (8, 12, 15)),
+            ([0, True, 0], (8, 12, 15)),
+            ([0, 0, 0], (8.0, 12, 15)),
+            ([0, 0, 0], (8, 12, 12)),
+        ],
+    )
+    def test_rejects_non_int_input(self, deltas, moduli):
+        with pytest.raises(ValueError):
+            check_ns_condition(deltas, moduli, 1)
+
+
+class TestMaxminGcd:
+    def test_matches_brute_force(self):
+        rng = random.Random(17)
+        ties = 0
+        for size in [1, 2] * 100 + [rng.randint(3, 8) for _ in range(800)]:
+            base = rng.choice([2, 3, 4, 6, 12])
+            values = [base * rng.randint(1, 20) for _ in range(size)]
+            rows = [
+                min(
+                    [math.gcd(v, w) for j, w in enumerate(values) if j != i]
+                    or [v]
+                )
+                for i, v in enumerate(values)
+            ]
+            best = max(rows)
+            assert _maxmin_gcd(values) == (best, rows.index(best)), values
+            ties += rows.count(best) > 1
+        assert ties > 600  # the first index must win many real ties
+
+    def test_single_and_pair(self):
+        assert _maxmin_gcd([7]) == (7, 0)
+        assert _maxmin_gcd([12, 18]) == (6, 0)
+        assert _maxmin_gcd([18, 12]) == (6, 0)
 
 
 class TestSolveFolding:

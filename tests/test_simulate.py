@@ -432,3 +432,11 @@ class TestVerifyExactness:
     def test_rejects_bad_reference(self, bad):
         with pytest.raises(ValueError, match="reference index"):
             verify_exactness_condition((8, 12, 15), window=1, reference=bad)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"window": -1}, {"window": 1.5}, {"window": True}, {"cap": 1e6}],
+    )
+    def test_rejects_bad_window_and_cap(self, kwargs):
+        with pytest.raises(ValueError, match="window|cap"):
+            verify_exactness_condition((8, 12, 15), **kwargs)
