@@ -27,8 +27,6 @@ from .grouping import (
 )
 from .intmath import (
     NotInvertibleError,
-    ext_gcd,
-    lcm_all,
     mod_inverse,
     round_half_up,
     round_half_up_div,
@@ -102,10 +100,8 @@ __all__ = [
     "crt_coprime_closed_form",
     "crt_general",
     "crt_pair_merge",
-    "ext_gcd",
     "folding_oracle",
     "fused_error_bound",
-    "lcm_all",
     "minimal_covers",
     "mod_inverse",
     "parse_tree",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .intmath import _check_int, _check_ints, mod_inverse
@@ -55,15 +56,16 @@ class CongruenceSystem:
         return len(self.moduli)
 
 
+@lru_cache(maxsize=512)
 def _merge_schedule(
-    moduli: Sequence[int],
+    moduli: tuple[int, ...],
 ) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
     """Precompute the left-to-right merge of x == r_i (mod moduli[i]).
 
     Returns the first modulus and one step (g, n // g, inverse, running
     modulus) per later modulus n, where g = gcd(running modulus, n) and the
     inverse is that of running modulus // g modulo n // g.  Depends on the
-    moduli only, so callers with fixed moduli build it once.
+    moduli only, so it is cached per moduli tuple.
     """
     acc = moduli[0]
     steps = []

@@ -7,14 +7,11 @@ boundary, so no floating point is allowed anywhere in this module.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable
 
 __all__ = [
     "NotInvertibleError",
-    "ext_gcd",
-    "lcm_all",
     "mod_inverse",
     "round_half_up_div",
     "round_half_up",
@@ -38,6 +35,18 @@ def _check_int(name: str, value, low: int | None = None) -> int:
     return value
 
 
+def _check_exact(name: str, value, low: int | None = None) -> int | Fraction:
+    """Return value if it is an int (not a bool) or a Fraction, at least low.
+
+    The exact-rational counterpart of _check_int, for error bounds.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
 def _check_ints(name: str, values: Iterable) -> list[int]:
     """_check_int on every value; returns them as a list."""
     values = list(values)
@@ -45,38 +54,6 @@ def _check_ints(name: str, values: Iterable) -> list[int]:
         for v in values:
             _check_int(name, v)
     return values
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, x, y) with g = gcd(|a|, |b|) and a*x + b*y = g.
-
-    gcd of signed inputs is the gcd of the absolute values; gcd(0, a) = |a|.
-    Raises ValueError when both inputs are zero.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def lcm_all(values: Iterable[int]) -> int:
-    """Least common multiple of a nonempty iterable of positive integers."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("lcm of an empty collection is undefined")
-    for v in vals:
-        if v <= 0:
-            raise ValueError(f"lcm requires positive entries, got {v}")
-    return math.lcm(*vals)
 
 
 def mod_inverse(a: int, m: int) -> int:

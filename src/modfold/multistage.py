@@ -14,6 +14,12 @@ node must have pairwise-distinct lcms.  Every walk over a tree goes through
 one iterative post-order walker, so a plan's depth is bounded by memory,
 not by the interpreter's recursion limit.
 
+One tree run serves the simulation and reconstruct_tree alike: it solves
+each stage once, bottom-up, and keeps one (folding, estimate) per stage.
+The per-index folding numbers are composed from those results in a
+separate pass, which the run itself makes only when the plan repeats an
+index (its occurrences must agree), so both paths fail on the same inputs.
+
 The module also computes the stage-bound calculus: a per-group bound for
 each leaf, a cross bound for each internal node over its children's lcms,
 and the effective per-leaf bound (the minimum along the path to the root).
@@ -30,7 +36,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .intmath import _check_int, _check_ints, round_half_up, round_half_up_div
+from .intmath import (
+    _check_exact,
+    _check_int,
+    _check_ints,
+    round_half_up,
+    round_half_up_div,
+)
 from .robust import (
     FoldingFailure,
     FoldingSolution,
@@ -303,8 +315,7 @@ def fused_error_bound(
     if not taus:
         raise ValueError("empty bound list")
     for t in taus:
-        if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
-            raise ValueError(f"tau must be an int or a Fraction, got {t!r}")
+        _check_exact("tau", t)
     for size in group_sizes:
         _check_int("group size", size, 1)
     total = sum(Fraction(t) * s for t, s in zip(taus, group_sizes))
@@ -314,123 +325,108 @@ def fused_error_bound(
 class _TreeProgram:
     """Prevalidated reconstruction plan for a fixed (moduli, tree) pair.
 
-    steps holds the tree in post-order as (plan, indices, factors).  A leaf
-    step (factors None) solves its group's remainders, or passes a single
-    remainder through when plan is None.  A node step solves the estimates
-    of its len(factors) children over their lcms and scales each child's
-    foldings by its multiplier times lcm_child // M (factors, one tuple per
-    child).  Every step pushes (foldings per leaf occurrence, estimate)
-    onto a value stack; node steps pop their children's entries.
+    steps holds the tree in post-order as (plan, indices, children).  A
+    leaf step (children 0) solves its group's remainders, or passes a
+    single remainder through when plan is None; a node step solves the
+    estimates of its last `children` pending subtrees over their lcms.
+    run solves every step once and keeps one (folding, estimate) per step.
+
+    occurrences holds, per leaf occurrence of a modulus index (left to
+    right), (index, leaf step, slot, terms) with one (ancestor step, child
+    slot, lcm_child // M) term per ancestor, so foldings composes the
+    per-index folding numbers from the step results in one pass.  run
+    needs that pass only when the plan repeats an index.
     """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):
         validate_tree(tree, len(moduli))
         self.moduli = moduli
         steps = []
-        occs: list[tuple[int, ...]] = []  # occurrences per pending subtree
+        occs: list[list] = []  # occurrences per pending subtree
         for t, _, parts in _layout(tree, moduli):
             plan = (
                 _folding_plan(parts, _maxmin_gcd(parts)[1])
                 if len(parts) > 1
                 else None
             )
+            s = len(steps)
             if isinstance(t, Leaf):
-                steps.append((plan, t.indices, None))
-                occs.append(t.indices)
+                steps.append((plan, t.indices, 0))
+                occs.append([(i, s, j, []) for j, i in enumerate(t.indices)])
                 continue
+            steps.append((plan, None, len(parts)))
             children = occs[-len(parts):]
             del occs[-len(parts):]
-            factors = tuple(
-                tuple(lam // moduli[i] for i in occ)
-                for lam, occ in zip(parts, children)
-            )
-            steps.append((plan, None, factors))
-            occs.append(tuple(i for occ in children for i in occ))
+            for ci, (lam, occ) in enumerate(zip(parts, children)):
+                for i, _, _, terms in occ:
+                    terms.append((s, ci, lam // moduli[i]))
+            occs.append([o for occ in children for o in occ])
         self.steps = tuple(steps)
-        self.occ_indices = occs[0]
+        self.occurrences = tuple(
+            (i, s, j, tuple(terms)) for i, s, j, terms in occs[0]
+        )
+        self.shared = len(self.occurrences) > len(moduli)
+        leaf_steps = [s for s, st in enumerate(steps) if not st[2]]
+        node_steps = [s for s, st in enumerate(steps) if st[2]]
+        # the root closes the post-order: its estimate is the final one,
+        # not a group record, and its multipliers lead
+        self.group_steps = tuple(leaf_steps + node_steps)[:-1]
+        self.outer_steps = tuple(node_steps[-1:] + node_steps[:-1])
         plan, idxs, _ = steps[-1]
         # a single-leaf plan is the single-stage solver, reference included
         self.reference_index = (
             idxs[plan.k] if idxs is not None and plan is not None else None
         )
 
-    def run(self, remainders: Sequence[int], collect: bool = True):
-        """Solve every stage bottom-up.
+    def run(self, remainders: Sequence[int]):
+        """Solve every stage once, bottom-up.
 
-        Returns (foldings aligned with occ_indices, estimate, records);
-        records is (per_group_estimates, outer_folding) as StageSolution
-        lays them out, or None when collect is False.  FoldingFailure
-        propagates from any stage.
+        Returns (one (folding, estimate) per step, the root's estimate).
+        FoldingFailure propagates; one raised below the root carries no
+        partial folding or estimate, since those are not values of N.
         """
-        leaf_est: list[int] = []
-        node_est: list[int] = []
-        node_mult: list[tuple[int, ...]] = []
-        fold_stack: list[list[int]] = []
-        est_stack: list[int] = []
-        for plan, idxs, factors in self.steps:
-            if factors is None:
-                if plan is None:
-                    folds, est = [0], remainders[idxs[0]]
+        results: list[tuple[tuple[int, ...], int]] = []
+        ests: list[int] = []  # estimates of the subtrees not yet joined
+        try:
+            for plan, idxs, c in self.steps:
+                if c:
+                    res = _solve_with_plan(plan, ests[-c:])
+                    del ests[-c:]
+                elif plan is None:
+                    res = (0,), remainders[idxs[0]]
                 else:
-                    folding, est = _solve_with_plan(
-                        plan, [remainders[i] for i in idxs]
-                    )
-                    folds = list(folding)
-                if collect:
-                    leaf_est.append(est)
-            else:
-                c = len(factors)
-                mult, est = _solve_with_plan(plan, est_stack[-c:])
-                folds = [
-                    f + m * fac
-                    for child, m, facs in zip(fold_stack[-c:], mult, factors)
-                    for f, fac in zip(child, facs)
-                ]
-                del fold_stack[-c:], est_stack[-c:]
-                if collect:
-                    node_est.append(est)
-                    node_mult.append(mult)
-            fold_stack.append(folds)
-            est_stack.append(est)
-        if not collect:
-            return folds, est, None
-        # the root closes the post-order: its estimate is the final one,
-        # not a group record, and its multipliers come first
-        group_est = tuple(leaf_est + node_est)[:-1]
-        outer = tuple(x for m in node_mult[-1:] + node_mult[:-1] for x in m)
-        return folds, est, (group_est, outer)
+                    res = _solve_with_plan(plan, [remainders[i] for i in idxs])
+                results.append(res)
+                ests.append(res[1])
+        except FoldingFailure as exc:
+            if len(results) + 1 < len(self.steps):
+                raise FoldingFailure(exc.reason) from exc
+            raise
+        if self.shared:
+            self.foldings(results, remainders)
+        return results, ests[0]
 
-    def finalize(self, remainders: Sequence[int]) -> StageSolution:
-        folds, _, (group_est, outer) = self.run(remainders, collect=True)
-        return StageSolution(
-            per_group_estimates=group_est,
-            outer_folding=outer,
-            final=FoldingSolution(
-                folding=self._by_index(folds),
-                estimate=_occurrence_estimate(
-                    folds, self.occ_indices, self.moduli, remainders
-                ),
-                reference_index=self.reference_index,
-            ),
-        )
+    def foldings(self, results, remainders: Sequence[int]):
+        """Per-index folding numbers and the occurrence estimate.
 
-    def _by_index(self, folds: list[int]) -> tuple[int, ...]:
-        """Foldings per modulus index; shared occurrences must agree."""
+        The estimate is the rounded mean of f * M_i + r_i over every leaf
+        occurrence.  Raises FoldingFailure when the occurrences of a shared
+        index disagree.
+        """
+        moduli = self.moduli
         by_idx: dict[int, int] = {}
-        for idx, f in zip(self.occ_indices, folds):
-            prev = by_idx.setdefault(idx, f)
-            if prev != f:
+        total = 0
+        for i, s, j, terms in self.occurrences:
+            f = results[s][0][j]
+            for a, ci, fac in terms:
+                f += results[a][0][ci] * fac
+            if by_idx.setdefault(i, f) != f:
                 raise FoldingFailure(
-                    f"conflicting folding numbers for modulus index {idx}"
+                    f"conflicting folding numbers for modulus index {i}"
                 )
-        return tuple(by_idx[i] for i in range(len(self.moduli)))
-
-
-def _occurrence_estimate(folds, occ_indices, moduli, remainders) -> int:
-    total = sum(
-        f * moduli[i] + remainders[i] for f, i in zip(folds, occ_indices)
-    )
-    return round_half_up_div(total, len(folds))
+            total += f * moduli[i] + remainders[i]
+        folding = tuple(by_idx[i] for i in range(len(moduli)))
+        return folding, round_half_up_div(total, len(self.occurrences))
 
 
 @lru_cache(maxsize=128)
@@ -457,15 +453,31 @@ def reconstruct_tree(
 ) -> StageSolution:
     """Run the full multi-stage reconstruction over a grouping plan.
 
-    A single-leaf tree reproduces the single-stage solver exactly.  Any
-    stage may raise FoldingFailure; it propagates untouched.
+    A single-leaf tree reproduces the single-stage solver exactly.  The
+    final estimate is the rounded mean of f * M_i + r_i over every leaf
+    occurrence.  FoldingFailure propagates from any stage, and from
+    disagreeing occurrences of a shared index; only a root-stage failure
+    carries a partial folding and estimate.
     """
     ms = validate_moduli(moduli)
     tree = parse_tree(tree)
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
     rt = _check_ints("remainder", remainders)
-    return _program_for(ms, tree).finalize(rt)
+    program = _program_for(ms, tree)
+    results, _ = program.run(rt)
+    folding, estimate = program.foldings(results, rt)
+    return StageSolution(
+        per_group_estimates=tuple(results[s][1] for s in program.group_steps),
+        outer_folding=tuple(
+            x for s in program.outer_steps for x in results[s][0]
+        ),
+        final=FoldingSolution(
+            folding=folding,
+            estimate=estimate,
+            reference_index=program.reference_index,
+        ),
+    )
 
 
 def _two_stage(tree: GroupTree | str | Sequence) -> Node:

@@ -32,7 +32,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from .congruence import _merge, _merge_schedule
-from .intmath import _check_int, _check_ints, mod_inverse, round_half_up_div
+from .intmath import (
+    _check_exact,
+    _check_int,
+    _check_ints,
+    mod_inverse,
+    round_half_up_div,
+)
 
 __all__ = [
     "FoldingFailure",
@@ -266,12 +272,17 @@ class _FoldingPlan:
     g = gcd(M_k, M_i), congruence modulus n = M_i / g, cofactor M_k / g and
     the inverse of the cofactor modulo n (0 when n = 1).  schedule is the
     merge schedule of the congruences for n_k over the n's, so repeated
-    solves only perform a handful of integer ops.
+    solves only perform a handful of integer ops.  Building a plan checks
+    that the moduli are at least two distinct positive ints, so a cached
+    plan's moduli are not checked again.
     """
 
     __slots__ = ("moduli", "k", "terms", "cong_moduli", "schedule")
 
     def __init__(self, moduli: tuple[int, ...], k: int):
+        validate_moduli(moduli)
+        if len(moduli) < 2:
+            raise ValueError("a folding plan needs at least two moduli")
         self.moduli = moduli
         self.k = k
         mk = moduli[k]
@@ -343,9 +354,9 @@ def solve_folding(
     trusted: contradictory congruences, a non-exact derivation, or a
     negative folding number.
     """
-    ms = validate_moduli(moduli)
-    if len(ms) < 2:
-        raise ValueError("solve_folding needs at least two moduli")
+    # exact ints first: (135.0, 180, 162) would hit the int tuple's plan;
+    # the plan checks the rest of the moduli once, when it is built
+    ms = tuple(_check_ints("modulus", moduli))
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
     if not 0 <= _check_int("reference index", k) < len(ms):
@@ -372,8 +383,7 @@ def folding_oracle(
     ms = validate_moduli(moduli)
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check_exact("tau", tau, 0)
     lam = math.lcm(*ms)
     if lam > cap:
         raise SearchCapExceeded(f"lcm {lam} exceeds oracle cap {cap}")

@@ -11,10 +11,11 @@ A sweep draws each trial once and replays it at every error level: the
 raw error draws do not depend on the level, only their mapping to the
 level's range does.  Its rows are identical to separate per-level runs.
 
-Inconsistent reconstructions count as folding failures; when the solver
-still produced a fused value (single-stage negative-folding case) that
-value enters the error statistics, otherwise the trial is excluded from
-the mean and the max.
+Inconsistent reconstructions count as folding failures; a tree trial
+fails exactly when reconstruct_tree fails on it.  When the failing stage
+still produced a fused value of N (a negative folding number in the
+single-stage solver or in a tree's root stage) that value enters the error
+statistics, otherwise the trial is excluded from the mean and the max.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         plan = _folding_plan(ms, select_reference(ms))
         reconstruct = partial(_solve_with_plan, plan)
     else:
-        reconstruct = partial(_program_for(ms, cfg.tree).run, collect=False)
+        reconstruct = _program_for(ms, cfg.tree).run
 
     one_sided = cfg.error_model == ONE_SIDED
     # (index, tau, span, shift): an error is raw % span - shift

@@ -91,6 +91,24 @@ class TestReconstruct:
         assert "verdict: inconsistent" in out
         assert "partial estimate: 17" in out
 
+    def test_failure_below_root_prints_no_partial_estimate(self, capsys):
+        # leaf [0,1] fails; its value 5 is modulo 540, not an estimate of N
+        code, out, _ = run(
+            capsys, "reconstruct", "135", "180", "162",
+            "--remainders", "5", "184", "114", "--grouping", "[[0,1],[2]]",
+        )
+        assert code == 1
+        assert "verdict: inconsistent (negative folding number)" in out
+        assert "partial estimate" not in out
+
+    def test_root_failure_prints_partial_estimate(self, capsys):
+        code, out, _ = run(
+            capsys, "reconstruct", "135", "180", "162",
+            "--remainders", "-16", "-16", "134", "--grouping", "[[0,1],[2]]",
+        )
+        assert code == 1
+        assert "partial estimate: -22" in out
+
 
 class TestGroup:
     def test_success(self, capsys):

@@ -1,79 +1,15 @@
 import math
-import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
 from modfold.intmath import (
     NotInvertibleError,
-    ext_gcd,
-    lcm_all,
+    _check_exact,
     mod_inverse,
     round_half_up,
     round_half_up_div,
 )
-
-
-class TestExtGcd:
-    def test_gcd_with_zero(self):
-        assert ext_gcd(0, 5) == (5, 0, 1)
-
-    def test_small_identity(self):
-        g, x, y = ext_gcd(12, 18)
-        assert g == 6
-        assert 12 * x + 18 * y == 6
-
-    def test_coprime_pair(self):
-        g, x, y = ext_gcd(33, 35)
-        assert g == 1
-        assert 33 * x + 35 * y == 1
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ext_gcd(0, 0)
-
-    def test_bezout_identity_over_signed_grid(self):
-        for a in range(-40, 41):
-            for b in range(-40, 41):
-                if a == 0 and b == 0:
-                    continue
-                g, x, y = ext_gcd(a, b)
-                assert g == math.gcd(a, b)
-                assert a * x + b * y == g
-                assert g >= 0
-                if a:
-                    assert a % g == 0
-                if b:
-                    assert b % g == 0
-
-
-class TestLcmAll:
-    def test_known_pairs(self):
-        assert lcm_all([180, 220]) == 1980
-        assert lcm_all([486, 513]) == 9234
-
-    def test_singleton(self):
-        assert lcm_all([42]) == 42
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            lcm_all([6, 0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lcm_all([])
-
-    def test_agrees_with_pairwise_reduction_any_order(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            vals = [rng.randint(1, 300) for _ in range(rng.randint(1, 5))]
-            expected = lcm_all(vals)
-            for perm in permutations(vals):
-                acc = 1
-                for v in perm:
-                    acc = acc * v // math.gcd(acc, v)
-                assert acc == expected
 
 
 class TestModInverse:
@@ -131,3 +67,19 @@ class TestRoundHalfUp:
         assert round_half_up(7) == 7
         assert round_half_up(Fraction(5, 2)) == 3
         assert round_half_up(Fraction(-5, 2)) == -2
+
+
+class TestCheckExact:
+    @pytest.mark.parametrize("value", [0, 3, Fraction(5, 2)])
+    def test_accepts_ints_and_fractions(self, value):
+        assert _check_exact("tau", value, 0) is value
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(ValueError, match="tau must be an int or a Fraction"):
+            _check_exact("tau", value)
+
+    @pytest.mark.parametrize("value", [-1, Fraction(-1, 2)])
+    def test_rejects_below_low(self, value):
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            _check_exact("tau", value, 0)

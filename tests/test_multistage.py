@@ -466,6 +466,15 @@ def recursive_reconstruct(ms, rt, tree):
     """Solve every subtree recursively, recording as StageSolution does."""
     leaf_est, node_est, inner_mult, root_mult = [], [], [], []
 
+    def stage(plan, values, is_root):
+        try:
+            return _solve_with_plan(plan, values)
+        except FoldingFailure as exc:
+            if is_root:
+                raise
+            # below the root a partial result is not a value of N
+            raise FoldingFailure(exc.reason) from None
+
     def solve(t, is_root):
         """Returns (leaf occurrences, foldings per occurrence, lcm, est)."""
         if isinstance(t, Leaf):
@@ -475,7 +484,7 @@ def recursive_reconstruct(ms, rt, tree):
             else:
                 sub = tuple(ms[i] for i in idxs)
                 plan = _folding_plan(sub, select_reference(sub))
-                folding, est = _solve_with_plan(plan, [rt[i] for i in idxs])
+                folding, est = stage(plan, [rt[i] for i in idxs], is_root)
                 folds = list(folding)
             leaf_est.append(est)
             return list(idxs), folds, math.lcm(*(ms[i] for i in idxs)), est
@@ -484,7 +493,7 @@ def recursive_reconstruct(ms, rt, tree):
         if len(set(lams)) != len(lams):
             raise DegenerateTreeError("sibling groups share an lcm")
         plan = _folding_plan(lams, select_reference(lams))
-        mult, est = _solve_with_plan(plan, [k[3] for k in kids])
+        mult, est = stage(plan, [k[3] for k in kids], is_root)
         (root_mult if is_root else inner_mult).append(mult)
         if not is_root:
             node_est.append(est)
@@ -585,22 +594,91 @@ class TestFlatProgramMatchesRecursive:
         )
         assert sol == recursive_reconstruct(EX_THREE, rt, tree)
 
-    def test_run_without_records_matches(self):
-        tree = parse_tree("[[[0,1],[2,3]],[4,5]]")
-        program = _tree_program(EX_THREE, tree)
-        rng = random.Random(151)
-        for _ in range(100):
-            n = rng.randrange(math.lcm(*EX_THREE))
-            rt = [n % m + rng.randint(-30, 30) for m in EX_THREE]
+
+def random_plan(rng, size):
+    """A depth-1 to depth-3 plan over range(size), sometimes sharing an index."""
+    idx = list(range(size))
+    rng.shuffle(idx)
+    depth = rng.randint(1, 3)
+    if depth == 1:
+        return idx
+    cuts = sorted(rng.sample(range(1, size), rng.randint(1, size - 1)))
+    groups = [idx[a:b] for a, b in zip([0] + cuts, cuts + [size])]
+    if rng.random() < 0.4:  # one leaf also takes an index of another
+        g = rng.randrange(len(groups))
+        groups[g] = groups[g] + [rng.choice([i for i in idx if i not in groups[g]])]
+    if depth == 3 and len(groups) >= 3:
+        cut = rng.randint(2, len(groups) - 1)
+        return [groups[:cut], *groups[cut:]]
+    return groups
+
+
+class TestOneRun:
+    """The sweep's run and reconstruct_tree share one solve and one failure rule."""
+
+    def test_failure_below_root_carries_no_partial(self):
+        # the leaf [0,1] fails with a negative folding number; its fused
+        # value 5 is a value modulo lcm(135, 180) = 540, not an estimate of N
+        ms, rt = EX_SIM, [5, 184, 114]
+        with pytest.raises(FoldingFailure) as leaf:
+            solve_folding(ms[:2], rt[:2], select_reference(ms[:2]))
+        assert leaf.value.partial_estimate == 5
+        with pytest.raises(FoldingFailure) as exc:
+            reconstruct_tree(ms, rt, "[[0,1],[2]]")
+        assert exc.value.reason == "negative folding number"
+        assert exc.value.partial_folding is None
+        assert exc.value.partial_estimate is None
+        with pytest.raises(FoldingFailure) as swept:
+            _tree_program(ms, parse_tree("[[0,1],[2]]")).run(rt)
+        assert swept.value.partial_estimate is None
+
+    def test_root_failure_keeps_partial(self):
+        # both leaves solve; the root stage finds a negative multiplier
+        with pytest.raises(FoldingFailure) as exc:
+            reconstruct_tree(EX_SIM, [-16, -16, 134], "[[0,1],[2]]")
+        assert exc.value.reason == "negative folding number"
+        assert exc.value.partial_folding == (0, -1)
+        assert exc.value.partial_estimate == -22
+
+    def test_run_fails_exactly_when_reconstruct_tree_fails(self):
+        rng = random.Random(401)
+        plans = shared = fails = root_partials = 0
+        while plans < 300:
+            size = rng.randint(2, 6)
+            ms = random_entangled(rng, size)
+            tree = parse_tree(random_plan(rng, size))
             try:
-                folds, est, records = program.run(rt, collect=False)
-            except FoldingFailure as exc:
-                with pytest.raises(FoldingFailure) as again:
-                    program.run(rt)
-                assert again.value.reason == exc.reason
+                program = _tree_program(ms, tree)
+            except DegenerateTreeError:
                 continue
-            assert records is None
-            assert (folds, est) == program.run(rt)[:2]
+            plans += 1
+            shared += len(program.occurrences) > size
+            lam = math.lcm(*ms)
+            for _ in range(20):
+                n = rng.randrange(lam)
+                tau = rng.choice((0, 2, 5, 13, 30))
+                rt = [n % m + rng.randint(-tau, tau) for m in ms]
+                try:
+                    results, est = program.run(rt)
+                except FoldingFailure as exc:
+                    with pytest.raises(FoldingFailure) as again:
+                        reconstruct_tree(ms, rt, tree)
+                    got = (exc.reason, exc.partial_folding, exc.partial_estimate)
+                    assert got == (
+                        again.value.reason,
+                        again.value.partial_folding,
+                        again.value.partial_estimate,
+                    )
+                    fails += 1
+                    root_partials += exc.partial_estimate is not None
+                    continue
+                sol = reconstruct_tree(ms, rt, tree)
+                assert est == results[-1][1]
+                assert sol == recursive_reconstruct(ms, rt, tree)
+                assert sol.per_group_estimates == tuple(
+                    results[s][1] for s in program.group_steps
+                )
+        assert shared > 50 and fails > 500 and root_partials > 0
 
 
 def deep_chain(depth):

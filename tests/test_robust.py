@@ -289,6 +289,28 @@ class TestSolveFolding:
         with pytest.raises(ValueError):
             solve_folding((8, 12), [0, 0], 5)
 
+    @pytest.mark.parametrize(
+        "moduli, k",
+        [
+            ((8.0, 12, 15), 0),  # hashes equal to the cached int tuple
+            ((8, 12, True), 0),
+            ((8,), 0),
+            ((8, 8, 15), 0),
+            ((-8, 12, 15), 1),
+            ((0, 12, 15), 1),
+        ],
+    )
+    def test_validation_with_warm_cache(self, moduli, k):
+        # the moduli checks live in the plan; a cached plan must not let
+        # a bad moduli set through, and a failed build is not cached
+        rt = [4, 4, 10]  # the remainders of 100
+        solve_folding((8, 12, 15), rt, 0)
+        solve_folding((8, 12, 15), rt, 1)
+        rt = rt[: len(moduli)]
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                solve_folding(moduli, rt, k)
+
 
 class TestExactnessConditionSampled:
     """Exhaustive sweep lives in the acceptance suite; spot-check here."""
@@ -364,6 +386,17 @@ class TestFoldingOracle:
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
             folding_oracle((1013, 1019, 1021), (0, 0, 0), 0, cap=10_000)
+
+    @pytest.mark.parametrize("tau", [2.5, 2.0, True, "3", None])
+    def test_rejects_inexact_tau(self, tau):
+        # 2.5 and True once ran as bounds; "3" died with a bare TypeError
+        with pytest.raises(ValueError, match="tau"):
+            folding_oracle((8, 12, 15), [1, 2, 3], tau)
+
+    @pytest.mark.parametrize("tau", [-1, Fraction(-1, 2)])
+    def test_rejects_negative_tau(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            folding_oracle((8, 12, 15), [1, 2, 3], tau)
 
     def test_agrees_with_solver_inside_bound(self):
         ms = (40, 60, 45)

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from modfold import simulate
-from modfold.multistage import Leaf, Node, _tree_program, parse_tree
+from modfold.multistage import (
+    Leaf,
+    Node,
+    _tree_program,
+    parse_tree,
+    reconstruct_tree,
+)
 from modfold.robust import (
     FoldingFailure,
     SearchCapExceeded,
@@ -247,26 +253,12 @@ class TestSweep:
         assert len(draws) == 50 * (2 + 3)
 
 
-def _per_level_oracle(cfg: TrialConfig) -> TrialStats:
-    """One campaign at cfg.tau, drawing every trial afresh."""
+def _draws(cfg: TrialConfig):
+    """(unknown, erroneous remainders) of every trial of cfg, drawn afresh."""
     ms = validate_moduli(cfg.moduli)
     lam = math.lcm(*ms)
     tau = cfg.tau
     one_sided = cfg.error_model == ONE_SIDED
-
-    if cfg.tree is None:
-        plan = _folding_plan(ms, select_reference(ms))
-
-        def reconstruct(rt):
-            return _solve_with_plan(plan, rt)[1]
-
-    else:
-        program = _tree_program(ms, cfg.tree)
-
-        def reconstruct(rt):
-            return program.run(rt, collect=False)[1]
-
-    total_err = max_err = violations = failures = estimated = 0
     span = tau + 1 if one_sided else 2 * tau + 1
     shift = 0 if one_sided else tau
     mix = simulate._splitmix64
@@ -279,6 +271,28 @@ def _per_level_oracle(cfg: TrialConfig) -> TrialStats:
             if cfg.clamp_remainders:
                 v = min(max(v, 0), m - 1)
             rt.append(v)
+        yield n, rt
+
+
+def _per_level_oracle(cfg: TrialConfig) -> TrialStats:
+    """One campaign at cfg.tau, drawing every trial afresh."""
+    ms = validate_moduli(cfg.moduli)
+    tau = cfg.tau
+
+    if cfg.tree is None:
+        plan = _folding_plan(ms, select_reference(ms))
+
+        def reconstruct(rt):
+            return _solve_with_plan(plan, rt)[1]
+
+    else:
+        program = _tree_program(ms, cfg.tree)
+
+        def reconstruct(rt):
+            return program.run(rt)[1]
+
+    total_err = max_err = violations = failures = estimated = 0
+    for n, rt in _draws(cfg):
         try:
             est = reconstruct(rt)
         except FoldingFailure as exc:
@@ -388,6 +402,45 @@ class TestSweepMatchesPerLevelRuns:
             Fraction(1203, 40),
             244,
         )
+
+
+class TestTreeSweepFailures:
+    """The sweep fails a tree trial exactly when reconstruct_tree does."""
+
+    @pytest.mark.parametrize(
+        "moduli, layout, tau, trials, error_model, want",
+        [
+            # a shared index: the occurrences of index 2 must agree
+            ((12, 18, 35), "[[0,2],[1,2]]", 3, 20_000, ONE_SIDED,
+             (15_155, 5_290)),
+            # far beyond the bounds: only root-stage failures are estimated
+            ((135, 180, 162), "[[0,1],[2]]", 25, 2_000, SYMMETRIC,
+             (23, 1_980)),
+            ((192, 288, 216, 360, 320, 448), "[[[0,1],[2,3]],[4,5]]", 40,
+             1_000, SYMMETRIC, (32, 968)),
+        ],
+    )
+    def test_same_failures_as_reconstruct_tree(
+        self, moduli, layout, tau, trials, error_model, want
+    ):
+        cfg = TrialConfig(
+            moduli=moduli, tree=layout, tau=tau, trials=trials,
+            error_model=error_model,
+        )
+        failures = estimated = 0
+        for _, rt in _draws(cfg):
+            try:
+                reconstruct_tree(moduli, rt, layout)
+            except FoldingFailure as exc:
+                failures += 1
+                estimated += exc.partial_estimate is not None
+            else:
+                estimated += 1
+        stats = run_trials(cfg)
+        assert (stats.folding_failures, stats.estimated_trials) == (
+            failures,
+            estimated,
+        ) == want
 
 
 class TestVerifyExactness:
