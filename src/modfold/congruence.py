@@ -10,6 +10,7 @@ moduli stays as an independent reference.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -38,19 +39,21 @@ class CongruenceSystem:
     moduli: tuple[int, ...]
 
     def __init__(self, residues: Sequence[int], moduli: Sequence[int]):
-        residues = tuple(_check_ints("residue", residues))
-        moduli = tuple(_check_ints("modulus", moduli))
+        residues = tuple(residues)
+        moduli = tuple(moduli)
+        if set(map(type, residues + moduli)) - {int}:  # only then reject
+            _check_ints("residue", residues)
+            _check_ints("modulus", moduli)
         if len(residues) != len(moduli):
             raise ValueError(
                 f"{len(residues)} residues but {len(moduli)} moduli"
             )
-        for m in moduli:
-            if m <= 0:
-                raise ValueError(f"moduli must be positive, got {m}")
-        object.__setattr__(
-            self, "residues", tuple(r % m for r, m in zip(residues, moduli))
+        if moduli and min(moduli) <= 0:
+            raise ValueError(f"moduli must be positive, got {min(moduli)}")
+        # frozen: set the fields past the dataclass's __setattr__
+        vars(self).update(
+            residues=tuple(map(operator.mod, residues, moduli)), moduli=moduli
         )
-        object.__setattr__(self, "moduli", moduli)
 
     def __len__(self) -> int:
         return len(self.moduli)

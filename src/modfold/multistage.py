@@ -18,7 +18,8 @@ One tree run serves the simulation and reconstruct_tree alike: it solves
 each stage once, bottom-up, and keeps one (folding, estimate) per stage.
 The per-index folding numbers are composed from those results in a
 separate pass, which the run itself makes only when the plan repeats an
-index (its occurrences must agree), so both paths fail on the same inputs.
+index (its occurrences must agree), so both paths fail on the same inputs;
+reconstruct_tree reuses that pass instead of making it again.
 
 The module also computes the stage-bound calculus: a per-group bound for
 each leaf, a cross bound for each internal node over its children's lcms,
@@ -34,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .intmath import (
@@ -325,10 +327,12 @@ def fused_error_bound(
 class _TreeProgram:
     """Prevalidated reconstruction plan for a fixed (moduli, tree) pair.
 
-    steps holds the tree in post-order as (plan, indices, children).  A
-    leaf step (children 0) solves its group's remainders, or passes a
-    single remainder through when plan is None; a node step solves the
-    estimates of its last `children` pending subtrees over their lcms.
+    steps holds the tree in post-order as (plan, gather, children).  A
+    leaf step (children 0) solves its group's remainders, fetched by
+    gather (an operator.itemgetter over the leaf's indices), or passes a
+    single remainder through when plan is None (gather is then the
+    index).  A node step solves its children's estimates over their lcms,
+    fetched by gather (an itemgetter over the children's step numbers).
     run solves every step once and keeps one (folding, estimate) per step.
 
     occurrences holds, per leaf occurrence of a modulus index (left to
@@ -336,13 +340,18 @@ class _TreeProgram:
     slot, lcm_child // M) term per ancestor, so foldings composes the
     per-index folding numbers from the step results in one pass.  run
     needs that pass only when the plan repeats an index.
+
+    Building a program checks the moduli (positive, distinct, nonempty)
+    and the tree, so a cached program's inputs are not checked again.
     """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):
+        validate_moduli(moduli)
         validate_tree(tree, len(moduli))
         self.moduli = moduli
         steps = []
         occs: list[list] = []  # occurrences per pending subtree
+        pending: list[int] = []  # step numbers of the subtrees not yet joined
         for t, _, parts in _layout(tree, moduli):
             plan = (
                 _folding_plan(parts, _maxmin_gcd(parts)[1])
@@ -351,10 +360,14 @@ class _TreeProgram:
             )
             s = len(steps)
             if isinstance(t, Leaf):
-                steps.append((plan, t.indices, 0))
-                occs.append([(i, s, j, []) for j, i in enumerate(t.indices)])
+                idxs = t.indices
+                steps.append((plan, itemgetter(*idxs) if plan else idxs[0], 0))
+                occs.append([(i, s, j, []) for j, i in enumerate(idxs)])
+                pending.append(s)
                 continue
-            steps.append((plan, None, len(parts)))
+            steps.append((plan, itemgetter(*pending[-len(parts):]), len(parts)))
+            del pending[-len(parts):]
+            pending.append(s)
             children = occs[-len(parts):]
             del occs[-len(parts):]
             for ci, (lam, occ) in enumerate(zip(parts, children)):
@@ -372,39 +385,41 @@ class _TreeProgram:
         # not a group record, and its multipliers lead
         self.group_steps = tuple(leaf_steps + node_steps)[:-1]
         self.outer_steps = tuple(node_steps[-1:] + node_steps[:-1])
-        plan, idxs, _ = steps[-1]
         # a single-leaf plan is the single-stage solver, reference included
         self.reference_index = (
-            idxs[plan.k] if idxs is not None and plan is not None else None
+            tree.indices[steps[-1][0].k]
+            if isinstance(tree, Leaf) and steps[-1][0] is not None
+            else None
         )
 
     def run(self, remainders: Sequence[int]):
         """Solve every stage once, bottom-up.
 
-        Returns (one (folding, estimate) per step, the root's estimate).
-        FoldingFailure propagates; one raised below the root carries no
-        partial folding or estimate, since those are not values of N.
+        Returns (one (folding, estimate) per step, the root's estimate,
+        the foldings pass's result or None).  The run makes that pass, as
+        the shared occurrences' agreement check, only when the plan
+        repeats an index.  FoldingFailure propagates; one raised below the
+        root carries no partial folding or estimate, since those are not
+        values of N.
         """
         results: list[tuple[tuple[int, ...], int]] = []
-        ests: list[int] = []  # estimates of the subtrees not yet joined
+        ests: list[int] = []  # one estimate per step, as in results
         try:
-            for plan, idxs, c in self.steps:
+            for plan, gather, c in self.steps:
                 if c:
-                    res = _solve_with_plan(plan, ests[-c:])
-                    del ests[-c:]
+                    res = _solve_with_plan(plan, gather(ests))
                 elif plan is None:
-                    res = (0,), remainders[idxs[0]]
+                    res = (0,), remainders[gather]
                 else:
-                    res = _solve_with_plan(plan, [remainders[i] for i in idxs])
+                    res = _solve_with_plan(plan, gather(remainders))
                 results.append(res)
                 ests.append(res[1])
         except FoldingFailure as exc:
             if len(results) + 1 < len(self.steps):
                 raise FoldingFailure(exc.reason) from exc
             raise
-        if self.shared:
-            self.foldings(results, remainders)
-        return results, ests[0]
+        composed = self.foldings(results, remainders) if self.shared else None
+        return results, ests[-1], composed
 
     def foldings(self, results, remainders: Sequence[int]):
         """Per-index folding numbers and the occurrence estimate.
@@ -459,14 +474,16 @@ def reconstruct_tree(
     disagreeing occurrences of a shared index; only a root-stage failure
     carries a partial folding and estimate.
     """
-    ms = validate_moduli(moduli)
+    # exact ints first: (135.0, 180, 162) would hit the int tuple's
+    # program; the program checks the rest of the moduli once, when built
+    ms = tuple(_check_ints("modulus", moduli))
     tree = parse_tree(tree)
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
     rt = _check_ints("remainder", remainders)
     program = _program_for(ms, tree)
-    results, _ = program.run(rt)
-    folding, estimate = program.foldings(results, rt)
+    results, _, composed = program.run(rt)
+    folding, estimate = composed or program.foldings(results, rt)
     return StageSolution(
         per_group_estimates=tuple(results[s][1] for s in program.group_steps),
         outer_folding=tuple(

@@ -21,6 +21,17 @@ silently rounded away.
 The fused estimate of N is the half-up-rounded average of the per-modulus
 reconstructions, which keeps |estimate - N| within the remainder error level
 whenever the folding numbers are exact.
+
+One solve is a fused kernel over constants built once per plan: a single
+loop rounds each quotient estimate and applies its CRT merge step at once
+(steps 2 and 3), and a single loop derives the other folding numbers
+(step 4).  The fused sum needs no third pass: with q_i, e_i the quotient
+and remainder of (2(r_i - r_k) + g_i) / 2g_i, and f_i M_i = (n_k c_i - q_i)
+g_i for an exact derivation, the sum of f_i M_i + r_i over all i equals
+L (n_k M_k + r_k) + (sum of e_i - sum of g_i) / 2, so the estimate is
+n_k M_k + r_k plus one integer division of the summed rounding remainders.
+Every step is exact integer arithmetic; the results equal those of the
+separate passes bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .congruence import _merge, _merge_schedule
+from .congruence import _merge_schedule
 from .intmath import (
     _check_exact,
     _check_int,
@@ -268,16 +279,33 @@ def _ns_condition(
 class _FoldingPlan:
     """Precomputed constants for solve_folding on a fixed (moduli, k).
 
-    terms holds, per index i != k, (i, g, n, inverse, cofactor) with
-    g = gcd(M_k, M_i), congruence modulus n = M_i / g, cofactor M_k / g and
-    the inverse of the cofactor modulo n (0 when n = 1).  schedule is the
-    merge schedule of the congruences for n_k over the n's, so repeated
-    solves only perform a handful of integer ops.  Building a plan checks
-    that the moduli are at least two distinct positive ints, so a cached
-    plan's moduli are not checked again.
+    Per index i != k, in index order, let g = gcd(M_k, M_i), n = M_i / g
+    (the modulus of the congruence for n_k), c = M_k / g, and inv the
+    inverse of c modulo n (0 when n = 1).  head holds (i, g, 2g, n, inv)
+    for the first such index; steps holds the same five constants for
+    every later index followed by that index's step of the congruence
+    merge schedule (g', n / g', inv', running modulus), taken from
+    congruence._merge_schedule over the n's; derive holds (i, n, c) per
+    index.  So one solve is one loop over head and steps, which rounds
+    each quotient estimate and merges its congruence at once, and one
+    loop over derive.
+
+    The fused estimate needs no pass of its own.  With the quotient
+    estimate and the rounding remainder e_i taken together,
+    2(r_i - r_k) + g_i = 2g_i q_i + e_i, and an exact derivation
+    f_i M_i = (n_k c_i - q_i) g_i, the sum of f_i M_i + r_i over all i is
+    L (n_k M_k + r_k) + (sum of e_i - sum of g_i) / 2.  Its half-up
+    rounded mean is therefore n_k M_k + r_k + (sum of e_i + bias) // 2L
+    with bias = L - sum of g_i, computed exactly.
+
+    Building a plan checks that the moduli are at least two distinct
+    positive ints, so a cached plan's moduli are not checked again.
     """
 
-    __slots__ = ("moduli", "k", "terms", "cong_moduli", "schedule")
+    __slots__ = (
+        "moduli", "k", "mk", "cong_moduli", "head", "steps", "derive",
+        "twice_size", "bias",
+    )
 
     def __init__(self, moduli: tuple[int, ...], k: int):
         validate_moduli(moduli)
@@ -285,16 +313,21 @@ class _FoldingPlan:
             raise ValueError("a folding plan needs at least two moduli")
         self.moduli = moduli
         self.k = k
-        mk = moduli[k]
+        self.mk = mk = moduli[k]
         terms = []
         for i, m in enumerate(moduli):
             if i != k:
                 g = math.gcd(mk, m)
-                n, c = m // g, mk // g
-                terms.append((i, g, n, mod_inverse(c, n) if n > 1 else 0, c))
-        self.terms = tuple(terms)
-        self.cong_moduli = tuple(t[2] for t in terms)
-        self.schedule = _merge_schedule(self.cong_moduli)
+                n = m // g
+                inv = mod_inverse(mk // g, n) if n > 1 else 0
+                terms.append((i, g, 2 * g, n, inv))
+        self.cong_moduli = tuple(t[3] for t in terms)
+        _, schedule = _merge_schedule(self.cong_moduli)
+        self.head = terms[0]
+        self.steps = tuple(t + s for t, s in zip(terms[1:], schedule))
+        self.derive = tuple((i, n, mk // g) for i, g, _, n, _ in terms)
+        self.twice_size = 2 * len(moduli)
+        self.bias = len(moduli) - sum(t[1] for t in terms)
 
 
 @lru_cache(maxsize=512)
@@ -305,32 +338,39 @@ def _folding_plan(moduli: tuple[int, ...], k: int) -> _FoldingPlan:
 def _solve_with_plan(
     plan: _FoldingPlan, remainders: Sequence[int]
 ) -> tuple[tuple[int, ...], int]:
-    """Hot path shared by solve_folding and the multi-stage engine."""
-    moduli = plan.moduli
-    rt_ref = remainders[plan.k]
-    qs = []
-    xis = []
-    for i, g, n, inv, _ in plan.terms:
-        q = (2 * (remainders[i] - rt_ref) + g) // (2 * g)
-        qs.append(q)
-        xis.append((q * inv) % n)
-    n_ref = _merge(plan.schedule, xis)
-    if n_ref is None:
-        raise FoldingFailure(
-            "remainder errors produced contradictory congruences"
-        )
+    """Hot path shared by solve_folding and the multi-stage engine.
 
-    folding = [0] * len(moduli)
-    folding[plan.k] = n_ref
-    for (i, _, n, _, c), q in zip(plan.terms, qs):
+    The merge steps are congruence._merge's loop applied inline, one per
+    quotient estimate as it is rounded; see _FoldingPlan for the fused
+    estimate.
+    """
+    r_ref = remainders[plan.k]
+    i, g, g2, n, inv = plan.head
+    q, e_sum = divmod(2 * (remainders[i] - r_ref) + g, g2)
+    n_ref = q * inv % n
+    qs = [q]
+    for i, g, g2, n, inv, mg, mn, minv, mm in plan.steps:
+        q, e = divmod(2 * (remainders[i] - r_ref) + g, g2)
+        qs.append(q)
+        e_sum += e
+        diff = q * inv % n - n_ref
+        if diff % mg:
+            raise FoldingFailure(
+                "remainder errors produced contradictory congruences"
+            )
+        n_ref += mm * (diff // mg * minv % mn)
+
+    # n_ref meets n_ref * c == q (mod n) for every term, so this guard
+    # cannot fire on a plan built from its moduli
+    folding = [n_ref] * len(plan.moduli)
+    for (i, n, c), q in zip(plan.derive, qs):
         num = n_ref * c - q
-        if num % n != 0:
+        if num % n:
             raise FoldingFailure("folding derivation is not an exact division")
         folding[i] = num // n
 
-    total = sum(f * m + r for f, m, r in zip(folding, moduli, remainders))
-    est = round_half_up_div(total, len(moduli))
-    if any(f < 0 for f in folding):
+    est = n_ref * plan.mk + r_ref + (e_sum + plan.bias) // plan.twice_size
+    if min(folding) < 0:
         raise FoldingFailure(
             "negative folding number",
             partial_folding=tuple(folding),

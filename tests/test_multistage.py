@@ -9,6 +9,7 @@ from modfold.multistage import (
     DegenerateTreeError,
     StageBounds,
     StageSolution,
+    _TreeProgram,
     _post_order,
     _tree_program,
     Leaf,
@@ -659,7 +660,7 @@ class TestOneRun:
                 tau = rng.choice((0, 2, 5, 13, 30))
                 rt = [n % m + rng.randint(-tau, tau) for m in ms]
                 try:
-                    results, est = program.run(rt)
+                    results, est, composed = program.run(rt)
                 except FoldingFailure as exc:
                     with pytest.raises(FoldingFailure) as again:
                         reconstruct_tree(ms, rt, tree)
@@ -674,11 +675,39 @@ class TestOneRun:
                     continue
                 sol = reconstruct_tree(ms, rt, tree)
                 assert est == results[-1][1]
+                assert composed == (
+                    (sol.final.folding, sol.final.estimate)
+                    if program.shared
+                    else None
+                )
                 assert sol == recursive_reconstruct(ms, rt, tree)
                 assert sol.per_group_estimates == tuple(
                     results[s][1] for s in program.group_steps
                 )
         assert shared > 50 and fails > 500 and root_partials > 0
+
+
+    def test_one_foldings_pass_per_reconstruct_tree_call(self, monkeypatch):
+        calls = {"run": 0, "foldings": 0}
+
+        def counted(name):
+            original = getattr(_TreeProgram, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(_TreeProgram, name, wrapper)
+
+        counted("run")
+        counted("foldings")
+        ms = (12, 18, 35)
+        for tree, n in (("[[0,2],[1,2]]", 100), ("[[0,1],[2]]", 100)):
+            calls.update(run=0, foldings=0)
+            rt = [n % m for m in ms]
+            sol = reconstruct_tree(ms, rt, tree)
+            assert sol.final.folding == tuple(n // m for m in ms)
+            assert calls == {"run": 1, "foldings": 1}, tree
 
 
 def deep_chain(depth):
@@ -740,6 +769,29 @@ class TestExactIntegers:
             reconstruct_tree(EX_SIM, [1, 2.5, 3], "[[0,1],[2]]")
         with pytest.raises(ValueError, match="remainder"):
             reconstruct_tree(EX_SIM, [1, True, 3], "[[0,1],[2]]")
+
+    @pytest.mark.parametrize(
+        "moduli",
+        [
+            (8.0, 12, 15),  # hashes equal to the cached int tuple
+            (8, 12, True),
+            (8, 8, 15),
+            (-8, 12, 15),
+            (0, 12, 15),
+        ],
+    )
+    def test_rejects_bad_moduli_with_warm_cache(self, moduli):
+        # the moduli checks live in the program; a cached program must not
+        # let a bad moduli set through, and a failed build is not cached
+        rt = [4, 4, 10]  # the remainders of 100
+        reconstruct_tree((8, 12, 15), rt, "[[0,1],[2]]")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                reconstruct_tree(moduli, rt, "[[0,1],[2]]")
+
+    def test_rejects_empty_moduli(self):
+        with pytest.raises(ValueError):
+            reconstruct_tree((), [], [0])
 
 
 def random_entangled(rng, size):

@@ -5,10 +5,14 @@ from itertools import product
 
 import pytest
 
+from modfold.congruence import _merge, _merge_schedule
+from modfold.intmath import round_half_up_div
 from modfold.robust import (
     FoldingFailure,
+    _FoldingPlan,
     _folding_plan,
     _maxmin_gcd,
+    _solve_with_plan,
     SearchCapExceeded,
     check_ns_condition,
     folding_oracle,
@@ -501,3 +505,148 @@ class TestBoundEdges:
                 assert solve_folding(ms, rt, k).folding != true_folding(n, ms)
             except FoldingFailure:
                 pass
+
+
+def separate_passes_solve(moduli, k, remainders):
+    """The solve as separate passes: estimates, CRT merge, derivation, sum.
+
+    Builds its own per-index constants and runs congruence._merge, so only
+    the merge schedule (checked by the congruence tests) is common to it
+    and the fused kernel.
+    """
+    mk, rt_ref = moduli[k], remainders[k]
+    terms = []
+    for i, m in enumerate(moduli):
+        if i != k:
+            g = math.gcd(mk, m)
+            n, c = m // g, mk // g
+            terms.append((i, g, n, pow(c, -1, n) if n > 1 else 0, c))
+    qs = []
+    xis = []
+    for i, g, n, inv, _ in terms:
+        q = (2 * (remainders[i] - rt_ref) + g) // (2 * g)
+        qs.append(q)
+        xis.append((q * inv) % n)
+    n_ref = _merge(_merge_schedule(tuple(t[2] for t in terms)), xis)
+    if n_ref is None:
+        raise FoldingFailure(
+            "remainder errors produced contradictory congruences"
+        )
+    folding = [0] * len(moduli)
+    folding[k] = n_ref
+    for (i, _, n, _, c), q in zip(terms, qs):
+        num = n_ref * c - q
+        if num % n != 0:
+            raise FoldingFailure("folding derivation is not an exact division")
+        folding[i] = num // n
+    total = sum(f * m + r for f, m, r in zip(folding, moduli, remainders))
+    est = round_half_up_div(total, len(moduli))
+    if any(f < 0 for f in folding):
+        raise FoldingFailure(
+            "negative folding number",
+            partial_folding=tuple(folding),
+            partial_estimate=est,
+        )
+    return tuple(folding), est
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except FoldingFailure as exc:
+        return exc.reason, exc.partial_folding, exc.partial_estimate
+
+
+class TestFusedKernel:
+    """The fused kernel against the separate-passes solve, field by field."""
+
+    def test_matches_separate_passes(self):
+        rng = random.Random(701)
+        kinds: dict[str, int] = {}
+        plans = divisor_terms = 0
+        for size in range(2, 9):
+            for _ in range(12):
+                ms = set()
+                while len(ms) < size:
+                    ms.add(math.prod(rng.choice((1, 2, 3, 4, 5, 7, 9))
+                                     for _ in range(4)))
+                ms = list(ms)
+                if rng.random() < 0.5:  # a modulus dividing another
+                    j = rng.randrange(size)
+                    d = ms[j] // rng.choice([p for p in (2, 3, 5, 7, 9)
+                                             if ms[j] % p == 0] or [1])
+                    if d > 1 and d not in ms:
+                        ms[rng.randrange(size)] = d
+                ms = tuple(rng.sample(ms, size))
+                if len(set(ms)) < size or min(ms) < 2:
+                    continue
+                lam = math.lcm(*ms)
+                for k in range(size):  # every reference, not only theta's
+                    plan = _folding_plan(ms, k)
+                    plans += 1
+                    divisor_terms += plan.cong_moduli.count(1)
+                    g_min = min(math.gcd(ms[k], m) for m in ms)
+                    for _ in range(15):
+                        n = rng.randrange(lam)
+                        tau = rng.choice((0, 1, g_min // 4, g_min, 3 * g_min))
+                        rt = [n % m + rng.randint(-tau, tau) for m in ms]
+                        if rng.random() < 0.2:  # far outside [0, M_i)
+                            rt = [rng.randint(-3 * m, 3 * m) for m in ms]
+                        want = outcome(separate_passes_solve, ms, k, rt)
+                        assert outcome(_solve_with_plan, plan, rt) == want, (
+                            ms, k, rt
+                        )
+                        kind = want[0] if isinstance(want[0], str) else "ok"
+                        kinds[kind] = kinds.get(kind, 0) + 1
+        assert plans > 300 and divisor_terms > 50
+        # n_k meets every congruence n_k c_i == q_i (mod n_i), so on a
+        # plan built from the moduli the derivation is always exact
+        assert set(kinds) == {
+            "ok",
+            "remainder errors produced contradictory congruences",
+            "negative folding number",
+        }, kinds
+        assert min(kinds.values()) > 20, kinds
+
+    def test_inexact_division_raised_before_negative_folding(self):
+        # the derivation guard can only fire on inconsistent constants, so
+        # corrupt the last term's n and find remainders whose first derived
+        # folding number is negative and whose last one is not 0 (so the
+        # corrupted division is inexact): the guard must still win
+        ms, k = (8, 12, 15), 0
+        plan = _folding_plan(ms, k)
+        bad = _FoldingPlan(ms, k)
+        i, n, c = bad.derive[-1]
+        bad.derive = bad.derive[:-1] + ((i, 1_000_003, c),)
+        first = plan.derive[0][0]
+        found = 0
+        grid = (range(-12, 13, 2), range(-12, 13, 2), range(-15, 16, 3))
+        for rt in product(*grid):
+            got = outcome(_solve_with_plan, plan, list(rt))
+            if (
+                got[0] == "negative folding number"
+                and got[1][first] < 0
+                and got[1][i] != 0
+            ):
+                found += 1
+                assert outcome(_solve_with_plan, bad, list(rt)) == (
+                    "folding derivation is not an exact division", None, None
+                )
+        assert found > 5
+
+    def test_rounding_edges(self):
+        # remainder differences at every offset of two periods of g, so
+        # each quotient estimate meets its exact-half boundary from both
+        # sides; the fused sum's rounding sees every residue class of 2L
+        for ms in ((8, 12), (12, 18, 30), (70, 75, 80, 90), (6, 10, 15)):
+            for k in range(len(ms)):
+                plan = _folding_plan(ms, k)
+                g = max(math.gcd(ms[k], m) for j, m in enumerate(ms) if j != k)
+                base = [1000 % m for m in ms]
+                for d in range(-2 * g, 2 * g + 1):
+                    for j in range(len(ms)):
+                        rt = base[:]
+                        rt[j] += d
+                        rt[(j + 1) % len(ms)] -= d // 3
+                        want = outcome(separate_passes_solve, ms, k, rt)
+                        assert outcome(_solve_with_plan, plan, rt) == want
