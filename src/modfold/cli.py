@@ -110,6 +110,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_reconstruct(args) -> int:
     ms = tuple(args.moduli)
     rt = list(args.remainders)
+    if args.grouping and args.reference is not None:
+        raise ValueError("--reference does not apply with --grouping")
     try:
         if args.grouping:
             sol = reconstruct_tree(ms, rt, parse_tree(args.grouping)).final

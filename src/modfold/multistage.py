@@ -14,12 +14,12 @@ node must have pairwise-distinct lcms.  Every walk over a tree goes through
 one iterative post-order walker, so a plan's depth is bounded by memory,
 not by the interpreter's recursion limit.
 
-One tree run serves the simulation and reconstruct_tree alike: it solves
-each stage once, bottom-up, and keeps one (folding, estimate) per stage.
-The per-index folding numbers are composed from those results in a
-separate pass, which the run itself makes only when the plan repeats an
-index (its occurrences must agree), so both paths fail on the same inputs;
-reconstruct_tree reuses that pass instead of making it again.
+One tree run serves the simulation and reconstruct_tree alike: it keeps
+one value table (the remainders, then each stage's estimate) and solves
+each stage of two or more inputs once, bottom-up, over table slots.  The
+per-index folding numbers are one sum of terms per leaf occurrence, made
+in a pass the run itself makes only when the plan repeats an index (its
+occurrences must agree), so both paths fail on the same inputs.
 
 The module also computes the stage-bound calculus: a per-group bound for
 each leaf, a cross bound for each internal node over its children's lcms,
@@ -84,12 +84,25 @@ class Leaf:
 
     indices: tuple[int, ...]
 
+    def __post_init__(self):
+        # 1.0 and True equal 1, so a cached program would take them for it
+        if not isinstance(self.indices, tuple):
+            raise ValueError("leaf indices must be a tuple")
+        if not {int}.issuperset(map(type, self.indices)):
+            _check_ints("leaf index", self.indices)
+
 
 @dataclass(frozen=True)
 class Node:
     """An inner stage joining at least two subtrees."""
 
     children: tuple["GroupTree", ...]
+
+    def __post_init__(self):
+        if not isinstance(self.children, tuple) or not all(
+            isinstance(c, (Leaf, Node)) for c in self.children
+        ):
+            raise ValueError("node children must be a tuple of Leaf and Node")
 
 
 GroupTree = Leaf | Node
@@ -114,11 +127,9 @@ def parse_tree(layout: GroupTree | str | Sequence) -> GroupTree:
 def _parse_node(data) -> GroupTree:
     if not isinstance(data, (list, tuple)) or len(data) == 0:
         raise ValueError(f"tree nodes must be nonempty lists, got {data!r}")
-    if all(isinstance(x, int) and not isinstance(x, bool) for x in data):
-        return Leaf(indices=tuple(data))
-    if all(isinstance(x, (list, tuple)) for x in data):
+    if isinstance(data[0], (list, tuple)):
         return Node(children=tuple(_parse_node(x) for x in data))
-    raise ValueError(f"tree node mixes indices and sublists: {data!r}")
+    return Leaf(indices=tuple(data))
 
 
 def tree_to_nested(tree: GroupTree) -> list:
@@ -327,19 +338,18 @@ def fused_error_bound(
 class _TreeProgram:
     """Prevalidated reconstruction plan for a fixed (moduli, tree) pair.
 
-    steps holds the tree in post-order as (plan, gather, children).  A
-    leaf step (children 0) solves its group's remainders, fetched by
-    gather (an operator.itemgetter over the leaf's indices), or passes a
-    single remainder through when plan is None (gather is then the
-    index).  A node step solves its children's estimates over their lcms,
-    fetched by gather (an itemgetter over the children's step numbers).
-    run solves every step once and keeps one (folding, estimate) per step.
+    A run keeps one value table: slots 0..L-1 hold the remainders and slot
+    L + s the estimate of step s.  steps holds the stages of two or more
+    inputs in post-order as (plan, gather), gather being an
+    operator.itemgetter over the input slots (a leaf's indices or its
+    children's slots).  A one-index leaf is no step, only its remainder's
+    slot, so the root's estimate is always the table's last value.
 
     occurrences holds, per leaf occurrence of a modulus index (left to
-    right), (index, leaf step, slot, terms) with one (ancestor step, child
-    slot, lcm_child // M) term per ancestor, so foldings composes the
-    per-index folding numbers from the step results in one pass.  run
-    needs that pass only when the plan repeats an index.
+    right), (index, terms) with one (step, input position, lcm of that
+    input / M) term per step from the leaf up to the root (factor 1 at
+    the leaf's own step), so foldings sums each occurrence's terms in one
+    pass.  run needs that pass only when the plan repeats an index.
 
     Building a program checks the moduli (positive, distinct, nonempty)
     and the tree, so a cached program's inputs are not checked again.
@@ -349,97 +359,90 @@ class _TreeProgram:
         validate_moduli(moduli)
         validate_tree(tree, len(moduli))
         self.moduli = moduli
+        size = len(moduli)
         steps = []
-        occs: list[list] = []  # occurrences per pending subtree
-        pending: list[int] = []  # step numbers of the subtrees not yet joined
+        slots: list[int] = []  # table slots of the subtrees not yet joined
+        occs: list[list] = []  # their leaf occurrences, as (index, terms)
+        leaf_slots, node_slots = [], []  # each subtree's slot, by kind
         for t, _, parts in _layout(tree, moduli):
-            plan = (
-                _folding_plan(parts, _maxmin_gcd(parts)[1])
-                if len(parts) > 1
-                else None
-            )
-            s = len(steps)
-            if isinstance(t, Leaf):
-                idxs = t.indices
-                steps.append((plan, itemgetter(*idxs) if plan else idxs[0], 0))
-                occs.append([(i, s, j, []) for j, i in enumerate(idxs)])
-                pending.append(s)
-                continue
-            steps.append((plan, itemgetter(*pending[-len(parts):]), len(parts)))
-            del pending[-len(parts):]
-            pending.append(s)
-            children = occs[-len(parts):]
-            del occs[-len(parts):]
-            for ci, (lam, occ) in enumerate(zip(parts, children)):
-                for i, _, _, terms in occ:
-                    terms.append((s, ci, lam // moduli[i]))
-            occs.append([o for occ in children for o in occ])
+            is_leaf = isinstance(t, Leaf)
+            if is_leaf:
+                # a leaf joins its indices' slots as a node joins its
+                # children's; each factor is then M_i // M_i = 1
+                slots += t.indices
+                occs += [[(i, [])] for i in t.indices]
+            c = len(parts)
+            if c > 1:
+                s = len(steps)
+                plan = _folding_plan(parts, _maxmin_gcd(parts)[1])
+                steps.append((plan, itemgetter(*slots[-c:])))
+                children = occs[-c:]
+                del slots[-c:], occs[-c:]
+                for ci, (lam, occ) in enumerate(zip(parts, children)):
+                    for i, terms in occ:
+                        terms.append((s, ci, lam // moduli[i]))
+                slots.append(size + s)
+                occs.append([o for occ in children for o in occ])
+            (leaf_slots if is_leaf else node_slots).append(slots[-1])
         self.steps = tuple(steps)
-        self.occurrences = tuple(
-            (i, s, j, tuple(terms)) for i, s, j, terms in occs[0]
-        )
-        self.shared = len(self.occurrences) > len(moduli)
-        leaf_steps = [s for s, st in enumerate(steps) if not st[2]]
-        node_steps = [s for s, st in enumerate(steps) if st[2]]
+        self.occurrences = tuple((i, tuple(terms)) for i, terms in occs[0])
+        self.shared = len(self.occurrences) > size
         # the root closes the post-order: its estimate is the final one,
         # not a group record, and its multipliers lead
-        self.group_steps = tuple(leaf_steps + node_steps)[:-1]
-        self.outer_steps = tuple(node_steps[-1:] + node_steps[:-1])
+        self.group_slots = tuple(leaf_slots + node_slots)[:-1]
+        self.outer_steps = tuple(
+            s - size for s in node_slots[-1:] + node_slots[:-1]
+        )
         # a single-leaf plan is the single-stage solver, reference included
         self.reference_index = (
-            tree.indices[steps[-1][0].k]
-            if isinstance(tree, Leaf) and steps[-1][0] is not None
+            tree.indices[steps[0][0].k]
+            if isinstance(tree, Leaf) and steps
             else None
         )
 
     def run(self, remainders: Sequence[int]):
-        """Solve every stage once, bottom-up.
+        """Solve every step once, bottom-up.
 
-        Returns (one (folding, estimate) per step, the root's estimate,
-        the foldings pass's result or None).  The run makes that pass, as
-        the shared occurrences' agreement check, only when the plan
-        repeats an index.  FoldingFailure propagates; one raised below the
-        root carries no partial folding or estimate, since those are not
-        values of N.
+        Returns ((the value table, one folding per step), the root's
+        estimate, the foldings pass's result or None).  The run makes that
+        pass, as the shared occurrences' agreement check, only when the
+        plan repeats an index.  FoldingFailure propagates; one raised
+        below the root carries no partial folding or estimate, since those
+        are not values of N.
         """
-        results: list[tuple[tuple[int, ...], int]] = []
-        ests: list[int] = []  # one estimate per step, as in results
+        table = list(remainders)
+        folds: list[tuple[int, ...]] = []
         try:
-            for plan, gather, c in self.steps:
-                if c:
-                    res = _solve_with_plan(plan, gather(ests))
-                elif plan is None:
-                    res = (0,), remainders[gather]
-                else:
-                    res = _solve_with_plan(plan, gather(remainders))
-                results.append(res)
-                ests.append(res[1])
+            for plan, gather in self.steps:
+                folding, est = _solve_with_plan(plan, gather(table))
+                folds.append(folding)
+                table.append(est)
         except FoldingFailure as exc:
-            if len(results) + 1 < len(self.steps):
+            if len(folds) + 1 < len(self.steps):
                 raise FoldingFailure(exc.reason) from exc
             raise
-        composed = self.foldings(results, remainders) if self.shared else None
-        return results, ests[-1], composed
+        composed = self.foldings(folds, table) if self.shared else None
+        return (table, folds), table[-1], composed
 
-    def foldings(self, results, remainders: Sequence[int]):
+    def foldings(self, folds, table: Sequence[int]):
         """Per-index folding numbers and the occurrence estimate.
 
-        The estimate is the rounded mean of f * M_i + r_i over every leaf
-        occurrence.  Raises FoldingFailure when the occurrences of a shared
-        index disagree.
+        folds and table are run's.  The estimate is the rounded mean of
+        f * M_i + r_i over every leaf occurrence.  Raises FoldingFailure
+        when the occurrences of a shared index disagree.
         """
         moduli = self.moduli
         by_idx: dict[int, int] = {}
         total = 0
-        for i, s, j, terms in self.occurrences:
-            f = results[s][0][j]
-            for a, ci, fac in terms:
-                f += results[a][0][ci] * fac
+        for i, terms in self.occurrences:
+            f = 0
+            for s, j, fac in terms:
+                f += folds[s][j] * fac
             if by_idx.setdefault(i, f) != f:
                 raise FoldingFailure(
                     f"conflicting folding numbers for modulus index {i}"
                 )
-            total += f * moduli[i] + remainders[i]
+            total += f * moduli[i] + table[i]
         folding = tuple(by_idx[i] for i in range(len(moduli)))
         return folding, round_half_up_div(total, len(self.occurrences))
 
@@ -482,13 +485,11 @@ def reconstruct_tree(
         raise ValueError("remainders and moduli lengths differ")
     rt = _check_ints("remainder", remainders)
     program = _program_for(ms, tree)
-    results, _, composed = program.run(rt)
-    folding, estimate = composed or program.foldings(results, rt)
+    (table, folds), _, composed = program.run(rt)
+    folding, estimate = composed or program.foldings(folds, table)
     return StageSolution(
-        per_group_estimates=tuple(results[s][1] for s in program.group_steps),
-        outer_folding=tuple(
-            x for s in program.outer_steps for x in results[s][0]
-        ),
+        per_group_estimates=tuple(table[s] for s in program.group_slots),
+        outer_folding=tuple(x for s in program.outer_steps for x in folds[s]),
         final=FoldingSolution(
             folding=folding,
             estimate=estimate,

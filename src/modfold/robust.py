@@ -11,12 +11,13 @@ bounds computed here.  The method:
   3. turn the quotient estimates into congruences for n_k via modular
      inverses and solve them with the generalized CRT merge, whose
      schedule is precomputed once per (moduli, reference),
-  4. derive every other folding number by an exact division.
+  4. derive every other folding number by an exact division (the merged
+     n_k meets n_k * c_i == q_i (mod n_i) for every i, so it always is).
 
-Failures of step 3 or 4 (contradictory congruences, non-exact division,
-negative folding numbers) are diagnostic evidence that the errors exceeded
-the admissible bounds; they surface as FoldingFailure rather than being
-silently rounded away.
+Failures of step 3 or 4 (contradictory congruences, negative folding
+numbers) are diagnostic evidence that the errors exceeded the admissible
+bounds; they surface as FoldingFailure rather than being silently rounded
+away.
 
 The fused estimate of N is the half-up-rounded average of the per-modulus
 reconstructions, which keeps |estimate - N| within the remainder error level
@@ -360,14 +361,10 @@ def _solve_with_plan(
             )
         n_ref += mm * (diff // mg * minv % mn)
 
-    # n_ref meets n_ref * c == q (mod n) for every term, so this guard
-    # cannot fire on a plan built from its moduli
+    # n_ref * c == q (mod n) for every term, so each division is exact
     folding = [n_ref] * len(plan.moduli)
     for (i, n, c), q in zip(plan.derive, qs):
-        num = n_ref * c - q
-        if num % n:
-            raise FoldingFailure("folding derivation is not an exact division")
-        folding[i] = num // n
+        folding[i] = (n_ref * c - q) // n
 
     est = n_ref * plan.mk + r_ref + (e_sum + plan.bias) // plan.twice_size
     if min(folding) < 0:
@@ -391,8 +388,7 @@ def solve_folding(
     remainders must be ints.
 
     Raises FoldingFailure when the errors were too large for recovery to be
-    trusted: contradictory congruences, a non-exact derivation, or a
-    negative folding number.
+    trusted: contradictory congruences or a negative folding number.
     """
     # exact ints first: (135.0, 180, 162) would hit the int tuple's plan;
     # the plan checks the rest of the moduli once, when it is built

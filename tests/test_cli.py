@@ -83,6 +83,16 @@ class TestReconstruct:
         assert code == 0
         assert f"estimate: {n}" in out
 
+    def test_reference_with_grouping_is_invalid_input(self, capsys):
+        code, out, err = run(
+            capsys, "reconstruct", "135", "180", "162",
+            "--remainders", "29", "164", "110",
+            "--grouping", "[[0,1],[2]]", "--reference", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--reference" in err
+
     def test_inconsistent_exit_code(self, capsys):
         code, out, _ = run(
             capsys, "reconstruct", "8", "12", "--remainders", "1", "100"

@@ -34,6 +34,7 @@ from modfold.robust import (
     solve_folding,
     theta_bound,
 )
+from modfold.simulate import TrialConfig, run_trials
 
 EX_SPLIT = (180, 220, 486, 513)
 EX_SIM = (135, 180, 162)
@@ -64,7 +65,12 @@ class TestTreeStructure:
         with pytest.raises(ValueError):
             parse_tree("[0,[1,2]]")
         with pytest.raises(ValueError):
+            parse_tree("[[0,1],2]")
+        with pytest.raises(ValueError):
             parse_tree("[]")
+        for layout in ([[0, True], [2]], [[0, 1.0], [2]]):
+            with pytest.raises(ValueError, match="leaf index"):
+                parse_tree(layout)
 
     def test_parse_returns_tree_unchanged(self):
         tree = parse_tree("[[0,1],[2]]")
@@ -547,6 +553,8 @@ DIFF_PLANS = [
     (EX_THREE, "[[[[0,1],[2]],[3]],[4,5]]"),
     (EX_THREE, "[[[[0,1],[2,3]],[4]],[5]]"),
     ((70, 75, 80, 90), "[[3],[0,1,2]]"),
+    ((12, 18, 35), "[[0],[0,1],[2]]"),
+    (EX_SIM, "[[[0],[1]],[2]]"),
 ]
 
 
@@ -654,13 +662,19 @@ class TestOneRun:
                 continue
             plans += 1
             shared += len(program.occurrences) > size
+            # one step per folding plan built: each leaf of two or more
+            # indices and each node (bench/workloads.py plans_built)
+            assert len(program.steps) == sum(
+                isinstance(t, Node) or len(t.indices) > 1
+                for t, _ in _post_order(tree)
+            )
             lam = math.lcm(*ms)
             for _ in range(20):
                 n = rng.randrange(lam)
                 tau = rng.choice((0, 2, 5, 13, 30))
                 rt = [n % m + rng.randint(-tau, tau) for m in ms]
                 try:
-                    results, est, composed = program.run(rt)
+                    (table, folds), est, composed = program.run(rt)
                 except FoldingFailure as exc:
                     with pytest.raises(FoldingFailure) as again:
                         reconstruct_tree(ms, rt, tree)
@@ -674,7 +688,7 @@ class TestOneRun:
                     root_partials += exc.partial_estimate is not None
                     continue
                 sol = reconstruct_tree(ms, rt, tree)
-                assert est == results[-1][1]
+                assert est == table[-1] and len(folds) == len(program.steps)
                 assert composed == (
                     (sol.final.folding, sol.final.estimate)
                     if program.shared
@@ -682,7 +696,7 @@ class TestOneRun:
                 )
                 assert sol == recursive_reconstruct(ms, rt, tree)
                 assert sol.per_group_estimates == tuple(
-                    results[s][1] for s in program.group_steps
+                    table[s] for s in program.group_slots
                 )
         assert shared > 50 and fails > 500 and root_partials > 0
 
@@ -792,6 +806,32 @@ class TestExactIntegers:
     def test_rejects_empty_moduli(self):
         with pytest.raises(ValueError):
             reconstruct_tree((), [], [0])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Node((Leaf((0, True)), Leaf((2,)))),  # True == 1
+            lambda: Node((Leaf((0, 1.0)), Leaf((2,)))),  # 1.0 == 1
+            lambda: Node((Leaf([0, 1]), Leaf((2,)))),  # unhashable
+            lambda: Node([Leaf((0, 1)), Leaf((2,))]),  # unhashable
+            lambda: Node((Leaf((0, 1)), 2)),
+        ],
+    )
+    def test_hand_built_trees_keep_the_int_contract(self, build):
+        # the int twin's program is cached first: an equal float or bool
+        # index must not reach it
+        rt = [700 % m for m in EX_SIM]
+        reconstruct_tree(EX_SIM, rt, "[[0,1],[2]]")
+        front_doors = (
+            lambda t: validate_tree(t, 3),
+            lambda t: stage_bounds(t, EX_SIM),
+            lambda t: reconstruct_tree(EX_SIM, rt, t),
+            lambda t: per_group_reference_bounds(t, EX_SIM),
+            lambda t: run_trials(TrialConfig(EX_SIM, tree=t, trials=5)),
+        )
+        for door in front_doors:
+            with pytest.raises(ValueError):
+                door(build())
 
 
 def random_entangled(rng, size):
