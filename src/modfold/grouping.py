@@ -8,10 +8,15 @@ covers qualify, the one with the largest worst-case effective bound wins
 (ties: fewer groups, then lexicographic index order).
 
 The search runs on integers: every bound is a gcd over 4, so it compares
-the gcds themselves (the multistage bound calculus, _bound_gcds) and
-enumerates covers as index bit masks.  The moduli are validated once, the
-covers it builds are valid plans by construction, and Fractions (a
-StageBounds) are built only for the winning plan.
+the gcds themselves.  One max-min pass gives theta and the reference
+modulus, and the pairwise gcd table of the moduli, built once, gives the
+candidate sets.  The covers are enumerated depth first over index bit
+masks, skipping every set that adds no index to its prefix and extending
+no prefix that already covers every index.  Each distinct group is scored
+once, as its max-min gcd and its lcm, and a cover is ranked by the
+multistage effective rule (_effective_gcds) over its groups' gcds and the
+cross gcd of their lcms.  Only the winning plan becomes a tree, whose
+StageBounds comes from the multistage bound calculus (_bound_gcds).
 
 For moduli of the form M * c_i with pairwise-coprime c_i no grouping can
 help, and the search reports failure.
@@ -22,16 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .intmath import _check_int
 from .multistage import (
-    DegenerateTreeError,
     Leaf,
     Node,
     StageBounds,
     _bound_gcds,
+    _effective_gcds,
     _layout,
     _stage_bounds,
 )
@@ -84,26 +88,35 @@ def candidate_sets(moduli: Sequence[int]) -> list[CandidateSet]:
     prune_redundant first).
     """
     ms = validate_moduli(moduli, divisor_free=True)
-    return _candidate_sets(ms, _theta_gcd(ms))
+    return _candidate_sets(_gcd_table(ms), _maxmin_gcd(ms)[0])
 
 
-def _theta_gcd(ms: tuple[int, ...]) -> int:
-    """4 * theta of validated moduli; ValueError below three of them."""
+def _gcd_table(ms: tuple[int, ...]) -> list[list[int]]:
+    """Pairwise gcds of validated moduli, each modulus on the diagonal.
+
+    ValueError below three moduli.
+    """
     if len(ms) < 3:
         raise ValueError("grouping search needs at least three moduli")
-    return _maxmin_gcd(ms)[0]
+    gcd = math.gcd
+    return [[gcd(a, b) for b in ms] for a in ms]
 
 
-def _candidate_sets(ms: tuple[int, ...], theta_gcd: int) -> list[CandidateSet]:
-    """candidate_sets of validated moduli, compared on gcds."""
-    out = []
-    for i, a in enumerate(ms):
-        members = {i}
-        for j, b in enumerate(ms):
-            if j != i and math.gcd(a, b) > theta_gcd:
-                members.add(j)
-        out.append(CandidateSet(anchor=i, members=frozenset(members)))
-    return out
+def _candidate_sets(
+    table: list[list[int]], theta_gcd: int
+) -> list[CandidateSet]:
+    """candidate_sets from the gcd table of divisor-free moduli.
+
+    Every modulus exceeds theta there (it divides no partner), so the
+    diagonal puts each anchor into its own set.
+    """
+    return [
+        CandidateSet(
+            anchor=i,
+            members=frozenset(j for j, g in enumerate(row) if g > theta_gcd),
+        )
+        for i, row in enumerate(table)
+    ]
 
 
 def minimal_covers(
@@ -125,25 +138,38 @@ def minimal_covers(
             f"{len(cands)} candidate sets exceed the cover cap {cap}"
         )
     full = (1 << _check_int("n_moduli", n_moduli, 0)) - 1
-    # members as bit masks; a set reaching outside the index set is in no
-    # cover, and leaving it out keeps the order of the remaining combinations
-    masks = {}
+    # (position, members as a bit mask); a set reaching outside the index
+    # set is in no cover
+    sets = []
     for pos, c in enumerate(cands):
-        if all(0 <= i < n_moduli for i in c.members):
-            masks[pos] = sum(1 << i for i in c.members)
-    covers = []
-    # every member of an irreducible cover owns an index no other covers,
-    # so no cover has more members than there are indices
-    for r in range(1, min(len(masks), n_moduli) + 1):
-        for combo in combinations(masks, r):
-            seen = twice = 0
-            for pos in combo:
-                m = masks[pos]
-                twice |= seen & m
-                seen |= m
-            if seen == full and all(masks[pos] & ~twice for pos in combo):
-                covers.append(tuple(cands[pos] for pos in combo))
-    return covers
+        mask = 0
+        for i in c.members:
+            if not 0 <= i < n_moduli:
+                break
+            mask |= 1 << i
+        else:
+            sets.append((pos, mask))
+    found = []
+    # depth first over combinations in position order, from states (next
+    # set, union, indices covered twice, member masks, positions)
+    stack = [(0, 0, 0, (), ())]
+    while stack:
+        start, seen, twice, masks, combo = stack.pop()
+        for q in range(start, len(sets)):
+            pos, m = sets[q]
+            if not m & ~seen:
+                continue  # it owns no index in any cover with this prefix
+            union, twice_m = seen | m, twice | seen & m
+            if union != full:
+                stack.append(
+                    (q + 1, union, twice_m, masks + (m,), combo + (pos,))
+                )
+            # a full union takes no further set (it would own no index);
+            # keep it if each earlier member still owns one (m does)
+            elif all(x & ~twice_m for x in masks):
+                found.append(combo + (pos,))
+    found.sort(key=lambda combo: (len(combo), combo))
+    return [tuple(cands[pos] for pos in combo) for combo in found]
 
 
 def propose_grouping(
@@ -159,48 +185,61 @@ def propose_grouping(
     least theta and at least one above it.
     """
     ms = validate_moduli(moduli, divisor_free=True)
-    theta_gcd = _theta_gcd(ms)
+    table = _gcd_table(ms)
+    theta_gcd, ref = _maxmin_gcd(ms)
     theta = Fraction(theta_gcd, 4)
-    covers = minimal_covers(_candidate_sets(ms, theta_gcd), len(ms))
+    cands = _candidate_sets(table, theta_gcd)
+    covers = minimal_covers(cands, len(ms))
+    # each distinct group as (indices, max-min gcd, lcm), by its members
+    scores = {
+        c.members: _score(ms, tuple(sorted(c.members))) for c in cands
+    }
     for shared in (False, True) if share_reference else (False,):
-        ref = _maxmin_gcd(ms)[1] if shared else None
+        if shared:
+            scores = {
+                m: _score(ms, tuple(sorted(m | {ref}))) if len(m) == 1 else s
+                for m, s in scores.items()
+            }
         accepted = []
         for cover in covers:
-            groups = tuple(
-                tuple(sorted(c.members | {ref}))
-                if shared and len(c.members) == 1
-                else tuple(sorted(c.members))
-                for c in cover
-            )
-            if len(groups) < 2:
+            if len(cover) < 2:
                 continue  # a single group is just the single-stage solver
-            # a valid plan by construction: two or more groups of distinct
-            # in-range indices that together cover every index
-            tree = Node(children=tuple(Leaf(indices=g) for g in groups))
-            try:
-                layout = _layout(tree, ms)
-            except DegenerateTreeError:
+            groups, gcds, lams = zip(*(scores[c.members] for c in cover))
+            if len(set(lams)) < len(lams):
                 continue  # sibling groups with equal lcms cannot form a plan
-            gcds, eff = _bound_gcds(layout)
+            # the depth-2 plan: its leaves, then the root over their lcms
+            eff = _effective_gcds(
+                [(True, 1)] * len(groups) + [(False, 0)],
+                gcds + (_maxmin_gcd(lams)[0],),
+            )
             worst = min(eff)
             if worst > theta_gcd or (shared and worst == theta_gcd < max(eff)):
-                accepted.append(
-                    (-worst, len(groups), groups, layout, gcds, eff)
-                )
+                accepted.append((-worst, len(groups), groups))
         if accepted:
             # best worst-case bound, then fewer groups, then lexicographic
-            _, _, groups, *scored = min(accepted, key=lambda a: a[:3])
+            groups = min(accepted)[2]
+            # a valid plan by construction: two or more groups of distinct
+            # in-range indices with distinct lcms that cover every index
+            layout = _layout(
+                Node(children=tuple(Leaf(indices=g) for g in groups)), ms
+            )
             return GroupingProposal(
                 moduli=ms,
                 theta=theta,
                 verdict="success",
                 groups=groups,
-                bounds=_stage_bounds(*scored),
+                bounds=_stage_bounds(layout, *_bound_gcds(layout)),
                 shared_reference=shared,
             )
     return GroupingProposal(
         moduli=ms, theta=theta, verdict="failure", groups=(), bounds=None
     )
+
+
+def _score(ms: tuple[int, ...], group: tuple[int, ...]):
+    """(group, its max-min gcd, its lcm) for sorted modulus indices."""
+    parts = [ms[i] for i in group]
+    return group, _maxmin_gcd(parts)[0], math.lcm(*parts)
 
 
 def render_proposal(proposal: GroupingProposal) -> str:

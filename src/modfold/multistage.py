@@ -269,19 +269,32 @@ def _bound_gcds(layout) -> tuple[list[int], list[int]]:
     effective gcd of each leaf, left to right.
     """
     gcds = [_maxmin_gcd(parts)[0] for _, _, parts in layout]
-    # parents before children: each node's limit is the least cross gcd
-    # on its path, and a leaf's effective gcd is its own gcd under it
-    limit: dict[tuple[int, ...], int] = {}
+    shape = [(isinstance(t, Leaf), len(path)) for t, path, _ in layout]
+    return gcds, _effective_gcds(shape, gcds)
+
+
+def _effective_gcds(shape, gcds: Sequence[int]) -> list[int]:
+    """Each leaf's effective gcd, left to right.
+
+    shape holds each step of a layout as (is a leaf, depth) and gcds its
+    max-min gcd, in layout order.  A leaf's effective gcd is its own gcd
+    capped by the least cross gcd on its path.
+    """
+    # backwards, the post-order visits each node before its subtree, so a
+    # step's parent is the last node seen one level up; limit[d] is the
+    # least cross gcd on the path to that node at depth d
+    limit: list[int] = []
     effective: list[int] = []
-    for (t, path, _), g in zip(reversed(layout), reversed(gcds)):
-        if path:
-            g = min(g, limit[path[:-1]])
-        if isinstance(t, Leaf):
+    for (leaf, depth), g in zip(reversed(shape), reversed(gcds)):
+        if depth:
+            g = min(g, limit[depth - 1])
+        if leaf:
             effective.append(g)
         else:
-            limit[path] = g
+            del limit[depth:]
+            limit.append(g)
     effective.reverse()
-    return gcds, effective
+    return effective
 
 
 def _stage_bounds(

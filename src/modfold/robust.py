@@ -201,27 +201,24 @@ def per_remainder_bounds(moduli: Sequence[int], k: int) -> BoundsReport:
         raise ValueError("per_remainder_bounds needs at least two moduli")
     if not 0 <= _check_int("reference index", k) < len(ms):
         raise ValueError(f"reference index {k} out of range")
-    theta = Fraction(_maxmin_gcd(ms)[0], 4)
+    theta_gcd = _maxmin_gcd(ms)[0]
     gcds = [math.gcd(ms[k], m) for m in ms]
-    ref_quarter = Fraction(min(g for i, g in enumerate(gcds) if i != k), 4)
-    if ref_quarter != theta:
+    # every bound is a quarter: g/2 - q/4 == (2g - q)/4
+    q = min(g for i, g in enumerate(gcds) if i != k)
+    if q != theta_gcd:
         raise ValueError(
-            f"index {k} does not attain the max-min bound {theta}"
+            f"index {k} does not attain the max-min bound "
+            f"{Fraction(theta_gcd, 4)}"
         )
-    bounds: list[Fraction] = []
-    strict: list[bool] = []
-    for i, g in enumerate(gcds):
-        if i == k:
-            bounds.append(ref_quarter)
-            strict.append(True)
-        else:
-            bounds.append(Fraction(g, 2) - ref_quarter)
-            strict.append(False)
+    theta = Fraction(q, 4)
     return BoundsReport(
         theta=theta,
         reference=k,
-        per_remainder=tuple(bounds),
-        strict=tuple(strict),
+        per_remainder=tuple(
+            theta if i == k else Fraction(2 * g - q, 4)
+            for i, g in enumerate(gcds)
+        ),
+        strict=tuple(i == k for i in range(len(ms))),
     )
 
 

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import modfold.grouping as grouping
 from modfold.grouping import (
     CandidateSet,
     GroupingProposal,
@@ -374,3 +375,156 @@ class TestOneLoopMatchesTwoLoops:
                 two_loop_propose_grouping(ms, share_reference=share)
             with pytest.raises(SearchCapExceeded):
                 propose_grouping(ms, share_reference=share)
+
+
+CLUSTER_FACTORS = (6, 8, 9, 10, 12, 14, 15, 18, 20, 21, 24, 28, 30, 36, 45)
+
+
+def shared_factor_set(rng):
+    """3-7 moduli, each a cluster factor times 2..13, divisors pruned."""
+    while True:
+        factors = rng.sample(CLUSTER_FACTORS, rng.randint(2, 3))
+        raw = set()
+        size = rng.randint(3, 7)
+        while len(raw) < size:
+            raw.add(rng.choice(factors) * rng.randint(2, 13))
+        raw = rng.sample(sorted(raw), size)
+        ms = tuple(
+            m for m in raw if not any(o != m and o % m == 0 for o in raw)
+        )
+        if len(ms) >= 3:
+            return ms
+
+
+def combinations_minimal_covers(cands, n_moduli):
+    """The former cover enumeration: every combination, in size order."""
+    full = (1 << n_moduli) - 1
+    masks = {}
+    for pos, c in enumerate(cands):
+        if all(0 <= i < n_moduli for i in c.members):
+            masks[pos] = sum(1 << i for i in c.members)
+    covers = []
+    for r in range(1, min(len(masks), n_moduli) + 1):
+        for combo in combinations(masks, r):
+            seen = twice = 0
+            for pos in combo:
+                m = masks[pos]
+                twice |= seen & m
+                seen |= m
+            if seen == full and all(masks[pos] & ~twice for pos in combo):
+                covers.append(tuple(cands[pos] for pos in combo))
+    return covers
+
+
+def random_family(rng, n_sets, n):
+    """Candidate sets over indices -1..n with duplicates, subsets, empties."""
+    out = []
+    for pos in range(n_sets):
+        roll = rng.random()
+        if out and roll < 0.15:
+            members = rng.choice(out).members  # a duplicate
+        elif out and roll < 0.3:
+            base = sorted(rng.choice(out).members)
+            members = frozenset(rng.sample(base, rng.randint(0, len(base))))
+        elif roll < 0.35:
+            members = frozenset()
+        else:
+            pool = range(-1, n + 1) if roll < 0.45 else range(n)
+            k = min(len(pool), rng.randint(1, max(4, n // 2)))
+            members = frozenset(rng.sample(pool, k))
+        out.append(CandidateSet(pos, members))
+    return out
+
+
+class TestPrunedSearch:
+    def test_shared_factor_sets(self):
+        rng = random.Random(404)
+        outcomes = Counter()
+        for _ in range(300):
+            ms = shared_factor_set(rng)
+            for share in (False, True):
+                got = propose_grouping(ms, share_reference=share)
+                want = two_loop_propose_grouping(ms, share_reference=share)
+                for f in fields(GroupingProposal):
+                    assert getattr(got, f.name) == getattr(want, f.name), (
+                        ms, share, f.name
+                    )
+                outcomes[got.verdict, got.shared_reference] += 1
+        # 600 searches; every kind of outcome is exercised
+        assert outcomes["success", False] > 100
+        assert outcomes["success", True] > 100
+        assert outcomes["failure", False] > 200
+
+    @pytest.mark.parametrize(
+        "moduli, error, message",
+        [
+            ((12.0, 18, 35), ValueError, "modulus must be an int, got 12.0"),
+            ((12, True, 35), ValueError, "modulus must be an int, got True"),
+            (
+                (10, 20, 5),
+                ValueError,
+                "modulus 5 divides 10; run prune_redundant first",
+            ),
+            ((12, 18), ValueError, "grouping search needs at least three"),
+            (
+                (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                 59),
+                SearchCapExceeded,
+                "17 candidate sets exceed the cover cap 16",
+            ),
+        ],
+    )
+    def test_error_parity(self, moduli, error, message):
+        for share in (False, True):
+            with pytest.raises(error) as info:
+                propose_grouping(moduli, share_reference=share)
+            assert type(info.value) is error
+            assert str(info.value).startswith(message)
+
+    def test_covers_match_every_combination(self):
+        rng = random.Random(405)
+        found = Counter()
+        # up to the cap of 16 sets over up to 12 indices
+        families = [(16, rng.randint(7, 12)) for _ in range(10)] + [
+            (rng.randint(0, 12), rng.randint(0, 12)) for _ in range(800)
+        ]
+        for n_sets, n in families:
+            cands = random_family(rng, n_sets, n)
+            got = minimal_covers(cands, n)
+            assert got == combinations_minimal_covers(cands, n), (cands, n)
+            found[n > 6] += len(got)
+        assert found[False] > 300 and found[True] > 300
+
+    def test_one_cover_enumeration_and_one_tree(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(grouping, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(grouping, name, wrapper)
+
+        counting("minimal_covers")
+        counting("_layout")
+        leaf_init = grouping.Leaf.__post_init__
+
+        def counting_leaf(self):
+            calls["Leaf"] += 1
+            leaf_init(self)
+
+        monkeypatch.setattr(grouping.Leaf, "__post_init__", counting_leaf)
+        cases = [
+            ((12, 18, 35), "success", 2),  # won by the shared-reference retry
+            (EX8, "success", 2),
+            ((42, 60, 132), "failure", 0),  # even with the retry
+        ]
+        for ms, verdict, leaves in cases:
+            calls.clear()
+            prop = propose_grouping(ms, share_reference=True)
+            assert prop.verdict == verdict
+            assert calls["minimal_covers"] == 1
+            assert calls["_layout"] == (verdict == "success")
+            assert calls["Leaf"] == leaves
