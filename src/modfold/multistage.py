@@ -364,6 +364,12 @@ class _TreeProgram:
     the leaf's own step), so foldings sums each occurrence's terms in one
     pass.  run needs that pass only when the plan repeats an index.
 
+    least_gcd is the least gcd any step rounds by (0 with no step).  For
+    remainder errors in [lo, hi] with 2 (hi - lo) < least_gcd, every step
+    solves as on the error-free remainders and moves by its plan's shift
+    of its inputs' moves, so shift gives the root estimate's exact move
+    (see the simulate module).
+
     Building a program checks the moduli (positive, distinct, nonempty)
     and the tree, so a cached program's inputs are not checked again.
     """
@@ -398,6 +404,7 @@ class _TreeProgram:
                 occs.append([o for occ in children for o in occ])
             (leaf_slots if is_leaf else node_slots).append(slots[-1])
         self.steps = tuple(steps)
+        self.least_gcd = min((p.least_gcd for p, _ in steps), default=0)
         self.occurrences = tuple((i, tuple(terms)) for i, terms in occs[0])
         self.shared = len(self.occurrences) > size
         # the root closes the post-order: its estimate is the final one,
@@ -436,6 +443,17 @@ class _TreeProgram:
             raise
         composed = self.foldings(folds, table) if self.shared else None
         return (table, folds), table[-1], composed
+
+    def shift(self, errors: Sequence[int]) -> int:
+        """The move of run's root estimate for errors inside the window.
+
+        One pass over the steps in run's table layout, each step's move
+        being its plan's shift (the rounded mean) of its inputs' moves.
+        """
+        table = list(errors)
+        for plan, gather in self.steps:
+            table.append(plan.shift(gather(table)))
+        return table[-1]
 
     def foldings(self, folds, table: Sequence[int]):
         """Per-index folding numbers and the occurrence estimate.

@@ -296,13 +296,22 @@ class _FoldingPlan:
     rounded mean is therefore n_k M_k + r_k + (sum of e_i + bias) // 2L
     with bias = L - sum of g_i, computed exactly.
 
+    least_gcd is the least g the plan rounds by.  When every input error
+    lies in one window [lo, hi] with 2 (hi - lo) < least_gcd, every
+    2(r_i - r_k) + g_i stays in [g_i - 2(hi - lo), g_i + 2(hi - lo)],
+    inside [0, 2g_i), so each quotient estimate, the merge and the
+    folding numbers are those of the error-free inputs, and e_i grows by
+    exactly 2(d_i - d_k) for input errors d.  The estimate then moves by
+    shift(d) = (2 sum(d) + L) // 2L, the half-up rounded mean of d, which
+    stays in [lo, hi].
+
     Building a plan checks that the moduli are at least two distinct
     positive ints, so a cached plan's moduli are not checked again.
     """
 
     __slots__ = (
         "moduli", "k", "mk", "cong_moduli", "head", "steps", "derive",
-        "twice_size", "bias",
+        "twice_size", "bias", "least_gcd",
     )
 
     def __init__(self, moduli: tuple[int, ...], k: int):
@@ -326,6 +335,11 @@ class _FoldingPlan:
         self.derive = tuple((i, n, mk // g) for i, g, _, n, _ in terms)
         self.twice_size = 2 * len(moduli)
         self.bias = len(moduli) - sum(t[1] for t in terms)
+        self.least_gcd = min(t[1] for t in terms)
+
+    def shift(self, errors: Sequence[int]) -> int:
+        """The estimate's move for input errors inside the exact window."""
+        return (2 * sum(errors) + len(errors)) // self.twice_size
 
 
 @lru_cache(maxsize=512)

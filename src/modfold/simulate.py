@@ -11,6 +11,25 @@ A sweep draws each trial once and replays it at every error level: the
 raw error draws do not depend on the level, only their mapping to the
 level's range does.  Its rows are identical to separate per-level runs.
 
+Most levels need no solve of their own.  Let G be the least gcd any
+stage of the plan rounds by (plan.least_gcd): 4 theta for one stage,
+4 theta_eff for a tree (theta_eff the least effective bound of
+stage_bounds), 0 for a plan with no stage.  A level is certified when
+2w < G, w being its errors' window width (tau one-sided, 2 tau
+symmetric): one-sided levels with tau < 2 theta_eff, symmetric ones with
+tau < theta_eff.  Proof sketch: clamping only moves an error toward 0,
+and a half-up rounded mean of values in [lo, hi] stays in [lo, hi], so
+every stage's input errors stay in the window.  Every stage then sees
+2(e_i - e_k) + g_i in [0, 2g_i), so every quotient estimate, the merge,
+the folding numbers and the run's success are the error-free ones, and
+each stage's estimate moves by exactly (2 sum(e) + c) // 2c for its c
+input errors e (robust._FoldingPlan).  So a sweep solves each trial once
+on its true remainders, the error-free anchor, and scores every
+certified level as the anchor's outcome plus that closed-form shift
+(plan.shift); every other level runs the solver once per trial.  The
+shift is the root stage's, the estimate a tree sweep scores; for the
+occurrence estimate it would be the rounded mean over leaf occurrences.
+
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
 still produced a fused value of N (a negative folding number in the
@@ -129,7 +148,11 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
 
     A trial's unknown, true remainders and raw error draws do not depend
     on the error level, so they are drawn once; each level maps the raw
-    draws to its own range and keeps its own counters.  cfg.tau is unused.
+    draws to its own range and keeps its own counters.  A level whose
+    window is certified (see the module docstring) is scored from one
+    error-free solve per trial plus the closed-form shift of its errors;
+    every other level runs the solver on its own remainders.  cfg.tau is
+    unused.
     """
     if not taus:
         return []
@@ -141,14 +164,20 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         plan = _folding_plan(ms, select_reference(ms))
         reconstruct = partial(_solve_with_plan, plan)
     else:
-        reconstruct = _program_for(ms, cfg.tree).run
+        plan = _program_for(ms, cfg.tree)
+        reconstruct = plan.run
+    shift_of = plan.shift
 
     one_sided = cfg.error_model == ONE_SIDED
-    # (index, tau, span, shift): an error is raw % span - shift
+    # (index, tau, span, shift): an error is raw % span - shift, so every
+    # error of the level lies in a window of width span - 1
     levels = [
         (i, tau, tau + 1, 0) if one_sided else (i, tau, 2 * tau + 1, tau)
         for i, tau in enumerate(taus)
     ]
+    # certified: twice the window's width is below every stage's gcd
+    certified = [lv for lv in levels if 2 * (lv[2] - 1) < plan.least_gcd]
+    uncertified = [lv for lv in levels if lv not in certified]
     # per-level counters, indexed like taus
     total_err = [0] * len(taus)
     max_err = [0] * len(taus)
@@ -166,7 +195,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         cells = [
             (n % m, _splitmix64(key, j), m) for j, m in zip(draw_index, ms)
         ]
-        for i, tau, span, shift in levels:
+        for i, tau, span, shift in uncertified:
             if clamp:
                 rt = [
                     min(max(r + raw % span - shift, 0), m - 1)
@@ -187,6 +216,35 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
             if err > max_err[i]:
                 max_err[i] = err
             if err > tau:  # the fused estimate stays within the error level
+                violations[i] += 1
+        if not certified:
+            continue
+        # inside the window every level fails or succeeds as the
+        # error-free run does, and its estimate moves by the shift alone
+        try:
+            anchor = reconstruct([r for r, _, _ in cells])[1]
+            failed = False
+        except FoldingFailure as exc:
+            anchor = exc.partial_estimate
+            failed = True
+        for i, tau, span, shift in certified:
+            if failed:
+                failures[i] += 1
+                if anchor is None:
+                    continue
+            if clamp:
+                errors = [
+                    min(max(r + raw % span - shift, 0), m - 1) - r
+                    for r, raw, m in cells
+                ]
+            else:
+                errors = [raw % span - shift for _, raw, _ in cells]
+            err = abs(anchor + shift_of(errors) - n)
+            estimated[i] += 1
+            total_err[i] += err
+            if err > max_err[i]:
+                max_err[i] = err
+            if err > tau:
                 violations[i] += 1
 
     return [
@@ -213,10 +271,22 @@ def stats_to_csv(rows: Sequence[TrialStats]) -> str:
     out = ["tau,mean_abs_error,max_abs_error,bound,violations,folding_failures"]
     for s in rows:
         out.append(
-            f"{s.tau},{float(s.mean_abs_error):.6f},{s.max_abs_error},"
+            f"{s.tau},{_fixed6(s.mean_abs_error)},{s.max_abs_error},"
             f"{s.bound},{s.bound_violations},{s.folding_failures}"
         )
     return "\n".join(out) + "\n"
+
+
+def _fixed6(x: Fraction) -> str:
+    """A non-negative rational to 6 decimals, as float formatting gives.
+
+    Past the float range the value is rounded exactly (half to even).
+    """
+    try:
+        return f"{float(x):.6f}"
+    except OverflowError:
+        units = round(x * 10**6)
+        return f"{units // 10**6}.{units % 10**6:06d}"
 
 
 @dataclass(frozen=True)

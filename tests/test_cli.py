@@ -177,6 +177,19 @@ class TestSimulate:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    def test_mean_past_float_range(self, capsys):
+        # the level-1 mean error is about 1.3e320, too large for a float
+        big = 10**160
+        code, out, err = run(
+            capsys,
+            "simulate", "6", str(big + 7), str(big + 9),
+            "--tau-max", "3", "--trials", "20", "--error-model", "symmetric",
+        )
+        assert (code, err) == (0, "")
+        mean = 1275 * 10**317 + 20625 * 10**157 + 82
+        max_err = 55 * 10**319 + 885 * 10**159 + 351
+        assert out.splitlines()[2] == f"1,{mean}.500000,{max_err},1,15,0"
+
     def test_negative_tau_max_is_invalid_input(self, capsys):
         code, out, err = run(capsys, "simulate", "7", "9", "--tau-max", "-3")
         assert code == 2

@@ -8,6 +8,7 @@ from modfold import simulate
 from modfold.multistage import (
     Leaf,
     Node,
+    _TreeProgram,
     _tree_program,
     parse_tree,
     reconstruct_tree,
@@ -155,12 +156,21 @@ class TestRunTrials:
             theta = theta_bound(ms)
             tau = math.ceil(theta) - 1
             for seed in (0, 99):
-                st = run_trials(
-                    TrialConfig(moduli=ms, tau=tau, trials=2000, rng_seed=seed)
+                cfg = TrialConfig(
+                    moduli=ms, tau=tau, trials=2000, rng_seed=seed
                 )
+                st = run_trials(cfg)
                 assert st.bound_violations == 0
                 assert st.max_abs_error <= tau
                 assert st.folding_failures == 0
+                # these levels are certified, so run_trials solves each
+                # trial once, error-free; the oracle runs the solver on
+                # every trial's erroneous remainders
+                solved = _per_level_oracle(cfg)
+                assert solved.bound_violations == 0
+                assert solved.max_abs_error <= tau
+                assert solved.folding_failures == 0
+                assert solved == st
 
     def test_symmetric_model_halves_the_safe_range(self):
         # at tau=7 one-sided differences stay below gcd(135, 162)/2 = 13.5,
@@ -223,6 +233,17 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "0"
 
+    def test_csv_mean_past_float_range(self):
+        row = TrialStats(
+            tau=0, trials=3, mean_abs_error=Fraction(2 * 10**400, 3),
+            max_abs_error=10**400, bound=0, bound_violations=3,
+            folding_failures=0, estimated_trials=3,
+        )
+        mean = "6" * 400 + ".666667"
+        assert stats_to_csv([row]).splitlines()[1] == (
+            f"0,{mean},{10**400},0,3,0"
+        )
+
     @pytest.mark.parametrize("tau", [2.7, True, Fraction(2), -1])
     def test_rejects_bad_level(self, tau):
         with pytest.raises(ValueError, match="tau"):
@@ -251,6 +272,42 @@ class TestSweep:
         sweep(cfg, range(26))
         # per trial: the substream key, the unknown, one error per modulus
         assert len(draws) == 50 * (2 + 3)
+
+    @pytest.mark.parametrize(
+        "moduli, layout, owner, name, certified, uncertified",
+        [
+            # one stage, G = 27: one-sided levels 0..13 are certified
+            ((135, 180, 162), None, simulate, "_solve_with_plan", range(14),
+             range(14, 26)),
+            # G = 45: levels 0..22
+            ((135, 180, 162), "[[0,1],[2]]", _TreeProgram, "run", range(23),
+             range(23, 30)),
+            # no stage: nothing is certified
+            ((7,), "[0]", _TreeProgram, "run", range(0), range(3)),
+        ],
+    )
+    def test_one_solve_per_trial_inside_the_window(
+        self, monkeypatch, moduli, layout, owner, name, certified,
+        uncertified,
+    ):
+        calls = []
+        real = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+        cfg = TrialConfig(moduli=moduli, tree=layout, trials=50, rng_seed=5)
+        anchors = 50 if certified else 0  # one error-free solve per trial
+        sweep(cfg, certified)
+        assert len(calls) == anchors
+        calls.clear()
+        sweep(cfg, uncertified)
+        assert len(calls) == 50 * len(uncertified)
+        calls.clear()
+        sweep(cfg, [*uncertified, *certified])
+        assert len(calls) == anchors + 50 * len(uncertified)
 
 
 def _draws(cfg: TrialConfig):
@@ -382,6 +439,55 @@ DIFFERENTIAL_CASES = [
         ),
         [6, 1, 0, 6],
     ),
+    # the certified window's edges, where 2 * width < G (width tau
+    # one-sided, 2 tau symmetric): the last certified level, then the
+    # first uncertified one
+    (TrialConfig(moduli=(135, 180, 162), trials=300, rng_seed=8), [13, 14]),
+    # G = 4, even: at level 2 a difference 2 * 2 reaches G and breaks a
+    # quotient, so the edge must be strict
+    (TrialConfig(moduli=(12, 16, 20), trials=300, rng_seed=8), [1, 2]),
+    (
+        TrialConfig(
+            moduli=(135, 180, 162),
+            trials=300,
+            rng_seed=8,
+            error_model=SYMMETRIC,
+            clamp_remainders=True,
+        ),
+        [6, 7],
+    ),
+    (
+        TrialConfig(
+            moduli=(192, 288, 216, 360, 320, 448),
+            tree=parse_tree("[[[0,1],[2,3]],[4,5]]"),
+            trials=200,
+            rng_seed=12,
+            clamp_remainders=True,
+        ),
+        [31, 32],
+    ),
+    (
+        TrialConfig(
+            moduli=(192, 288, 216, 360, 320, 448),
+            tree=parse_tree("[[[0,1],[2,3]],[4,5]]"),
+            trials=200,
+            rng_seed=12,
+            error_model=SYMMETRIC,
+        ),
+        [15, 16],
+    ),
+    # G = 1: only level 0 is certified, and the shared index 2 must agree
+    (
+        TrialConfig(
+            moduli=(12, 18, 35),
+            tree=parse_tree("[[0,2],[1,2]]"),
+            trials=300,
+            rng_seed=6,
+        ),
+        [0, 1, 3],
+    ),
+    # no stage at all: never certified
+    (TrialConfig(moduli=(7,), tree=parse_tree("[0]"), trials=100), [0, 2]),
 ]
 
 
