@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .intmath import _check_int, _check_ints, mod_inverse
+from .intmath import _check_int, _check_ints, _mod_inverse
 
 __all__ = [
     "InconsistentSystem",
@@ -75,7 +75,7 @@ def _merge_schedule(
     for n in moduli[1:]:
         g = math.gcd(acc, n)
         ndg = n // g
-        inv = mod_inverse(acc // g, ndg) if ndg > 1 else 0
+        inv = _mod_inverse(acc // g, ndg) if ndg > 1 else 0
         steps.append((g, ndg, inv, acc))
         acc *= ndg
     return moduli[0], tuple(steps)
@@ -155,7 +155,7 @@ def crt_coprime_closed_form(system: CongruenceSystem) -> int:
         if m == 1:
             continue
         others = total // m
-        acc += r * mod_inverse(others, m) * others
+        acc += r * _mod_inverse(others, m) * others
     return acc % total
 
 

@@ -59,10 +59,19 @@ def _check_ints(name: str, values: Iterable) -> list[int]:
 def mod_inverse(a: int, m: int) -> int:
     """Return b in [0, m) with a*b == 1 (mod m).
 
-    Raises NotInvertibleError when gcd(a, m) != 1.
+    a and m must be ints (not bools).  Raises NotInvertibleError when
+    gcd(a, m) != 1.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
+    _check_int("a", a)
+    _check_int("modulus", m, 1)
+    return _mod_inverse(a, m)
+
+
+def _mod_inverse(a: int, m: int) -> int:
+    """mod_inverse on ints already known to be valid (m >= 1).
+
+    Plan builders call it with constants they derived from checked moduli.
+    """
     try:
         return pow(a % m, -1, m)
     except ValueError:
@@ -72,14 +81,21 @@ def mod_inverse(a: int, m: int) -> int:
 def round_half_up_div(num: int, den: int) -> int:
     """Nearest integer to num/den, exact halves rounding up.
 
-    Returns the unique z with -1/2 <= num/den - z < 1/2.  den must be > 0.
+    Returns the unique z with -1/2 <= num/den - z < 1/2.  num and den must
+    be ints (not bools) and den > 0.
     """
-    if den <= 0:
+    _check_int("numerator", num)
+    if _check_int("denominator", den) <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
+    return _round_half_up_div(num, den)
+
+
+def _round_half_up_div(num: int, den: int) -> int:
+    """round_half_up_div on ints already known to be valid (den > 0)."""
     return (2 * num + den) // (2 * den)
 
 
 def round_half_up(x: Fraction | int) -> int:
-    """round_half_up_div for exact rationals."""
-    f = Fraction(x)
-    return (2 * f.numerator + f.denominator) // (2 * f.denominator)
+    """round_half_up_div for exact rationals: an int or a Fraction only."""
+    f = Fraction(_check_exact("x", x))
+    return _round_half_up_div(f.numerator, f.denominator)

@@ -42,8 +42,8 @@ from .intmath import (
     _check_exact,
     _check_int,
     _check_ints,
+    _round_half_up_div,
     round_half_up,
-    round_half_up_div,
 )
 from .robust import (
     FoldingFailure,
@@ -368,7 +368,12 @@ class _TreeProgram:
     remainder errors in [lo, hi] with 2 (hi - lo) < least_gcd, every step
     solves as on the error-free remainders and moves by its plan's shift
     of its inputs' moves, so shift gives the root estimate's exact move
-    (see the simulate module).
+    (see the simulate module).  checked_shift makes the same pass for
+    one error vector, checking each step's inputs against its plan's
+    exactness condition (robust._FoldingPlan.checked_shift): when every
+    step meets it, the run is the error-free one with the root estimate
+    moved by the returned shift; it returns None at the first step that
+    does not.
 
     Building a program checks the moduli (positive, distinct, nonempty)
     and the tree, so a cached program's inputs are not checked again.
@@ -455,6 +460,20 @@ class _TreeProgram:
             table.append(plan.shift(gather(table)))
         return table[-1]
 
+    def checked_shift(self, errors: Sequence[int]) -> int | None:
+        """shift(errors) if every step meets its exactness condition.
+
+        The same pass as shift, over each step's actual input errors;
+        None at the first step that fails its condition.
+        """
+        table = list(errors)
+        for plan, gather in self.steps:
+            move = plan.checked_shift(gather(table))
+            if move is None:
+                return None
+            table.append(move)
+        return table[-1]
+
     def foldings(self, folds, table: Sequence[int]):
         """Per-index folding numbers and the occurrence estimate.
 
@@ -475,7 +494,7 @@ class _TreeProgram:
                 )
             total += f * moduli[i] + table[i]
         folding = tuple(by_idx[i] for i in range(len(moduli)))
-        return folding, round_half_up_div(total, len(self.occurrences))
+        return folding, _round_half_up_div(total, len(self.occurrences))
 
 
 @lru_cache(maxsize=128)

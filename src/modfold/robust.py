@@ -48,7 +48,7 @@ from .intmath import (
     _check_exact,
     _check_int,
     _check_ints,
-    mod_inverse,
+    _mod_inverse,
     round_half_up_div,
 )
 
@@ -262,16 +262,14 @@ def check_ns_condition(
 def _ns_condition(
     deltas: Sequence[int], moduli: Sequence[int], k: int
 ) -> bool:
-    """check_ns_condition on inputs already known to be valid."""
-    mk, dk = moduli[k], deltas[k]
-    for i, (m, d) in enumerate(zip(moduli, deltas)):
-        if i == k:
-            continue
-        g = math.gcd(mk, m)
-        d2 = 2 * (d - dk)
-        if not (-g <= d2 < g):
-            return False
-    return True
+    """check_ns_condition on inputs already known to be valid.
+
+    It reads the (i, g) pairs of the (moduli, k) plan; one modulus has no
+    pair, so any error vector meets the condition.
+    """
+    if len(moduli) < 2:
+        return True
+    return _folding_plan(tuple(moduli), k).checked_shift(deltas) is not None
 
 
 class _FoldingPlan:
@@ -305,13 +303,22 @@ class _FoldingPlan:
     shift(d) = (2 sum(d) + L) // 2L, the half-up rounded mean of d, which
     stays in [lo, hi].
 
+    checked_shift makes the same argument for one error vector d rather
+    than a window: pairs holds (i, g_i) per index i != k, and when every
+    pair meets the exactness condition -g_i <= 2(d_i - d_k) < g_i, each
+    2(r_i - r_k) + g_i again stays in [0, 2g_i), so the solve is the
+    error-free one moved by shift(d).  The condition is also necessary:
+    a pair outside it changes that quotient estimate, and with it the
+    folding numbers, so checked_shift returns None exactly when the solve
+    would not find the error-free folding numbers.
+
     Building a plan checks that the moduli are at least two distinct
     positive ints, so a cached plan's moduli are not checked again.
     """
 
     __slots__ = (
         "moduli", "k", "mk", "cong_moduli", "head", "steps", "derive",
-        "twice_size", "bias", "least_gcd",
+        "twice_size", "bias", "least_gcd", "pairs",
     )
 
     def __init__(self, moduli: tuple[int, ...], k: int):
@@ -326,7 +333,7 @@ class _FoldingPlan:
             if i != k:
                 g = math.gcd(mk, m)
                 n = m // g
-                inv = mod_inverse(mk // g, n) if n > 1 else 0
+                inv = _mod_inverse(mk // g, n) if n > 1 else 0
                 terms.append((i, g, 2 * g, n, inv))
         self.cong_moduli = tuple(t[3] for t in terms)
         _, schedule = _merge_schedule(self.cong_moduli)
@@ -336,10 +343,19 @@ class _FoldingPlan:
         self.twice_size = 2 * len(moduli)
         self.bias = len(moduli) - sum(t[1] for t in terms)
         self.least_gcd = min(t[1] for t in terms)
+        self.pairs = tuple((i, g) for i, g, _, _, _ in terms)
 
     def shift(self, errors: Sequence[int]) -> int:
         """The estimate's move for input errors inside the exact window."""
         return (2 * sum(errors) + len(errors)) // self.twice_size
+
+    def checked_shift(self, errors: Sequence[int]) -> int | None:
+        """shift(errors) if they meet the exactness condition, else None."""
+        dk = errors[self.k]
+        for i, g in self.pairs:
+            if not -g <= 2 * (errors[i] - dk) < g:
+                return None
+        return self.shift(errors)
 
 
 @lru_cache(maxsize=512)

@@ -11,24 +11,40 @@ A sweep draws each trial once and replays it at every error level: the
 raw error draws do not depend on the level, only their mapping to the
 level's range does.  Its rows are identical to separate per-level runs.
 
-Most levels need no solve of their own.  Let G be the least gcd any
-stage of the plan rounds by (plan.least_gcd): 4 theta for one stage,
-4 theta_eff for a tree (theta_eff the least effective bound of
-stage_bounds), 0 for a plan with no stage.  A level is certified when
-2w < G, w being its errors' window width (tau one-sided, 2 tau
-symmetric): one-sided levels with tau < 2 theta_eff, symmetric ones with
-tau < theta_eff.  Proof sketch: clamping only moves an error toward 0,
-and a half-up rounded mean of values in [lo, hi] stays in [lo, hi], so
-every stage's input errors stay in the window.  Every stage then sees
-2(e_i - e_k) + g_i in [0, 2g_i), so every quotient estimate, the merge,
-the folding numbers and the run's success are the error-free ones, and
-each stage's estimate moves by exactly (2 sum(e) + c) // 2c for its c
-input errors e (robust._FoldingPlan).  So a sweep solves each trial once
-on its true remainders, the error-free anchor, and scores every
-certified level as the anchor's outcome plus that closed-form shift
-(plan.shift); every other level runs the solver once per trial.  The
-shift is the root stage's, the estimate a tree sweep scores; for the
-occurrence estimate it would be the rounded mean over leaf occurrences.
+Most trials need no solve of their own at a level.  A stage whose
+actual input errors d meet its exactness condition
+-g_i <= 2(d_i - d_k) < g_i for every input i != k (g_i = gcd(M_i, M_k))
+sees 2(r_i - r_k) + g_i in [0, 2g_i), as on its true inputs, so its
+quotient estimates, merge, folding numbers and success are the
+error-free ones, and its estimate moves by exactly (2 sum(d) + c) // 2c
+for its c input errors (robust._FoldingPlan).  A stage that fails the
+condition loses its error-free folding numbers (the condition is
+necessary and sufficient).  plan.checked_shift makes that check stage by
+stage, on each stage's actual input errors (a tree's inner stages see
+their children's moves), and returns the root estimate's move, or None
+at the first stage that fails; a plan with no stage has no condition.
+
+So a trial whose errors pass the check is scored as the error-free
+anchor's outcome plus the returned move, and a trial that fails it runs
+the solver on its erroneous remainders.  The anchor is the solve on the
+trial's true remainders, made once per trial at its first passing level,
+so the rows stay tied to the solver's own output, and a trial that
+passes at no level costs no anchor.  Both ways give the rows the solver
+gives.  The move is the root stage's, the estimate a tree sweep scores;
+for the occurrence estimate it would be the rounded mean over leaf
+occurrences.
+
+At some levels every trial passes, so the check is skipped there.  Let
+G be the least gcd any stage rounds by (plan.least_gcd: 4 theta for one
+stage, 4 theta_eff for a tree, 0 for a plan with no stage) and w the
+level's window width (tau one-sided, 2 tau symmetric).  A level with
+2w < G is certified: clamping only moves an error toward 0, and a
+half-up rounded mean of values in [lo, hi] stays in [lo, hi], so every
+stage's input errors lie in one window of width w and meet the
+condition.  A certified level is scored as the anchor plus plan.shift,
+the same move without the check; every other level checks each trial.
+Skipping the check pays most on trees, where it walks every stage's
+pairs while the shift only sums.
 
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
@@ -113,6 +129,11 @@ class TrialConfig:
         _check_int("rng_seed", self.rng_seed)
         if self.error_model not in (ONE_SIDED, SYMMETRIC):
             raise ValueError(f"unknown error model {self.error_model!r}")
+        if not isinstance(self.clamp_remainders, bool):
+            raise ValueError(
+                "clamp_remainders must be a bool, got "
+                f"{self.clamp_remainders!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -148,11 +169,13 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
 
     A trial's unknown, true remainders and raw error draws do not depend
     on the error level, so they are drawn once; each level maps the raw
-    draws to its own range and keeps its own counters.  A level whose
-    window is certified (see the module docstring) is scored from one
-    error-free solve per trial plus the closed-form shift of its errors;
-    every other level runs the solver on its own remainders.  cfg.tau is
-    unused.
+    draws to its own range and keeps its own counters.  At a certified
+    level (2w < G, see the module docstring) every trial is scored as the
+    error-free anchor plus plan.shift of its errors.  At every other
+    level each trial is checked with plan.checked_shift: a pass is scored
+    the same way, a failure runs the solver on the level's remainders.
+    The anchor is solved once per trial, at its first passing level.
+    cfg.tau is unused.
     """
     if not taus:
         return []
@@ -166,18 +189,18 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     else:
         plan = _program_for(ms, cfg.tree)
         reconstruct = plan.run
-    shift_of = plan.shift
 
     one_sided = cfg.error_model == ONE_SIDED
-    # (index, tau, span, shift): an error is raw % span - shift, so every
-    # error of the level lies in a window of width span - 1
-    levels = [
-        (i, tau, tau + 1, 0) if one_sided else (i, tau, 2 * tau + 1, tau)
-        for i, tau in enumerate(taus)
-    ]
-    # certified: twice the window's width is below every stage's gcd
-    certified = [lv for lv in levels if 2 * (lv[2] - 1) < plan.least_gcd]
-    uncertified = [lv for lv in levels if lv not in certified]
+    # (index, tau, span, shift, score): an error is raw % span - shift, so
+    # the level's window width is w = span - 1; score gives the estimate's
+    # move from the anchor, or None when the trial must be solved
+    levels = []
+    for i, tau in enumerate(taus):
+        span, shift = (tau + 1, 0) if one_sided else (2 * tau + 1, tau)
+        # with 2w < G every trial passes, so the check is skipped
+        certified = 2 * (span - 1) < plan.least_gcd
+        score = plan.shift if certified else plan.checked_shift
+        levels.append((i, tau, span, shift, score))
     # per-level counters, indexed like taus
     total_err = [0] * len(taus)
     max_err = [0] * len(taus)
@@ -191,60 +214,38 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     for t in range(cfg.trials):
         key = _splitmix64(seed, t)
         n = _splitmix64(key, 0) % lam
-        # (true remainder, raw error draw, modulus) per modulus
-        cells = [
-            (n % m, _splitmix64(key, j), m) for j, m in zip(draw_index, ms)
-        ]
-        for i, tau, span, shift in uncertified:
-            if clamp:
-                rt = [
-                    min(max(r + raw % span - shift, 0), m - 1)
-                    for r, raw, m in cells
-                ]
-            else:
-                rt = [r + raw % span - shift for r, raw, _ in cells]
-            try:
-                est = reconstruct(rt)[1]
-            except FoldingFailure as exc:
-                failures[i] += 1
-                est = exc.partial_estimate
-                if est is None:
-                    continue
-            err = abs(est - n)
-            estimated[i] += 1
-            total_err[i] += err
-            if err > max_err[i]:
-                max_err[i] = err
-            if err > tau:  # the fused estimate stays within the error level
-                violations[i] += 1
-        if not certified:
-            continue
-        # inside the window every level fails or succeeds as the
-        # error-free run does, and its estimate moves by the shift alone
-        try:
-            anchor = reconstruct([r for r, _, _ in cells])[1]
-            failed = False
-        except FoldingFailure as exc:
-            anchor = exc.partial_estimate
-            failed = True
-        for i, tau, span, shift in certified:
-            if failed:
-                failures[i] += 1
-                if anchor is None:
-                    continue
+        rs = [n % m for m in ms]  # the true remainders
+        raws = [_splitmix64(key, j) for j in draw_index]
+        if clamp:  # clamping reads (r, raw, m) together
+            cells = list(zip(rs, raws, ms))
+        anchor = None  # the error-free estimate, solved at the first pass
+        for i, tau, span, shift, score in levels:
             if clamp:
                 errors = [
                     min(max(r + raw % span - shift, 0), m - 1) - r
                     for r, raw, m in cells
                 ]
             else:
-                errors = [raw % span - shift for _, raw, _ in cells]
-            err = abs(anchor + shift_of(errors) - n)
+                errors = [raw % span - shift for raw in raws]
+            move = score(errors)
+            if move is None:  # some stage fails: only the solver knows
+                try:
+                    est = reconstruct([r + e for r, e in zip(rs, errors)])[1]
+                except FoldingFailure as exc:
+                    failures[i] += 1
+                    est = exc.partial_estimate
+                    if est is None:
+                        continue
+            else:  # every stage solves as on the true remainders
+                if anchor is None:
+                    anchor = reconstruct(rs)[1]
+                est = anchor + move
+            err = abs(est - n)
             estimated[i] += 1
             total_err[i] += err
             if err > max_err[i]:
                 max_err[i] = err
-            if err > tau:
+            if err > tau:  # the fused estimate stays within the error level
                 violations[i] += 1
 
     return [
@@ -262,7 +263,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
             folding_failures=failures[i],
             estimated_trials=estimated[i],
         )
-        for i, tau, _, _ in levels
+        for i, tau, *_ in levels
     ]
 
 

@@ -69,6 +69,29 @@ class TestRoundHalfUp:
         assert round_half_up(Fraction(-5, 2)) == -2
 
 
+class TestExactIntsOnly:
+    @pytest.mark.parametrize(
+        "num, den", [(7, 2.0), (7.0, 2), (True, 2), (7, True), ("7", 2)]
+    )
+    def test_round_half_up_div(self, num, den):
+        with pytest.raises(ValueError, match="must be an int"):
+            round_half_up_div(num, den)
+
+    @pytest.mark.parametrize("x", [2.5, 3.0, True, "3", None])
+    def test_round_half_up(self, x):
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            round_half_up(x)
+
+    @pytest.mark.parametrize("a, m", [(3, 7.0), (3.0, 7), (True, 7), (3, True)])
+    def test_mod_inverse(self, a, m):
+        with pytest.raises(ValueError, match="must be an int"):
+            mod_inverse(a, m)
+
+    def test_mod_inverse_modulus_below_one(self):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            mod_inverse(3, 0)
+
+
 class TestCheckExact:
     @pytest.mark.parametrize("value", [0, 3, Fraction(5, 2)])
     def test_accepts_ints_and_fractions(self, value):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -900,3 +901,41 @@ class TestEffectiveBoundSoundness:
                 checked += 1
         self.check((12, 18, 35), parse_tree(layouts[0]), rng, 200)
         assert checked > 100
+
+
+class TestCheckedShift:
+    """The stage-wise exactness check against the tree run."""
+
+    def test_certificates_match_the_tree_run(self):
+        # every unknown below the lcm and every error vector in [-4, 4]^3
+        ms = (20, 12, 15)
+        program = _tree_program(ms, parse_tree("[[0,2],[1]]"))
+        issued = refused = 0
+        for n in range(math.lcm(*ms)):
+            rs = [n % m for m in ms]
+            (_, anchor_folds), anchor, _ = program.run(rs)
+            for deltas in product(range(-4, 5), repeat=3):
+                move = program.checked_shift(deltas)
+                try:
+                    (_, folds), est, _ = program.run(
+                        [r + d for r, d in zip(rs, deltas)]
+                    )
+                except FoldingFailure:
+                    folds = est = None
+                if move is None:
+                    # the failing stage's folding numbers are not exact
+                    refused += 1
+                    assert folds != anchor_folds, (n, deltas)
+                else:
+                    issued += 1
+                    assert folds == anchor_folds, (n, deltas)
+                    assert est - anchor == move, (n, deltas)
+        assert issued > 10_000 and refused > 10_000
+
+    def test_single_leaf_is_the_plan_check(self):
+        rng = random.Random(5)
+        program = _tree_program(EX_SIM, parse_tree("[0,1,2]"))
+        plan = _folding_plan(EX_SIM, select_reference(EX_SIM))
+        for _ in range(500):
+            deltas = [rng.randint(-20, 20) for _ in EX_SIM]
+            assert program.checked_shift(deltas) == plan.checked_shift(deltas)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from modfold.congruence import _merge, _merge_schedule
 from modfold.intmath import round_half_up_div
 from modfold.robust import (
     FoldingFailure,
+    _FoldingPlan,
     _folding_plan,
     _maxmin_gcd,
     _solve_with_plan,
@@ -182,6 +184,50 @@ class TestQHatAndCondition:
     def test_rejects_non_int_input(self, deltas, moduli):
         with pytest.raises(ValueError):
             check_ns_condition(deltas, moduli, 1)
+
+
+    def test_one_modulus(self):
+        # no pair to check, though no folding plan exists for it
+        assert check_ns_condition([0], (8,), 0)
+        assert check_ns_condition([5], (8,), 0)
+        with pytest.raises(ValueError, match="at least two moduli"):
+            _FoldingPlan((8,), 0)
+
+
+class TestCheckedShift:
+    def test_pairs(self):
+        plan = _folding_plan(EX1, 3)
+        assert plan.pairs == ((0, 10), (1, 15), (2, 10))
+
+    def test_none_exactly_when_the_solve_misses(self):
+        # every unknown below the lcm and every error vector in [-2, 2]^3:
+        # a certificate is the solve's exact outcome, a refusal a miss
+        ms = (8, 12, 15)
+        plan = _folding_plan(ms, select_reference(ms))
+        issued = refused = 0
+        for n in range(math.lcm(*ms)):
+            truth = true_folding(n, ms)
+            for deltas in product(range(-2, 3), repeat=3):
+                move = plan.checked_shift(deltas)
+                try:
+                    folding, est = _solve_with_plan(
+                        plan, [n % m + d for m, d in zip(ms, deltas)]
+                    )
+                except FoldingFailure:
+                    folding = est = None
+                if move is None:
+                    refused += 1
+                    assert folding != truth, (n, deltas)
+                else:
+                    issued += 1
+                    assert (folding, est) == (truth, n + move), (n, deltas)
+                # the paper's condition, from the moduli alone
+                mk, dk = ms[plan.k], deltas[plan.k]
+                assert (move is not None) == all(
+                    -math.gcd(mk, m) <= 2 * (d - dk) < math.gcd(mk, m)
+                    for m, d in zip(ms, deltas)
+                )
+        assert issued > 1000 and refused > 1000
 
 
 class TestMaxminGcd:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from modfold import simulate
+from modfold.intmath import round_half_up_div
 from modfold.multistage import (
     Leaf,
     Node,
@@ -59,6 +60,14 @@ class TestTrialConfig:
     def test_rejects_non_int(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrialConfig(moduli=(8, 12), **{field: value})
+
+    @pytest.mark.parametrize("bad", ["no", "", 1, 0, None])
+    def test_rejects_non_bool_clamp(self, bad):
+        with pytest.raises(ValueError, match="clamp_remainders"):
+            TrialConfig(
+                moduli=(8, 12, 15), tau=2, trials=400, rng_seed=7,
+                error_model=SYMMETRIC, clamp_remainders=bad,
+            )
 
     @pytest.mark.parametrize("bad", [135.9, 135.0, True])
     def test_rejects_non_int_moduli(self, bad):
@@ -274,22 +283,54 @@ class TestSweep:
         assert len(draws) == 50 * (2 + 3)
 
     @pytest.mark.parametrize(
-        "moduli, layout, owner, name, certified, uncertified",
+        "moduli, layout, error_model, clamp, owner, name, inside, outside",
         [
-            # one stage, G = 27: one-sided levels 0..13 are certified
-            ((135, 180, 162), None, simulate, "_solve_with_plan", range(14),
-             range(14, 26)),
-            # G = 45: levels 0..22
-            ((135, 180, 162), "[[0,1],[2]]", _TreeProgram, "run", range(23),
-             range(23, 30)),
-            # no stage: nothing is certified
-            ((7,), "[0]", _TreeProgram, "run", range(0), range(3)),
+            # one stage, G = 27: every check passes at one-sided levels
+            # 0..13 (2w < G); past them some fail
+            ((135, 180, 162), None, ONE_SIDED, False, simulate,
+             "_solve_with_plan", range(14), range(14, 29)),
+            # G = 45
+            ((135, 180, 162), "[[0,1],[2]]", ONE_SIDED, False, _TreeProgram,
+             "run", range(23), range(23, 47)),
+            # G = 3 and w = 2 tau, clamped; 9 of the 50 trials fail every
+            # check at levels 1..3, so they need no anchor
+            ((8, 12, 15), None, SYMMETRIC, True, simulate,
+             "_solve_with_plan", range(1), range(1, 4)),
+            # a shared index, G = 6
+            ((36, 54, 60), "[[0,2],[1,2]]", ONE_SIDED, False, _TreeProgram,
+             "run", range(3), range(3, 8)),
+            # no stage: no condition, so every check passes
+            ((7,), "[0]", ONE_SIDED, False, _TreeProgram, "run", range(3),
+             range(0)),
         ],
+        ids=["single", "two_stage", "clamped", "shared_index", "no_stage"],
     )
-    def test_one_solve_per_trial_inside_the_window(
-        self, monkeypatch, moduli, layout, owner, name, certified,
-        uncertified,
+    def test_solves_are_anchors_plus_failed_checks(
+        self, monkeypatch, moduli, layout, error_model, clamp, owner, name,
+        inside, outside,
     ):
+        trials = 50
+        cfg = TrialConfig(
+            moduli=moduli, tree=layout, trials=trials, rng_seed=5,
+            error_model=error_model, clamp_remainders=clamp,
+        )
+        tree = cfg.tree or Leaf(tuple(range(len(moduli))))
+
+        def passes(taus):
+            """Per trial, whether each level's errors meet every stage."""
+            rows = [[] for _ in range(trials)]
+            for tau in taus:
+                for row, (n, rt) in zip(rows, _draws(replace(cfg, tau=tau))):
+                    errors = [r - n % m for r, m in zip(rt, moduli)]
+                    row.append(
+                        _stage_wise_move(moduli, tree, errors) is not None
+                    )
+            return rows
+
+        assert all(all(row) for row in passes(inside))
+        if outside:  # the check decides: some pairs pass, some fail
+            flat = [p for row in passes(outside) for p in row]
+            assert any(flat) and not all(flat)
         calls = []
         real = getattr(owner, name)
 
@@ -298,16 +339,75 @@ class TestSweep:
             return real(*args)
 
         monkeypatch.setattr(owner, name, counting)
-        cfg = TrialConfig(moduli=moduli, tree=layout, trials=50, rng_seed=5)
-        anchors = 50 if certified else 0  # one error-free solve per trial
-        sweep(cfg, certified)
-        assert len(calls) == anchors
-        calls.clear()
-        sweep(cfg, uncertified)
-        assert len(calls) == 50 * len(uncertified)
-        calls.clear()
-        sweep(cfg, [*uncertified, *certified])
-        assert len(calls) == anchors + 50 * len(uncertified)
+        for taus in (inside, outside, [*outside, *inside]):
+            rows = passes(taus)
+            calls.clear()
+            sweep(cfg, taus)
+            # one error-free solve per trial that passes some check, one
+            # solve per failed check
+            assert len(calls) == sum(
+                any(row) + row.count(False) for row in rows
+            )
+
+
+def _stage_wise_move(moduli, tree, errors):
+    """The root estimate's move under errors, or None if a stage fails.
+
+    Each stage's input errors are its inputs minus the true values: the
+    remainders' errors at a leaf, the children's moves at a node.  A stage
+    of two or more inputs meets its exactness condition when
+    -g <= 2 (d_i - d_k) < g for every input i other than its reference k,
+    g being the gcd of the two inputs' moduli; it then moves by the half-up
+    rounded mean of its input errors.  Built from the tree alone, not from
+    the plan objects under test.
+    """
+
+    def stage(t):  # (modulus, error) of the subtree's estimate, or None
+        if isinstance(t, Leaf):
+            inputs = [(moduli[i], errors[i]) for i in t.indices]
+        else:
+            inputs = [stage(c) for c in t.children]
+            if None in inputs:
+                return None
+        if len(inputs) == 1:
+            return inputs[0]
+        mk, dk = inputs[select_reference([m for m, _ in inputs])]
+        for m, d in inputs:
+            g = math.gcd(mk, m)
+            if not -g <= 2 * (d - dk) < g:
+                return None
+        return (
+            math.lcm(*(m for m, _ in inputs)),
+            round_half_up_div(sum(d for _, d in inputs), len(inputs)),
+        )
+
+    out = stage(tree)
+    return None if out is None else out[1]
+
+
+def _least_gcd(moduli, tree):
+    """G: the least gcd of a stage's reference and another of its inputs.
+
+    Built from the tree alone, as _stage_wise_move is.
+    """
+    gcds = []
+
+    def modulus(t):  # the subtree's estimate's modulus
+        if isinstance(t, Leaf):
+            inputs = [moduli[i] for i in t.indices]
+        else:
+            inputs = [modulus(c) for c in t.children]
+        if len(inputs) > 1:
+            k = select_reference(inputs)
+            gcds.extend(
+                math.gcd(inputs[k], m)
+                for i, m in enumerate(inputs)
+                if i != k
+            )
+        return math.lcm(*inputs)
+
+    modulus(tree)
+    return min(gcds)
 
 
 def _draws(cfg: TrialConfig):
@@ -486,7 +586,7 @@ DIFFERENTIAL_CASES = [
         ),
         [0, 1, 3],
     ),
-    # no stage at all: never certified
+    # no stage at all: no condition, every check passes
     (TrialConfig(moduli=(7,), tree=parse_tree("[0]"), trials=100), [0, 2]),
 ]
 
@@ -496,6 +596,101 @@ class TestSweepMatchesPerLevelRuns:
     def test_rows_equal_separate_runs(self, cfg, taus):
         rows = sweep(cfg, taus)
         assert [r.tau for r in rows] == taus
+        for row, tau in zip(rows, taus):
+            want = _per_level_oracle(replace(cfg, tau=tau))
+            assert asdict(row) == asdict(want)
+
+    @pytest.mark.parametrize(
+        "cfg, least_gcd, taus",
+        [
+            (TrialConfig(moduli=(135, 180, 162), trials=300, rng_seed=8),
+             27, [13, 14, 26, 27]),
+            (
+                TrialConfig(
+                    moduli=(135, 180, 162), trials=300, rng_seed=8,
+                    error_model=SYMMETRIC,
+                ),
+                27,
+                [6, 7, 13, 14],
+            ),
+            (
+                TrialConfig(
+                    moduli=(135, 180, 162), tree=parse_tree("[[0,1],[2]]"),
+                    trials=300, rng_seed=8,
+                ),
+                45,
+                [22, 23, 44, 45],
+            ),
+            (
+                TrialConfig(
+                    moduli=(192, 288, 216, 360, 320, 448),
+                    tree=parse_tree("[[[0,1],[2,3]],[4,5]]"),
+                    trials=100,
+                    rng_seed=12,
+                ),
+                64,
+                list(range(31, 65)),
+            ),
+            (
+                TrialConfig(
+                    moduli=(192, 288, 216, 360, 320, 448),
+                    tree=parse_tree("[[[0,1],[2,3]],[4,5]]"),
+                    trials=200,
+                    rng_seed=13,
+                    error_model=SYMMETRIC,
+                    clamp_remainders=True,
+                ),
+                64,
+                [15, 16, 31, 32],
+            ),
+            (
+                TrialConfig(
+                    moduli=(12, 18, 35), tree=parse_tree("[[0,2],[1,2]]"),
+                    trials=300, rng_seed=6,
+                ),
+                1,
+                [0, 1],
+            ),
+            (
+                TrialConfig(
+                    moduli=(36, 54, 60), tree=parse_tree("[[0,2],[1,2]]"),
+                    trials=300, rng_seed=6,
+                ),
+                6,
+                [2, 3, 5, 6],
+            ),
+            (
+                TrialConfig(
+                    moduli=(8, 12, 15), trials=400, rng_seed=7,
+                    error_model=SYMMETRIC, clamp_remainders=True,
+                ),
+                3,
+                [0, 1, 2],
+            ),
+        ],
+        ids=[
+            "single", "single_symmetric", "two_stage", "depth3",
+            "depth3_symmetric_clamped", "shared_index", "shared_index_g6",
+            "symmetric_clamped",
+        ],
+    )
+    def test_rows_at_the_window_edges(self, cfg, least_gcd, taus):
+        # every check passes at a level of window width w with 2w < G;
+        # the levels hold both sides of 2w = G and of w = G
+        ms = cfg.moduli
+        plan = (
+            _folding_plan(ms, select_reference(ms))
+            if cfg.tree is None
+            else _tree_program(ms, cfg.tree)
+        )
+        tree = cfg.tree or Leaf(tuple(range(len(ms))))
+        assert plan.least_gcd == _least_gcd(ms, tree) == least_gcd
+        width = 1 if cfg.error_model == ONE_SIDED else 2  # w per unit tau
+        widths = {width * tau for tau in taus}
+        for edge in (least_gcd / 2, least_gcd):
+            assert any(w < edge for w in widths)
+            assert any(w >= edge for w in widths)
+        rows = sweep(cfg, taus)
         for row, tau in zip(rows, taus):
             want = _per_level_oracle(replace(cfg, tau=tau))
             assert asdict(row) == asdict(want)
