@@ -8,15 +8,18 @@ covers qualify, the one with the largest worst-case effective bound wins
 (ties: fewer groups, then lexicographic index order).
 
 The search runs on integers: every bound is a gcd over 4, so it compares
-the gcds themselves.  One max-min pass gives theta and the reference
-modulus, and the pairwise gcd table of the moduli, built once, gives the
+the gcds themselves.  It reads the moduli's profile (robust._Profile), the
+pairwise gcd table that theta_bound and select_reference read too: the
+table gives theta, the reference modulus, the divisor-free check and the
 candidate sets.  The covers are enumerated depth first over index bit
-masks, skipping every set that adds no index to its prefix and extending
-no prefix that already covers every index.  Each distinct group is scored
-once, as its max-min gcd and its lcm, and a cover is ranked by the
+masks, skipping every set that adds no index to its prefix, extending no
+prefix that already covers every index and none that the later sets
+cannot complete.  Each distinct group of a cover of two or more groups is
+scored once, when a cover first holds it, as its max-min gcd (read from
+the table, with no gcd call) and its lcm; a cover is ranked by the
 multistage effective rule (_effective_gcds) over its groups' gcds and the
 cross gcd of their lcms.  Only the winning plan becomes a tree, whose
-StageBounds comes from the multistage bound calculus (_bound_gcds).
+StageBounds is built from the gcds it was ranked by.
 
 For moduli of the form M * c_i with pairwise-coprime c_i no grouping can
 help, and the search reports failure.
@@ -34,12 +37,16 @@ from .multistage import (
     Leaf,
     Node,
     StageBounds,
-    _bound_gcds,
     _effective_gcds,
     _layout,
     _stage_bounds,
 )
-from .robust import SearchCapExceeded, _maxmin_gcd, validate_moduli
+from .robust import (
+    SearchCapExceeded,
+    _maxmin_gcd,
+    _Profile,
+    _profile_of,
+)
 
 __all__ = [
     "CandidateSet",
@@ -87,35 +94,31 @@ def candidate_sets(moduli: Sequence[int]) -> list[CandidateSet]:
     single-stage bound.  Requires at least three divisor-free moduli (run
     prune_redundant first).
     """
-    ms = validate_moduli(moduli, divisor_free=True)
-    return _candidate_sets(_gcd_table(ms), _maxmin_gcd(ms)[0])
+    return _candidate_sets(_search_profile(moduli))
 
 
-def _gcd_table(ms: tuple[int, ...]) -> list[list[int]]:
-    """Pairwise gcds of validated moduli, each modulus on the diagonal.
-
-    ValueError below three moduli.
-    """
-    if len(ms) < 3:
+def _search_profile(moduli: Sequence[int]) -> _Profile:
+    """The moduli's profile; ValueError unless three or more divisor-free."""
+    profile = _profile_of(moduli)
+    profile.require_divisor_free()
+    if len(profile.moduli) < 3:
         raise ValueError("grouping search needs at least three moduli")
-    gcd = math.gcd
-    return [[gcd(a, b) for b in ms] for a in ms]
+    return profile
 
 
-def _candidate_sets(
-    table: list[list[int]], theta_gcd: int
-) -> list[CandidateSet]:
-    """candidate_sets from the gcd table of divisor-free moduli.
+def _candidate_sets(profile: _Profile) -> list[CandidateSet]:
+    """candidate_sets from the profile of divisor-free moduli.
 
     Every modulus exceeds theta there (it divides no partner), so the
-    diagonal puts each anchor into its own set.
+    table's diagonal puts each anchor into its own set.
     """
+    theta_gcd = profile.theta_gcd
     return [
         CandidateSet(
             anchor=i,
-            members=frozenset(j for j, g in enumerate(row) if g > theta_gcd),
+            members=frozenset([j for j, g in enumerate(row) if g > theta_gcd]),
         )
-        for i, row in enumerate(table)
+        for i, row in enumerate(profile.table)
     ]
 
 
@@ -131,9 +134,9 @@ def minimal_covers(
     removing any one member loses coverage.  Covers come ordered by size,
     then lexicographically by candidate position.  Enumeration is
     exponential in the number of candidate sets; SearchCapExceeded guards
-    beyond cap sets.
+    beyond cap sets.  Members must be ints.
     """
-    if len(cands) > cap:
+    if len(cands) > _check_int("cap", cap):
         raise SearchCapExceeded(
             f"{len(cands)} candidate sets exceed the cover cap {cap}"
         )
@@ -142,34 +145,49 @@ def minimal_covers(
     # set is in no cover
     sets = []
     for pos, c in enumerate(cands):
-        mask = 0
+        mask, inside = 0, True
         for i in c.members:
-            if not 0 <= i < n_moduli:
-                break
-            mask |= 1 << i
-        else:
+            if i.__class__ is not int:
+                _check_int("candidate set member", i)
+            if 0 <= i < n_moduli:
+                mask |= 1 << i
+            else:
+                inside = False
+        if inside:
             sets.append((pos, mask))
+    # rest[q]: the union of the sets from position q on
+    rest = [0] * (len(sets) + 1)
+    for q in range(len(sets) - 1, -1, -1):
+        rest[q] = rest[q + 1] | sets[q][1]
     found = []
     # depth first over combinations in position order, from states (next
     # set, union, indices covered twice, member masks, positions)
     stack = [(0, 0, 0, (), ())]
     while stack:
         start, seen, twice, masks, combo = stack.pop()
-        for q in range(start, len(sets)):
-            pos, m = sets[q]
+        for pos, m in sets[start:]:
+            start += 1
             if not m & ~seen:
                 continue  # it owns no index in any cover with this prefix
             union, twice_m = seen | m, twice | seen & m
             if union != full:
-                stack.append(
-                    (q + 1, union, twice_m, masks + (m,), combo + (pos,))
-                )
+                if union | rest[start] == full:  # else no set completes it
+                    stack.append(
+                        (start, union, twice_m, masks + (m,), combo + (pos,))
+                    )
+                continue
             # a full union takes no further set (it would own no index);
             # keep it if each earlier member still owns one (m does)
-            elif all(x & ~twice_m for x in masks):
+            for x in masks:
+                if not x & ~twice_m:
+                    break
+            else:
                 found.append(combo + (pos,))
-    found.sort(key=lambda combo: (len(combo), combo))
-    return [tuple(cands[pos] for pos in combo) for combo in found]
+    # by size, then by positions (the sort is stable)
+    found.sort()
+    found.sort(key=len)
+    pick = cands.__getitem__
+    return [tuple(map(pick, combo)) for combo in found]
 
 
 def propose_grouping(
@@ -184,42 +202,49 @@ def propose_grouping(
     singleton group, accepting plans whose effective bounds are all at
     least theta and at least one above it.
     """
-    ms = validate_moduli(moduli, divisor_free=True)
-    table = _gcd_table(ms)
-    theta_gcd, ref = _maxmin_gcd(ms)
-    theta = Fraction(theta_gcd, 4)
-    cands = _candidate_sets(table, theta_gcd)
-    covers = minimal_covers(cands, len(ms))
-    # each distinct group as (indices, max-min gcd, lcm), by its members
-    scores = {
-        c.members: _score(ms, tuple(sorted(c.members))) for c in cands
-    }
+    if not isinstance(share_reference, bool):
+        raise ValueError(
+            f"share_reference must be a bool, got {share_reference!r}"
+        )
+    profile = _search_profile(moduli)
+    ms, theta, theta_gcd = profile.moduli, profile.theta, profile.theta_gcd
+    ref = profile.reference
+    covers = minimal_covers(_candidate_sets(profile), len(ms))
+    # each distinct group as (indices, max-min gcd, lcm), by its members,
+    # scored when a cover first needs it
+    scores: dict[frozenset[int], tuple] = {}
     for shared in (False, True) if share_reference else (False,):
-        if shared:
-            scores = {
-                m: _score(ms, tuple(sorted(m | {ref}))) if len(m) == 1 else s
-                for m, s in scores.items()
-            }
+        if shared:  # singletons now hold the reference too
+            scores = {m: s for m, s in scores.items() if len(m) > 1}
         accepted = []
         for cover in covers:
             if len(cover) < 2:
                 continue  # a single group is just the single-stage solver
-            groups, gcds, lams = zip(*(scores[c.members] for c in cover))
+            scored = []
+            for c in cover:
+                s = scores.get(c.members)
+                if s is None:
+                    m = c.members
+                    group = m | {ref} if shared and len(m) == 1 else m
+                    s = scores[m] = _score(profile, tuple(sorted(group)))
+                scored.append(s)
+            groups, gcds, lams = zip(*scored)
             if len(set(lams)) < len(lams):
                 continue  # sibling groups with equal lcms cannot form a plan
             # the depth-2 plan: its leaves, then the root over their lcms
+            steps = gcds + (_maxmin_gcd(lams)[0],)
             eff = _effective_gcds(
-                [(True, 1)] * len(groups) + [(False, 0)],
-                gcds + (_maxmin_gcd(lams)[0],),
+                [(True, 1)] * len(groups) + [(False, 0)], steps
             )
             worst = min(eff)
             if worst > theta_gcd or (shared and worst == theta_gcd < max(eff)):
-                accepted.append((-worst, len(groups), groups))
+                accepted.append((-worst, len(groups), groups, steps, eff))
         if accepted:
             # best worst-case bound, then fewer groups, then lexicographic
-            groups = min(accepted)[2]
+            _, _, groups, steps, eff = min(accepted)
             # a valid plan by construction: two or more groups of distinct
-            # in-range indices with distinct lcms that cover every index
+            # in-range indices with distinct lcms that cover every index;
+            # its layout's steps are the groups, then the root
             layout = _layout(
                 Node(children=tuple(Leaf(indices=g) for g in groups)), ms
             )
@@ -228,7 +253,7 @@ def propose_grouping(
                 theta=theta,
                 verdict="success",
                 groups=groups,
-                bounds=_stage_bounds(layout, *_bound_gcds(layout)),
+                bounds=_stage_bounds(layout, steps, eff),
                 shared_reference=shared,
             )
     return GroupingProposal(
@@ -236,10 +261,13 @@ def propose_grouping(
     )
 
 
-def _score(ms: tuple[int, ...], group: tuple[int, ...]):
+def _score(profile: _Profile, group: tuple[int, ...]):
     """(group, its max-min gcd, its lcm) for sorted modulus indices."""
-    parts = [ms[i] for i in group]
-    return group, _maxmin_gcd(parts)[0], math.lcm(*parts)
+    return (
+        group,
+        profile.maxmin(group),
+        math.lcm(*[profile.moduli[i] for i in group]),
+    )
 
 
 def render_proposal(proposal: GroupingProposal) -> str:

@@ -50,6 +50,7 @@ from .robust import (
     FoldingSolution,
     _folding_plan,
     _maxmin_gcd,
+    _quarter,
     _solve_with_plan,
     validate_moduli,
 )
@@ -171,6 +172,7 @@ def tree_leaves(tree: GroupTree | str | Sequence) -> list[Leaf]:
 
 def validate_tree(tree: GroupTree | str | Sequence, n_moduli: int) -> None:
     """Structural checks: index range, full coverage, node arity."""
+    _check_int("n_moduli", n_moduli, 0)
     seen: set[int] = set()
     for t, _ in _post_order(parse_tree(tree)):
         if isinstance(t, Node):
@@ -298,23 +300,27 @@ def _effective_gcds(shape, gcds: Sequence[int]) -> list[int]:
 
 
 def _stage_bounds(
-    layout, gcds: list[int], effective: list[int]
+    layout, gcds: Sequence[int], effective: Sequence[int]
 ) -> StageBounds:
-    """The StageBounds of a layout from its _bound_gcds."""
+    """The StageBounds of a layout from its step and effective gcds.
+
+    They are _bound_gcds(layout), or the same gcds the grouping search
+    ranked its winning plan by.
+    """
     node_cross = tuple(
-        (path, Fraction(g, 4))
+        (path, _quarter(g))
         for (t, path, _), g in zip(layout, gcds)
         if isinstance(t, Node)
     )
     return StageBounds(
         per_group=tuple(
-            Fraction(g, 4)
+            _quarter(g)
             for (t, _, _), g in zip(layout, gcds)
             if isinstance(t, Leaf)
         ),
         node_cross=node_cross,
         cross=node_cross[-1][1] if node_cross else None,
-        per_leaf_effective=tuple(Fraction(g, 4) for g in effective),
+        per_leaf_effective=tuple(map(_quarter, effective)),
     )
 
 

@@ -14,6 +14,13 @@ bounds computed here.  The method:
   4. derive every other folding number by an exact division (the merged
      n_k meets n_k * c_i == q_i (mod n_i) for every i, so it always is).
 
+Every design quantity of a moduli set comes from one pairwise gcd table:
+the bound theta, the reference modulus of step 1, the per-remainder bounds
+and each folding plan's gcds of step 2.  The table and what is read from
+it form the set's profile, built and validated once per moduli tuple and
+cached; theta_bound, select_reference, per_remainder_bounds, the folding
+plans and the grouping search all read it.
+
 Failures of step 3 or 4 (contradictory congruences, negative folding
 numbers) are diagnostic evidence that the errors exceeded the admissible
 bounds; they surface as FoldingFailure rather than being silently rounded
@@ -134,12 +141,7 @@ def validate_moduli(
     if len(set(ms)) != len(ms):
         raise ValueError(f"moduli must be distinct, got {ms}")
     if divisor_free:
-        for i, a in enumerate(ms):
-            for j, b in enumerate(ms):
-                if i != j and a % b == 0:
-                    raise ValueError(
-                        f"modulus {b} divides {a}; run prune_redundant first"
-                    )
+        _profile(ms).require_divisor_free()
     return ms
 
 
@@ -150,6 +152,9 @@ def _maxmin_gcd(values: Sequence[int]) -> tuple[int, int]:
     stands in, which makes the bound of a one-modulus group M/4.  Each row
     starts from the value itself (every gcd with it is at most the value)
     and stops once its minimum can no longer beat the best row so far.
+    The bound calculus of a moduli set reads the set's _Profile instead;
+    this pass serves the parts of a plan's stages (a leaf's moduli, a
+    node's child lcms).
     """
     gcd = math.gcd
     best, best_i = -1, 0
@@ -169,24 +174,106 @@ def _maxmin_gcd(values: Sequence[int]) -> tuple[int, int]:
     return best, best_i
 
 
+@lru_cache(maxsize=1024)
+def _quarter(g: int) -> Fraction:
+    """g / 4: every bound of the calculus is a gcd over 4."""
+    return Fraction(g, 4)
+
+
+class _Profile:
+    """The pairwise gcd analysis of one moduli tuple, read by every caller.
+
+    table[i][j] is gcd(M_i, M_j), with M_i itself on the diagonal.  No
+    entry of row i exceeds M_i, so the least entry of the row over any
+    set of indices holding i is the least gcd of M_i with the others (M_i
+    itself when there is no other, which makes a one-modulus bound M/4,
+    as in _maxmin_gcd).  least[i] is that over every index; theta_gcd,
+    the greatest of them, is the max-min gcd and reference the first
+    index attaining it, as _maxmin_gcd(moduli) gives them; theta is
+    theta_gcd / 4.  maxmin(group) is the same max-min gcd over a set of
+    indices, read from the table without a gcd call.
+
+    M_j divides M_i exactly when table[i][j] == M_j, so M_i divides
+    another modulus exactly when row i holds M_i more than once, and
+    divisor_free says that no row does.
+
+    Building a profile checks that the moduli are distinct positive ints
+    (at least one), so a cached profile's moduli are not checked again.
+    The exact-int check comes before the cache, in _profile_of, because
+    (135.0, 180, 162) equals and hashes like the int tuple.
+    """
+
+    __slots__ = (
+        "moduli", "table", "least", "theta_gcd", "reference", "theta",
+        "divisor_free",
+    )
+
+    def __init__(self, moduli: tuple[int, ...]):
+        validate_moduli(moduli)
+        gcd = math.gcd
+        self.moduli = moduli
+        self.table = table = [[gcd(a, b) for b in moduli] for a in moduli]
+        self.least = least = list(map(min, table))
+        self.theta_gcd = theta_gcd = max(least)
+        self.reference = least.index(theta_gcd)
+        self.theta = _quarter(theta_gcd)
+        # a row holds its own modulus once, on the diagonal, unless that
+        # modulus divides another
+        self.divisor_free = sum(map(list.count, table, moduli)) == len(moduli)
+
+    def maxmin(self, group: Sequence[int]) -> int:
+        """The max-min gcd of the moduli at the given (distinct) indices."""
+        best = 0
+        for i in group:
+            row = self.table[i]
+            least = min([row[j] for j in group])
+            if least > best:
+                best = least
+        return best
+
+    def require_divisor_free(self) -> None:
+        """ValueError naming the first modulus that divides another."""
+        if not self.divisor_free:
+            ms = self.moduli
+            a, b = next(
+                (ms[i], ms[j])
+                for i, row in enumerate(self.table)
+                for j, g in enumerate(row)
+                if i != j and g == ms[j]
+            )
+            raise ValueError(
+                f"modulus {b} divides {a}; run prune_redundant first"
+            )
+
+
+@lru_cache(maxsize=512)
+def _profile(moduli: tuple[int, ...]) -> _Profile:
+    return _Profile(moduli)
+
+
+def _profile_of(moduli: Sequence[int]) -> _Profile:
+    """The cached profile of moduli, after their exact-int check."""
+    return _profile(tuple(_check_ints("modulus", moduli)))
+
+
 def theta_bound(moduli: Sequence[int]) -> Fraction:
     """Single-stage robustness bound: max_i min_{j!=i} gcd(M_i, M_j) / 4.
 
     Remainder errors strictly below this bound guarantee exact folding
     recovery (with the reference from select_reference).
     """
-    ms = validate_moduli(moduli)
-    if len(ms) < 2:
+    p = _profile_of(moduli)
+    if len(p.moduli) < 2:
         raise ValueError("theta_bound needs at least two moduli")
-    return Fraction(_maxmin_gcd(ms)[0], 4)
+    return p.theta
 
 
 def select_reference(moduli: Sequence[int]) -> int:
     """Smallest index attaining the max-min pairwise gcd."""
-    ms = validate_moduli(moduli)
-    if len(ms) < 2:
+    p = _profile_of(moduli)
+    if len(p.moduli) < 2:
         raise ValueError("select_reference needs at least two moduli")
-    return _maxmin_gcd(ms)[1]
+    return p.reference
 
 
 def per_remainder_bounds(moduli: Sequence[int], k: int) -> BoundsReport:
@@ -196,29 +283,26 @@ def per_remainder_bounds(moduli: Sequence[int], k: int) -> BoundsReport:
     every other remainder i tolerates errors up to (inclusive)
     gcd(M_k, M_i)/2 minus that same quarter term.
     """
-    ms = validate_moduli(moduli)
-    if len(ms) < 2:
+    p = _profile_of(moduli)
+    size = len(p.moduli)
+    if size < 2:
         raise ValueError("per_remainder_bounds needs at least two moduli")
-    if not 0 <= _check_int("reference index", k) < len(ms):
+    if not 0 <= _check_int("reference index", k) < size:
         raise ValueError(f"reference index {k} out of range")
-    theta_gcd = _maxmin_gcd(ms)[0]
-    gcds = [math.gcd(ms[k], m) for m in ms]
     # every bound is a quarter: g/2 - q/4 == (2g - q)/4
-    q = min(g for i, g in enumerate(gcds) if i != k)
-    if q != theta_gcd:
+    q = p.least[k]
+    if q != p.theta_gcd:
         raise ValueError(
-            f"index {k} does not attain the max-min bound "
-            f"{Fraction(theta_gcd, 4)}"
+            f"index {k} does not attain the max-min bound {p.theta}"
         )
-    theta = Fraction(q, 4)
     return BoundsReport(
-        theta=theta,
+        theta=p.theta,
         reference=k,
         per_remainder=tuple(
-            theta if i == k else Fraction(2 * g - q, 4)
-            for i, g in enumerate(gcds)
+            p.theta if i == k else _quarter(2 * g - q)
+            for i, g in enumerate(p.table[k])
         ),
-        strict=tuple(i == k for i in range(len(ms))),
+        strict=tuple(i == k for i in range(size)),
     )
 
 
@@ -312,8 +396,9 @@ class _FoldingPlan:
     folding numbers, so checked_shift returns None exactly when the solve
     would not find the error-free folding numbers.
 
-    Building a plan checks that the moduli are at least two distinct
-    positive ints, so a cached plan's moduli are not checked again.
+    Its gcds are row k of the moduli's _Profile, whose build checks that
+    they are distinct positive ints; the plan checks there are at least
+    two, so a cached plan's moduli are not checked again.
     """
 
     __slots__ = (
@@ -322,16 +407,16 @@ class _FoldingPlan:
     )
 
     def __init__(self, moduli: tuple[int, ...], k: int):
-        validate_moduli(moduli)
+        profile = _profile(moduli)
+        row = profile.table[k]
         if len(moduli) < 2:
             raise ValueError("a folding plan needs at least two moduli")
         self.moduli = moduli
         self.k = k
         self.mk = mk = moduli[k]
         terms = []
-        for i, m in enumerate(moduli):
+        for i, (m, g) in enumerate(zip(moduli, row)):
             if i != k:
-                g = math.gcd(mk, m)
                 n = m // g
                 inv = _mod_inverse(mk // g, n) if n > 1 else 0
                 terms.append((i, g, 2 * g, n, inv))
@@ -342,7 +427,7 @@ class _FoldingPlan:
         self.derive = tuple((i, n, mk // g) for i, g, _, n, _ in terms)
         self.twice_size = 2 * len(moduli)
         self.bias = len(moduli) - sum(t[1] for t in terms)
-        self.least_gcd = min(t[1] for t in terms)
+        self.least_gcd = profile.least[k]
         self.pairs = tuple((i, g) for i, g, _, _, _ in terms)
 
     def shift(self, errors: Sequence[int]) -> int:
@@ -447,6 +532,7 @@ def folding_oracle(
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
     _check_exact("tau", tau, 0)
+    _check_int("cap", cap)
     lam = math.lcm(*ms)
     if lam > cap:
         raise SearchCapExceeded(f"lcm {lam} exceeds oracle cap {cap}")

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import modfold.grouping as grouping
+import modfold.robust as robust
 from modfold.grouping import (
     CandidateSet,
     GroupingProposal,
@@ -17,7 +18,13 @@ from modfold.grouping import (
     render_proposal,
 )
 from modfold.multistage import DegenerateTreeError, StageBounds
-from modfold.robust import SearchCapExceeded, theta_bound
+from modfold.robust import (
+    SearchCapExceeded,
+    per_remainder_bounds,
+    select_reference,
+    solve_folding,
+    theta_bound,
+)
 
 EX8 = (210, 143, 77, 128, 81, 125, 169)
 
@@ -93,6 +100,20 @@ class TestMinimalCovers:
         with pytest.raises(ValueError, match="n_moduli"):
             minimal_covers([CandidateSet(0, frozenset({0}))], n)
 
+    @pytest.mark.parametrize("cap", [2.5, 16.0, True, "16", None])
+    def test_rejects_non_int_cap(self, cap):
+        # 2.5 once ran as a cap
+        with pytest.raises(ValueError, match="cap"):
+            minimal_covers([CandidateSet(0, frozenset({0}))], 1, cap=cap)
+
+    @pytest.mark.parametrize("member", [0.5, 1.0, True, "0", Fraction(1)])
+    def test_rejects_non_int_members(self, member):
+        # 0.5 once died in the bit shift with a bare TypeError
+        for other in (0, -1, 5):  # in range, below it and above it
+            cands = [CandidateSet(0, frozenset({other, member}))]
+            with pytest.raises(ValueError, match="member"):
+                minimal_covers(cands, 2)
+
 
 class TestProposeGrouping:
     def test_example_success(self):
@@ -103,6 +124,11 @@ class TestProposeGrouping:
         assert prop.bounds.per_group == (Fraction(2, 4), Fraction(11, 4))
         assert prop.bounds.cross == Fraction(77, 4)
         assert all(g > prop.theta for g in prop.bounds.per_group)
+
+    @pytest.mark.parametrize("flag", [1, 0, "yes", None])
+    def test_rejects_non_bool_share_reference(self, flag):
+        with pytest.raises(ValueError, match="share_reference"):
+            propose_grouping((12, 18, 35), share_reference=flag)
 
     def test_coprime_cofactor_failure(self):
         prop = propose_grouping((25, 35, 80, 95))
@@ -472,6 +498,11 @@ class TestPrunedSearch:
                 SearchCapExceeded,
                 "17 candidate sets exceed the cover cap 16",
             ),
+            ((), ValueError, "empty moduli set"),
+            ((12, -18, 35), ValueError, "moduli must be positive, got -18"),
+            ((12, 18, 12), ValueError, "moduli must be distinct"),
+            # the divisor check comes before the size check
+            ((10, 20), ValueError, "modulus 10 divides 20"),
         ],
     )
     def test_error_parity(self, moduli, error, message):
@@ -528,3 +559,161 @@ class TestPrunedSearch:
             assert calls["minimal_covers"] == 1
             assert calls["_layout"] == (verdict == "success")
             assert calls["Leaf"] == leaves
+
+
+# --------------------------------------------------------------------------
+# one moduli profile per set: the bound calculus, the search and the solver
+# all read it; these references build every gcd from math.gcd by definition
+
+
+def coprime_cofactor_set(rng):
+    """3-6 moduli M * c_i over pairwise-coprime c_i (no grouping helps)."""
+    m = rng.randint(2, 30)
+    parts = rng.sample([3, 5, 7, 11, 13, 17, 19, 23, 29], rng.randint(3, 6))
+    return tuple(m * p for p in parts)
+
+
+def ref_bounds(ms, k):
+    """per_remainder_bounds by definition: the reference's quarter term q
+    and gcd(M_k, M_i)/2 - q for every other remainder."""
+    gcds = [math.gcd(ms[k], m) for m in ms]
+    q = Fraction(min(g for i, g in enumerate(gcds) if i != k), 4)
+    return tuple(
+        q if i == k else Fraction(g, 2) - q for i, g in enumerate(gcds)
+    )
+
+
+def ref_solve(ms, k, n, deltas):
+    """The solve's outcome on n % M_i + deltas[i], or None.
+
+    When every i != k meets -g_i <= 2 (d_i - d_k) < g_i, g_i being
+    gcd(M_k, M_i), the solve recovers the true folding numbers and moves
+    the estimate by the half-up rounded mean of the deltas; otherwise it
+    must not return the true folding numbers.
+    """
+    dk = deltas[k]
+    for i, (m, d) in enumerate(zip(ms, deltas)):
+        g = math.gcd(ms[k], m)
+        if i != k and not -g <= 2 * (d - dk) < g:
+            return None
+    size = len(ms)
+    shift = (2 * sum(deltas) + size) // (2 * size)
+    return tuple(n // m for m in ms), n + shift
+
+
+def profile_sets():
+    rng = random.Random(1201)
+    return [shared_factor_set(rng) for _ in range(240)] + [
+        coprime_cofactor_set(rng) for _ in range(60)
+    ]
+
+
+class TestOneProfile:
+    def test_matches_gcd_reference_cold_and_warm(self):
+        rng = random.Random(1202)
+        outcomes = Counter()
+        for ms in profile_sets():
+            theta, ref = ref_theta(ms), ref_maxmin(ms)[1]
+            bounds = ref_bounds(ms, ref)
+            searches = {
+                share: two_loop_propose_grouping(ms, share_reference=share)
+                for share in (False, True)
+            }
+            n = rng.randrange(math.lcm(*ms))
+            # up to one past each bound, so the condition holds or fails
+            deltas = [rng.randint(-int(b) - 1, int(b) + 1) for b in bounds]
+            solved = ref_solve(ms, ref, n, deltas)
+            remainders = [n % m + d for m, d in zip(ms, deltas)]
+            calls = {
+                "theta": lambda: theta_bound(ms) == theta,
+                "reference": lambda: select_reference(ms) == ref,
+                "bounds": lambda: (
+                    per_remainder_bounds(ms, ref).per_remainder == bounds
+                ),
+                "search": lambda: all(
+                    propose_grouping(ms, share_reference=share) == want
+                    for share, want in searches.items()
+                ),
+                "solve": lambda: solve_outcome(ms, remainders, ref, n, solved),
+            }
+            for state in ("cold", "warm"):
+                if state == "cold":
+                    robust._profile.cache_clear()
+                    robust._folding_plan.cache_clear()
+                # each reader meets a cold profile in some sets
+                for name in rng.sample(sorted(calls), len(calls)):
+                    assert calls[name](), (ms, state, name)
+            outcomes[searches[False].verdict] += 1
+            outcomes["retry won"] += searches[True].shared_reference
+            outcomes["exact" if solved else "not exact"] += 1
+        # 300 sets: searches that succeed, with and without the retry, and
+        # that fail; error vectors inside and outside the condition
+        assert outcomes["success"] > 50 and outcomes["failure"] > 150
+        assert outcomes["retry won"] > 100, outcomes
+        assert outcomes["exact"] > 150 and outcomes["not exact"] > 30
+
+    def test_one_profile_build_per_set(self):
+        for ms in profile_sets()[::10]:
+            robust._profile.cache_clear()
+            robust._folding_plan.cache_clear()
+            theta_bound(ms)
+            k = select_reference(ms)
+            per_remainder_bounds(ms, k)
+            for share in (False, True):
+                propose_grouping(ms, share_reference=share)
+            solve_folding(ms, [0] * len(ms), k)
+            info = robust._profile.cache_info()
+            assert (info.misses, info.hits) == (1, 5), ms
+
+    def test_readers_do_not_revalidate(self, monkeypatch):
+        ms = (210, 143, 77, 128, 81, 125, 169)
+        theta_bound(ms)  # the profile is built, and validated, once
+        robust._folding_plan.cache_clear()
+        seen = []
+        for module, name in (
+            (robust, "validate_moduli"),
+            (robust, "_maxmin_gcd"),
+            (grouping, "_maxmin_gcd"),
+        ):
+            def wrapper(values, *args, fn=getattr(module, name), **kwargs):
+                seen.append(tuple(values))
+                return fn(values, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        k = select_reference(ms)
+        assert theta_bound(ms) == Fraction(1, 4)
+        per_remainder_bounds(ms, k)
+        propose_grouping(ms, share_reference=True)
+        candidate_sets(ms)
+        solve_folding(ms, [0] * len(ms), k)
+        assert ms not in seen
+        assert seen  # the cross gcds of the search's covers still run
+
+    def test_float_moduli_miss_the_int_profile(self):
+        # 135.0 equals and hashes like 135, so the int check comes first
+        ms = (135, 180, 162)
+        theta_bound(ms)
+        propose_grouping(ms)
+        bad = (135.0, 180, 162)
+        for call in (
+            lambda: theta_bound(bad),
+            lambda: select_reference(bad),
+            lambda: per_remainder_bounds(bad, 0),
+            lambda: propose_grouping(bad),
+            lambda: propose_grouping(bad, share_reference=True),
+            lambda: candidate_sets(bad),
+            lambda: solve_folding(bad, (0, 0, 0), 0),
+        ):
+            with pytest.raises(ValueError, match="modulus must be an int"):
+                call()
+
+
+def solve_outcome(ms, remainders, k, n, solved):
+    """True when solve_folding agrees with ref_solve's verdict on n."""
+    try:
+        got = solve_folding(ms, remainders, k)
+    except robust.FoldingFailure:
+        return solved is None
+    if solved is None:
+        return got.folding != tuple(n // m for m in ms)
+    return (got.folding, got.estimate) == solved

@@ -59,6 +59,12 @@ class TestTreeStructure:
             tree = parse_tree(layout)
             assert parse_tree(tree_to_nested(tree)) == tree
 
+    @pytest.mark.parametrize("n", [3.0, True, "3", -1])
+    def test_validate_tree_rejects_bad_index_count(self, n):
+        # 3.0 once died in range() with a bare TypeError
+        with pytest.raises(ValueError, match="n_moduli"):
+            validate_tree([[0, 1], [2]], n)
+
     def test_parse_flat_leaf(self):
         assert parse_tree("[0,1,2]") == Leaf((0, 1, 2))
 

@@ -441,6 +441,12 @@ class TestFoldingOracle:
         with pytest.raises(ValueError, match="tau"):
             folding_oracle((8, 12, 15), [1, 2, 3], tau)
 
+    @pytest.mark.parametrize("cap", [1e9, 10.5, True, "100"])
+    def test_rejects_non_int_cap(self, cap):
+        # 1e9 was accepted as a cap
+        with pytest.raises(ValueError, match="cap"):
+            folding_oracle((8, 12, 15), [1, 2, 3], 1, cap=cap)
+
     @pytest.mark.parametrize("tau", [-1, Fraction(-1, 2)])
     def test_rejects_negative_tau(self, tau):
         with pytest.raises(ValueError, match="tau"):
