@@ -18,8 +18,10 @@ cannot complete.  Each distinct group of a cover of two or more groups is
 scored once, when a cover first holds it, as its max-min gcd (read from
 the table, with no gcd call) and its lcm; a cover is ranked by the
 multistage effective rule (_effective_gcds) over its groups' gcds and the
-cross gcd of their lcms.  Only the winning plan becomes a tree, whose
-StageBounds is built from the gcds it was ranked by.
+cross gcd of their lcms (robust._maxmin_gcd).  Only the winning plan
+becomes a tree.  Its StageBounds comes from multistage._layout over the
+same profile, the one place that computes a plan's stage gcds: it reads
+each group's gcd from the same table and recomputes the cross gcd.
 
 For moduli of the form M * c_i with pairwise-coprime c_i no grouping can
 help, and the search reports failure.
@@ -238,22 +240,21 @@ def propose_grouping(
             )
             worst = min(eff)
             if worst > theta_gcd or (shared and worst == theta_gcd < max(eff)):
-                accepted.append((-worst, len(groups), groups, steps, eff))
+                accepted.append((-worst, len(groups), groups))
         if accepted:
             # best worst-case bound, then fewer groups, then lexicographic
-            _, _, groups, steps, eff = min(accepted)
+            _, _, groups = min(accepted)
             # a valid plan by construction: two or more groups of distinct
-            # in-range indices with distinct lcms that cover every index;
-            # its layout's steps are the groups, then the root
+            # in-range indices with distinct lcms that cover every index
             layout = _layout(
-                Node(children=tuple(Leaf(indices=g) for g in groups)), ms
+                Node(children=tuple(Leaf(indices=g) for g in groups)), profile
             )
             return GroupingProposal(
                 moduli=ms,
                 theta=theta,
                 verdict="success",
                 groups=groups,
-                bounds=_stage_bounds(layout, steps, eff),
+                bounds=_stage_bounds(layout),
                 shared_reference=shared,
             )
     return GroupingProposal(

@@ -25,7 +25,12 @@ The module also computes the stage-bound calculus: a per-group bound for
 each leaf, a cross bound for each internal node over its children's lcms,
 and the effective per-leaf bound (the minimum along the path to the root).
 Remainder errors strictly below the effective bounds guarantee exact
-recovery of every folding number.
+recovery of every folding number.  Every bound is a stage's max-min gcd
+over 4, and _layout is the one place that computes those gcds: a leaf's
+is read from the moduli's profile (robust._Profile.maxmin, no gcd call),
+a node's is the max-min gcd of its child lcms (robust._maxmin_gcd).
+stage_bounds, per_group_reference_bounds and the grouping search's
+winning plan all take them from there.
 """
 
 from __future__ import annotations
@@ -50,9 +55,11 @@ from .robust import (
     FoldingSolution,
     _folding_plan,
     _maxmin_gcd,
+    _Profile,
+    _profile,
+    _profile_of,
     _quarter,
     _solve_with_plan,
-    validate_moduli,
 )
 
 __all__ = [
@@ -193,19 +200,24 @@ def validate_tree(tree: GroupTree | str | Sequence, n_moduli: int) -> None:
 
 
 def _layout(
-    tree: GroupTree, moduli: tuple[int, ...]
-) -> list[tuple[GroupTree, tuple[int, ...], tuple[int, ...]]]:
-    """The tree in post-order as (subtree, path, parts).
+    tree: GroupTree, profile: _Profile
+) -> list[tuple[GroupTree, tuple[int, ...], tuple[int, ...], int]]:
+    """The tree in post-order as (subtree, path, parts, gcd).
 
     parts are the values a stage solves over: a leaf's moduli, or a node's
-    child lcms.  The tree must already be valid (validate_tree).  Raises
-    DegenerateTreeError when siblings share an lcm.
+    child lcms.  gcd is the stage's bound gcd, the max-min gcd of its
+    parts: a leaf's is read from the moduli's profile, a node's is
+    computed over its child lcms.  The tree must already be valid
+    (validate_tree) over profile.moduli.  Raises DegenerateTreeError when
+    siblings share an lcm.
     """
+    moduli = profile.moduli
     lams: list[int] = []  # lcms of the subtrees not yet joined
     out = []
     for t, path in _post_order(tree):
         if isinstance(t, Leaf):
             parts = tuple(moduli[i] for i in t.indices)
+            g = profile.maxmin(t.indices)
         else:
             parts = tuple(lams[-len(t.children):])
             del lams[-len(t.children):]
@@ -213,8 +225,9 @@ def _layout(
                 raise DegenerateTreeError(
                     f"children of node {path} share an lcm: {list(parts)}"
                 )
+            g = _maxmin_gcd(parts)[0]
         lams.append(math.lcm(*parts))
-        out.append((t, path, parts))
+        out.append((t, path, parts, g))
     return out
 
 
@@ -264,17 +277,6 @@ class GroupReferenceBounds:
     per_group_tau: tuple[Fraction, ...]  # all strict
 
 
-def _bound_gcds(layout) -> tuple[list[int], list[int]]:
-    """The bound calculus in integers: every bound is a gcd over 4.
-
-    Returns the max-min gcd of each step's parts (in layout order) and the
-    effective gcd of each leaf, left to right.
-    """
-    gcds = [_maxmin_gcd(parts)[0] for _, _, parts in layout]
-    shape = [(isinstance(t, Leaf), len(path)) for t, path, _ in layout]
-    return gcds, _effective_gcds(shape, gcds)
-
-
 def _effective_gcds(shape, gcds: Sequence[int]) -> list[int]:
     """Each leaf's effective gcd, left to right.
 
@@ -299,24 +301,16 @@ def _effective_gcds(shape, gcds: Sequence[int]) -> list[int]:
     return effective
 
 
-def _stage_bounds(
-    layout, gcds: Sequence[int], effective: Sequence[int]
-) -> StageBounds:
-    """The StageBounds of a layout from its step and effective gcds.
-
-    They are _bound_gcds(layout), or the same gcds the grouping search
-    ranked its winning plan by.
-    """
+def _stage_bounds(layout) -> StageBounds:
+    """The StageBounds of a layout: each stage's gcd over 4."""
+    shape = [(isinstance(t, Leaf), len(path)) for t, path, _, _ in layout]
+    effective = _effective_gcds(shape, [g for *_, g in layout])
     node_cross = tuple(
-        (path, _quarter(g))
-        for (t, path, _), g in zip(layout, gcds)
-        if isinstance(t, Node)
+        (path, _quarter(g)) for t, path, _, g in layout if isinstance(t, Node)
     )
     return StageBounds(
         per_group=tuple(
-            _quarter(g)
-            for (t, _, _), g in zip(layout, gcds)
-            if isinstance(t, Leaf)
+            _quarter(g) for t, _, _, g in layout if isinstance(t, Leaf)
         ),
         node_cross=node_cross,
         cross=node_cross[-1][1] if node_cross else None,
@@ -328,11 +322,10 @@ def stage_bounds(
     tree: GroupTree | str | Sequence, moduli: Sequence[int]
 ) -> StageBounds:
     """Group, cross and effective bounds of a plan over the given moduli."""
-    ms = validate_moduli(moduli)
+    profile = _profile_of(moduli)
     tree = parse_tree(tree)
-    validate_tree(tree, len(ms))
-    layout = _layout(tree, ms)
-    return _stage_bounds(layout, *_bound_gcds(layout))
+    validate_tree(tree, len(profile.moduli))
+    return _stage_bounds(_layout(tree, profile))
 
 
 def fused_error_bound(
@@ -340,14 +333,15 @@ def fused_error_bound(
 ) -> int:
     """Error bound of the fused estimate: the rounded size-weighted mean.
 
-    Taus must be ints or Fractions and group sizes positive ints.
+    Taus must be nonnegative ints or Fractions and group sizes positive
+    ints.
     """
     if len(taus) != len(group_sizes):
         raise ValueError("taus and group_sizes lengths differ")
     if not taus:
         raise ValueError("empty bound list")
     for t in taus:
-        _check_exact("tau", t)
+        _check_exact("tau", t, 0)
     for size in group_sizes:
         _check_int("group size", size, 1)
     total = sum(Fraction(t) * s for t, s in zip(taus, group_sizes))
@@ -381,12 +375,16 @@ class _TreeProgram:
     moved by the returned shift; it returns None at the first step that
     does not.
 
-    Building a program checks the moduli (positive, distinct, nonempty)
-    and the tree, so a cached program's inputs are not checked again.
+    Each step's reference is the first index attaining its parts' max-min
+    gcd, read from their profile (the one its folding plan reads).
+
+    Building a program checks the moduli (positive, distinct, nonempty,
+    through their profile) and the tree, so a cached program's inputs are
+    not checked again.
     """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):
-        validate_moduli(moduli)
+        profile = _profile(moduli)
         validate_tree(tree, len(moduli))
         self.moduli = moduli
         size = len(moduli)
@@ -394,7 +392,7 @@ class _TreeProgram:
         slots: list[int] = []  # table slots of the subtrees not yet joined
         occs: list[list] = []  # their leaf occurrences, as (index, terms)
         leaf_slots, node_slots = [], []  # each subtree's slot, by kind
-        for t, _, parts in _layout(tree, moduli):
+        for t, _, parts, _ in _layout(tree, profile):
             is_leaf = isinstance(t, Leaf)
             if is_leaf:
                 # a leaf joins its indices' slots as a node joins its
@@ -404,7 +402,7 @@ class _TreeProgram:
             c = len(parts)
             if c > 1:
                 s = len(steps)
-                plan = _folding_plan(parts, _maxmin_gcd(parts)[1])
+                plan = _folding_plan(parts, _profile(parts).reference)
                 steps.append((plan, itemgetter(*slots[-c:])))
                 children = occs[-c:]
                 del slots[-c:], occs[-c:]
@@ -582,30 +580,24 @@ def per_group_reference_bounds(
     The reference group k is the one whose lcm attains the cross bound; its
     remainders must stay strictly below min(G_k, G).  Every other group j
     tolerates errors strictly below
-    min(G_j, gcd(lcm_j, lcm_k)/2 - min(G_k, G)).
+    min(G_j, gcd(lcm_j, lcm_k)/2 - min(G_k, G)).  In gcds, with every
+    bound a gcd over 4, that is min(g_j, 2 gcd(lcm_j, lcm_k) - min(g_k, g)).
     """
-    ms = validate_moduli(moduli)
+    profile = _profile_of(moduli)
     tree = _two_stage(tree)
-    validate_tree(tree, len(ms))
-    *leaves, (_, _, lams) = _layout(tree, ms)
-    g_bounds = [Fraction(_maxmin_gcd(parts)[0], 4) for _, _, parts in leaves]
-    cross_gcd, k = _maxmin_gcd(lams)
-    cross = Fraction(cross_gcd, 4)
-    ref_term = min(g_bounds[k], cross)
-    taus: list[Fraction] = []
-    for j in range(len(lams)):
-        if j == k:
-            taus.append(ref_term)
-        else:
-            taus.append(
-                min(
-                    g_bounds[j],
-                    Fraction(math.gcd(lams[j], lams[k]), 2) - ref_term,
-                )
-            )
+    validate_tree(tree, len(profile.moduli))
+    *leaves, (_, _, lams, cross) = _layout(tree, profile)
+    gcds = [g for *_, g in leaves]
+    # the root stage's reference and its gcds with every group's lcm
+    root = _profile(lams)
+    k = root.reference
+    ref = min(gcds[k], cross)
     return GroupReferenceBounds(
         reference=k,
-        group_bounds=tuple(g_bounds),
-        cross=cross,
-        per_group_tau=tuple(taus),
+        group_bounds=tuple(map(_quarter, gcds)),
+        cross=_quarter(cross),
+        per_group_tau=tuple(
+            _quarter(ref if j == k else min(g, 2 * gl - ref))
+            for j, (g, gl) in enumerate(zip(gcds, root.table[k]))
+        ),
     )

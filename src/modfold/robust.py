@@ -125,14 +125,8 @@ class BoundsReport:
     strict: tuple[bool, ...]
 
 
-def validate_moduli(
-    moduli: Sequence[int], *, divisor_free: bool = False
-) -> tuple[int, ...]:
-    """Check moduli are distinct positive integers; return them as a tuple.
-
-    With divisor_free=True additionally reject sets where one modulus
-    divides another (prune_redundant output satisfies this).
-    """
+def validate_moduli(moduli: Sequence[int]) -> tuple[int, ...]:
+    """Check moduli are distinct positive integers; return them as a tuple."""
     ms = tuple(_check_ints("modulus", moduli))
     if not ms:
         raise ValueError("empty moduli set")
@@ -140,8 +134,6 @@ def validate_moduli(
         raise ValueError(f"moduli must be positive, got {min(ms)}")
     if len(set(ms)) != len(ms):
         raise ValueError(f"moduli must be distinct, got {ms}")
-    if divisor_free:
-        _profile(ms).require_divisor_free()
     return ms
 
 
@@ -152,9 +144,10 @@ def _maxmin_gcd(values: Sequence[int]) -> tuple[int, int]:
     stands in, which makes the bound of a one-modulus group M/4.  Each row
     starts from the value itself (every gcd with it is at most the value)
     and stops once its minimum can no longer beat the best row so far.
-    The bound calculus of a moduli set reads the set's _Profile instead;
-    this pass serves the parts of a plan's stages (a leaf's moduli, a
-    node's child lcms).
+    It serves only fresh tuples of lcms: an inner stage's bound gcd in
+    multistage._layout and a cover's cross gcd in the grouping search.
+    Every max-min gcd over a set's moduli, a leaf stage's included, is
+    read from the set's _Profile instead.
     """
     gcd = math.gcd
     best, best_i = -1, 0
@@ -191,7 +184,9 @@ class _Profile:
     the greatest of them, is the max-min gcd and reference the first
     index attaining it, as _maxmin_gcd(moduli) gives them; theta is
     theta_gcd / 4.  maxmin(group) is the same max-min gcd over a set of
-    indices, read from the table without a gcd call.
+    indices, read from the table without a gcd call; it is the bound gcd
+    of a leaf stage over those indices, which multistage._layout reads
+    for every plan.
 
     M_j divides M_i exactly when table[i][j] == M_j, so M_i divides
     another modulus exactly when row i holds M_i more than once, and
@@ -317,12 +312,9 @@ def prune_redundant(moduli: Sequence[int]) -> tuple[int, ...]:
     if len(ms) < 2:
         raise ValueError("prune_redundant needs at least two moduli")
     # divisibility is transitive, so one pass against the full set is the
-    # same as iterating to a fixpoint
-    return tuple(
-        m
-        for i, m in enumerate(ms)
-        if not any(j != i and other % m == 0 for j, other in enumerate(ms))
-    )
+    # same as iterating to a fixpoint; the moduli are distinct and
+    # positive, so only a larger one can be a multiple of m
+    return tuple(m for m in ms if all(o % m for o in ms if o > m))
 
 
 def check_ns_condition(

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import modfold.grouping as grouping
+import modfold.multistage as multistage
 import modfold.robust as robust
 from modfold.grouping import (
     CandidateSet,
@@ -17,7 +18,7 @@ from modfold.grouping import (
     propose_grouping,
     render_proposal,
 )
-from modfold.multistage import DegenerateTreeError, StageBounds
+from modfold.multistage import DegenerateTreeError, StageBounds, stage_bounds
 from modfold.robust import (
     SearchCapExceeded,
     per_remainder_bounds,
@@ -688,6 +689,51 @@ class TestOneProfile:
         solve_folding(ms, [0] * len(ms), k)
         assert ms not in seen
         assert seen  # the cross gcds of the search's covers still run
+
+    def test_stage_bounds_reads_the_search_profile(self, monkeypatch):
+        # the design sequence: stage_bounds right after propose_grouping
+        # validates nothing again, builds no profile or folding plan, and
+        # computes a gcd only per inner node, over its child lcms
+        def lcm_of(ms, group):
+            return math.lcm(*(ms[i] for i in group))
+
+        cases = []
+        for ms in profile_sets():
+            groups = propose_grouping(ms).groups
+            if groups and len(cases) < 40:
+                lams = tuple(lcm_of(ms, g) for g in groups)
+                cases.append((ms, [list(g) for g in groups], [lams]))
+        ms = (192, 288, 216, 360, 320, 448)
+        cases.append((ms, [[[0, 1], [2, 3]], [4, 5]], [
+            (lcm_of(ms, (0, 1)), lcm_of(ms, (2, 3))),
+            (lcm_of(ms, (0, 1, 2, 3)), lcm_of(ms, (4, 5))),
+        ]))
+        calls = []
+        for module, name in (
+            (robust, "validate_moduli"),
+            (robust, "_maxmin_gcd"),
+            (multistage, "_maxmin_gcd"),
+        ):
+            def wrapper(values, *args, fn=getattr(module, name),
+                        where=f"{module.__name__}.{name}", **kwargs):
+                calls.append((where, tuple(values)))
+                return fn(values, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        for ms, layout, nodes in cases:
+            proposal = propose_grouping(ms)
+            profiles = robust._profile.cache_info().misses
+            plans = robust._folding_plan.cache_info().misses
+            calls.clear()
+            bounds = stage_bounds(layout, ms)
+            assert robust._profile.cache_info().misses == profiles
+            assert robust._folding_plan.cache_info().misses == plans
+            assert calls == [
+                ("modfold.multistage._maxmin_gcd", lams) for lams in nodes
+            ], (ms, layout)
+            if len(nodes) == 1:
+                assert bounds == proposal.bounds
+        assert len(cases) == 41
 
     def test_float_moduli_miss_the_int_profile(self):
         # 135.0 equals and hashes like 135, so the int check comes first

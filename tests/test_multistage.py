@@ -1,13 +1,16 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import modfold.robust as robust
 from modfold.intmath import round_half_up_div
 from modfold.multistage import (
     DegenerateTreeError,
+    GroupReferenceBounds,
     StageBounds,
     StageSolution,
     _TreeProgram,
@@ -237,6 +240,7 @@ class TestFusedErrorBound:
             ([1, 1], [1, -1]),
             ([1, 1], [1, 0]),
             ([1, 1], [1, 1.5]),
+            ([-1, 1], [1, 1]),
         ],
     )
     def test_rejects_float_taus_and_bad_sizes(self, taus, sizes):
@@ -427,6 +431,84 @@ class TestPerGroupReferenceBounds:
     def test_depth_two_only(self):
         with pytest.raises(ValueError):
             per_group_reference_bounds("[[[0,1],[2,3]],[4,5]]", EX_THREE)
+
+    def test_matches_rational_formula_cold_and_warm(self):
+        rng = random.Random(1301)
+        kinds = Counter()
+        while kinds["plans"] < 320:
+            ms, groups = random_depth_two_plan(rng)
+            try:
+                want = rational_group_reference_bounds(groups, ms)
+            except DegenerateTreeError:
+                with pytest.raises(DegenerateTreeError):
+                    per_group_reference_bounds(groups, ms)
+                continue
+            kinds["plans"] += 1
+            for state in ("cold", "warm"):
+                if state == "cold":
+                    robust._profile.cache_clear()
+                got = per_group_reference_bounds(groups, ms)
+                assert got == want, (ms, groups, state)
+            counts = Counter(i for g in groups for i in g)
+            kinds["shared" if max(counts.values()) > 1 else "partition"] += 1
+            kinds["singleton"] += min(map(len, groups)) == 1
+        # singleton groups and shared-index leaves are both well covered
+        assert kinds["shared"] > 80 and kinds["singleton"] > 80, kinds
+
+
+def random_depth_two_plan(rng):
+    """3-6 moduli with shared factors and a depth-2 plan over them.
+
+    The groups partition the indices, with a singleton group in some
+    plans; in a third of them one group also takes an index of another,
+    as in [[0], [0, 1, 2]].
+    """
+    base = rng.choice([2, 3, 4, 6, 10, 12])
+    ms = tuple(
+        base * c for c in rng.sample(range(2, 60), rng.randint(3, 6))
+    )
+    order = rng.sample(range(len(ms)), len(ms))
+    cuts = sorted(rng.sample(range(1, len(ms)), rng.randint(1, len(ms) - 1)))
+    groups = [
+        sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [len(ms)])
+    ]
+    if rng.random() < 1 / 3:
+        g = rng.choice(groups)
+        outside = [i for i in range(len(ms)) if i not in g]
+        g.append(rng.choice(outside))
+    return ms, groups
+
+
+def rational_group_reference_bounds(groups, ms):
+    """per_group_reference_bounds by its rational formula.
+
+    G_j is group j's max-min gcd over 4 (M/4 for one modulus), G the
+    max-min gcd of the group lcms over 4 and k the first group attaining
+    it; group k tolerates min(G_k, G) and every other group j
+    min(G_j, gcd(lcm_j, lcm_k)/2 - min(G_k, G)).
+    """
+    lams = [math.lcm(*(ms[i] for i in g)) for g in groups]
+    if len(set(lams)) != len(lams):
+        raise DegenerateTreeError("sibling groups share an lcm")
+    g_bounds = [_maxmin_quarter([ms[i] for i in g]) for g in groups]
+    rows = [
+        min(Fraction(math.gcd(a, b), 4) for b in lams if b != a)
+        for a in lams
+    ]
+    cross = max(rows)
+    k = rows.index(cross)
+    ref_term = min(g_bounds[k], cross)
+    return GroupReferenceBounds(
+        reference=k,
+        group_bounds=tuple(g_bounds),
+        cross=cross,
+        per_group_tau=tuple(
+            ref_term
+            if j == k
+            else min(g, Fraction(math.gcd(lams[j], lams[k]), 2) - ref_term)
+            for j, g in enumerate(g_bounds)
+        ),
+    )
 
 
 # -- reference: the recursive tree engine the flat step program replaced --

@@ -152,6 +152,12 @@ class TestPruneRedundant:
                     if d not in ms:
                         ms.append(d)
             pruned = prune_redundant(ms)
+            # by definition: every modulus no other one is a multiple of
+            assert pruned == tuple(
+                m
+                for i, m in enumerate(ms)
+                if not any(j != i and o % m == 0 for j, o in enumerate(ms))
+            )
             assert math.lcm(*pruned) == math.lcm(*ms)
             if len(pruned) >= 2:
                 assert theta_bound(pruned) >= theta_bound(ms)
@@ -467,11 +473,6 @@ class TestFoldingOracle:
 
 
 class TestValidateModuli:
-    def test_divisor_free_flag(self):
-        validate_moduli((8, 12, 15), divisor_free=True)
-        with pytest.raises(ValueError):
-            validate_moduli((8, 24, 15), divisor_free=True)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             validate_moduli((3, -1))
