@@ -54,6 +54,7 @@ from .robust import (
     FoldingFailure,
     FoldingSolution,
     _folding_plan,
+    _LazyMoves,
     _maxmin_gcd,
     _Profile,
     _profile,
@@ -348,15 +349,16 @@ def fused_error_bound(
     return round_half_up(total / sum(group_sizes))
 
 
-class _TreeProgram:
+class _TreeProgram(_LazyMoves):
     """Prevalidated reconstruction plan for a fixed (moduli, tree) pair.
 
     A run keeps one value table: slots 0..L-1 hold the remainders and slot
     L + s the estimate of step s.  steps holds the stages of two or more
-    inputs in post-order as (plan, gather), gather being an
-    operator.itemgetter over the input slots (a leaf's indices or its
-    children's slots).  A one-index leaf is no step, only its remainder's
-    slot, so the root's estimate is always the table's last value.
+    inputs in post-order as (plan, gather, slots), slots being the input
+    slots (a leaf's indices or its children's slots) and gather an
+    operator.itemgetter over them.  A one-index leaf is no step, only its
+    remainder's slot, so the root's estimate is always the table's last
+    value.
 
     occurrences holds, per leaf occurrence of a modulus index (left to
     right), (index, terms) with one (step, input position, lcm of that
@@ -373,7 +375,9 @@ class _TreeProgram:
     exactness condition (robust._FoldingPlan.checked_shift): when every
     step meets it, the run is the error-free one with the root estimate
     moved by the returned shift; it returns None at the first step that
-    does not.
+    does not.  Both are generated by robust._compile_moves over the
+    steps and their slots, on first use (robust._LazyMoves), so building
+    or running a program never builds them.
 
     Each step's reference is the first index attaining its parts' max-min
     gcd, read from their profile (the one its folding plan reads).
@@ -403,7 +407,8 @@ class _TreeProgram:
             if c > 1:
                 s = len(steps)
                 plan = _folding_plan(parts, _profile(parts).reference)
-                steps.append((plan, itemgetter(*slots[-c:])))
+                ins = tuple(slots[-c:])
+                steps.append((plan, itemgetter(*ins), ins))
                 children = occs[-c:]
                 del slots[-c:], occs[-c:]
                 for ci, (lam, occ) in enumerate(zip(parts, children)):
@@ -413,7 +418,7 @@ class _TreeProgram:
                 occs.append([o for occ in children for o in occ])
             (leaf_slots if is_leaf else node_slots).append(slots[-1])
         self.steps = tuple(steps)
-        self.least_gcd = min((p.least_gcd for p, _ in steps), default=0)
+        self.least_gcd = min((p.least_gcd for p, *_ in steps), default=0)
         self.occurrences = tuple((i, tuple(terms)) for i, terms in occs[0])
         self.shared = len(self.occurrences) > size
         # the root closes the post-order: its estimate is the final one,
@@ -442,7 +447,7 @@ class _TreeProgram:
         table = list(remainders)
         folds: list[tuple[int, ...]] = []
         try:
-            for plan, gather in self.steps:
+            for plan, gather, _ in self.steps:
                 folding, est = _solve_with_plan(plan, gather(table))
                 folds.append(folding)
                 table.append(est)
@@ -453,30 +458,8 @@ class _TreeProgram:
         composed = self.foldings(folds, table) if self.shared else None
         return (table, folds), table[-1], composed
 
-    def shift(self, errors: Sequence[int]) -> int:
-        """The move of run's root estimate for errors inside the window.
-
-        One pass over the steps in run's table layout, each step's move
-        being its plan's shift (the rounded mean) of its inputs' moves.
-        """
-        table = list(errors)
-        for plan, gather in self.steps:
-            table.append(plan.shift(gather(table)))
-        return table[-1]
-
-    def checked_shift(self, errors: Sequence[int]) -> int | None:
-        """shift(errors) if every step meets its exactness condition.
-
-        The same pass as shift, over each step's actual input errors;
-        None at the first step that fails its condition.
-        """
-        table = list(errors)
-        for plan, gather in self.steps:
-            move = plan.checked_shift(gather(table))
-            if move is None:
-                return None
-            table.append(move)
-        return table[-1]
+    def _stages(self):
+        return [(plan, slots) for plan, _, slots in self.steps]
 
     def foldings(self, folds, table: Sequence[int]):
         """Per-index folding numbers and the occurrence estimate.

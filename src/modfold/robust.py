@@ -348,7 +348,102 @@ def _ns_condition(
     return _folding_plan(tuple(moduli), k).checked_shift(deltas) is not None
 
 
-class _FoldingPlan:
+def _sum_source(names: Sequence[str]) -> str:
+    """The sum of the named locals as a balanced tree of + terms."""
+    if len(names) == 1:
+        return names[0]
+    half = len(names) // 2
+    return f"({_sum_source(names[:half])} + {_sum_source(names[half:])})"
+
+
+def _compile_moves(size: int, stages):
+    """shift and checked_shift of a run of stages, as generated code.
+
+    stages holds (plan, slots) per stage in run order: plan is the
+    stage's _FoldingPlan (only its k and pairs are read) and slots are
+    the table slots of its inputs, where slots 0..size-1 hold the input
+    errors and slot size + s holds stage s's move.  Both functions take
+    the error vector and return the last slot's value: the last stage's
+    move, or the last error when there is no stage.
+
+    Each stage is one straight-line assignment, its move
+    (2 sum(d) + c) // 2c over its c input moves d.  checked_shift puts
+    before it the stage's exactness condition, -g <= 2 (d_i - d_k) < g for
+    every (i, g) of plan.pairs, as one and-chain, and returns None at the
+    first stage that fails it.
+
+    The source names only locals: every gcd and size is a parameter of a
+    generated factory, because str() of an int past the interpreter's
+    digit limit raises ValueError.  Sums are balanced, because a long
+    left-nested + chain exhausts the compiler's recursion limit.
+    """
+    consts: dict[int, str] = {}
+
+    def const(value: int) -> str:
+        return consts.setdefault(value, f"k{len(consts)}")
+
+    table = [f"d{j}" for j in range(size)]
+    unpack = f"{', '.join(table)}, = errors"
+    moves, checked = [unpack], [unpack]
+    for plan, slots in stages:
+        ins = [table[j] for j in slots]
+        c = len(ins)
+        dk = ins[plan.k]
+        condition = " and ".join(
+            f"{const(-g)} <= 2 * ({ins[i]} - {dk}) < {const(g)}"
+            for i, g in plan.pairs
+        )
+        out = f"d{len(table)}"
+        total = _sum_source(ins)
+        move = f"{out} = (2 * {total} + {const(c)}) // {const(2 * c)}"
+        moves.append(move)
+        checked += [f"if not ({condition}):", "    return None", move]
+        table.append(out)
+    ret = f"return {table[-1]}"
+    body = "\n        ".join
+    source = (
+        f"def factory({', '.join(consts.values())}):\n"
+        f"    def shift(errors):\n        {body(moves + [ret])}\n"
+        f"    def checked_shift(errors):\n        {body(checked + [ret])}\n"
+        "    return shift, checked_shift\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["factory"](*consts)
+
+
+class _LazyMoves:
+    """shift and checked_shift, generated by _compile_moves on first use.
+
+    A plan that is only solved (solve_folding, reconstruct_tree) never
+    pays the generation; a sweep or check_ns_condition pays it once per
+    plan, which then keeps both functions.
+    Subclasses give their stages as (plan, slots) over their moduli in
+    _stages.  Properties, not a __getattr__ hook: a class with one loses
+    the interpreter's fast attribute access, which the solvers use.
+    """
+
+    __slots__ = ("_moves",)
+
+    @property
+    def shift(self):
+        """The estimate's move for input errors inside the exact window."""
+        return self._compiled()[0]
+
+    @property
+    def checked_shift(self):
+        """shift(errors) if every stage meets its exactness condition."""
+        return self._compiled()[1]
+
+    def _compiled(self):
+        try:
+            return self._moves
+        except AttributeError:
+            self._moves = _compile_moves(len(self.moduli), self._stages())
+            return self._moves
+
+
+class _FoldingPlan(_LazyMoves):
     """Precomputed constants for solve_folding on a fixed (moduli, k).
 
     Per index i != k, in index order, let g = gcd(M_k, M_i), n = M_i / g
@@ -388,6 +483,10 @@ class _FoldingPlan:
     folding numbers, so checked_shift returns None exactly when the solve
     would not find the error-free folding numbers.
 
+    shift and checked_shift are generated by _compile_moves for the plan
+    as one stage over all its inputs, on first use (_LazyMoves): solving
+    never builds them.
+
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least
     two, so a cached plan's moduli are not checked again.
@@ -422,17 +521,8 @@ class _FoldingPlan:
         self.least_gcd = profile.least[k]
         self.pairs = tuple((i, g) for i, g, _, _, _ in terms)
 
-    def shift(self, errors: Sequence[int]) -> int:
-        """The estimate's move for input errors inside the exact window."""
-        return (2 * sum(errors) + len(errors)) // self.twice_size
-
-    def checked_shift(self, errors: Sequence[int]) -> int | None:
-        """shift(errors) if they meet the exactness condition, else None."""
-        dk = errors[self.k]
-        for i, g in self.pairs:
-            if not -g <= 2 * (errors[i] - dk) < g:
-                return None
-        return self.shift(errors)
+    def _stages(self):
+        return ((self, range(len(self.moduli))),)
 
 
 @lru_cache(maxsize=512)

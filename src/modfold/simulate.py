@@ -43,8 +43,14 @@ half-up rounded mean of values in [lo, hi] stays in [lo, hi], so every
 stage's input errors lie in one window of width w and meet the
 condition.  A certified level is scored as the anchor plus plan.shift,
 the same move without the check; every other level checks each trial.
-Skipping the check pays most on trees, where it walks every stage's
-pairs while the shift only sums.
+
+plan.shift and plan.checked_shift are generated per plan
+(robust._compile_moves), the first time they are read: straight-line
+code with one local per stage's move, in run order, and in checked_shift
+each stage's pair tests as one chain of comparisons before its move.
+So a trial-level costs a few integer operations per stage and per pair,
+with no loop, call or table; the check costs its pair tests, which a
+certified level skips.
 
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage

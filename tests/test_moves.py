@@ -1,0 +1,359 @@
+"""The generated move kernels: shift and checked_shift of plans and trees.
+
+robust._compile_moves writes each plan's stage-by-stage pass as straight-
+line code.  These tests hold it to the loops it replaced, written out
+here, and to the solver; they put every exactness pair at its edges,
+check that a kernel with a mutated edge is caught, that plans are only
+compiled by a sweep, and that the generated code survives huge gcds,
+wide stages and deep trees.
+"""
+
+import math
+import random
+import sys
+from functools import partial
+from types import SimpleNamespace
+
+import pytest
+
+import modfold.robust as robust
+from modfold.grouping import propose_grouping
+from modfold.multistage import (
+    DegenerateTreeError,
+    Leaf,
+    Node,
+    _program_for,
+    _tree_program,
+    parse_tree,
+    reconstruct_tree,
+    stage_bounds,
+)
+from modfold.robust import (
+    FoldingFailure,
+    _compile_moves,
+    _folding_plan,
+    _solve_with_plan,
+    select_reference,
+    solve_folding,
+)
+from modfold.simulate import SYMMETRIC, TrialConfig, run_trials, sweep
+
+
+def loop_moves(stages, errors, checked):
+    """The stage-by-stage pass the generated code replaces.
+
+    Each stage's move is the half-up rounded mean of its input moves; with
+    checked, a stage whose inputs miss -g <= 2 (d_i - d_k) < g for one of
+    its pairs ends the pass with None.
+    """
+    table = list(errors)
+    for plan, slots in stages:
+        d = [table[j] for j in slots]
+        if checked:
+            dk = d[plan.k]
+            for i, g in plan.pairs:
+                if not -g <= 2 * (d[i] - dk) < g:
+                    return None
+        table.append((2 * sum(d) + len(d)) // (2 * len(d)))
+    return table[-1]
+
+
+def loop_kernels(size, stages):
+    """A stand-in for _compile_moves that runs the loops."""
+    stages = list(stages)
+    return (
+        partial(loop_moves, stages, checked=False),
+        partial(loop_moves, stages, checked=True),
+    )
+
+
+def entangled(rng, size):
+    """Distinct moduli built from a few shared prime powers."""
+    while True:
+        ms = {
+            math.prod(rng.choice((1, 2, 4, 8, 3, 9, 5, 7)) for _ in range(4))
+            for _ in range(size)
+        }
+        ms.discard(1)
+        if len(ms) == size:
+            return tuple(sorted(ms))
+
+
+# trees by size: singleton leaves, a shared index, one leaf, depth 2 and 3
+LAYOUTS = {
+    1: ["[0]"],
+    3: ["[[0,1],[2]]", "[[0,2],[1,2]]", "[0,1,2]", "[[[0],[1]],[2]]"],
+    4: ["[[0,1],[2,3]]", "[[[0,1],[2]],[3]]", "[[0,1],[1,2,3]]"],
+    6: ["[[[0,1],[2,3]],[4,5]]", "[[0,1,2],[3,4],[5]]"],
+}
+
+
+def random_plans(rng, count):
+    """(moduli, plan) pairs: folding plans at any reference, and programs."""
+    out = []
+    while len(out) < count:
+        size = rng.choice((2, 3, 3, 4, 5))
+        ms = entangled(rng, size)
+        out.append((ms, _folding_plan(ms, rng.randrange(size))))
+        size = rng.choice(sorted(LAYOUTS))
+        ms = (7,) if size == 1 else entangled(rng, size)
+        try:
+            program = _tree_program(ms, parse_tree(rng.choice(LAYOUTS[size])))
+        except DegenerateTreeError:
+            continue
+        out.append((ms, program))
+    return out
+
+
+def error_vectors(rng, ms, count):
+    """(unknown, errors): one-sided, symmetric and clamped draws."""
+    lam = math.lcm(*ms)
+    for _ in range(count):
+        n = rng.randrange(lam)
+        tau = rng.choice((1, 2, 3, 5, 8, 13, 40))
+        kind = rng.randrange(3)
+        if kind == 0:
+            errors = [rng.randint(0, tau) for _ in ms]
+        elif kind == 1:
+            errors = [rng.randint(-tau, tau) for _ in ms]
+        else:
+            errors = [
+                min(max(n % m + rng.randint(-tau, tau), 0), m - 1) - n % m
+                for m in ms
+            ]
+        yield n, errors
+
+
+def edge_vectors(size, stages):
+    """Per stage pair (i, g), errors putting d_i - d_k just inside and
+    just outside both edges of the exactness condition.
+
+    The least passing difference d has 2d = -g (g even) or -g - 1 (g
+    odd), the greatest 2d = g - 2 or g - 1; one step past each fails.
+    Every error under input i is d and every other error 0, so input i
+    moves by d and, when no other input shares its moduli, the stage
+    sees exactly d_i - d_k = d.  Yields (stage, i, d, errors).
+    """
+    under = [{j} for j in range(size)]  # the error slots under each slot
+    for _, slots in stages:
+        under.append(set().union(*(under[j] for j in slots)))
+    for s, (plan, slots) in enumerate(stages):
+        for i, g in plan.pairs:
+            lo, hi = -(g // 2), (g + 1) // 2 - 1
+            for d in (lo - 1, lo, hi, hi + 1):
+                errors = [0] * size
+                for j in under[slots[i]]:
+                    errors[j] = d
+                yield s, i, d, errors
+
+
+def mismatches(kernels, stages, vectors):
+    """Error vectors on which the kernels and the loops disagree."""
+    shift, checked_shift = kernels
+    return [
+        errors
+        for errors in vectors
+        if shift(errors) != loop_moves(stages, errors, False)
+        or checked_shift(errors) != loop_moves(stages, errors, True)
+    ]
+
+
+def solve(plan, rt):
+    """(folding numbers, estimate) of the solver, or (None, None)."""
+    try:
+        if isinstance(plan, robust._FoldingPlan):
+            return _solve_with_plan(plan, rt)
+        (_, folds), est, _ = plan.run(rt)
+        return folds, est
+    except FoldingFailure:
+        return None, None
+
+
+class TestAgainstLoopsAndSolver:
+    def test_random_plans_and_trees(self):
+        rng = random.Random(1401)
+        issued = refused = 0
+        for ms, plan in random_plans(rng, 160):
+            stages = plan._stages()
+            for n, errors in error_vectors(rng, ms, 40):
+                assert plan.shift(errors) == loop_moves(stages, errors, False)
+                move = plan.checked_shift(errors)
+                assert move == loop_moves(stages, errors, True), (ms, errors)
+                rs = [n % m for m in ms]
+                anchor_folds, anchor = solve(plan, rs)
+                folds, est = solve(plan, [r + e for r, e in zip(rs, errors)])
+                if move is None:
+                    refused += 1
+                    assert folds != anchor_folds, (ms, n, errors)
+                else:
+                    issued += 1
+                    assert (folds, est) == (anchor_folds, anchor + move)
+        assert issued > 2000 and refused > 2000
+
+    def test_every_pair_at_its_edges(self):
+        rng = random.Random(1402)
+        exact = {"even": 0, "odd": 0}
+        for ms, plan in random_plans(rng, 200):
+            stages = plan._stages()
+            size = len(ms)
+            n = rng.randrange(math.lcm(*ms))
+            rs = [n % m for m in ms]
+            anchor_folds, anchor = solve(plan, rs)
+            for s, i, d, errors in edge_vectors(size, stages):
+                move = plan.checked_shift(errors)
+                assert move == loop_moves(stages, errors, True), (ms, errors)
+                assert plan.shift(errors) == loop_moves(stages, errors, False)
+                folds, est = solve(plan, [r + e for r, e in zip(rs, errors)])
+                if move is None:
+                    assert folds != anchor_folds, (ms, n, errors)
+                else:
+                    assert (folds, est) == (anchor_folds, anchor + move)
+                # the stage's own difference, as the loops compute it
+                table = list(errors)
+                for p, slots in stages[:s]:
+                    table.append(loop_moves([(p, slots)], table, False))
+                plan_s, slots = stages[s]
+                if table[slots[i]] - table[slots[plan_s.k]] == d:
+                    g = dict(plan_s.pairs)[i]
+                    exact["even" if g % 2 == 0 else "odd"] += 1
+        # both parities, so 2d reaches -g, -g - 1, g - 1 and g
+        assert exact["even"] > 1000 and exact["odd"] > 300, exact
+
+    def test_mutated_upper_edge_is_caught(self, monkeypatch):
+        # a kernel generated with <= at the upper edge passes 2d = g
+        rng = random.Random(1403)
+        plans = random_plans(rng, 60)
+        sources = []
+
+        def mutated(source, namespace):
+            sources.append(source)
+            exec(source.replace(") < k", ") <= k"), namespace)
+
+        caught = 0
+        for ms, plan in plans:
+            stages = plan._stages()
+            vectors = [e for *_, e in edge_vectors(len(ms), stages)]
+            kernels = _compile_moves(len(ms), stages)
+            assert mismatches(kernels, stages, vectors) == []
+            with monkeypatch.context() as m:
+                m.setattr(robust, "exec", mutated, raising=False)
+                mutant = _compile_moves(len(ms), stages)
+            caught += bool(mismatches(mutant, stages, vectors))
+        assert all(") < k" in s for s in sources if "if not" in s)
+        assert caught > 20
+
+    def test_plan_with_no_stage(self):
+        program = _tree_program((7,), parse_tree("[0]"))
+        assert program.steps == ()
+        for e in (-3, 0, 5):
+            assert program.shift([e]) == program.checked_shift([e]) == e
+
+
+class TestBuiltOnFirstSweep:
+    def test_only_a_sweep_compiles(self, monkeypatch):
+        calls = []
+
+        def counted(size, stages):
+            calls.append(size)
+            return _compile_moves(size, stages)
+
+        monkeypatch.setattr(robust, "_compile_moves", counted)
+        # a fresh factor keeps every plan cache cold for these sets
+        rng = random.Random(1407)
+        f = rng.randrange(10**12, 10**13)
+        ms = tuple(f * m for m in (135, 180, 162))
+        layout = "[[0,1],[2]]"
+        n = rng.randrange(math.lcm(*ms))
+        rs = [n % m + 1 for m in ms]
+        assert solve_folding(ms, rs, select_reference(ms)).estimate == n + 1
+        assert reconstruct_tree(ms, rs, layout).final.estimate == n + 1
+        stage_bounds(layout, ms)
+        propose_grouping(ms)
+        propose_grouping(ms, share_reference=True)
+        assert calls == []
+
+        single = TrialConfig(moduli=ms, trials=20)
+        tree = TrialConfig(moduli=ms, tree=layout, trials=20)
+        sweep(single, [0, 1, 2])
+        assert calls == [3]
+        sweep(tree, [0, 1, 2])
+        assert calls == [3, 3]
+        sweep(single, [3])
+        run_trials(tree)
+        _folding_plan(ms, select_reference(ms)).checked_shift([0, 0, 0])
+        assert calls == [3, 3]
+
+
+class TestGeneratedCodeLimits:
+    def test_gcds_past_the_digit_limit(self, monkeypatch):
+        p = 10**4400 + 1
+        ms = (6 * p, 10 * p, 15 * p)
+        if hasattr(sys, "get_int_max_str_digits"):
+            with pytest.raises(ValueError):
+                str(2 * p)  # no source text can hold such a gcd
+        taus = [0, 1, 3, 8]
+        cfgs = [
+            TrialConfig(moduli=ms, trials=60, rng_seed=3),
+            TrialConfig(moduli=ms, tree="[[0,1],[2]]", trials=60, rng_seed=3),
+            TrialConfig(
+                moduli=ms, trials=60, rng_seed=4, error_model=SYMMETRIC,
+                clamp_remainders=True,
+            ),
+        ]
+        plans = [
+            _folding_plan(ms, select_reference(ms)),
+            _program_for(ms, cfgs[1].tree),
+        ]
+        # a pair that fails and one that passes, on each plan
+        failing, passing = [0, 3 * p, 0], [1, 2, 3]
+        rows = [sweep(cfg, taus) for cfg in cfgs]
+        rows.append([run_trials(cfg) for cfg in cfgs])
+        moves = [
+            (plan.checked_shift(failing), plan.checked_shift(passing))
+            for plan in plans
+        ]
+        assert all(a is None and b is not None for a, b in moves)
+
+        monkeypatch.setattr(robust, "_compile_moves", loop_kernels)
+        for plan in plans:
+            del plan._moves
+        assert rows[:3] == [sweep(cfg, taus) for cfg in cfgs]
+        assert rows[3] == [run_trials(cfg) for cfg in cfgs]
+        assert moves == [
+            (plan.checked_shift(failing), plan.checked_shift(passing))
+            for plan in plans
+        ]
+
+    def test_stage_of_3000_inputs(self):
+        # a left-nested sum of 3,000 terms exhausts the compiler on 3.10-3.12
+        size, k = 3000, 1234
+        rng = random.Random(1405)
+        stub = SimpleNamespace(
+            k=k,
+            pairs=tuple(
+                (i, rng.randrange(1, 10**6)) for i in range(size) if i != k
+            ),
+        )
+        stages = [(stub, range(size))]
+        kernels = _compile_moves(size, stages)
+        vectors = [[0] * size, [rng.randint(0, 2) for _ in range(size)]]
+        for i, g in stub.pairs[::100]:  # both edges of every 100th pair
+            lo, hi = -(g // 2), (g + 1) // 2 - 1
+            for d in (lo - 1, lo, hi, hi + 1):
+                vectors.append([d if j == i else 0 for j in range(size)])
+        assert mismatches(kernels, stages, vectors) == []
+        assert kernels[1](vectors[0]) == 0
+
+    def test_deep_chain_tree(self):
+        # [0, [1, [0, ...]]] over (3, 5): 300 stages, one per level
+        tree = Node((Leaf((0,)), Leaf((1,))))
+        for level in range(299):
+            tree = Node((Leaf((level % 2,)), tree))
+        program = _program_for((3, 5), tree)
+        stages = program._stages()
+        assert len(stages) == 300
+        rng = random.Random(1406)
+        vectors = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(200)]
+        assert mismatches(
+            (program.shift, program.checked_shift), stages, vectors
+        ) == []
