@@ -75,7 +75,10 @@ def _mod_inverse(a: int, m: int) -> int:
     try:
         return pow(a % m, -1, m)
     except ValueError:
-        raise NotInvertibleError(f"{a} has no inverse modulo {m}") from None
+        # no values: they may be too long to print
+        raise NotInvertibleError(
+            "a has no inverse modulo the modulus: they share a factor"
+        ) from None
 
 
 def round_half_up_div(num: int, den: int) -> int:

@@ -223,8 +223,15 @@ def _layout(
             parts = tuple(lams[-len(t.children):])
             del lams[-len(t.children):]
             if len(set(parts)) != len(parts):
+                # positions, not lcms, which may be too long to print
+                i, j = next(
+                    (i, j)
+                    for j, lam in enumerate(parts)
+                    for i in range(j)
+                    if parts[i] == lam
+                )
                 raise DegenerateTreeError(
-                    f"children of node {path} share an lcm: {list(parts)}"
+                    f"children {i} and {j} of node {path} share an lcm"
                 )
             g = _maxmin_gcd(parts)[0]
         lams.append(math.lcm(*parts))
@@ -368,16 +375,17 @@ class _TreeProgram(_LazyMoves):
 
     least_gcd is the least gcd any step rounds by (0 with no step).  For
     remainder errors in [lo, hi] with 2 (hi - lo) < least_gcd, every step
-    solves as on the error-free remainders and moves by its plan's shift
-    of its inputs' moves, so shift gives the root estimate's exact move
-    (see the simulate module).  checked_shift makes the same pass for
+    solves as on the error-free remainders and moves by its plan's move
+    of its inputs' moves, so the root estimate's move is exact without a
+    check (see the simulate module).  checked_shift makes that pass for
     one error vector, checking each step's inputs against its plan's
     exactness condition (robust._FoldingPlan.checked_shift): when every
     step meets it, the run is the error-free one with the root estimate
-    moved by the returned shift; it returns None at the first step that
-    does not.  Both are generated by robust._compile_moves over the
-    steps and their slots, on first use (robust._LazyMoves), so building
-    or running a program never builds them.
+    moved by the returned move; it returns None at the first step that
+    does not.  It and the level scans are generated by
+    robust._compile_moves over the steps and their slots, on first use
+    (robust._LazyMoves), so building or running a program never builds
+    them.
 
     Each step's reference is the first index attaining its parts' max-min
     gcd, read from their profile (the one its folding plan reads).

@@ -127,13 +127,19 @@ class BoundsReport:
 
 def validate_moduli(moduli: Sequence[int]) -> tuple[int, ...]:
     """Check moduli are distinct positive integers; return them as a tuple."""
+    # errors name indices: a value past the digit limit cannot be printed
     ms = tuple(_check_ints("modulus", moduli))
     if not ms:
         raise ValueError("empty moduli set")
     if min(ms) <= 0:
-        raise ValueError(f"moduli must be positive, got {min(ms)}")
+        i = next(i for i, m in enumerate(ms) if m <= 0)
+        raise ValueError(f"moduli must be positive, index {i} is not")
     if len(set(ms)) != len(ms):
-        raise ValueError(f"moduli must be distinct, got {ms}")
+        j = next(j for j, m in enumerate(ms) if ms.index(m) < j)
+        raise ValueError(
+            f"moduli must be distinct, indices {ms.index(ms[j])} and {j} "
+            "are equal"
+        )
     return ms
 
 
@@ -227,17 +233,18 @@ class _Profile:
         return best
 
     def require_divisor_free(self) -> None:
-        """ValueError naming the first modulus that divides another."""
+        """ValueError naming (by index) a modulus that divides another."""
         if not self.divisor_free:
             ms = self.moduli
-            a, b = next(
-                (ms[i], ms[j])
+            i, j = next(
+                (i, j)
                 for i, row in enumerate(self.table)
                 for j, g in enumerate(row)
                 if i != j and g == ms[j]
             )
             raise ValueError(
-                f"modulus {b} divides {a}; run prune_redundant first"
+                f"the modulus at index {j} divides the one at index {i}; "
+                "run prune_redundant first"
             )
 
 
@@ -356,56 +363,135 @@ def _sum_source(names: Sequence[str]) -> str:
     return f"({_sum_source(names[:half])} + {_sum_source(names[half:])})"
 
 
-def _compile_moves(size: int, stages):
-    """shift and checked_shift of a run of stages, as generated code.
+# the generated source: a factory whose parameters are the constants the
+# functions read, and the plain and checked scans of one row layout
+_FACTORY = """def factory({params}):
+    def checked_shift(errors):
+        {inputs}, = errors
+        {shift}
+        return {root}
+{scans}
+    return (checked_shift, (scan, checked_scan),
+            (clamped_scan, checked_clamped_scan))"""
+_SCANS = """
+    def {name}(rows, span, off, tau):
+        total = top = bad = 0
+        for {cells}, a in rows:
+            {plain}
+            e = a + {root}
+            if e < 0:
+                e = -e
+            total += e
+            if e > top:
+                top = e
+            if e > tau:
+                bad += 1
+        return total, top, bad
+
+    def checked_{name}(rows, span, off, tau, failed, unanchored):
+        total = top = bad = 0
+        for pos, ({cells}, a) in enumerate(rows):
+            {checked}
+            if a is None:
+                unanchored.append((pos, {root})); continue
+            e = a + {root}
+            if e < 0:
+                e = -e
+            total += e
+            if e > top:
+                top = e
+            if e > tau:
+                bad += 1
+        return total, top, bad
+"""
+
+
+def _compile_moves(moduli: Sequence[int], stages):
+    """checked_shift and the level scans of a run of stages, generated.
 
     stages holds (plan, slots) per stage in run order: plan is the
     stage's _FoldingPlan (only its k and pairs are read) and slots are
-    the table slots of its inputs, where slots 0..size-1 hold the input
-    errors and slot size + s holds stage s's move.  Both functions take
-    the error vector and return the last slot's value: the last stage's
-    move, or the last error when there is no stage.
+    its input slots: 0..L-1 hold the remainder errors and L + s holds
+    stage s's move, (2 sum(d) + c) // 2c over its c inputs d.  The root
+    move is the last slot's.  A checked pass puts before each move the
+    stage's condition, -g <= 2 (d_i - d_k) < g per (i, g) of plan.pairs.
 
-    Each stage is one straight-line assignment, its move
-    (2 sum(d) + c) // 2c over its c input moves d.  checked_shift puts
-    before it the stage's exactness condition, -g <= 2 (d_i - d_k) < g for
-    every (i, g) of plan.pairs, as one and-chain, and returns None at the
-    first stage that fails it.
+    Returns (checked_shift, (scan, checked_scan), (clamped scan, clamped
+    checked_scan)).  checked_shift(errors) is the root move, or None at
+    the first failing stage.  A scan scores one level over rows of raw
+    draws x_j, (clamped) true remainders r_j and the anchor offset a
+    (anchor estimate minus unknown, None until solved); error j is
+    x_j % span - off, clamped so that r_j + error lies in [0, M_j - 1].
+    It returns the total, maximum and count above tau of |a + root move|.
+    checked_scan(rows, span, off, tau, failed, unanchored) sums only
+    passing trials, appending the position of a failing one to failed
+    and (position, root move) of one with no anchor to unanchored.
 
-    The source names only locals: every gcd and size is a parameter of a
-    generated factory, because str() of an int past the interpreter's
-    digit limit raises ValueError.  Sums are balanced, because a long
-    left-nested + chain exhausts the compiler's recursion limit.
+    Every gcd, size and modulus is a factory parameter, never source
+    text (str() of an int past the digit limit raises ValueError), and
+    sums are balanced (a long + chain exhausts the compiler's recursion).
     """
     consts: dict[int, str] = {}
 
     def const(value: int) -> str:
         return consts.setdefault(value, f"k{len(consts)}")
 
+    size = len(moduli)
     table = [f"d{j}" for j in range(size)]
-    unpack = f"{', '.join(table)}, = errors"
-    moves, checked = [unpack], [unpack]
+    checks, moves = [], []
     for plan, slots in stages:
         ins = [table[j] for j in slots]
-        c = len(ins)
-        dk = ins[plan.k]
-        condition = " and ".join(
+        c, dk = len(ins), ins[plan.k]
+        checks.append(" and ".join(
             f"{const(-g)} <= 2 * ({ins[i]} - {dk}) < {const(g)}"
             for i, g in plan.pairs
+        ))
+        table.append(f"d{len(table)}")
+        moves.append(
+            f"{table[-1]} = (2 * {_sum_source(ins)} + {const(c)})"
+            f" // {const(2 * c)}"
         )
-        out = f"d{len(table)}"
-        total = _sum_source(ins)
-        move = f"{out} = (2 * {total} + {const(c)}) // {const(2 * c)}"
-        moves.append(move)
-        checked += [f"if not ({condition}):", "    return None", move]
-        table.append(out)
-    ret = f"return {table[-1]}"
-    body = "\n        ".join
-    source = (
-        f"def factory({', '.join(consts.values())}):\n"
-        f"    def shift(errors):\n        {body(moves + [ret])}\n"
-        f"    def checked_shift(errors):\n        {body(checked + [ret])}\n"
-        "    return shift, checked_shift\n"
+    root = table[-1]
+
+    def run(fail: str | None) -> list[str]:
+        """Each stage's move, after its condition when fail is given."""
+        out = []
+        for check, move in zip(checks, moves):
+            if fail:
+                out += [f"if not ({check}):", f"    {fail}"]
+            out.append(move)
+        return out
+
+    plain, clamped = [], []
+    for j, m in enumerate(moduli):
+        top = const(m - 1)
+        plain.append(f"d{j} = x{j} % span - off")
+        clamped += [
+            f"d{j} = r{j} + x{j} % span - off",
+            f"d{j} = (0 if d{j} < 0 else {top} if d{j} > {top} else d{j})"
+            f" - r{j}",
+        ]
+    xs = ", ".join(map("x{}".format, range(size)))
+    rs = ", ".join(map("r{}".format, range(size)))
+    scans = [
+        _SCANS.format(
+            name=name, cells=cells, root=root,
+            plain="\n            ".join(errors + run(None)),
+            checked="\n            ".join(
+                errors + run("failed.append(pos); continue")
+            ),
+        )
+        for name, errors, cells in (
+            ("scan", plain, xs),
+            ("clamped_scan", clamped, f"{xs}, {rs}"),
+        )
+    ]
+    source = _FACTORY.format(
+        params=", ".join(consts.values()),
+        inputs=", ".join(table[:size]),
+        shift="\n        ".join(run("return None")),
+        root=root,
+        scans="".join(scans),
     )
     namespace: dict = {}
     exec(source, namespace)
@@ -413,11 +499,11 @@ def _compile_moves(size: int, stages):
 
 
 class _LazyMoves:
-    """shift and checked_shift, generated by _compile_moves on first use.
+    """checked_shift and the scans, generated by _compile_moves on first use.
 
     A plan that is only solved (solve_folding, reconstruct_tree) never
     pays the generation; a sweep or check_ns_condition pays it once per
-    plan, which then keeps both functions.
+    plan, which then keeps every function.
     Subclasses give their stages as (plan, slots) over their moduli in
     _stages.  Properties, not a __getattr__ hook: a class with one loses
     the interpreter's fast attribute access, which the solvers use.
@@ -426,20 +512,19 @@ class _LazyMoves:
     __slots__ = ("_moves",)
 
     @property
-    def shift(self):
-        """The estimate's move for input errors inside the exact window."""
+    def checked_shift(self):
+        """The root move if every stage meets its condition, else None."""
         return self._compiled()[0]
 
-    @property
-    def checked_shift(self):
-        """shift(errors) if every stage meets its exactness condition."""
-        return self._compiled()[1]
+    def scans(self, clamp: bool):
+        """(scan, checked_scan) over rows of raw draws, clamped or not."""
+        return self._compiled()[2 if clamp else 1]
 
     def _compiled(self):
         try:
             return self._moves
         except AttributeError:
-            self._moves = _compile_moves(len(self.moduli), self._stages())
+            self._moves = _compile_moves(self.moduli, self._stages())
             return self._moves
 
 
@@ -471,21 +556,21 @@ class _FoldingPlan(_LazyMoves):
     inside [0, 2g_i), so each quotient estimate, the merge and the
     folding numbers are those of the error-free inputs, and e_i grows by
     exactly 2(d_i - d_k) for input errors d.  The estimate then moves by
-    shift(d) = (2 sum(d) + L) // 2L, the half-up rounded mean of d, which
-    stays in [lo, hi].
+    (2 sum(d) + L) // 2L, the half-up rounded mean of d, which stays in
+    [lo, hi]: the plan's move of d.
 
     checked_shift makes the same argument for one error vector d rather
     than a window: pairs holds (i, g_i) per index i != k, and when every
     pair meets the exactness condition -g_i <= 2(d_i - d_k) < g_i, each
     2(r_i - r_k) + g_i again stays in [0, 2g_i), so the solve is the
-    error-free one moved by shift(d).  The condition is also necessary:
+    error-free one plus the move of d.  The condition is also necessary:
     a pair outside it changes that quotient estimate, and with it the
     folding numbers, so checked_shift returns None exactly when the solve
     would not find the error-free folding numbers.
 
-    shift and checked_shift are generated by _compile_moves for the plan
-    as one stage over all its inputs, on first use (_LazyMoves): solving
-    never builds them.
+    checked_shift and the level scans are generated by _compile_moves for
+    the plan as one stage over all its inputs, on first use (_LazyMoves):
+    solving never builds them.
 
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least

@@ -10,6 +10,11 @@ Substreams make serial and (hypothetical) parallel executions agree.
 A sweep draws each trial once and replays it at every error level: the
 raw error draws do not depend on the level, only their mapping to the
 level's range does.  Its rows are identical to separate per-level runs.
+The sweep is level-major: it draws a block of _BLOCK trials (a fixed
+constant, not an option), scores every level over the whole block, then
+draws the next block.  Each level adds into its own sums, so the rows do
+not depend on the block size, and the block bounds the trials held in
+memory whatever the trial count.
 
 Most trials need no solve of their own at a level.  A stage whose
 actual input errors d meet its exactness condition
@@ -19,10 +24,11 @@ quotient estimates, merge, folding numbers and success are the
 error-free ones, and its estimate moves by exactly (2 sum(d) + c) // 2c
 for its c input errors (robust._FoldingPlan).  A stage that fails the
 condition loses its error-free folding numbers (the condition is
-necessary and sufficient).  plan.checked_shift makes that check stage by
-stage, on each stage's actual input errors (a tree's inner stages see
-their children's moves), and returns the root estimate's move, or None
-at the first stage that fails; a plan with no stage has no condition.
+necessary and sufficient).  The plan's checked kernels make that check
+stage by stage, on each stage's actual input errors (a tree's inner
+stages see their children's moves), and give the root estimate's move,
+or stop at the first stage that fails; a plan with no stage has no
+condition.
 
 So a trial whose errors pass the check is scored as the error-free
 anchor's outcome plus the returned move, and a trial that fails it runs
@@ -41,16 +47,23 @@ level's window width (tau one-sided, 2 tau symmetric).  A level with
 2w < G is certified: clamping only moves an error toward 0, and a
 half-up rounded mean of values in [lo, hi] stays in [lo, hi], so every
 stage's input errors lie in one window of width w and meet the
-condition.  A certified level is scored as the anchor plus plan.shift,
-the same move without the check; every other level checks each trial.
+condition.  A certified level is scored as the anchor plus the same move
+without the check; every other level checks each trial.
 
-plan.shift and plan.checked_shift are generated per plan
-(robust._compile_moves), the first time they are read: straight-line
-code with one local per stage's move, in run order, and in checked_shift
-each stage's pair tests as one chain of comparisons before its move.
-So a trial-level costs a few integer operations per stage and per pair,
-with no loop, call or table; the check costs its pair tests, which a
-certified level skips.
+A level is scored over a block by one call of a scan that
+robust._compile_moves generates per plan, the first time a sweep asks:
+straight-line code inside one loop over the block's rows, which computes
+each error from its raw draw (raw % span - off, clamped with the
+moduli as constants when the remainders are clamped), then one local per
+stage's move in run order, and keeps the level's total, maximum and
+violations in locals.  The checked scan puts each stage's pair tests
+before its move as one chain of comparisons; it hands back the
+positions of the trials that fail, which the solver runs, and those of
+the passing trials that have no anchor yet, which get their anchor then.
+The certified scan has no tests; before it, every trial of the block
+without an anchor gets one.  So a trial-level costs a few integer
+operations per stage and per pair, with no call, list or table of its
+own; the check costs its pair tests, which a certified level skips.
 
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
@@ -96,6 +109,9 @@ ONE_SIDED = "one-sided"
 SYMMETRIC = "symmetric"
 
 _MASK64 = (1 << 64) - 1
+# trials drawn and scored together: each level is one scan of a block,
+# and the block bounds the rows held in memory
+_BLOCK = 1024
 
 
 def _splitmix64(seed: int, index: int) -> int:
@@ -173,22 +189,21 @@ def sweep(cfg_base: TrialConfig, taus: Iterable[int]) -> list[TrialStats]:
 def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     """Run cfg's trials once and score every trial at each level of taus.
 
-    A trial's unknown, true remainders and raw error draws do not depend
-    on the error level, so they are drawn once; each level maps the raw
-    draws to its own range and keeps its own counters.  At a certified
-    level (2w < G, see the module docstring) every trial is scored as the
-    error-free anchor plus plan.shift of its errors.  At every other
-    level each trial is checked with plan.checked_shift: a pass is scored
-    the same way, a failure runs the solver on the level's remainders.
-    The anchor is solved once per trial, at its first passing level.
-    cfg.tau is unused.
+    Trials are drawn once, in blocks of _BLOCK rows, and each level is
+    scored over a block by one call of the plan's scan, certified or
+    checked (see the module docstring).  The failing trials of a checked
+    scan run the solver on the level's remainders.  A trial's anchor is
+    solved at its first passing level: before a certified scan for each
+    trial without one, after a checked scan for the passing trials it
+    hands back as unanchored.  cfg.tau is unused.
     """
     if not taus:
         return []
     ms = cfg.moduli
+    size = len(ms)
     lam = math.lcm(*ms)
     if cfg.tree is None:
-        if len(ms) < 2:
+        if size < 2:
             raise ValueError("single-stage simulation needs >= 2 moduli")
         plan = _folding_plan(ms, select_reference(ms))
         reconstruct = partial(_solve_with_plan, plan)
@@ -196,17 +211,16 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         plan = _program_for(ms, cfg.tree)
         reconstruct = plan.run
 
+    clamp = cfg.clamp_remainders
+    scan, checked_scan = plan.scans(clamp)
     one_sided = cfg.error_model == ONE_SIDED
-    # (index, tau, span, shift, score): an error is raw % span - shift, so
-    # the level's window width is w = span - 1; score gives the estimate's
-    # move from the anchor, or None when the trial must be solved
+    # (index, tau, span, off, certified): an error is raw % span - off, so
+    # the level's window width is w = span - 1; with 2w < G every trial
+    # passes, so the check is skipped
     levels = []
     for i, tau in enumerate(taus):
-        span, shift = (tau + 1, 0) if one_sided else (2 * tau + 1, tau)
-        # with 2w < G every trial passes, so the check is skipped
-        certified = 2 * (span - 1) < plan.least_gcd
-        score = plan.shift if certified else plan.checked_shift
-        levels.append((i, tau, span, shift, score))
+        span, off = (tau + 1, 0) if one_sided else (2 * tau + 1, tau)
+        levels.append((i, tau, span, off, 2 * (span - 1) < plan.least_gcd))
     # per-level counters, indexed like taus
     total_err = [0] * len(taus)
     max_err = [0] * len(taus)
@@ -214,45 +228,79 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     failures = [0] * len(taus)
     estimated = [0] * len(taus)
     seed = cfg.rng_seed
-    clamp = cfg.clamp_remainders
-    draw_index = range(1, len(ms) + 1)
+    draw_index = range(1, size + 1)
 
-    for t in range(cfg.trials):
-        key = _splitmix64(seed, t)
-        n = _splitmix64(key, 0) % lam
-        rs = [n % m for m in ms]  # the true remainders
-        raws = [_splitmix64(key, j) for j in draw_index]
-        if clamp:  # clamping reads (r, raw, m) together
-            cells = list(zip(rs, raws, ms))
-        anchor = None  # the error-free estimate, solved at the first pass
-        for i, tau, span, shift, score in levels:
+    # a row is [raw draws, true remainders when clamping, anchor offset
+    # a]: the anchor's estimate minus the unknown, None until it is solved
+    def anchor(row, n):
+        """Solve the trial on its true remainders; keep and return a."""
+        rs = row[size:-1] if clamp else [n % m for m in ms]
+        a = row[-1] = reconstruct(rs)[1] - n
+        return a
+
+    def remainders(row, n, span, off):
+        """The trial's erroneous remainders at one level."""
+        if clamp:
+            return [
+                min(max(r + x % span - off, 0), m - 1)
+                for x, r, m in zip(row, row[size:], ms)
+            ]
+        return [n % m + x % span - off for x, m in zip(row, ms)]
+
+    for start in range(0, cfg.trials, _BLOCK):
+        ns, rows = [], []
+        for t in range(start, min(start + _BLOCK, cfg.trials)):
+            key = _splitmix64(seed, t)
+            n = _splitmix64(key, 0) % lam
+            row = [_splitmix64(key, j) for j in draw_index]
             if clamp:
-                errors = [
-                    min(max(r + raw % span - shift, 0), m - 1) - r
-                    for r, raw, m in cells
-                ]
+                row += [n % m for m in ms]
+            row.append(None)
+            ns.append(n)
+            rows.append(row)
+        anchored = False  # whether every row has its anchor
+
+        for i, tau, span, off, certified in levels:
+            if certified:
+                if not anchored:
+                    for row, n in zip(rows, ns):
+                        if row[-1] is None:
+                            anchor(row, n)
+                    anchored = True
+                total, top, bad = scan(rows, span, off, tau)
+                count = len(rows)
             else:
-                errors = [raw % span - shift for raw in raws]
-            move = score(errors)
-            if move is None:  # some stage fails: only the solver knows
-                try:
-                    est = reconstruct([r + e for r, e in zip(rs, errors)])[1]
-                except FoldingFailure as exc:
-                    failures[i] += 1
-                    est = exc.partial_estimate
-                    if est is None:
-                        continue
-            else:  # every stage solves as on the true remainders
-                if anchor is None:
-                    anchor = reconstruct(rs)[1]
-                est = anchor + move
-            err = abs(est - n)
-            estimated[i] += 1
-            total_err[i] += err
-            if err > max_err[i]:
-                max_err[i] = err
-            if err > tau:  # the fused estimate stays within the error level
-                violations[i] += 1
+                failed, unanchored = [], []
+                total, top, bad = checked_scan(
+                    rows, span, off, tau, failed, unanchored
+                )
+                count = len(rows) - len(failed)
+                # every stage passes: the anchor is due, then the move
+                errs = [
+                    abs(anchor(rows[pos], ns[pos]) + move)
+                    for pos, move in unanchored
+                ]
+                for pos in failed:  # some stage fails: only the solver knows
+                    rt = remainders(rows[pos], ns[pos], span, off)
+                    try:
+                        est = reconstruct(rt)[1]
+                    except FoldingFailure as exc:
+                        failures[i] += 1
+                        est = exc.partial_estimate
+                        if est is None:
+                            continue
+                    count += 1
+                    errs.append(abs(est - ns[pos]))
+                if errs:
+                    total += sum(errs)
+                    top = max(top, *errs)
+                    # the fused estimate stays within the error level
+                    bad += sum(err > tau for err in errs)
+            estimated[i] += count
+            total_err[i] += total
+            if top > max_err[i]:
+                max_err[i] = top
+            violations[i] += bad
 
     return [
         TrialStats(

@@ -490,7 +490,8 @@ class TestPrunedSearch:
             (
                 (10, 20, 5),
                 ValueError,
-                "modulus 5 divides 10; run prune_redundant first",
+                "the modulus at index 2 divides the one at index 0; run "
+                "prune_redundant first",
             ),
             ((12, 18), ValueError, "grouping search needs at least three"),
             (
@@ -500,10 +501,10 @@ class TestPrunedSearch:
                 "17 candidate sets exceed the cover cap 16",
             ),
             ((), ValueError, "empty moduli set"),
-            ((12, -18, 35), ValueError, "moduli must be positive, got -18"),
+            ((12, -18, 35), ValueError, "moduli must be positive, index 1"),
             ((12, 18, 12), ValueError, "moduli must be distinct"),
             # the divisor check comes before the size check
-            ((10, 20), ValueError, "modulus 10 divides 20"),
+            ((10, 20), ValueError, "the modulus at index 0 divides the one"),
         ],
     )
     def test_error_parity(self, moduli, error, message):

@@ -1,11 +1,12 @@
-"""The generated move kernels: shift and checked_shift of plans and trees.
+"""The generated move kernels: checked_shift and the level scans.
 
 robust._compile_moves writes each plan's stage-by-stage pass as straight-
-line code.  These tests hold it to the loops it replaced, written out
-here, and to the solver; they put every exactness pair at its edges,
-check that a kernel with a mutated edge is caught, that plans are only
-compiled by a sweep, and that the generated code survives huge gcds,
-wide stages and deep trees.
+line code: checked_shift for one error vector, and the scans that score
+one error level over a block of trials.  These tests hold it to the loops
+it replaced, written out here, and to the solver; they put every
+exactness pair at its edges, check that kernels with a mutated edge are
+caught, that plans are only compiled by a sweep, and that the generated
+code survives huge gcds, wide stages and deep trees.
 """
 
 import math
@@ -58,13 +59,51 @@ def loop_moves(stages, errors, checked):
     return table[-1]
 
 
-def loop_kernels(size, stages):
+def loop_scan(moduli, stages, clamp, checked):
+    """A level scan as a loop over rows, one loop_moves pass per trial.
+
+    A row is [raw draws, true remainders when clamp, anchor offset a].
+    """
+    size = len(moduli)
+
+    def scan(rows, span, off, tau, failed=None, unanchored=None):
+        total = top = bad = 0
+        for pos, row in enumerate(rows):
+            errors = []
+            for j, m in enumerate(moduli):
+                d = row[j] % span - off
+                if clamp:
+                    r = row[size + j]
+                    d = min(max(r + d, 0), m - 1) - r
+                errors.append(d)
+            move = loop_moves(stages, errors, checked)
+            if move is None:
+                failed.append(pos)
+            elif checked and row[-1] is None:
+                unanchored.append((pos, move))
+            else:
+                err = abs(row[-1] + move)
+                total += err
+                top = max(top, err)
+                bad += err > tau
+        return total, top, bad
+
+    return scan
+
+
+def loop_kernels(moduli, stages):
     """A stand-in for _compile_moves that runs the loops."""
     stages = list(stages)
     return (
-        partial(loop_moves, stages, checked=False),
         partial(loop_moves, stages, checked=True),
+        tuple(loop_scan(moduli, stages, False, c) for c in (False, True)),
+        tuple(loop_scan(moduli, stages, True, c) for c in (False, True)),
     )
+
+
+def kernels_of(plan):
+    """The plan's generated kernels, laid out as _compile_moves returns."""
+    return plan.checked_shift, plan.scans(False), plan.scans(True)
 
 
 def entangled(rng, size):
@@ -147,15 +186,70 @@ def edge_vectors(size, stages):
                 yield s, i, d, errors
 
 
-def mismatches(kernels, stages, vectors):
-    """Error vectors on which the kernels and the loops disagree."""
-    shift, checked_shift = kernels
-    return [
-        errors
+SCANS = {
+    "scan": (False, False),
+    "checked_scan": (False, True),
+    "clamped_scan": (True, False),
+    "clamped_checked_scan": (True, True),
+}
+
+
+def block_of(moduli, vectors, rng, clamp, anchored):
+    """(rows, span, off): one level whose raw draws give the error vectors.
+
+    With off past every |error| and span = 2 off + 1, a raw draw
+    d + off + span q maps to error d, for any q.  Clamped rows also hold
+    true remainders, in turn 0, M_j - 1 and one between, so some errors
+    are clamped.  Anchor offsets are small ints, and None on about a
+    third of the rows unless anchored.
+    """
+    off = 1 + max((abs(d) for errors in vectors for d in errors), default=0)
+    span = 2 * off + 1
+    rows = []
+    for pos, errors in enumerate(vectors):
+        q = off + span * rng.getrandbits(40)
+        row = [d + q for d in errors]
+        if clamp:
+            between = rng.random()
+            row += [
+                (0, m - 1, int(m * between))[(j + pos) % 3]
+                for j, m in enumerate(moduli)
+            ]
+        anchor = rng.randint(-2, 2)
+        row.append(None if not anchored and rng.random() < 0.35 else anchor)
+        rows.append(row)
+    return rows, span, off
+
+
+def mismatches(kernels, moduli, stages, vectors):
+    """The kernels that disagree with the loops on the error vectors.
+
+    kernels is laid out as _compile_moves returns it.  checked_shift runs
+    on each vector; each scan scores them as one block, at a level whose
+    raw draws give those errors, with failed and unanchored compared too.
+    """
+    checked_shift, plain, clamped = kernels
+    reference = loop_kernels(moduli, stages)
+    out = set()
+    if any(
+        checked_shift(errors) != loop_moves(stages, errors, True)
         for errors in vectors
-        if shift(errors) != loop_moves(stages, errors, False)
-        or checked_shift(errors) != loop_moves(stages, errors, True)
-    ]
+    ):
+        out.add("checked_shift")
+    generated = dict(zip(SCANS, plain + clamped))
+    expected = dict(zip(SCANS, reference[1] + reference[2]))
+    rng = random.Random(len(vectors))
+    for name, (clamp, checked) in SCANS.items():
+        rows, span, off = block_of(moduli, vectors, rng, clamp, not checked)
+        tau = rng.randint(0, 3)
+        args = (rows, span, off, tau)
+        # a checked scan also fills its failed and unanchored lists
+        mine, theirs = (([], []), ([], [])) if checked else ((), ())
+        got = generated[name](*args, *mine), mine
+        want = expected[name](*args, *theirs), theirs
+        if got != want:
+            out.add(name)
+    return out
 
 
 def solve(plan, rt):
@@ -175,8 +269,9 @@ class TestAgainstLoopsAndSolver:
         issued = refused = 0
         for ms, plan in random_plans(rng, 160):
             stages = plan._stages()
+            vectors = []
             for n, errors in error_vectors(rng, ms, 40):
-                assert plan.shift(errors) == loop_moves(stages, errors, False)
+                vectors.append(errors)
                 move = plan.checked_shift(errors)
                 assert move == loop_moves(stages, errors, True), (ms, errors)
                 rs = [n % m for m in ms]
@@ -188,6 +283,7 @@ class TestAgainstLoopsAndSolver:
                 else:
                     issued += 1
                     assert (folds, est) == (anchor_folds, anchor + move)
+            assert mismatches(kernels_of(plan), ms, stages, vectors) == set()
         assert issued > 2000 and refused > 2000
 
     def test_every_pair_at_its_edges(self):
@@ -199,10 +295,11 @@ class TestAgainstLoopsAndSolver:
             n = rng.randrange(math.lcm(*ms))
             rs = [n % m for m in ms]
             anchor_folds, anchor = solve(plan, rs)
+            vectors = []
             for s, i, d, errors in edge_vectors(size, stages):
+                vectors.append(errors)
                 move = plan.checked_shift(errors)
                 assert move == loop_moves(stages, errors, True), (ms, errors)
-                assert plan.shift(errors) == loop_moves(stages, errors, False)
                 folds, est = solve(plan, [r + e for r, e in zip(rs, errors)])
                 if move is None:
                     assert folds != anchor_folds, (ms, n, errors)
@@ -216,11 +313,13 @@ class TestAgainstLoopsAndSolver:
                 if table[slots[i]] - table[slots[plan_s.k]] == d:
                     g = dict(plan_s.pairs)[i]
                     exact["even" if g % 2 == 0 else "odd"] += 1
+            assert mismatches(kernels_of(plan), ms, stages, vectors) == set()
         # both parities, so 2d reaches -g, -g - 1, g - 1 and g
         assert exact["even"] > 1000 and exact["odd"] > 300, exact
 
     def test_mutated_upper_edge_is_caught(self, monkeypatch):
-        # a kernel generated with <= at the upper edge passes 2d = g
+        # kernels generated with <= at the upper edge pass 2d = g; each
+        # checked kind must be caught on its own
         rng = random.Random(1403)
         plans = random_plans(rng, 60)
         sources = []
@@ -229,33 +328,104 @@ class TestAgainstLoopsAndSolver:
             sources.append(source)
             exec(source.replace(") < k", ") <= k"), namespace)
 
-        caught = 0
+        caught = {}
         for ms, plan in plans:
             stages = plan._stages()
             vectors = [e for *_, e in edge_vectors(len(ms), stages)]
-            kernels = _compile_moves(len(ms), stages)
-            assert mismatches(kernels, stages, vectors) == []
+            kernels = _compile_moves(ms, stages)
+            assert mismatches(kernels, ms, stages, vectors) == set()
             with monkeypatch.context() as m:
                 m.setattr(robust, "exec", mutated, raising=False)
-                mutant = _compile_moves(len(ms), stages)
-            caught += bool(mismatches(mutant, stages, vectors))
+                mutant = _compile_moves(ms, stages)
+            for name in mismatches(mutant, ms, stages, vectors):
+                caught[name] = caught.get(name, 0) + 1
         assert all(") < k" in s for s in sources if "if not" in s)
-        assert caught > 20
+        # the unchecked scans have no edge to mutate
+        assert set(caught) == {
+            "checked_shift", "checked_scan", "clamped_checked_scan"
+        }
+        assert min(caught.values()) > 20, caught
+
+    def test_clamped_scans_at_the_range_ends(self):
+        # N = 0 puts every true remainder at 0 and N = lcm - 1 at M_j - 1,
+        # so clamping cuts every error that points out of [0, M_j - 1]
+        def add(sums, err, tau):  # into [total, max, violations]
+            sums[0] += err
+            sums[1] = max(sums[1], err)
+            sums[2] += err > tau
+
+        rng = random.Random(1408)
+        cut = 0
+        for ms, plan in random_plans(rng, 60):
+            stages = plan._stages()
+            lam = math.lcm(*ms)
+            # per end: true remainders, error-free folding and estimate
+            ends = {
+                n: (rs, *solve(plan, rs))
+                for n in (0, lam - 1)
+                for rs in [[n % m for m in ms]]
+            }
+            scan, checked_scan = plan.scans(True)
+            for tau in (1, 3, 8):
+                span, off = 2 * tau + 1, tau
+                rows = []
+                want = [0, 0, 0]  # checked: total, max, violations
+                want_all = [0, 0, 0]  # unchecked, over every row
+                want_failed = []
+                for pos, n in enumerate((0, lam - 1) * 8):
+                    rs, anchor_folds, anchor = ends[n]
+                    raws = [rng.getrandbits(64) for _ in ms]
+                    rows.append(raws + rs + [anchor - n])
+                    # the per-trial clamped errors
+                    errors = [
+                        min(max(r + x % span - off, 0), m - 1) - r
+                        for x, r, m in zip(raws, rs, ms)
+                    ]
+                    cut += sum(
+                        x % span - off != e for x, e in zip(raws, errors)
+                    )
+                    move = plan.checked_shift(errors)
+                    rt = [r + e for r, e in zip(rs, errors)]
+                    folds, est = solve(plan, rt)
+                    if move is None:
+                        want_failed.append(pos)
+                        assert folds != anchor_folds
+                    else:
+                        assert (folds, est) == (anchor_folds, anchor + move)
+                        add(want, abs(est - n), tau)
+                    unchecked = loop_moves(stages, errors, False)
+                    add(want_all, abs(anchor + unchecked - n), tau)
+                failed, unanchored = [], []
+                got = checked_scan(rows, span, off, tau, failed, unanchored)
+                assert (got, failed, unanchored) == (
+                    tuple(want), want_failed, []
+                )
+                assert scan(rows, span, off, tau) == tuple(want_all)
+        assert cut > 1000
 
     def test_plan_with_no_stage(self):
         program = _tree_program((7,), parse_tree("[0]"))
         assert program.steps == ()
         for e in (-3, 0, 5):
-            assert program.shift([e]) == program.checked_shift([e]) == e
+            assert program.checked_shift([e]) == e
+        vectors = [[-3], [0], [5]]
+        assert mismatches(kernels_of(program), (7,), [], vectors) == set()
+        # errors -3, 0 and 5: every trial passes, the one with no anchor
+        # is handed back, the others score |a + error| = 2 and 4
+        scan, checked_scan = program.scans(False)
+        rows = [[0, 1], [3, None], [8, -1]]
+        failed, unanchored = [], []
+        assert checked_scan(rows, 9, 3, 2, failed, unanchored) == (6, 4, 1)
+        assert (failed, unanchored) == ([], [(1, 0)])
 
 
 class TestBuiltOnFirstSweep:
     def test_only_a_sweep_compiles(self, monkeypatch):
         calls = []
 
-        def counted(size, stages):
-            calls.append(size)
-            return _compile_moves(size, stages)
+        def counted(moduli, stages):
+            calls.append(len(moduli))
+            return _compile_moves(moduli, stages)
 
         monkeypatch.setattr(robust, "_compile_moves", counted)
         # a fresh factor keeps every plan cache cold for these sets
@@ -335,14 +505,15 @@ class TestGeneratedCodeLimits:
             ),
         )
         stages = [(stub, range(size))]
-        kernels = _compile_moves(size, stages)
+        moduli = tuple(range(2, size + 2))  # bounds for the clamped scans
+        kernels = _compile_moves(moduli, stages)
         vectors = [[0] * size, [rng.randint(0, 2) for _ in range(size)]]
         for i, g in stub.pairs[::100]:  # both edges of every 100th pair
             lo, hi = -(g // 2), (g + 1) // 2 - 1
             for d in (lo - 1, lo, hi, hi + 1):
                 vectors.append([d if j == i else 0 for j in range(size)])
-        assert mismatches(kernels, stages, vectors) == []
-        assert kernels[1](vectors[0]) == 0
+        assert mismatches(kernels, moduli, stages, vectors) == set()
+        assert kernels[0](vectors[0]) == 0
 
     def test_deep_chain_tree(self):
         # [0, [1, [0, ...]]] over (3, 5): 300 stages, one per level
@@ -355,5 +526,5 @@ class TestGeneratedCodeLimits:
         rng = random.Random(1406)
         vectors = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(200)]
         assert mismatches(
-            (program.shift, program.checked_shift), stages, vectors
-        ) == []
+            kernels_of(program), (3, 5), stages, vectors
+        ) == set()

@@ -6,7 +6,9 @@ from itertools import product
 import pytest
 
 from modfold.congruence import _merge, _merge_schedule
-from modfold.intmath import round_half_up_div
+from modfold.grouping import propose_grouping
+from modfold.intmath import NotInvertibleError, mod_inverse, round_half_up_div
+from modfold.multistage import DegenerateTreeError, stage_bounds
 from modfold.robust import (
     FoldingFailure,
     _FoldingPlan,
@@ -485,6 +487,52 @@ class TestValidateModuli:
             validate_moduli((bad, 7))
         with pytest.raises(ValueError, match="modulus"):
             theta_bound((12, bad))
+
+
+# an int whose str() exceeds the interpreter's default digit limit (4,300)
+HUGE = 10**4400 + 1
+
+
+class TestMessagesPastTheDigitLimit:
+    """Errors about moduli too long to print name positions, not values."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: validate_moduli((HUGE, HUGE)),
+                ValueError,
+                "moduli must be distinct, indices 0 and 1 are equal",
+            ),
+            (
+                lambda: validate_moduli((-HUGE, 3)),
+                ValueError,
+                "moduli must be positive, index 0 is not",
+            ),
+            (
+                lambda: stage_bounds("[[0,1],[0,1]]", (2 * HUGE, 3 * HUGE)),
+                DegenerateTreeError,
+                "children 0 and 1 of node () share an lcm",
+            ),
+            (
+                lambda: propose_grouping((HUGE, 2 * HUGE, 3 * HUGE, 5)),
+                ValueError,
+                "the modulus at index 0 divides the one at index 1; "
+                "run prune_redundant first",
+            ),
+            (
+                lambda: mod_inverse(2 * HUGE, 4 * HUGE),
+                NotInvertibleError,
+                "a has no inverse modulo the modulus: they share a factor",
+            ),
+        ],
+        ids=["distinct", "positive", "degenerate_tree", "divisor", "inverse"],
+    )
+    def test_type_and_message(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 def random_sets(rng, count, scale=1):

@@ -695,6 +695,54 @@ class TestSweepMatchesPerLevelRuns:
             want = _per_level_oracle(replace(cfg, tau=tau))
             assert asdict(row) == asdict(want)
 
+    @pytest.mark.parametrize(
+        "cfg, taus",
+        [
+            # G = 27: checked, certified, certified, checked
+            (TrialConfig(moduli=(135, 180, 162), rng_seed=21), [20, 3, 0, 14]),
+            # G = 64: a checked level first, so the anchors come from the
+            # checked scan before a certified level solves the rest
+            (
+                TrialConfig(
+                    moduli=(192, 288, 216, 360, 320, 448),
+                    tree=parse_tree("[[[0,1],[2,3]],[4,5]]"),
+                    rng_seed=22,
+                ),
+                [40, 5, 32],
+            ),
+            (
+                TrialConfig(
+                    moduli=(36, 54, 60), tree=parse_tree("[[0,2],[1,2]]"),
+                    rng_seed=23,
+                ),
+                [5, 2, 3],
+            ),
+            (
+                TrialConfig(
+                    moduli=(8, 12, 15), rng_seed=24, error_model=SYMMETRIC,
+                    clamp_remainders=True,
+                ),
+                [2, 0, 1],
+            ),
+        ],
+        ids=["single", "depth3", "shared_index", "symmetric_clamped"],
+    )
+    def test_rows_do_not_depend_on_the_block(self, monkeypatch, cfg, taus):
+        want = {}  # the oracle's rows by trial count
+        for block in (1, 7, simulate._BLOCK):
+            monkeypatch.setattr(simulate, "_BLOCK", block)
+            for trials in (1, block - 1, block + 1, 2 * block + 3):
+                if trials < 1:
+                    continue
+                run = replace(cfg, trials=trials)
+                if trials not in want:
+                    want[trials] = [
+                        asdict(_per_level_oracle(replace(run, tau=tau)))
+                        for tau in taus
+                    ]
+                rows = [asdict(row) for row in sweep(run, taus)]
+                assert rows == want[trials], (block, trials)
+
     def test_goldens_through_sweep(self):
         rows = [sweep(cfg, taus)[1] for cfg, taus in DIFFERENTIAL_CASES[:3]]
         assert rows[0].mean_abs_error == Fraction(229, 500)
