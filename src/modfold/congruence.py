@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .intmath import _check_int, _check_ints, _mod_inverse
+from .intmath import _check_int, _check_ints, _check_positive, _mod_inverse
 
 __all__ = [
     "InconsistentSystem",
@@ -48,8 +48,7 @@ class CongruenceSystem:
             raise ValueError(
                 f"{len(residues)} residues but {len(moduli)} moduli"
             )
-        if moduli and min(moduli) <= 0:
-            raise ValueError(f"moduli must be positive, got {min(moduli)}")
+        _check_positive(moduli)
         # frozen: set the fields past the dataclass's __setattr__
         vars(self).update(
             residues=tuple(map(operator.mod, residues, moduli)), moduli=moduli
@@ -107,13 +106,11 @@ def crt_pair_merge(a: int, m: int, b: int, n: int) -> tuple[int, int]:
     gcd(m, n) does not divide b - a, i.e. no x satisfies both congruences.
     """
     _check_ints("residue or modulus", (a, m, b, n))
-    if m <= 0 or n <= 0:
-        raise ValueError("moduli must be positive")
+    _check_positive((m, n))
     c = _merge(_merge_schedule((m, n)), (a, b))
     if c is None:
-        raise InconsistentSystem(
-            f"x == {a} (mod {m}) contradicts x == {b} (mod {n})"
-        )
+        # parameter names, not values: those may be past the digit limit
+        raise InconsistentSystem("x == a (mod m) contradicts x == b (mod n)")
     return c, math.lcm(m, n)
 
 
@@ -127,9 +124,16 @@ def crt_general(system: CongruenceSystem) -> int:
         raise ValueError("empty congruence system")
     x = _merge(_merge_schedule(system.moduli), system.residues)
     if x is None:
+        # a system is solvable iff every pair of its congruences is
+        rs, ms = system.residues, system.moduli
+        i, j = next(
+            (i, j)
+            for j in range(len(ms))
+            for i in range(j)
+            if (rs[i] - rs[j]) % math.gcd(ms[i], ms[j])
+        )
         raise InconsistentSystem(
-            f"residues {system.residues} contradict each other modulo "
-            f"{system.moduli}"
+            f"congruences {i} and {j} contradict each other"
         )
     return x
 
@@ -147,7 +151,7 @@ def crt_coprime_closed_form(system: CongruenceSystem) -> int:
         for j in range(i + 1, len(mods)):
             if math.gcd(mods[i], mods[j]) != 1:
                 raise ValueError(
-                    f"moduli {mods[i]} and {mods[j]} are not coprime"
+                    f"the moduli at indices {i} and {j} are not coprime"
                 )
     total = math.prod(mods)
     acc = 0
@@ -162,7 +166,5 @@ def crt_coprime_closed_form(system: CongruenceSystem) -> int:
 def remainders_of(n: int, moduli: Sequence[int]) -> tuple[int, ...]:
     """Exact remainders of n for each modulus, each in [0, modulus)."""
     _check_int("n", n)
-    for m in _check_ints("modulus", moduli):
-        if m <= 0:
-            raise ValueError(f"moduli must be positive, got {m}")
+    _check_positive(_check_ints("modulus", moduli))
     return tuple(n % m for m in moduli)

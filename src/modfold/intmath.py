@@ -8,7 +8,7 @@ boundary, so no floating point is allowed anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "NotInvertibleError",
@@ -54,6 +54,13 @@ def _check_ints(name: str, values: Iterable) -> list[int]:
         for v in values:
             _check_int(name, v)
     return values
+
+
+def _check_positive(moduli: Sequence[int]) -> None:
+    """ValueError naming by index, not value, a modulus that is <= 0."""
+    if moduli and min(moduli) <= 0:
+        i = next(i for i, m in enumerate(moduli) if m <= 0)
+        raise ValueError(f"moduli must be positive, index {i} is not")
 
 
 def mod_inverse(a: int, m: int) -> int:

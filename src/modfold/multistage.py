@@ -382,10 +382,9 @@ class _TreeProgram(_LazyMoves):
     exactness condition (robust._FoldingPlan.checked_shift): when every
     step meets it, the run is the error-free one with the root estimate
     moved by the returned move; it returns None at the first step that
-    does not.  It and the level scans are generated by
-    robust._compile_moves over the steps and their slots, on first use
-    (robust._LazyMoves), so building or running a program never builds
-    them.
+    does not.  robust._compile_moves generates it and each scan pair
+    over the steps and their slots, each family on its first use
+    (robust._LazyMoves): building or running a program builds none.
 
     Each step's reference is the first index attaining its parts' max-min
     gcd, read from their profile (the one its folding plan reads).
@@ -399,6 +398,7 @@ class _TreeProgram(_LazyMoves):
         profile = _profile(moduli)
         validate_tree(tree, len(moduli))
         self.moduli = moduli
+        self._moves = {}
         size = len(moduli)
         steps = []
         slots: list[int] = []  # table slots of the subtrees not yet joined

@@ -55,6 +55,7 @@ from .intmath import (
     _check_exact,
     _check_int,
     _check_ints,
+    _check_positive,
     _mod_inverse,
     round_half_up_div,
 )
@@ -131,9 +132,7 @@ def validate_moduli(moduli: Sequence[int]) -> tuple[int, ...]:
     ms = tuple(_check_ints("modulus", moduli))
     if not ms:
         raise ValueError("empty moduli set")
-    if min(ms) <= 0:
-        i = next(i for i, m in enumerate(ms) if m <= 0)
-        raise ValueError(f"moduli must be positive, index {i} is not")
+    _check_positive(ms)
     if len(set(ms)) != len(ms):
         j = next(j for j, m in enumerate(ms) if ms.index(m) < j)
         raise ValueError(
@@ -295,7 +294,8 @@ def per_remainder_bounds(moduli: Sequence[int], k: int) -> BoundsReport:
     q = p.least[k]
     if q != p.theta_gcd:
         raise ValueError(
-            f"index {k} does not attain the max-min bound {p.theta}"
+            f"index {k} does not attain the max-min bound; index "
+            f"{p.reference} does"
         )
     return BoundsReport(
         theta=p.theta,
@@ -363,51 +363,44 @@ def _sum_source(names: Sequence[str]) -> str:
     return f"({_sum_source(names[:half])} + {_sum_source(names[half:])})"
 
 
-# the generated source: a factory whose parameters are the constants the
-# functions read, and the plain and checked scans of one row layout
-_FACTORY = """def factory({params}):
+# the generated source of each kernel family: a factory whose parameters
+# are the constants its functions read
+_SHIFT = """def factory({params}):
     def checked_shift(errors):
         {inputs}, = errors
         {shift}
         return {root}
-{scans}
-    return (checked_shift, (scan, checked_scan),
-            (clamped_scan, checked_clamped_scan))"""
-_SCANS = """
-    def {name}(rows, span, off, tau):
+    return checked_shift"""
+_SCANS = """def factory({params}):
+    def scan(rows, span, off, tau):
         total = top = bad = 0
-        for {cells}, a in rows:
+        for {cells} in rows:
             {plain}
-            e = a + {root}
-            if e < 0:
-                e = -e
-            total += e
-            if e > top:
-                top = e
-            if e > tau:
-                bad += 1
+            {score}
         return total, top, bad
 
-    def checked_{name}(rows, span, off, tau, failed, unanchored):
+    def checked_scan(rows, span, off, tau, failed, unanchored):
         total = top = bad = 0
-        for pos, ({cells}, a) in enumerate(rows):
+        for pos, ({cells}) in enumerate(rows):
             {checked}
             if a is None:
                 unanchored.append((pos, {root})); continue
-            e = a + {root}
+            {score}
+        return total, top, bad
+    return scan, checked_scan"""
+# a scan's score of one trial: |a + root move| into the level's sums
+_SCORE = """e = a + {root}
             if e < 0:
                 e = -e
             total += e
             if e > top:
                 top = e
             if e > tau:
-                bad += 1
-        return total, top, bad
-"""
+                bad += 1"""
 
 
-def _compile_moves(moduli: Sequence[int], stages):
-    """checked_shift and the level scans of a run of stages, generated.
+def _compile_moves(moduli: Sequence[int], stages, family: str):
+    """Generate one kernel family of a run of stages.
 
     stages holds (plan, slots) per stage in run order: plan is the
     stage's _FoldingPlan (only its k and pairs are read) and slots are
@@ -416,16 +409,16 @@ def _compile_moves(moduli: Sequence[int], stages):
     move is the last slot's.  A checked pass puts before each move the
     stage's condition, -g <= 2 (d_i - d_k) < g per (i, g) of plan.pairs.
 
-    Returns (checked_shift, (scan, checked_scan), (clamped scan, clamped
-    checked_scan)).  checked_shift(errors) is the root move, or None at
-    the first failing stage.  A scan scores one level over rows of raw
-    draws x_j, (clamped) true remainders r_j and the anchor offset a
-    (anchor estimate minus unknown, None until solved); error j is
-    x_j % span - off, clamped so that r_j + error lies in [0, M_j - 1].
-    It returns the total, maximum and count above tau of |a + root move|.
-    checked_scan(rows, span, off, tau, failed, unanchored) sums only
-    passing trials, appending the position of a failing one to failed
-    and (position, root move) of one with no anchor to unanchored.
+    "checked_shift" gives checked_shift(errors): the root move, or None
+    at the first failing stage.  "scans" and "clamped_scans" give
+    (scan, checked_scan), which score one level over the sweep's rows
+    [x_0..x_{L-1}, r_0..r_{L-1}, a] (see simulate) with error d_j =
+    x_j % span - off, clamped in "clamped_scans" so that r_j + d_j lies
+    in [0, M_j - 1].  scan returns the total, maximum and count above
+    tau of |a + root move|.  checked_scan(rows, span, off, tau, failed,
+    unanchored) sums only passing trials; it appends (position,
+    r_0 + d_0, ..., r_{L-1} + d_{L-1}) of a failing trial to failed and
+    (position, root move) of a passing one with a = None to unanchored.
 
     Every gcd, size and modulus is a factory parameter, never source
     text (str() of an int past the digit limit raises ValueError), and
@@ -451,7 +444,6 @@ def _compile_moves(moduli: Sequence[int], stages):
             f"{table[-1]} = (2 * {_sum_source(ins)} + {const(c)})"
             f" // {const(2 * c)}"
         )
-    root = table[-1]
 
     def run(fail: str | None) -> list[str]:
         """Each stage's move, after its condition when fail is given."""
@@ -462,36 +454,38 @@ def _compile_moves(moduli: Sequence[int], stages):
             out.append(move)
         return out
 
-    plain, clamped = [], []
-    for j, m in enumerate(moduli):
-        top = const(m - 1)
-        plain.append(f"d{j} = x{j} % span - off")
-        clamped += [
-            f"d{j} = r{j} + x{j} % span - off",
-            f"d{j} = (0 if d{j} < 0 else {top} if d{j} > {top} else d{j})"
-            f" - r{j}",
-        ]
-    xs = ", ".join(map("x{}".format, range(size)))
-    rs = ", ".join(map("r{}".format, range(size)))
-    scans = [
-        _SCANS.format(
-            name=name, cells=cells, root=root,
-            plain="\n            ".join(errors + run(None)),
-            checked="\n            ".join(
-                errors + run("failed.append(pos); continue")
+    if family == "checked_shift":
+        template = _SHIFT
+        fields = {
+            "inputs": ", ".join(table[:size]),
+            "shift": "\n        ".join(run("return None")),
+        }
+    else:
+        clamp = {"scans": False, "clamped_scans": True}[family]
+        errors = []
+        for j, m in enumerate(moduli):
+            if clamp:
+                top = const(m - 1)
+                errors += [
+                    f"d{j} = r{j} + x{j} % span - off",
+                    f"d{j} = (0 if d{j} < 0 else {top} if d{j} > {top}"
+                    f" else d{j}) - r{j}",
+                ]
+            else:
+                errors.append(f"d{j} = x{j} % span - off")
+        cells = [f"{v}{j}" for v in "xr" for j in range(size)] + ["a"]
+        handback = "".join(f", r{j} + d{j}" for j in range(size))
+        template = _SCANS
+        fields = {
+            "cells": ", ".join(cells),
+            "score": _SCORE.format(root=table[-1]),
+            "plain": "\n            ".join(errors + run(None)),
+            "checked": "\n            ".join(
+                errors + run(f"failed.append((pos{handback})); continue")
             ),
-        )
-        for name, errors, cells in (
-            ("scan", plain, xs),
-            ("clamped_scan", clamped, f"{xs}, {rs}"),
-        )
-    ]
-    source = _FACTORY.format(
-        params=", ".join(consts.values()),
-        inputs=", ".join(table[:size]),
-        shift="\n        ".join(run("return None")),
-        root=root,
-        scans="".join(scans),
+        }
+    source = template.format(
+        params=", ".join(consts.values()), root=table[-1], **fields
     )
     namespace: dict = {}
     exec(source, namespace)
@@ -499,14 +493,15 @@ def _compile_moves(moduli: Sequence[int], stages):
 
 
 class _LazyMoves:
-    """checked_shift and the scans, generated by _compile_moves on first use.
+    """checked_shift and the scans, each family generated on first use.
 
-    A plan that is only solved (solve_folding, reconstruct_tree) never
-    pays the generation; a sweep or check_ns_condition pays it once per
-    plan, which then keeps every function.
-    Subclasses give their stages as (plan, slots) over their moduli in
-    _stages.  Properties, not a __getattr__ hook: a class with one loses
-    the interpreter's fast attribute access, which the solvers use.
+    _compile_moves builds one family per call, and a plan keeps each one
+    it has built in _moves (set up empty by the subclass), so a plan
+    that is only solved never pays the generation; a sweep pays for its
+    one scan pair and check_ns_condition for checked_shift.  Subclasses
+    give their stages as (plan, slots) over their moduli in _stages.
+    Properties, not a __getattr__ hook: a class with one loses the
+    interpreter's fast attribute access, which the solvers use.
     """
 
     __slots__ = ("_moves",)
@@ -514,18 +509,17 @@ class _LazyMoves:
     @property
     def checked_shift(self):
         """The root move if every stage meets its condition, else None."""
-        return self._compiled()[0]
+        return self._family("checked_shift")
 
     def scans(self, clamp: bool):
-        """(scan, checked_scan) over rows of raw draws, clamped or not."""
-        return self._compiled()[2 if clamp else 1]
+        """(scan, checked_scan) over sweep rows, clamped or not."""
+        return self._family("clamped_scans" if clamp else "scans")
 
-    def _compiled(self):
-        try:
-            return self._moves
-        except AttributeError:
-            self._moves = _compile_moves(self.moduli, self._stages())
-            return self._moves
+    def _family(self, family: str):
+        moves = self._moves
+        if family not in moves:
+            moves[family] = _compile_moves(self.moduli, self._stages(), family)
+        return moves[family]
 
 
 class _FoldingPlan(_LazyMoves):
@@ -568,9 +562,9 @@ class _FoldingPlan(_LazyMoves):
     folding numbers, so checked_shift returns None exactly when the solve
     would not find the error-free folding numbers.
 
-    checked_shift and the level scans are generated by _compile_moves for
-    the plan as one stage over all its inputs, on first use (_LazyMoves):
-    solving never builds them.
+    _compile_moves generates checked_shift and each scan pair for the
+    plan as one stage over all its inputs, each family on its first use
+    (_LazyMoves): solving never builds one.
 
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least
@@ -605,6 +599,7 @@ class _FoldingPlan(_LazyMoves):
         self.bias = len(moduli) - sum(t[1] for t in terms)
         self.least_gcd = profile.least[k]
         self.pairs = tuple((i, g) for i, g, _, _, _ in terms)
+        self._moves = {}
 
     def _stages(self):
         return ((self, range(len(self.moduli))),)
@@ -702,7 +697,7 @@ def folding_oracle(
     _check_int("cap", cap)
     lam = math.lcm(*ms)
     if lam > cap:
-        raise SearchCapExceeded(f"lcm {lam} exceeds oracle cap {cap}")
+        raise SearchCapExceeded("the lcm of the moduli exceeds the cap")
     rt = _check_ints("remainder", remainders)
     out: list[FoldingSolution] = []
     seen: set[tuple[int, ...]] = set()

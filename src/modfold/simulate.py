@@ -50,20 +50,24 @@ stage's input errors lie in one window of width w and meet the
 condition.  A certified level is scored as the anchor plus the same move
 without the check; every other level checks each trial.
 
-A level is scored over a block by one call of a scan that
-robust._compile_moves generates per plan, the first time a sweep asks:
-straight-line code inside one loop over the block's rows, which computes
-each error from its raw draw (raw % span - off, clamped with the
-moduli as constants when the remainders are clamped), then one local per
-stage's move in run order, and keeps the level's total, maximum and
-violations in locals.  The checked scan puts each stage's pair tests
-before its move as one chain of comparisons; it hands back the
-positions of the trials that fail, which the solver runs, and those of
-the passing trials that have no anchor yet, which get their anchor then.
-The certified scan has no tests; before it, every trial of the block
+Every row of a block holds [x_0..x_{L-1}, r_0..r_{L-1}, a]: the raw
+error draws, the true remainders n mod M_j (taken once, at the draw)
+and the anchor offset a, the anchor's estimate minus n, None until the
+anchor is solved on the row's r cells.  A level is scored over a block
+by one call of a scan, straight-line code that robust._compile_moves
+generates per plan: one loop over the rows computes each error d_j from
+its raw draw (x_j % span - off, clamped with the moduli as constants so
+that r_j + d_j stays in [0, M_j - 1] when the remainders are clamped;
+the plain and clamped scans differ only in that line), then one local
+per stage's move in run order, and keeps the level's total, maximum
+and violations in locals.  The checked scan puts each stage's pair
+tests before its move as one chain of comparisons.  It hands back each
+failing trial with its erroneous remainders r_j + d_j, which the solver
+runs on, and each passing trial with no anchor yet with its move.  The
+certified scan has no tests; before it, every trial of the block
 without an anchor gets one.  So a trial-level costs a few integer
 operations per stage and per pair, with no call, list or table of its
-own; the check costs its pair tests, which a certified level skips.
+own.
 
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
@@ -191,11 +195,12 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
 
     Trials are drawn once, in blocks of _BLOCK rows, and each level is
     scored over a block by one call of the plan's scan, certified or
-    checked (see the module docstring).  The failing trials of a checked
-    scan run the solver on the level's remainders.  A trial's anchor is
-    solved at its first passing level: before a certified scan for each
-    trial without one, after a checked scan for the passing trials it
-    hands back as unanchored.  cfg.tau is unused.
+    checked (see the module docstring); clamping only picks the scans.
+    The failing trials of a checked scan run the solver on the
+    remainders it hands back.  A trial's anchor is solved at its first
+    passing level: before a certified scan for each trial without one,
+    after a checked scan for the passing trials it hands back as
+    unanchored.  cfg.tau is unused.
     """
     if not taus:
         return []
@@ -211,8 +216,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         plan = _program_for(ms, cfg.tree)
         reconstruct = plan.run
 
-    clamp = cfg.clamp_remainders
-    scan, checked_scan = plan.scans(clamp)
+    scan, checked_scan = plan.scans(cfg.clamp_remainders)
     one_sided = cfg.error_model == ONE_SIDED
     # (index, tau, span, off, certified): an error is raw % span - off, so
     # the level's window width is w = span - 1; with 2w < G every trial
@@ -230,22 +234,12 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     seed = cfg.rng_seed
     draw_index = range(1, size + 1)
 
-    # a row is [raw draws, true remainders when clamping, anchor offset
-    # a]: the anchor's estimate minus the unknown, None until it is solved
+    # a row is [raw draws, true remainders, anchor offset a]: the
+    # anchor's estimate minus the unknown, None until it is solved
     def anchor(row, n):
         """Solve the trial on its true remainders; keep and return a."""
-        rs = row[size:-1] if clamp else [n % m for m in ms]
-        a = row[-1] = reconstruct(rs)[1] - n
+        a = row[-1] = reconstruct(row[size:-1])[1] - n
         return a
-
-    def remainders(row, n, span, off):
-        """The trial's erroneous remainders at one level."""
-        if clamp:
-            return [
-                min(max(r + x % span - off, 0), m - 1)
-                for x, r, m in zip(row, row[size:], ms)
-            ]
-        return [n % m + x % span - off for x, m in zip(row, ms)]
 
     for start in range(0, cfg.trials, _BLOCK):
         ns, rows = [], []
@@ -253,8 +247,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
             key = _splitmix64(seed, t)
             n = _splitmix64(key, 0) % lam
             row = [_splitmix64(key, j) for j in draw_index]
-            if clamp:
-                row += [n % m for m in ms]
+            row += [n % m for m in ms]
             row.append(None)
             ns.append(n)
             rows.append(row)
@@ -280,8 +273,9 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
                     abs(anchor(rows[pos], ns[pos]) + move)
                     for pos, move in unanchored
                 ]
-                for pos in failed:  # some stage fails: only the solver knows
-                    rt = remainders(rows[pos], ns[pos], span, off)
+                # some stage fails: only the solver knows, on the
+                # erroneous remainders the scan hands back
+                for pos, *rt in failed:
                     try:
                         est = reconstruct(rt)[1]
                     except FoldingFailure as exc:
@@ -394,7 +388,7 @@ def verify_exactness_condition(
     span = 2 * window + 1
     total = lam * span ** len(ms)
     if total > cap:
-        raise SearchCapExceeded(f"{total} cases exceed the cap {cap}")
+        raise SearchCapExceeded("the number of cases exceeds the cap")
     k = select_reference(ms) if reference is None else reference
     if not 0 <= _check_int("reference index", k) < len(ms):
         raise ValueError(f"reference index {k} out of range")

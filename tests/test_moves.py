@@ -1,17 +1,22 @@
 """The generated move kernels: checked_shift and the level scans.
 
 robust._compile_moves writes each plan's stage-by-stage pass as straight-
-line code: checked_shift for one error vector, and the scans that score
-one error level over a block of trials.  These tests hold it to the loops
-it replaced, written out here, and to the solver; they put every
-exactness pair at its edges, check that kernels with a mutated edge are
-caught, that plans are only compiled by a sweep, and that the generated
-code survives huge gcds, wide stages and deep trees.
+line code, one kernel family per call: checked_shift for one error
+vector, or a pair of scans that score one error level over a block of
+trials, plain or clamped.  These tests hold it to the loops it replaced,
+written out here, and to the solver; they put every exactness pair at
+its edges, check that the remainders a checked scan hands a failing
+trial are its erroneous ones, that kernels with a mutated edge or
+handback are caught, that a plan compiles only the families it is asked
+for, and that the generated code survives huge gcds, wide stages and
+deep trees.
 """
 
 import math
 import random
+import re
 import sys
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -34,10 +39,19 @@ from modfold.robust import (
     _compile_moves,
     _folding_plan,
     _solve_with_plan,
+    check_ns_condition,
     select_reference,
     solve_folding,
 )
-from modfold.simulate import SYMMETRIC, TrialConfig, run_trials, sweep
+from modfold.simulate import (
+    ONE_SIDED,
+    SYMMETRIC,
+    TrialConfig,
+    run_trials,
+    sweep,
+)
+
+FAMILIES = ("checked_shift", "scans", "clamped_scans")
 
 
 def loop_moves(stages, errors, checked):
@@ -62,23 +76,19 @@ def loop_moves(stages, errors, checked):
 def loop_scan(moduli, stages, clamp, checked):
     """A level scan as a loop over rows, one loop_moves pass per trial.
 
-    A row is [raw draws, true remainders when clamp, anchor offset a].
+    A row is [raw draws, true remainders, anchor offset a].  A failing
+    trial is handed back as (position, its erroneous remainders).
     """
     size = len(moduli)
 
     def scan(rows, span, off, tau, failed=None, unanchored=None):
         total = top = bad = 0
         for pos, row in enumerate(rows):
-            errors = []
-            for j, m in enumerate(moduli):
-                d = row[j] % span - off
-                if clamp:
-                    r = row[size + j]
-                    d = min(max(r + d, 0), m - 1) - r
-                errors.append(d)
+            rt = erroneous(moduli, row, span, off, clamp)
+            errors = [x - r for x, r in zip(rt, row[size:])]
             move = loop_moves(stages, errors, checked)
             if move is None:
-                failed.append(pos)
+                failed.append((pos, *rt))
             elif checked and row[-1] is None:
                 unanchored.append((pos, move))
             else:
@@ -91,18 +101,33 @@ def loop_scan(moduli, stages, clamp, checked):
     return scan
 
 
-def loop_kernels(moduli, stages):
+def erroneous(moduli, row, span, off, clamp):
+    """A row's remainders at one level: r_j + x_j % span - off, clamped
+    into [0, M_j - 1] when clamp."""
+    size = len(moduli)
+    out = []
+    for j, m in enumerate(moduli):
+        rt = row[size + j] + row[j] % span - off
+        out.append(min(max(rt, 0), m - 1) if clamp else rt)
+    return out
+
+
+def loop_kernels(moduli, stages, family):
     """A stand-in for _compile_moves that runs the loops."""
     stages = list(stages)
-    return (
-        partial(loop_moves, stages, checked=True),
-        tuple(loop_scan(moduli, stages, False, c) for c in (False, True)),
-        tuple(loop_scan(moduli, stages, True, c) for c in (False, True)),
-    )
+    if family == "checked_shift":
+        return partial(loop_moves, stages, checked=True)
+    clamp = family == "clamped_scans"
+    return tuple(loop_scan(moduli, stages, clamp, c) for c in (False, True))
+
+
+def every_family(compile_moves, moduli, stages):
+    """(checked_shift, plain scans, clamped scans), one call per family."""
+    return tuple(compile_moves(moduli, stages, f) for f in FAMILIES)
 
 
 def kernels_of(plan):
-    """The plan's generated kernels, laid out as _compile_moves returns."""
+    """The plan's generated kernels, laid out as every_family gives them."""
     return plan.checked_shift, plan.scans(False), plan.scans(True)
 
 
@@ -194,13 +219,13 @@ SCANS = {
 }
 
 
-def block_of(moduli, vectors, rng, clamp, anchored):
+def block_of(moduli, vectors, rng, anchored):
     """(rows, span, off): one level whose raw draws give the error vectors.
 
     With off past every |error| and span = 2 off + 1, a raw draw
-    d + off + span q maps to error d, for any q.  Clamped rows also hold
-    true remainders, in turn 0, M_j - 1 and one between, so some errors
-    are clamped.  Anchor offsets are small ints, and None on about a
+    d + off + span q maps to error d, for any q.  The true remainders
+    are in turn 0, M_j - 1 and one between, so a clamped scan clamps
+    some errors.  Anchor offsets are small ints, and None on about a
     third of the rows unless anchored.
     """
     off = 1 + max((abs(d) for errors in vectors for d in errors), default=0)
@@ -209,12 +234,11 @@ def block_of(moduli, vectors, rng, clamp, anchored):
     for pos, errors in enumerate(vectors):
         q = off + span * rng.getrandbits(40)
         row = [d + q for d in errors]
-        if clamp:
-            between = rng.random()
-            row += [
-                (0, m - 1, int(m * between))[(j + pos) % 3]
-                for j, m in enumerate(moduli)
-            ]
+        between = rng.random()
+        row += [
+            (0, m - 1, int(m * between))[(j + pos) % 3]
+            for j, m in enumerate(moduli)
+        ]
         anchor = rng.randint(-2, 2)
         row.append(None if not anchored and rng.random() < 0.35 else anchor)
         rows.append(row)
@@ -224,12 +248,13 @@ def block_of(moduli, vectors, rng, clamp, anchored):
 def mismatches(kernels, moduli, stages, vectors):
     """The kernels that disagree with the loops on the error vectors.
 
-    kernels is laid out as _compile_moves returns it.  checked_shift runs
+    kernels is laid out as every_family gives them.  checked_shift runs
     on each vector; each scan scores them as one block, at a level whose
-    raw draws give those errors, with failed and unanchored compared too.
+    raw draws give those errors, with failed (handbacks included) and
+    unanchored compared too.
     """
     checked_shift, plain, clamped = kernels
-    reference = loop_kernels(moduli, stages)
+    reference = every_family(loop_kernels, moduli, stages)
     out = set()
     if any(
         checked_shift(errors) != loop_moves(stages, errors, True)
@@ -240,7 +265,7 @@ def mismatches(kernels, moduli, stages, vectors):
     expected = dict(zip(SCANS, reference[1] + reference[2]))
     rng = random.Random(len(vectors))
     for name, (clamp, checked) in SCANS.items():
-        rows, span, off = block_of(moduli, vectors, rng, clamp, not checked)
+        rows, span, off = block_of(moduli, vectors, rng, not checked)
         tau = rng.randint(0, 3)
         args = (rows, span, off, tau)
         # a checked scan also fills its failed and unanchored lists
@@ -332,11 +357,11 @@ class TestAgainstLoopsAndSolver:
         for ms, plan in plans:
             stages = plan._stages()
             vectors = [e for *_, e in edge_vectors(len(ms), stages)]
-            kernels = _compile_moves(ms, stages)
+            kernels = every_family(_compile_moves, ms, stages)
             assert mismatches(kernels, ms, stages, vectors) == set()
             with monkeypatch.context() as m:
                 m.setattr(robust, "exec", mutated, raising=False)
-                mutant = _compile_moves(ms, stages)
+                mutant = every_family(_compile_moves, ms, stages)
             for name in mismatches(mutant, ms, stages, vectors):
                 caught[name] = caught.get(name, 0) + 1
         assert all(") < k" in s for s in sources if "if not" in s)
@@ -388,7 +413,7 @@ class TestAgainstLoopsAndSolver:
                     rt = [r + e for r, e in zip(rs, errors)]
                     folds, est = solve(plan, rt)
                     if move is None:
-                        want_failed.append(pos)
+                        want_failed.append((pos, *rt))
                         assert folds != anchor_folds
                     else:
                         assert (folds, est) == (anchor_folds, anchor + move)
@@ -413,19 +438,129 @@ class TestAgainstLoopsAndSolver:
         # errors -3, 0 and 5: every trial passes, the one with no anchor
         # is handed back, the others score |a + error| = 2 and 4
         scan, checked_scan = program.scans(False)
-        rows = [[0, 1], [3, None], [8, -1]]
+        rows = [[0, 4, 1], [3, 4, None], [8, 4, -1]]
         failed, unanchored = [], []
         assert checked_scan(rows, 9, 3, 2, failed, unanchored) == (6, 4, 1)
         assert (failed, unanchored) == ([], [(1, 0)])
 
 
-class TestBuiltOnFirstSweep:
-    def test_only_a_sweep_compiles(self, monkeypatch):
-        calls = []
+# plan kinds the handback must cover: tree layouts over six moduli
+HANDBACK_KINDS = {
+    "single stage": None,
+    "depth 2": "[[0,1,2],[3,4],[5]]",
+    "depth 3": "[[[0,1],[2,3]],[4,5]]",
+    "shared index": "[[0,1,2],[2,3,4,5]]",
+}
 
-        def counted(moduli, stages):
-            calls.append(len(moduli))
-            return _compile_moves(moduli, stages)
+
+def handback_cases(rng, per_kind):
+    """(kind, moduli, plan) per kind, over random six-moduli sets."""
+    out = []
+    for kind, layout in HANDBACK_KINDS.items():
+        count = 0
+        while count < per_kind:
+            ms = entangled(rng, 6)
+            try:
+                plan = (
+                    _folding_plan(ms, rng.randrange(6)) if layout is None
+                    else _tree_program(ms, parse_tree(layout))
+                )
+            except DegenerateTreeError:
+                continue
+            out.append((kind, ms, plan))
+            count += 1
+    return out
+
+
+def hand_back_r_minus_d(source, namespace):
+    """exec, with each handed-back remainder r_j + d_j made r_j - d_j."""
+    exec(re.sub(r"\br(\d+) \+ d\1\b", r"r\1 - d\1", source), namespace)
+
+
+def handbacks(rng):
+    """Score checked scans, freshly compiled, against the loops.
+
+    For each plan kind, error model and clamping, rows are drawn as a
+    sweep draws them, with a third of the unknowns at 0 and a third at
+    lcm - 1 so that clamping cuts errors at both ends.  Returns the
+    failing trials the scans and loop_scan disagree on by position, the
+    handed-back tuples that differ from the trials' erroneous
+    remainders, and per kind and clamping the failing trials and the
+    handed-back remainders clamped to 0 and to M_j - 1.
+    """
+    wrong_positions = wrong_remainders = 0
+    seen = {}
+    for kind, ms, plan in handback_cases(rng, 6):
+        stages = plan._stages()
+        lam = math.lcm(*ms)
+        for model, clamp in ((m, c) for m in (ONE_SIDED, SYMMETRIC)
+                             for c in (False, True)):
+            family = "clamped_scans" if clamp else "scans"
+            _, checked_scan = _compile_moves(ms, stages, family)
+            for tau in (2, 9, 40):
+                span, off = (tau + 1, 0) if model == ONE_SIDED else (
+                    2 * tau + 1, tau
+                )
+                rows = []
+                for _ in range(60):
+                    n = rng.choice((0, lam - 1, rng.randrange(lam)))
+                    raws = [rng.getrandbits(64) for _ in ms]
+                    rows.append(raws + [n % m for m in ms] + [0])
+                failed, want = [], []
+                checked_scan(rows, span, off, tau, failed, [])
+                loop_scan(ms, stages, clamp, True)(rows, span, off, tau, want)
+                positions = [pos for pos, *_ in failed]
+                wrong_positions += positions != [pos for pos, *_ in want]
+                tally = seen.setdefault((kind, clamp), [0, 0, 0])
+                for pos, *rt in failed:
+                    row = rows[pos]
+                    truth = erroneous(ms, row, span, off, clamp)
+                    wrong_remainders += rt != truth
+                    tally[0] += 1
+                    unclamped = erroneous(ms, row, span, off, False)
+                    for x, u, m in zip(truth, unclamped, ms):
+                        tally[1] += x == 0 and u < 0
+                        tally[2] += x == m - 1 and u > m - 1
+    return wrong_positions, wrong_remainders, seen
+
+
+class TestHandback:
+    """A checked scan hands each failing trial its erroneous remainders."""
+
+    def test_failing_trials_get_their_remainders(self):
+        wrong_positions, wrong_remainders, seen = handbacks(
+            random.Random(1409)
+        )
+        assert (wrong_positions, wrong_remainders) == (0, 0)
+        assert sorted(seen) == sorted(
+            (kind, clamp) for kind in HANDBACK_KINDS for clamp in (0, 1)
+        )
+        for (kind, clamp), (failing, at_zero, at_top) in seen.items():
+            assert failing > 100, (kind, clamp, failing)
+            if clamp:  # some remainders were cut at each end
+                assert at_zero > 20 and at_top > 20, (kind, at_zero, at_top)
+
+    def test_mutated_handback_is_caught(self, monkeypatch):
+        monkeypatch.setattr(robust, "exec", hand_back_r_minus_d, raising=False)
+        wrong_positions, wrong_remainders, _ = handbacks(random.Random(1409))
+        # the check is intact, so only the remainders are wrong
+        assert wrong_positions == 0 and wrong_remainders > 500
+        caught = set()
+        for ms, plan in random_plans(random.Random(1410), 20):
+            stages = plan._stages()
+            vectors = [e for _, e in error_vectors(random.Random(5), ms, 40)]
+            mutant = every_family(_compile_moves, ms, stages)
+            caught |= mismatches(mutant, ms, stages, vectors)
+        assert caught == {"checked_scan", "clamped_checked_scan"}
+
+
+class TestBuiltOnFirstSweep:
+    def test_each_family_on_first_use(self, monkeypatch):
+        calls = []  # (stages of the plan, family) per compile
+
+        def counted(moduli, stages, family):
+            calls.append((len(stages), family))
+            return _compile_moves(moduli, stages, family)
 
         monkeypatch.setattr(robust, "_compile_moves", counted)
         # a fresh factor keeps every plan cache cold for these sets
@@ -442,16 +577,26 @@ class TestBuiltOnFirstSweep:
         propose_grouping(ms, share_reference=True)
         assert calls == []
 
+        # one family per plan: the single stage, then the tree's two
         single = TrialConfig(moduli=ms, trials=20)
         tree = TrialConfig(moduli=ms, tree=layout, trials=20)
         sweep(single, [0, 1, 2])
-        assert calls == [3]
+        assert calls == [(1, "scans")]
         sweep(tree, [0, 1, 2])
-        assert calls == [3, 3]
+        assert calls == [(1, "scans"), (2, "scans")]
         sweep(single, [3])
         run_trials(tree)
-        _folding_plan(ms, select_reference(ms)).checked_shift([0, 0, 0])
-        assert calls == [3, 3]
+        assert len(calls) == 2
+        clamped = replace(single, error_model=SYMMETRIC, clamp_remainders=True)
+        sweep(clamped, [0, 40])
+        assert calls[2:] == [(1, "clamped_scans")]
+        k = select_reference(ms)
+        assert check_ns_condition([0, 0, 0], ms, k)
+        assert not check_ns_condition([0, 0, f * 50], ms, k)
+        assert calls[3:] == [(1, "checked_shift")]
+        sweep(clamped, [1])
+        sweep(single, [4])
+        assert len(calls) == 4
 
 
 class TestGeneratedCodeLimits:
@@ -486,7 +631,7 @@ class TestGeneratedCodeLimits:
 
         monkeypatch.setattr(robust, "_compile_moves", loop_kernels)
         for plan in plans:
-            del plan._moves
+            plan._moves.clear()
         assert rows[:3] == [sweep(cfg, taus) for cfg in cfgs]
         assert rows[3] == [run_trials(cfg) for cfg in cfgs]
         assert moves == [
@@ -506,7 +651,7 @@ class TestGeneratedCodeLimits:
         )
         stages = [(stub, range(size))]
         moduli = tuple(range(2, size + 2))  # bounds for the clamped scans
-        kernels = _compile_moves(moduli, stages)
+        kernels = every_family(_compile_moves, moduli, stages)
         vectors = [[0] * size, [rng.randint(0, 2) for _ in range(size)]]
         for i, g in stub.pairs[::100]:  # both edges of every 100th pair
             lo, hi = -(g // 2), (g + 1) // 2 - 1

@@ -5,7 +5,16 @@ from itertools import product
 
 import pytest
 
-from modfold.congruence import _merge, _merge_schedule
+from modfold.congruence import (
+    CongruenceSystem,
+    InconsistentSystem,
+    _merge,
+    _merge_schedule,
+    crt_coprime_closed_form,
+    crt_general,
+    crt_pair_merge,
+    remainders_of,
+)
 from modfold.grouping import propose_grouping
 from modfold.intmath import NotInvertibleError, mod_inverse, round_half_up_div
 from modfold.multistage import DegenerateTreeError, stage_bounds
@@ -25,6 +34,7 @@ from modfold.robust import (
     theta_bound,
     validate_moduli,
 )
+from modfold.simulate import verify_exactness_condition
 
 EX1 = (70, 75, 80, 90)
 
@@ -525,8 +535,59 @@ class TestMessagesPastTheDigitLimit:
                 NotInvertibleError,
                 "a has no inverse modulo the modulus: they share a factor",
             ),
+            (
+                lambda: folding_oracle((HUGE, HUGE + 1), [0, 0], 1),
+                SearchCapExceeded,
+                "the lcm of the moduli exceeds the cap",
+            ),
+            (
+                lambda: verify_exactness_condition((HUGE, HUGE + 1)),
+                SearchCapExceeded,
+                "the number of cases exceeds the cap",
+            ),
+            (
+                lambda: per_remainder_bounds(
+                    (4 * HUGE, 6 * HUGE, 9 * HUGE), 2
+                ),
+                ValueError,
+                "index 2 does not attain the max-min bound; index 1 does",
+            ),
+            (
+                lambda: crt_pair_merge(0, 2 * HUGE, 1, 4 * HUGE),
+                InconsistentSystem,
+                "x == a (mod m) contradicts x == b (mod n)",
+            ),
+            (
+                lambda: crt_general(
+                    CongruenceSystem([0, 1], [2 * HUGE, 4 * HUGE])
+                ),
+                InconsistentSystem,
+                "congruences 0 and 1 contradict each other",
+            ),
+            (
+                lambda: crt_coprime_closed_form(
+                    CongruenceSystem([0, 1], [2 * HUGE, 3 * HUGE])
+                ),
+                ValueError,
+                "the moduli at indices 0 and 1 are not coprime",
+            ),
+            (
+                lambda: CongruenceSystem([0, 1], [-HUGE, 3]),
+                ValueError,
+                "moduli must be positive, index 0 is not",
+            ),
+            (
+                lambda: remainders_of(5, [3, -HUGE]),
+                ValueError,
+                "moduli must be positive, index 1 is not",
+            ),
         ],
-        ids=["distinct", "positive", "degenerate_tree", "divisor", "inverse"],
+        ids=[
+            "distinct", "positive", "degenerate_tree", "divisor", "inverse",
+            "oracle_cap", "verify_cap", "reference_bounds", "pair_merge",
+            "crt_general", "coprime", "system_positive",
+            "remainders_positive",
+        ],
     )
     def test_type_and_message(self, call, error, message):
         with pytest.raises(error) as info:
