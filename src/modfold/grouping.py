@@ -266,7 +266,7 @@ def _score(profile: _Profile, group: tuple[int, ...]):
     """(group, its max-min gcd, its lcm) for sorted modulus indices."""
     return (
         group,
-        profile.maxmin(group),
+        profile.maxmin(group)[0],
         math.lcm(*[profile.moduli[i] for i in group]),
     )
 

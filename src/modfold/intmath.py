@@ -35,6 +35,14 @@ def _check_int(name: str, value, low: int | None = None) -> int:
     return value
 
 
+def _check_index(name: str, value, size: int) -> int:
+    """Return value if it is an int in [0, size); the message names no
+    value, which may be past the digit limit."""
+    if not 0 <= _check_int(name, value) < size:
+        raise ValueError(f"{name} out of range")
+    return value
+
+
 def _check_exact(name: str, value, low: int | None = None) -> int | Fraction:
     """Return value if it is an int (not a bool) or a Fraction, at least low.
 
@@ -96,7 +104,7 @@ def round_half_up_div(num: int, den: int) -> int:
     """
     _check_int("numerator", num)
     if _check_int("denominator", den) <= 0:
-        raise ValueError(f"denominator must be positive, got {den}")
+        raise ValueError("denominator must be positive")
     return _round_half_up_div(num, den)
 
 

@@ -30,7 +30,9 @@ over 4, and _layout is the one place that computes those gcds: a leaf's
 is read from the moduli's profile (robust._Profile.maxmin, no gcd call),
 a node's is the max-min gcd of its child lcms (robust._maxmin_gcd).
 stage_bounds, per_group_reference_bounds and the grouping search's
-winning plan all take them from there.
+winning plan all take them from there.  The same pass gives each stage's
+reference, the first position attaining its gcd, which the tree program
+and per_group_reference_bounds read.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Iterator, Sequence
 
 from .intmath import (
     _check_exact,
+    _check_index,
     _check_int,
     _check_ints,
     _round_half_up_div,
@@ -135,7 +138,9 @@ def parse_tree(layout: GroupTree | str | Sequence) -> GroupTree:
 
 def _parse_node(data) -> GroupTree:
     if not isinstance(data, (list, tuple)) or len(data) == 0:
-        raise ValueError(f"tree nodes must be nonempty lists, got {data!r}")
+        # a type, not a value, which may be too long to print
+        got = "[]" if isinstance(data, (list, tuple)) else type(data).__name__
+        raise ValueError(f"tree nodes must be nonempty lists, got {got}")
     if isinstance(data[0], (list, tuple)):
         return Node(children=tuple(_parse_node(x) for x in data))
     return Leaf(indices=tuple(data))
@@ -190,25 +195,31 @@ def validate_tree(tree: GroupTree | str | Sequence, n_moduli: int) -> None:
         if len(t.indices) == 0:
             raise ValueError("leaf with no indices")
         if len(set(t.indices)) != len(t.indices):
-            raise ValueError(f"leaf repeats an index: {t.indices}")
+            raise ValueError("a leaf repeats an index")
         for i in t.indices:
-            if not 0 <= i < n_moduli:
-                raise ValueError(f"leaf index {i} out of range")
+            _check_index("leaf index", i, n_moduli)
         seen.update(t.indices)
-    missing = set(range(n_moduli)) - seen
-    if missing:
-        raise ValueError(f"moduli indices {sorted(missing)} appear in no leaf")
+    # every index seen is in range, so the leaves cover them all exactly
+    # when they hold n_moduli distinct ones; the message prints only
+    # numbers bounded by the plan's size, as n_moduli may be too long
+    if len(seen) != n_moduli:
+        first = next(i for i in range(n_moduli) if i not in seen)
+        raise ValueError(
+            f"the leaves cover {len(seen)} moduli indices; index {first} "
+            "is the first in no leaf"
+        )
 
 
 def _layout(
     tree: GroupTree, profile: _Profile
-) -> list[tuple[GroupTree, tuple[int, ...], tuple[int, ...], int]]:
-    """The tree in post-order as (subtree, path, parts, gcd).
+) -> list[tuple[GroupTree, tuple[int, ...], tuple[int, ...], int, int]]:
+    """The tree in post-order as (subtree, path, parts, reference, gcd).
 
     parts are the values a stage solves over: a leaf's moduli, or a node's
     child lcms.  gcd is the stage's bound gcd, the max-min gcd of its
-    parts: a leaf's is read from the moduli's profile, a node's is
-    computed over its child lcms.  The tree must already be valid
+    parts, and reference the first position in parts attaining it: a
+    leaf's are read from the moduli's profile, a node's are computed over
+    its child lcms.  The tree must already be valid
     (validate_tree) over profile.moduli.  Raises DegenerateTreeError when
     siblings share an lcm.
     """
@@ -218,7 +229,7 @@ def _layout(
     for t, path in _post_order(tree):
         if isinstance(t, Leaf):
             parts = tuple(moduli[i] for i in t.indices)
-            g = profile.maxmin(t.indices)
+            g, ref = profile.maxmin(t.indices)
         else:
             parts = tuple(lams[-len(t.children):])
             del lams[-len(t.children):]
@@ -233,9 +244,9 @@ def _layout(
                 raise DegenerateTreeError(
                     f"children {i} and {j} of node {path} share an lcm"
                 )
-            g = _maxmin_gcd(parts)[0]
+            g, ref = _maxmin_gcd(parts)
         lams.append(math.lcm(*parts))
-        out.append((t, path, parts, g))
+        out.append((t, path, parts, ref, g))
     return out
 
 
@@ -311,14 +322,14 @@ def _effective_gcds(shape, gcds: Sequence[int]) -> list[int]:
 
 def _stage_bounds(layout) -> StageBounds:
     """The StageBounds of a layout: each stage's gcd over 4."""
-    shape = [(isinstance(t, Leaf), len(path)) for t, path, _, _ in layout]
+    shape = [(isinstance(t, Leaf), len(path)) for t, path, *_ in layout]
     effective = _effective_gcds(shape, [g for *_, g in layout])
     node_cross = tuple(
-        (path, _quarter(g)) for t, path, _, g in layout if isinstance(t, Node)
+        (path, _quarter(g)) for t, path, *_, g in layout if isinstance(t, Node)
     )
     return StageBounds(
         per_group=tuple(
-            _quarter(g) for t, _, _, g in layout if isinstance(t, Leaf)
+            _quarter(g) for t, *_, g in layout if isinstance(t, Leaf)
         ),
         node_cross=node_cross,
         cross=node_cross[-1][1] if node_cross else None,
@@ -387,7 +398,7 @@ class _TreeProgram(_LazyMoves):
     (robust._LazyMoves): building or running a program builds none.
 
     Each step's reference is the first index attaining its parts' max-min
-    gcd, read from their profile (the one its folding plan reads).
+    gcd, read from the layout (as select_reference would pick it).
 
     Building a program checks the moduli (positive, distinct, nonempty,
     through their profile) and the tree, so a cached program's inputs are
@@ -404,7 +415,7 @@ class _TreeProgram(_LazyMoves):
         slots: list[int] = []  # table slots of the subtrees not yet joined
         occs: list[list] = []  # their leaf occurrences, as (index, terms)
         leaf_slots, node_slots = [], []  # each subtree's slot, by kind
-        for t, _, parts, _ in _layout(tree, profile):
+        for t, _, parts, ref, _ in _layout(tree, profile):
             is_leaf = isinstance(t, Leaf)
             if is_leaf:
                 # a leaf joins its indices' slots as a node joins its
@@ -414,7 +425,7 @@ class _TreeProgram(_LazyMoves):
             c = len(parts)
             if c > 1:
                 s = len(steps)
-                plan = _folding_plan(parts, _profile(parts).reference)
+                plan = _folding_plan(parts, ref)
                 ins = tuple(slots[-c:])
                 steps.append((plan, itemgetter(*ins), ins))
                 children = occs[-c:]
@@ -577,18 +588,17 @@ def per_group_reference_bounds(
     profile = _profile_of(moduli)
     tree = _two_stage(tree)
     validate_tree(tree, len(profile.moduli))
-    *leaves, (_, _, lams, cross) = _layout(tree, profile)
+    *leaves, (_, _, lams, k, cross) = _layout(tree, profile)
     gcds = [g for *_, g in leaves]
-    # the root stage's reference and its gcds with every group's lcm
-    root = _profile(lams)
-    k = root.reference
     ref = min(gcds[k], cross)
     return GroupReferenceBounds(
         reference=k,
         group_bounds=tuple(map(_quarter, gcds)),
         cross=_quarter(cross),
         per_group_tau=tuple(
-            _quarter(ref if j == k else min(g, 2 * gl - ref))
-            for j, (g, gl) in enumerate(zip(gcds, root.table[k]))
+            _quarter(
+                ref if j == k else min(g, 2 * math.gcd(lam, lams[k]) - ref)
+            )
+            for j, (g, lam) in enumerate(zip(gcds, lams))
         ),
     )

@@ -53,6 +53,7 @@ from typing import Sequence
 from .congruence import _merge_schedule
 from .intmath import (
     _check_exact,
+    _check_index,
     _check_int,
     _check_ints,
     _check_positive,
@@ -189,9 +190,10 @@ class _Profile:
     the greatest of them, is the max-min gcd and reference the first
     index attaining it, as _maxmin_gcd(moduli) gives them; theta is
     theta_gcd / 4.  maxmin(group) is the same max-min gcd over a set of
-    indices, read from the table without a gcd call; it is the bound gcd
-    of a leaf stage over those indices, which multistage._layout reads
-    for every plan.
+    indices, read from the table without a gcd call, with the first
+    position attaining it; they are the bound gcd and the reference of a
+    leaf stage over those indices, which multistage._layout reads for
+    every plan.
 
     M_j divides M_i exactly when table[i][j] == M_j, so M_i divides
     another modulus exactly when row i holds M_i more than once, and
@@ -221,15 +223,16 @@ class _Profile:
         # modulus divides another
         self.divisor_free = sum(map(list.count, table, moduli)) == len(moduli)
 
-    def maxmin(self, group: Sequence[int]) -> int:
-        """The max-min gcd of the moduli at the given (distinct) indices."""
-        best = 0
-        for i in group:
+    def maxmin(self, group: Sequence[int]) -> tuple[int, int]:
+        """The max-min gcd of the moduli at the given (distinct) indices,
+        and the first position in group attaining it."""
+        best = first = 0
+        for pos, i in enumerate(group):
             row = self.table[i]
             least = min([row[j] for j in group])
             if least > best:
-                best = least
-        return best
+                best, first = least, pos
+        return best, first
 
     def require_divisor_free(self) -> None:
         """ValueError naming (by index) a modulus that divides another."""
@@ -288,8 +291,7 @@ def per_remainder_bounds(moduli: Sequence[int], k: int) -> BoundsReport:
     size = len(p.moduli)
     if size < 2:
         raise ValueError("per_remainder_bounds needs at least two moduli")
-    if not 0 <= _check_int("reference index", k) < size:
-        raise ValueError(f"reference index {k} out of range")
+    _check_index("reference index", k, size)
     # every bound is a quarter: g/2 - q/4 == (2g - q)/4
     q = p.least[k]
     if q != p.theta_gcd:
@@ -337,8 +339,7 @@ def check_ns_condition(
     ms = validate_moduli(moduli)
     if len(deltas) != len(ms):
         raise ValueError("deltas and moduli lengths differ")
-    if not 0 <= _check_int("reference index", k) < len(ms):
-        raise ValueError(f"reference index {k} out of range")
+    _check_index("reference index", k, len(ms))
     return _ns_condition(_check_ints("delta", deltas), ms, k)
 
 
@@ -379,12 +380,10 @@ _SCANS = """def factory({params}):
             {score}
         return total, top, bad
 
-    def checked_scan(rows, span, off, tau, failed, unanchored):
+    def checked_scan(rows, span, off, tau, failed):
         total = top = bad = 0
         for pos, ({cells}) in enumerate(rows):
             {checked}
-            if a is None:
-                unanchored.append((pos, {root})); continue
             {score}
         return total, top, bad
     return scan, checked_scan"""
@@ -415,10 +414,10 @@ def _compile_moves(moduli: Sequence[int], stages, family: str):
     [x_0..x_{L-1}, r_0..r_{L-1}, a] (see simulate) with error d_j =
     x_j % span - off, clamped in "clamped_scans" so that r_j + d_j lies
     in [0, M_j - 1].  scan returns the total, maximum and count above
-    tau of |a + root move|.  checked_scan(rows, span, off, tau, failed,
-    unanchored) sums only passing trials; it appends (position,
-    r_0 + d_0, ..., r_{L-1} + d_{L-1}) of a failing trial to failed and
-    (position, root move) of a passing one with a = None to unanchored.
+    tau of |a + root move|, a being the row's anchor offset, solved when
+    the row is drawn.  checked_scan(rows, span, off, tau, failed) sums
+    only passing trials; it appends (position, r_0 + d_0, ...,
+    r_{L-1} + d_{L-1}) of a failing trial to failed.
 
     Every gcd, size and modulus is a factory parameter, never source
     text (str() of an int past the digit limit raises ValueError), and
@@ -669,8 +668,7 @@ def solve_folding(
     ms = tuple(_check_ints("modulus", moduli))
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
-    if not 0 <= _check_int("reference index", k) < len(ms):
-        raise ValueError(f"reference index {k} out of range")
+    _check_index("reference index", k, len(ms))
     rt = _check_ints("remainder", remainders)
     folding, est = _solve_with_plan(_folding_plan(ms, k), rt)
     return FoldingSolution(folding=folding, estimate=est, reference_index=k)

@@ -33,12 +33,11 @@ condition.
 So a trial whose errors pass the check is scored as the error-free
 anchor's outcome plus the returned move, and a trial that fails it runs
 the solver on its erroneous remainders.  The anchor is the solve on the
-trial's true remainders, made once per trial at its first passing level,
-so the rows stay tied to the solver's own output, and a trial that
-passes at no level costs no anchor.  Both ways give the rows the solver
-gives.  The move is the root stage's, the estimate a tree sweep scores;
-for the occurrence estimate it would be the rounded mean over leaf
-occurrences.
+trial's true remainders: one per trial, made when the trial is drawn, so
+the rows stay tied to the solver's own output.  Both ways give the rows
+the solver gives.  The move is the root stage's, the estimate a tree
+sweep scores; for the occurrence estimate it would be the rounded mean
+over leaf occurrences.
 
 At some levels every trial passes, so the check is skipped there.  Let
 G be the least gcd any stage rounds by (plan.least_gcd: 4 theta for one
@@ -51,23 +50,20 @@ condition.  A certified level is scored as the anchor plus the same move
 without the check; every other level checks each trial.
 
 Every row of a block holds [x_0..x_{L-1}, r_0..r_{L-1}, a]: the raw
-error draws, the true remainders n mod M_j (taken once, at the draw)
-and the anchor offset a, the anchor's estimate minus n, None until the
-anchor is solved on the row's r cells.  A level is scored over a block
-by one call of a scan, straight-line code that robust._compile_moves
-generates per plan: one loop over the rows computes each error d_j from
-its raw draw (x_j % span - off, clamped with the moduli as constants so
-that r_j + d_j stays in [0, M_j - 1] when the remainders are clamped;
-the plain and clamped scans differ only in that line), then one local
-per stage's move in run order, and keeps the level's total, maximum
-and violations in locals.  The checked scan puts each stage's pair
-tests before its move as one chain of comparisons.  It hands back each
-failing trial with its erroneous remainders r_j + d_j, which the solver
-runs on, and each passing trial with no anchor yet with its move.  The
-certified scan has no tests; before it, every trial of the block
-without an anchor gets one.  So a trial-level costs a few integer
-operations per stage and per pair, with no call, list or table of its
-own.
+error draws, the true remainders n mod M_j and the anchor offset a, the
+anchor's estimate minus n, all taken once, at the draw.  A level is
+scored over a block by one call of a scan, straight-line code that
+robust._compile_moves generates per plan: one loop over the rows
+computes each error d_j from its raw draw (x_j % span - off, clamped
+with the moduli as constants so that r_j + d_j stays in [0, M_j - 1]
+when the remainders are clamped; the plain and clamped scans differ only
+in that line), then one local per stage's move in run order, and keeps
+the level's total, maximum and violations in locals.  The checked scan
+puts each stage's pair tests before its move as one chain of
+comparisons.  It hands back each failing trial with its erroneous
+remainders r_j + d_j, which the solver runs on.  The certified scan has
+no tests.  So a trial-level costs a few integer operations per stage and
+per pair, with no call, list or table of its own.
 
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
@@ -85,7 +81,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .intmath import _check_int
+from .intmath import _check_index, _check_int
 from .multistage import GroupTree, _program_for, parse_tree
 from .robust import (
     FoldingFailure,
@@ -197,10 +193,8 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     scored over a block by one call of the plan's scan, certified or
     checked (see the module docstring); clamping only picks the scans.
     The failing trials of a checked scan run the solver on the
-    remainders it hands back.  A trial's anchor is solved at its first
-    passing level: before a certified scan for each trial without one,
-    after a checked scan for the passing trials it hands back as
-    unanchored.  cfg.tau is unused.
+    remainders it hands back.  Each trial's anchor is solved once, when
+    it is drawn.  cfg.tau is unused.
     """
     if not taus:
         return []
@@ -234,45 +228,27 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     seed = cfg.rng_seed
     draw_index = range(1, size + 1)
 
-    # a row is [raw draws, true remainders, anchor offset a]: the
-    # anchor's estimate minus the unknown, None until it is solved
-    def anchor(row, n):
-        """Solve the trial on its true remainders; keep and return a."""
-        a = row[-1] = reconstruct(row[size:-1])[1] - n
-        return a
-
     for start in range(0, cfg.trials, _BLOCK):
         ns, rows = [], []
         for t in range(start, min(start + _BLOCK, cfg.trials)):
             key = _splitmix64(seed, t)
             n = _splitmix64(key, 0) % lam
             row = [_splitmix64(key, j) for j in draw_index]
-            row += [n % m for m in ms]
-            row.append(None)
+            rs = [n % m for m in ms]
+            row += rs
+            # the anchor offset: the error-free solve's estimate minus n
+            row.append(reconstruct(rs)[1] - n)
             ns.append(n)
             rows.append(row)
-        anchored = False  # whether every row has its anchor
 
         for i, tau, span, off, certified in levels:
             if certified:
-                if not anchored:
-                    for row, n in zip(rows, ns):
-                        if row[-1] is None:
-                            anchor(row, n)
-                    anchored = True
                 total, top, bad = scan(rows, span, off, tau)
                 count = len(rows)
             else:
-                failed, unanchored = [], []
-                total, top, bad = checked_scan(
-                    rows, span, off, tau, failed, unanchored
-                )
+                failed, errs = [], []
+                total, top, bad = checked_scan(rows, span, off, tau, failed)
                 count = len(rows) - len(failed)
-                # every stage passes: the anchor is due, then the move
-                errs = [
-                    abs(anchor(rows[pos], ns[pos]) + move)
-                    for pos, move in unanchored
-                ]
                 # some stage fails: only the solver knows, on the
                 # erroneous remainders the scan hands back
                 for pos, *rt in failed:
@@ -390,8 +366,7 @@ def verify_exactness_condition(
     if total > cap:
         raise SearchCapExceeded("the number of cases exceeds the cap")
     k = select_reference(ms) if reference is None else reference
-    if not 0 <= _check_int("reference index", k) < len(ms):
-        raise ValueError(f"reference index {k} out of range")
+    _check_index("reference index", k, len(ms))
     cond = condition or _ns_condition
     plan = _folding_plan(ms, k)
 

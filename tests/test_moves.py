@@ -81,7 +81,7 @@ def loop_scan(moduli, stages, clamp, checked):
     """
     size = len(moduli)
 
-    def scan(rows, span, off, tau, failed=None, unanchored=None):
+    def scan(rows, span, off, tau, failed=None):
         total = top = bad = 0
         for pos, row in enumerate(rows):
             rt = erroneous(moduli, row, span, off, clamp)
@@ -89,8 +89,6 @@ def loop_scan(moduli, stages, clamp, checked):
             move = loop_moves(stages, errors, checked)
             if move is None:
                 failed.append((pos, *rt))
-            elif checked and row[-1] is None:
-                unanchored.append((pos, move))
             else:
                 err = abs(row[-1] + move)
                 total += err
@@ -219,14 +217,13 @@ SCANS = {
 }
 
 
-def block_of(moduli, vectors, rng, anchored):
+def block_of(moduli, vectors, rng):
     """(rows, span, off): one level whose raw draws give the error vectors.
 
     With off past every |error| and span = 2 off + 1, a raw draw
     d + off + span q maps to error d, for any q.  The true remainders
     are in turn 0, M_j - 1 and one between, so a clamped scan clamps
-    some errors.  Anchor offsets are small ints, and None on about a
-    third of the rows unless anchored.
+    some errors.  Anchor offsets are small ints.
     """
     off = 1 + max((abs(d) for errors in vectors for d in errors), default=0)
     span = 2 * off + 1
@@ -239,8 +236,7 @@ def block_of(moduli, vectors, rng, anchored):
             (0, m - 1, int(m * between))[(j + pos) % 3]
             for j, m in enumerate(moduli)
         ]
-        anchor = rng.randint(-2, 2)
-        row.append(None if not anchored and rng.random() < 0.35 else anchor)
+        row.append(rng.randint(-2, 2))
         rows.append(row)
     return rows, span, off
 
@@ -250,8 +246,8 @@ def mismatches(kernels, moduli, stages, vectors):
 
     kernels is laid out as every_family gives them.  checked_shift runs
     on each vector; each scan scores them as one block, at a level whose
-    raw draws give those errors, with failed (handbacks included) and
-    unanchored compared too.
+    raw draws give those errors, with failed (handbacks included)
+    compared too.
     """
     checked_shift, plain, clamped = kernels
     reference = every_family(loop_kernels, moduli, stages)
@@ -265,11 +261,11 @@ def mismatches(kernels, moduli, stages, vectors):
     expected = dict(zip(SCANS, reference[1] + reference[2]))
     rng = random.Random(len(vectors))
     for name, (clamp, checked) in SCANS.items():
-        rows, span, off = block_of(moduli, vectors, rng, not checked)
+        rows, span, off = block_of(moduli, vectors, rng)
         tau = rng.randint(0, 3)
         args = (rows, span, off, tau)
-        # a checked scan also fills its failed and unanchored lists
-        mine, theirs = (([], []), ([], [])) if checked else ((), ())
+        # a checked scan also fills its failed list
+        mine, theirs = ([[]], [[]]) if checked else ((), ())
         got = generated[name](*args, *mine), mine
         want = expected[name](*args, *theirs), theirs
         if got != want:
@@ -420,11 +416,9 @@ class TestAgainstLoopsAndSolver:
                         add(want, abs(est - n), tau)
                     unchecked = loop_moves(stages, errors, False)
                     add(want_all, abs(anchor + unchecked - n), tau)
-                failed, unanchored = [], []
-                got = checked_scan(rows, span, off, tau, failed, unanchored)
-                assert (got, failed, unanchored) == (
-                    tuple(want), want_failed, []
-                )
+                failed = []
+                got = checked_scan(rows, span, off, tau, failed)
+                assert (got, failed) == (tuple(want), want_failed)
                 assert scan(rows, span, off, tau) == tuple(want_all)
         assert cut > 1000
 
@@ -435,13 +429,13 @@ class TestAgainstLoopsAndSolver:
             assert program.checked_shift([e]) == e
         vectors = [[-3], [0], [5]]
         assert mismatches(kernels_of(program), (7,), [], vectors) == set()
-        # errors -3, 0 and 5: every trial passes, the one with no anchor
-        # is handed back, the others score |a + error| = 2 and 4
+        # errors -3, 0 and 5: every trial passes and scores
+        # |a + error| = 2, 0 and 4
         scan, checked_scan = program.scans(False)
-        rows = [[0, 4, 1], [3, 4, None], [8, 4, -1]]
-        failed, unanchored = [], []
-        assert checked_scan(rows, 9, 3, 2, failed, unanchored) == (6, 4, 1)
-        assert (failed, unanchored) == ([], [(1, 0)])
+        rows = [[0, 4, 1], [3, 4, 0], [8, 4, -1]]
+        failed = []
+        assert checked_scan(rows, 9, 3, 2, failed) == (6, 4, 1)
+        assert failed == []
 
 
 # plan kinds the handback must cover: tree layouts over six moduli
@@ -507,7 +501,7 @@ def handbacks(rng):
                     raws = [rng.getrandbits(64) for _ in ms]
                     rows.append(raws + [n % m for m in ms] + [0])
                 failed, want = [], []
-                checked_scan(rows, span, off, tau, failed, [])
+                checked_scan(rows, span, off, tau, failed)
                 loop_scan(ms, stages, clamp, True)(rows, span, off, tau, want)
                 positions = [pos for pos, *_ in failed]
                 wrong_positions += positions != [pos for pos, *_ in want]

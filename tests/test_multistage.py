@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -121,6 +122,26 @@ class TestTreeStructure:
             validate_tree(parse_tree("[[0,1],[2,5]]"), 3)
         with pytest.raises(ValueError):
             validate_tree(Node((Leaf((0,)),)), 1)
+
+    def test_uncovered_indices_counted_not_listed(self):
+        with pytest.raises(ValueError) as info:
+            validate_tree([[0, 1], [3]], 40)
+        assert str(info.value) == (
+            "the leaves cover 3 moduli indices; index 2 is the first in no "
+            "leaf"
+        )
+        # the check counts the indices seen: it builds nothing of size
+        # n_moduli, so a count past any memory, or past the digit limit,
+        # fails at once with its own message
+        for n_moduli in (10**30, 10**4400 + 1):
+            start = time.perf_counter()
+            with pytest.raises(ValueError) as info:
+                validate_tree([[0], [1]], n_moduli)
+            assert time.perf_counter() - start < 1
+            assert str(info.value) == (
+                "the leaves cover 2 moduli indices; index 2 is the first in "
+                "no leaf"
+            )
 
 
 class TestStageBounds:
@@ -709,6 +730,29 @@ def random_plan(rng, size):
         cut = rng.randint(2, len(groups) - 1)
         return [groups[:cut], *groups[cut:]]
     return groups
+
+
+class TestStepReferences:
+    def test_layout_references_are_the_profiles(self):
+        # each step's reference comes from the layout's max-min pass; it
+        # is the one the parts' own profile picks
+        rng = random.Random(409)
+        plans = shared = steps = past_first = 0
+        while plans < 300:
+            size = rng.randint(2, 6)
+            ms = random_entangled(rng, size)
+            try:
+                program = _tree_program(ms, parse_tree(random_plan(rng, size)))
+            except DegenerateTreeError:
+                continue
+            plans += 1
+            shared += program.shared
+            for plan, *_ in program.steps:
+                steps += 1
+                past_first += plan.k > 0
+                assert plan.k == robust._profile(plan.moduli).reference
+        assert shared > 60 and steps > 400, (shared, steps)
+        assert past_first > 100, past_first
 
 
 class TestOneRun:

@@ -17,7 +17,12 @@ from modfold.congruence import (
 )
 from modfold.grouping import propose_grouping
 from modfold.intmath import NotInvertibleError, mod_inverse, round_half_up_div
-from modfold.multistage import DegenerateTreeError, stage_bounds
+from modfold.multistage import (
+    DegenerateTreeError,
+    parse_tree,
+    stage_bounds,
+    validate_tree,
+)
 from modfold.robust import (
     FoldingFailure,
     _FoldingPlan,
@@ -581,12 +586,54 @@ class TestMessagesPastTheDigitLimit:
                 ValueError,
                 "moduli must be positive, index 1 is not",
             ),
+            (
+                lambda: per_remainder_bounds((4, 6, 9), HUGE),
+                ValueError,
+                "reference index out of range",
+            ),
+            (
+                lambda: check_ns_condition([0, 0], (3, 5), HUGE),
+                ValueError,
+                "reference index out of range",
+            ),
+            (
+                lambda: solve_folding((3, 5), [0, 0], -HUGE),
+                ValueError,
+                "reference index out of range",
+            ),
+            (
+                lambda: verify_exactness_condition((3, 5), reference=HUGE),
+                ValueError,
+                "reference index out of range",
+            ),
+            (
+                lambda: round_half_up_div(1, -HUGE),
+                ValueError,
+                "denominator must be positive",
+            ),
+            (
+                lambda: validate_tree([[0], [HUGE]], 2),
+                ValueError,
+                "leaf index out of range",
+            ),
+            (
+                lambda: validate_tree([[0], [1, HUGE, HUGE]], 2),
+                ValueError,
+                "a leaf repeats an index",
+            ),
+            (
+                lambda: parse_tree([[0], HUGE]),
+                ValueError,
+                "tree nodes must be nonempty lists, got int",
+            ),
         ],
         ids=[
             "distinct", "positive", "degenerate_tree", "divisor", "inverse",
             "oracle_cap", "verify_cap", "reference_bounds", "pair_merge",
             "crt_general", "coprime", "system_positive",
-            "remainders_positive",
+            "remainders_positive", "bounds_reference", "ns_reference",
+            "solve_reference", "verify_reference", "denominator",
+            "leaf_index", "leaf_repeat", "tree_node",
         ],
     )
     def test_type_and_message(self, call, error, message):

@@ -293,7 +293,7 @@ class TestSweep:
             ((135, 180, 162), "[[0,1],[2]]", ONE_SIDED, False, _TreeProgram,
              "run", range(23), range(23, 47)),
             # G = 3 and w = 2 tau, clamped; 9 of the 50 trials fail every
-            # check at levels 1..3, so they need no anchor
+            # check at levels 1..3, and each still has its anchor
             ((8, 12, 15), None, SYMMETRIC, True, simulate,
              "_solve_with_plan", range(1), range(1, 4)),
             # a shared index, G = 6
@@ -343,10 +343,10 @@ class TestSweep:
             rows = passes(taus)
             calls.clear()
             sweep(cfg, taus)
-            # one error-free solve per trial that passes some check, one
-            # solve per failed check
+            # one error-free solve per trial, made when it is drawn, and
+            # one solve per failed check; a sweep of no level draws none
             assert len(calls) == sum(
-                any(row) + row.count(False) for row in rows
+                bool(row) + row.count(False) for row in rows
             )
 
 
