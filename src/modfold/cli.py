@@ -76,34 +76,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bounds(args) -> int:
+    # every line is made before any is printed, so an input error leaves
+    # stdout empty
     ms = tuple(args.moduli)
     if args.grouping:
         tree = parse_tree(args.grouping)
         b = stage_bounds(tree, ms)
         groups = [leaf.indices for leaf in tree_leaves(tree)]
-        print(f"moduli: {' '.join(map(str, ms))}")
-        print(f"single-stage bound: {_pq(theta_bound(ms))}")
-        for line in _group_lines(ms, groups, b):
-            print(line)
+        lines = [
+            f"moduli: {' '.join(map(str, ms))}",
+            f"single-stage bound: {_pq(theta_bound(ms))}",
+            *_group_lines(ms, groups, b),
+        ]
         for path, cb in b.node_cross:
             label = "root" if not path else "node " + "/".join(map(str, path))
-            print(f"cross bound at {label}: {_pq(cb)}")
+            lines.append(f"cross bound at {label}: {_pq(cb)}")
         try:
             ref = per_group_reference_bounds(tree, ms)
         except ValueError:
-            return 0  # reference bounds are defined for depth-2 plans only
-        print(f"reference group: {ref.reference}")
-        for j, t in enumerate(ref.per_group_tau):
-            print(f"tau[group {j}] < {_pq(t)}")
-        return 0
-    k = select_reference(ms)
-    rep = per_remainder_bounds(ms, k)
-    print(f"moduli: {' '.join(map(str, ms))}")
-    print(f"theta: {_pq(rep.theta)}")
-    print(f"reference index: {rep.reference} (modulus {ms[rep.reference]})")
-    for i, (bound, strict) in enumerate(zip(rep.per_remainder, rep.strict)):
-        rel = "<" if strict else "<="
-        print(f"tau[{i}] {rel} {_pq(bound)}")
+            pass  # reference bounds are defined for depth-2 plans only
+        else:
+            lines.append(f"reference group: {ref.reference}")
+            lines += [
+                f"tau[group {j}] < {_pq(t)}"
+                for j, t in enumerate(ref.per_group_tau)
+            ]
+    else:
+        rep = per_remainder_bounds(ms, select_reference(ms))
+        lines = [
+            f"moduli: {' '.join(map(str, ms))}",
+            f"theta: {_pq(rep.theta)}",
+            f"reference index: {rep.reference} (modulus {ms[rep.reference]})",
+        ]
+        for i, (bound, strict) in enumerate(
+            zip(rep.per_remainder, rep.strict)
+        ):
+            rel = "<" if strict else "<="
+            lines.append(f"tau[{i}] {rel} {_pq(bound)}")
+    print("\n".join(lines))
     return 0
 
 

@@ -57,7 +57,6 @@ from .robust import (
     FoldingFailure,
     FoldingSolution,
     _folding_plan,
-    _LazyMoves,
     _maxmin_gcd,
     _Profile,
     _profile,
@@ -367,7 +366,7 @@ def fused_error_bound(
     return round_half_up(total / sum(group_sizes))
 
 
-class _TreeProgram(_LazyMoves):
+class _TreeProgram:
     """Prevalidated reconstruction plan for a fixed (moduli, tree) pair.
 
     A run keeps one value table: slots 0..L-1 hold the remainders and slot
@@ -384,18 +383,9 @@ class _TreeProgram(_LazyMoves):
     the leaf's own step), so foldings sums each occurrence's terms in one
     pass.  run needs that pass only when the plan repeats an index.
 
-    least_gcd is the least gcd any step rounds by (0 with no step).  For
-    remainder errors in [lo, hi] with 2 (hi - lo) < least_gcd, every step
-    solves as on the error-free remainders and moves by its plan's move
-    of its inputs' moves, so the root estimate's move is exact without a
-    check (see the simulate module).  checked_shift makes that pass for
-    one error vector, checking each step's inputs against its plan's
-    exactness condition (robust._FoldingPlan.checked_shift): when every
-    step meets it, the run is the error-free one with the root estimate
-    moved by the returned move; it returns None at the first step that
-    does not.  robust._compile_moves generates it and each scan pair
-    over the steps and their slots, each family on its first use
-    (robust._LazyMoves): building or running a program builds none.
+    least_gcd is the least gcd any step rounds by (0 with no step), and
+    _stages gives the steps as (plan, slots): what a sweep's scans check
+    and move, stage by stage (see the simulate module).
 
     Each step's reference is the first index attaining its parts' max-min
     gcd, read from the layout (as select_reference would pick it).
@@ -409,7 +399,6 @@ class _TreeProgram(_LazyMoves):
         profile = _profile(moduli)
         validate_tree(tree, len(moduli))
         self.moduli = moduli
-        self._moves = {}
         size = len(moduli)
         steps = []
         slots: list[int] = []  # table slots of the subtrees not yet joined

@@ -15,11 +15,12 @@ bounds computed here.  The method:
      n_k meets n_k * c_i == q_i (mod n_i) for every i, so it always is).
 
 Every design quantity of a moduli set comes from one pairwise gcd table:
-the bound theta, the reference modulus of step 1, the per-remainder bounds
-and each folding plan's gcds of step 2.  The table and what is read from
+the bound theta, the reference modulus of step 1, the per-remainder bounds,
+the exactness condition and each folding plan's gcds of step 2.  The table and what is read from
 it form the set's profile, built and validated once per moduli tuple and
-cached; theta_bound, select_reference, per_remainder_bounds, the folding
-plans and the grouping search all read it.
+cached; theta_bound, select_reference, per_remainder_bounds,
+check_ns_condition, the folding plans and the grouping search all read
+it.
 
 Failures of step 3 or 4 (contradictory congruences, negative folding
 numbers) are diagnostic evidence that the errors exceeded the admissible
@@ -336,7 +337,7 @@ def check_ns_condition(
     for solve_folding (with reference k) to recover every folding number.
     Deltas and moduli must be ints.
     """
-    ms = validate_moduli(moduli)
+    ms = _profile_of(moduli).moduli
     if len(deltas) != len(ms):
         raise ValueError("deltas and moduli lengths differ")
     _check_index("reference index", k, len(ms))
@@ -344,184 +345,22 @@ def check_ns_condition(
 
 
 def _ns_condition(
-    deltas: Sequence[int], moduli: Sequence[int], k: int
+    deltas: Sequence[int], moduli: tuple[int, ...], k: int
 ) -> bool:
     """check_ns_condition on inputs already known to be valid.
 
-    It reads the (i, g) pairs of the (moduli, k) plan; one modulus has no
-    pair, so any error vector meets the condition.
+    One comparison per modulus against row k of the gcd table.  The
+    diagonal entry M_k lets i = k pass, so one modulus meets it for any
+    error vector.
     """
-    if len(moduli) < 2:
-        return True
-    return _folding_plan(tuple(moduli), k).checked_shift(deltas) is not None
-
-
-def _sum_source(names: Sequence[str]) -> str:
-    """The sum of the named locals as a balanced tree of + terms."""
-    if len(names) == 1:
-        return names[0]
-    half = len(names) // 2
-    return f"({_sum_source(names[:half])} + {_sum_source(names[half:])})"
-
-
-# the generated source of each kernel family: a factory whose parameters
-# are the constants its functions read
-_SHIFT = """def factory({params}):
-    def checked_shift(errors):
-        {inputs}, = errors
-        {shift}
-        return {root}
-    return checked_shift"""
-_SCANS = """def factory({params}):
-    def scan(rows, span, off, tau):
-        total = top = bad = 0
-        for {cells} in rows:
-            {plain}
-            {score}
-        return total, top, bad
-
-    def checked_scan(rows, span, off, tau, failed):
-        total = top = bad = 0
-        for pos, ({cells}) in enumerate(rows):
-            {checked}
-            {score}
-        return total, top, bad
-    return scan, checked_scan"""
-# a scan's score of one trial: |a + root move| into the level's sums
-_SCORE = """e = a + {root}
-            if e < 0:
-                e = -e
-            total += e
-            if e > top:
-                top = e
-            if e > tau:
-                bad += 1"""
-
-
-def _compile_moves(moduli: Sequence[int], stages, family: str):
-    """Generate one kernel family of a run of stages.
-
-    stages holds (plan, slots) per stage in run order: plan is the
-    stage's _FoldingPlan (only its k and pairs are read) and slots are
-    its input slots: 0..L-1 hold the remainder errors and L + s holds
-    stage s's move, (2 sum(d) + c) // 2c over its c inputs d.  The root
-    move is the last slot's.  A checked pass puts before each move the
-    stage's condition, -g <= 2 (d_i - d_k) < g per (i, g) of plan.pairs.
-
-    "checked_shift" gives checked_shift(errors): the root move, or None
-    at the first failing stage.  "scans" and "clamped_scans" give
-    (scan, checked_scan), which score one level over the sweep's rows
-    [x_0..x_{L-1}, r_0..r_{L-1}, a] (see simulate) with error d_j =
-    x_j % span - off, clamped in "clamped_scans" so that r_j + d_j lies
-    in [0, M_j - 1].  scan returns the total, maximum and count above
-    tau of |a + root move|, a being the row's anchor offset, solved when
-    the row is drawn.  checked_scan(rows, span, off, tau, failed) sums
-    only passing trials; it appends (position, r_0 + d_0, ...,
-    r_{L-1} + d_{L-1}) of a failing trial to failed.
-
-    Every gcd, size and modulus is a factory parameter, never source
-    text (str() of an int past the digit limit raises ValueError), and
-    sums are balanced (a long + chain exhausts the compiler's recursion).
-    """
-    consts: dict[int, str] = {}
-
-    def const(value: int) -> str:
-        return consts.setdefault(value, f"k{len(consts)}")
-
-    size = len(moduli)
-    table = [f"d{j}" for j in range(size)]
-    checks, moves = [], []
-    for plan, slots in stages:
-        ins = [table[j] for j in slots]
-        c, dk = len(ins), ins[plan.k]
-        checks.append(" and ".join(
-            f"{const(-g)} <= 2 * ({ins[i]} - {dk}) < {const(g)}"
-            for i, g in plan.pairs
-        ))
-        table.append(f"d{len(table)}")
-        moves.append(
-            f"{table[-1]} = (2 * {_sum_source(ins)} + {const(c)})"
-            f" // {const(2 * c)}"
-        )
-
-    def run(fail: str | None) -> list[str]:
-        """Each stage's move, after its condition when fail is given."""
-        out = []
-        for check, move in zip(checks, moves):
-            if fail:
-                out += [f"if not ({check}):", f"    {fail}"]
-            out.append(move)
-        return out
-
-    if family == "checked_shift":
-        template = _SHIFT
-        fields = {
-            "inputs": ", ".join(table[:size]),
-            "shift": "\n        ".join(run("return None")),
-        }
-    else:
-        clamp = {"scans": False, "clamped_scans": True}[family]
-        errors = []
-        for j, m in enumerate(moduli):
-            if clamp:
-                top = const(m - 1)
-                errors += [
-                    f"d{j} = r{j} + x{j} % span - off",
-                    f"d{j} = (0 if d{j} < 0 else {top} if d{j} > {top}"
-                    f" else d{j}) - r{j}",
-                ]
-            else:
-                errors.append(f"d{j} = x{j} % span - off")
-        cells = [f"{v}{j}" for v in "xr" for j in range(size)] + ["a"]
-        handback = "".join(f", r{j} + d{j}" for j in range(size))
-        template = _SCANS
-        fields = {
-            "cells": ", ".join(cells),
-            "score": _SCORE.format(root=table[-1]),
-            "plain": "\n            ".join(errors + run(None)),
-            "checked": "\n            ".join(
-                errors + run(f"failed.append((pos{handback})); continue")
-            ),
-        }
-    source = template.format(
-        params=", ".join(consts.values()), root=table[-1], **fields
+    dk = deltas[k]
+    return all(
+        -g <= 2 * (d - dk) < g
+        for d, g in zip(deltas, _profile(moduli).table[k])
     )
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["factory"](*consts)
 
 
-class _LazyMoves:
-    """checked_shift and the scans, each family generated on first use.
-
-    _compile_moves builds one family per call, and a plan keeps each one
-    it has built in _moves (set up empty by the subclass), so a plan
-    that is only solved never pays the generation; a sweep pays for its
-    one scan pair and check_ns_condition for checked_shift.  Subclasses
-    give their stages as (plan, slots) over their moduli in _stages.
-    Properties, not a __getattr__ hook: a class with one loses the
-    interpreter's fast attribute access, which the solvers use.
-    """
-
-    __slots__ = ("_moves",)
-
-    @property
-    def checked_shift(self):
-        """The root move if every stage meets its condition, else None."""
-        return self._family("checked_shift")
-
-    def scans(self, clamp: bool):
-        """(scan, checked_scan) over sweep rows, clamped or not."""
-        return self._family("clamped_scans" if clamp else "scans")
-
-    def _family(self, family: str):
-        moves = self._moves
-        if family not in moves:
-            moves[family] = _compile_moves(self.moduli, self._stages(), family)
-        return moves[family]
-
-
-class _FoldingPlan(_LazyMoves):
+class _FoldingPlan:
     """Precomputed constants for solve_folding on a fixed (moduli, k).
 
     Per index i != k, in index order, let g = gcd(M_k, M_i), n = M_i / g
@@ -543,27 +382,9 @@ class _FoldingPlan(_LazyMoves):
     rounded mean is therefore n_k M_k + r_k + (sum of e_i + bias) // 2L
     with bias = L - sum of g_i, computed exactly.
 
-    least_gcd is the least g the plan rounds by.  When every input error
-    lies in one window [lo, hi] with 2 (hi - lo) < least_gcd, every
-    2(r_i - r_k) + g_i stays in [g_i - 2(hi - lo), g_i + 2(hi - lo)],
-    inside [0, 2g_i), so each quotient estimate, the merge and the
-    folding numbers are those of the error-free inputs, and e_i grows by
-    exactly 2(d_i - d_k) for input errors d.  The estimate then moves by
-    (2 sum(d) + L) // 2L, the half-up rounded mean of d, which stays in
-    [lo, hi]: the plan's move of d.
-
-    checked_shift makes the same argument for one error vector d rather
-    than a window: pairs holds (i, g_i) per index i != k, and when every
-    pair meets the exactness condition -g_i <= 2(d_i - d_k) < g_i, each
-    2(r_i - r_k) + g_i again stays in [0, 2g_i), so the solve is the
-    error-free one plus the move of d.  The condition is also necessary:
-    a pair outside it changes that quotient estimate, and with it the
-    folding numbers, so checked_shift returns None exactly when the solve
-    would not find the error-free folding numbers.
-
-    _compile_moves generates checked_shift and each scan pair for the
-    plan as one stage over all its inputs, each family on its first use
-    (_LazyMoves): solving never builds one.
+    least_gcd is the least g the plan rounds by, and pairs holds (i, g_i)
+    per index i != k: the exactness condition the sweep checks, and the
+    window it certifies, are stated once, in the simulate module.
 
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least
@@ -598,7 +419,6 @@ class _FoldingPlan(_LazyMoves):
         self.bias = len(moduli) - sum(t[1] for t in terms)
         self.least_gcd = profile.least[k]
         self.pairs = tuple((i, g) for i, g, _, _, _ in terms)
-        self._moves = {}
 
     def _stages(self):
         return ((self, range(len(self.moduli))),)

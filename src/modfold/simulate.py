@@ -16,19 +16,27 @@ draws the next block.  Each level adds into its own sums, so the rows do
 not depend on the block size, and the block bounds the trials held in
 memory whatever the trial count.
 
-Most trials need no solve of their own at a level.  A stage whose
-actual input errors d meet its exactness condition
--g_i <= 2(d_i - d_k) < g_i for every input i != k (g_i = gcd(M_i, M_k))
-sees 2(r_i - r_k) + g_i in [0, 2g_i), as on its true inputs, so its
+Most trials need no solve of their own at a level.  This is the one
+statement of the exactness argument the sweep rests on.  Take a stage
+over c inputs with reference k and g_i = gcd(M_i, M_k).  On its true
+inputs each r_i - r_k is a multiple of g_i, so 2(r_i - r_k) + g_i is an
+odd multiple of g_i: its quotient estimate is exact and its rounding
+remainder e_i is g_i.  Input errors d add 2(d_i - d_k) to it.  When
+every i != k meets the exactness condition -g_i <= 2(d_i - d_k) < g_i,
+the sum stays in the same interval [2g_i q_i, 2g_i (q_i + 1)), so the
 quotient estimates, merge, folding numbers and success are the
-error-free ones, and its estimate moves by exactly (2 sum(d) + c) // 2c
-for its c input errors (robust._FoldingPlan).  A stage that fails the
-condition loses its error-free folding numbers (the condition is
-necessary and sufficient).  The plan's checked kernels make that check
-stage by stage, on each stage's actual input errors (a tree's inner
-stages see their children's moves), and give the root estimate's move,
-or stop at the first stage that fails; a plan with no stage has no
-condition.
+error-free ones, and each e_i grows by exactly 2(d_i - d_k).  The fused
+estimate, n_k M_k + r_k + (sum of e_i + bias) // 2c (robust._FoldingPlan),
+then moves by d_k + (2 sum(d_i - d_k) + c) // 2c = (2 sum(d) + c) // 2c,
+the half-up rounded mean of the stage's input errors: its move.  The
+condition is also necessary: a pair outside it changes that quotient
+estimate, and with it the folding numbers, so a stage that fails it
+loses its error-free folding numbers.  A plan's checked scan makes that
+check stage by stage, on each stage's actual input errors (a tree's
+inner stages see their children's moves), and gives the root estimate's
+move, or stops at the first stage that fails; a plan with no stage has
+no condition.  robust.check_ns_condition is the same test for one
+stage, read from the moduli's gcd table.
 
 So a trial whose errors pass the check is scored as the error-free
 anchor's outcome plus the returned move, and a trial that fails it runs
@@ -53,11 +61,12 @@ Every row of a block holds [x_0..x_{L-1}, r_0..r_{L-1}, a]: the raw
 error draws, the true remainders n mod M_j and the anchor offset a, the
 anchor's estimate minus n, all taken once, at the draw.  A level is
 scored over a block by one call of a scan, straight-line code that
-robust._compile_moves generates per plan: one loop over the rows
-computes each error d_j from its raw draw (x_j % span - off, clamped
-with the moduli as constants so that r_j + d_j stays in [0, M_j - 1]
-when the remainders are clamped; the plain and clamped scans differ only
-in that line), then one local per stage's move in run order, and keeps
+_compile_scans generates per plan and clamping, on the plan's first
+sweep (_scans keeps each pair; solving and designing build none).  One
+loop over the rows computes each error d_j from its raw draw
+(x_j % span - off, clamped with the moduli as constants so that
+r_j + d_j stays in [0, M_j - 1] when the remainders are clamped; the
+plain and clamped scans differ only in that line), then one local per stage's move in run order, and keeps
 the level's total, maximum and violations in locals.  The checked scan
 puts each stage's pair tests before its move as one chain of
 comparisons.  It hands back each failing trial with its erroneous
@@ -77,7 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -186,6 +195,121 @@ def sweep(cfg_base: TrialConfig, taus: Iterable[int]) -> list[TrialStats]:
     return _run_levels(cfg_base, [_check_int("tau", t, 0) for t in taus])
 
 
+def _sum_source(names: Sequence[str]) -> str:
+    """The sum of the named locals as a balanced tree of + terms."""
+    if len(names) == 1:
+        return names[0]
+    half = len(names) // 2
+    return f"({_sum_source(names[:half])} + {_sum_source(names[half:])})"
+
+
+# the generated source of a scan pair: a factory whose parameters are the
+# constants its functions read
+_SCANS = """def factory({params}):
+    def scan(rows, span, off, tau):
+        total = top = bad = 0
+        for {cells} in rows:
+            {plain}
+            {score}
+        return total, top, bad
+
+    def checked_scan(rows, span, off, tau, failed):
+        total = top = bad = 0
+        for pos, ({cells}) in enumerate(rows):
+            {checked}
+            {score}
+        return total, top, bad
+    return scan, checked_scan"""
+# a scan's score of one trial: |a + root move| into the level's sums
+_SCORE = """e = a + {root}
+            if e < 0:
+                e = -e
+            total += e
+            if e > top:
+                top = e
+            if e > tau:
+                bad += 1"""
+
+
+def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
+    """Generate (scan, checked_scan) for a run of stages.
+
+    stages holds (plan, slots) per stage in run order: plan is the
+    stage's robust._FoldingPlan (only its k and pairs are read) and slots
+    are its input slots: 0..L-1 hold the remainder errors and L + s holds
+    stage s's move, (2 sum(d) + c) // 2c over its c inputs d.  The root
+    move is the last slot's.
+
+    Both scan one level over rows [x_0..x_{L-1}, r_0..r_{L-1}, a] with
+    error d_j = x_j % span - off, clamped when clamp so that r_j + d_j
+    lies in [0, M_j - 1].  scan returns the total, maximum and count
+    above tau of |a + root move|.  checked_scan(rows, span, off, tau,
+    failed) puts before each move the stage's condition,
+    -g <= 2 (d_i - d_k) < g per (i, g) of plan.pairs, sums only passing
+    trials, and appends (position, r_0 + d_0, ..., r_{L-1} + d_{L-1}) of
+    a failing trial to failed.
+
+    Every gcd, size and modulus is a factory parameter, never source
+    text (str() of an int past the digit limit raises ValueError), and
+    sums are balanced (a long + chain exhausts the compiler's recursion).
+    """
+    consts: dict[int, str] = {}
+
+    def const(value: int) -> str:
+        return consts.setdefault(value, f"k{len(consts)}")
+
+    size = len(moduli)
+    plain = []
+    for j, m in enumerate(moduli):
+        if clamp:
+            top = const(m - 1)
+            plain += [
+                f"d{j} = r{j} + x{j} % span - off",
+                f"d{j} = (0 if d{j} < 0 else {top} if d{j} > {top}"
+                f" else d{j}) - r{j}",
+            ]
+        else:
+            plain.append(f"d{j} = x{j} % span - off")
+    checked = list(plain)
+    handback = "".join(f", r{j} + d{j}" for j in range(size))
+    table = [f"d{j}" for j in range(size)]
+    for plan, slots in stages:
+        ins = [table[j] for j in slots]
+        c, dk = len(ins), ins[plan.k]
+        check = " and ".join(
+            f"{const(-g)} <= 2 * ({ins[i]} - {dk}) < {const(g)}"
+            for i, g in plan.pairs
+        )
+        table.append(f"d{len(table)}")
+        move = (
+            f"{table[-1]} = (2 * {_sum_source(ins)} + {const(c)})"
+            f" // {const(2 * c)}"
+        )
+        plain.append(move)
+        checked += [
+            f"if not ({check}):",
+            f"    failed.append((pos{handback})); continue",
+            move,
+        ]
+    cells = [f"{v}{j}" for v in "xr" for j in range(size)] + ["a"]
+    source = _SCANS.format(
+        params=", ".join(consts.values()),
+        cells=", ".join(cells),
+        score=_SCORE.format(root=table[-1]),
+        plain="\n            ".join(plain),
+        checked="\n            ".join(checked),
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["factory"](*consts)
+
+
+@lru_cache(maxsize=256)
+def _scans(plan, clamp: bool):
+    """The plan's (scan, checked_scan), generated on its first sweep."""
+    return _compile_scans(plan.moduli, plan._stages(), clamp)
+
+
 def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     """Run cfg's trials once and score every trial at each level of taus.
 
@@ -210,7 +334,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         plan = _program_for(ms, cfg.tree)
         reconstruct = plan.run
 
-    scan, checked_scan = plan.scans(cfg.clamp_remainders)
+    scan, checked_scan = _scans(plan, cfg.clamp_remainders)
     one_sided = cfg.error_model == ONE_SIDED
     # (index, tau, span, off, certified): an error is raw % span - off, so
     # the level's window width is w = span - 1; with 2w < G every trial
@@ -376,14 +500,17 @@ def verify_exactness_condition(
     nec: list[tuple[int, tuple[int, ...]]] = []
     n_suff = 0
     n_nec = 0
-    deltas_all = list(product(range(-window, window + 1), repeat=len(ms)))
+    # the condition reads only (deltas, moduli, k): once per error vector
+    vectors = [
+        (deltas, cond(deltas, ms, k))
+        for deltas in product(range(-window, window + 1), repeat=len(ms))
+    ]
     for n in range(lam):
         base = [n % m for m in ms]
         truth = tuple(n // m for m in ms)
-        for deltas in deltas_all:
+        for deltas, ok in vectors:
             cases += 1
             rt = [r + d for r, d in zip(base, deltas)]
-            ok = cond(deltas, ms, k)
             if ok:
                 cond_true += 1
             try:

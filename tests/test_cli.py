@@ -48,6 +48,12 @@ class TestBounds:
         assert code == 2
         assert "distinct" in err
 
+    def test_invalid_input_prints_nothing(self, capsys):
+        # every value is computed before the first line is printed
+        code, out, err = run(capsys, "bounds", "7", "--grouping", "[0]")
+        assert (code, out) == (2, "")
+        assert "at least two moduli" in err
+
 
 class TestReconstruct:
     def test_consistent(self, capsys):

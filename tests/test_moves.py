@@ -1,15 +1,16 @@
-"""The generated move kernels: checked_shift and the level scans.
+"""The generated level scans.
 
-robust._compile_moves writes each plan's stage-by-stage pass as straight-
-line code, one kernel family per call: checked_shift for one error
-vector, or a pair of scans that score one error level over a block of
-trials, plain or clamped.  These tests hold it to the loops it replaced,
-written out here, and to the solver; they put every exactness pair at
-its edges, check that the remainders a checked scan hands a failing
-trial are its erroneous ones, that kernels with a mutated edge or
-handback are caught, that a plan compiles only the families it is asked
-for, and that the generated code survives huge gcds, wide stages and
-deep trees.
+simulate._compile_scans writes each plan's stage-by-stage pass as
+straight-line code: a pair of scans that score one error level over a
+block of trials, plain or clamped, one pair per call.  These tests hold
+it to the loops it replaced, written out here, and to the solver; they
+put every exactness pair at its edges, hold check_ns_condition to the
+checked scan there, check that the remainders a checked scan hands a
+failing trial are its erroneous ones, that scans with a mutated edge or
+handback are caught, that a plan compiles only the clampings it is
+swept with, and that the generated code survives huge gcds, wide stages
+and deep trees.  checked_move (tests/conftest.py) scores one error
+vector through a plan's checked scan.
 """
 
 import math
@@ -17,12 +18,12 @@ import random
 import re
 import sys
 from dataclasses import replace
-from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 import modfold.robust as robust
+import modfold.simulate as simulate
 from modfold.grouping import propose_grouping
 from modfold.multistage import (
     DegenerateTreeError,
@@ -36,7 +37,6 @@ from modfold.multistage import (
 )
 from modfold.robust import (
     FoldingFailure,
-    _compile_moves,
     _folding_plan,
     _solve_with_plan,
     check_ns_condition,
@@ -47,11 +47,14 @@ from modfold.simulate import (
     ONE_SIDED,
     SYMMETRIC,
     TrialConfig,
+    _compile_scans,
+    _scans,
     run_trials,
     sweep,
 )
 
-FAMILIES = ("checked_shift", "scans", "clamped_scans")
+# the scan families, by clamping: the plain scans, then the clamped ones
+FAMILIES = (False, True)
 
 
 def loop_moves(stages, errors, checked):
@@ -110,23 +113,20 @@ def erroneous(moduli, row, span, off, clamp):
     return out
 
 
-def loop_kernels(moduli, stages, family):
-    """A stand-in for _compile_moves that runs the loops."""
+def loop_kernels(moduli, stages, clamp):
+    """A stand-in for _compile_scans that runs the loops."""
     stages = list(stages)
-    if family == "checked_shift":
-        return partial(loop_moves, stages, checked=True)
-    clamp = family == "clamped_scans"
     return tuple(loop_scan(moduli, stages, clamp, c) for c in (False, True))
 
 
-def every_family(compile_moves, moduli, stages):
-    """(checked_shift, plain scans, clamped scans), one call per family."""
-    return tuple(compile_moves(moduli, stages, f) for f in FAMILIES)
+def every_family(compile_scans, moduli, stages):
+    """(plain scans, clamped scans), one call per clamping."""
+    return tuple(compile_scans(moduli, stages, clamp) for clamp in FAMILIES)
 
 
 def kernels_of(plan):
-    """The plan's generated kernels, laid out as every_family gives them."""
-    return plan.checked_shift, plan.scans(False), plan.scans(True)
+    """The plan's sweep scans, laid out as every_family gives them."""
+    return tuple(_scans(plan, clamp) for clamp in FAMILIES)
 
 
 def entangled(rng, size):
@@ -231,9 +231,10 @@ def block_of(moduli, vectors, rng):
     for pos, errors in enumerate(vectors):
         q = off + span * rng.getrandbits(40)
         row = [d + q for d in errors]
-        between = rng.random()
+        # exact for moduli past the float range
+        num, den = rng.random().as_integer_ratio()
         row += [
-            (0, m - 1, int(m * between))[(j + pos) % 3]
+            (0, m - 1, m * num // den)[(j + pos) % 3]
             for j, m in enumerate(moduli)
         ]
         row.append(rng.randint(-2, 2))
@@ -242,34 +243,30 @@ def block_of(moduli, vectors, rng):
 
 
 def mismatches(kernels, moduli, stages, vectors):
-    """The kernels that disagree with the loops on the error vectors.
+    """The scans that disagree with the loops on the error vectors.
 
-    kernels is laid out as every_family gives them.  checked_shift runs
-    on each vector; each scan scores them as one block, at a level whose
-    raw draws give those errors, with failed (handbacks included)
-    compared too.
+    kernels is laid out as every_family gives them.  Each scan scores the
+    vectors as one block, at a level whose raw draws give those errors,
+    and then each vector as a block of its own, with failed (handbacks
+    included) compared too.
     """
-    checked_shift, plain, clamped = kernels
+    plain, clamped = kernels
     reference = every_family(loop_kernels, moduli, stages)
     out = set()
-    if any(
-        checked_shift(errors) != loop_moves(stages, errors, True)
-        for errors in vectors
-    ):
-        out.add("checked_shift")
     generated = dict(zip(SCANS, plain + clamped))
-    expected = dict(zip(SCANS, reference[1] + reference[2]))
+    expected = dict(zip(SCANS, reference[0] + reference[1]))
     rng = random.Random(len(vectors))
     for name, (clamp, checked) in SCANS.items():
         rows, span, off = block_of(moduli, vectors, rng)
         tau = rng.randint(0, 3)
-        args = (rows, span, off, tau)
-        # a checked scan also fills its failed list
-        mine, theirs = ([[]], [[]]) if checked else ((), ())
-        got = generated[name](*args, *mine), mine
-        want = expected[name](*args, *theirs), theirs
-        if got != want:
-            out.add(name)
+        for block in [rows] + [[row] for row in rows]:
+            args = (block, span, off, tau)
+            # a checked scan also fills its failed list
+            mine, theirs = ([[]], [[]]) if checked else ((), ())
+            got = generated[name](*args, *mine), mine
+            want = expected[name](*args, *theirs), theirs
+            if got != want:
+                out.add(name)
     return out
 
 
@@ -285,7 +282,7 @@ def solve(plan, rt):
 
 
 class TestAgainstLoopsAndSolver:
-    def test_random_plans_and_trees(self):
+    def test_random_plans_and_trees(self, checked_move):
         rng = random.Random(1401)
         issued = refused = 0
         for ms, plan in random_plans(rng, 160):
@@ -293,7 +290,7 @@ class TestAgainstLoopsAndSolver:
             vectors = []
             for n, errors in error_vectors(rng, ms, 40):
                 vectors.append(errors)
-                move = plan.checked_shift(errors)
+                move = checked_move(plan, errors)
                 assert move == loop_moves(stages, errors, True), (ms, errors)
                 rs = [n % m for m in ms]
                 anchor_folds, anchor = solve(plan, rs)
@@ -307,7 +304,7 @@ class TestAgainstLoopsAndSolver:
             assert mismatches(kernels_of(plan), ms, stages, vectors) == set()
         assert issued > 2000 and refused > 2000
 
-    def test_every_pair_at_its_edges(self):
+    def test_every_pair_at_its_edges(self, checked_move):
         rng = random.Random(1402)
         exact = {"even": 0, "odd": 0}
         for ms, plan in random_plans(rng, 200):
@@ -319,7 +316,7 @@ class TestAgainstLoopsAndSolver:
             vectors = []
             for s, i, d, errors in edge_vectors(size, stages):
                 vectors.append(errors)
-                move = plan.checked_shift(errors)
+                move = checked_move(plan, errors)
                 assert move == loop_moves(stages, errors, True), (ms, errors)
                 folds, est = solve(plan, [r + e for r, e in zip(rs, errors)])
                 if move is None:
@@ -339,8 +336,8 @@ class TestAgainstLoopsAndSolver:
         assert exact["even"] > 1000 and exact["odd"] > 300, exact
 
     def test_mutated_upper_edge_is_caught(self, monkeypatch):
-        # kernels generated with <= at the upper edge pass 2d = g; each
-        # checked kind must be caught on its own
+        # scans generated with <= at the upper edge pass 2d = g; each
+        # checked scan must be caught on its own
         rng = random.Random(1403)
         plans = random_plans(rng, 60)
         sources = []
@@ -353,21 +350,19 @@ class TestAgainstLoopsAndSolver:
         for ms, plan in plans:
             stages = plan._stages()
             vectors = [e for *_, e in edge_vectors(len(ms), stages)]
-            kernels = every_family(_compile_moves, ms, stages)
+            kernels = every_family(_compile_scans, ms, stages)
             assert mismatches(kernels, ms, stages, vectors) == set()
             with monkeypatch.context() as m:
-                m.setattr(robust, "exec", mutated, raising=False)
-                mutant = every_family(_compile_moves, ms, stages)
+                m.setattr(simulate, "exec", mutated, raising=False)
+                mutant = every_family(_compile_scans, ms, stages)
             for name in mismatches(mutant, ms, stages, vectors):
                 caught[name] = caught.get(name, 0) + 1
         assert all(") < k" in s for s in sources if "if not" in s)
         # the unchecked scans have no edge to mutate
-        assert set(caught) == {
-            "checked_shift", "checked_scan", "clamped_checked_scan"
-        }
+        assert set(caught) == {"checked_scan", "clamped_checked_scan"}
         assert min(caught.values()) > 20, caught
 
-    def test_clamped_scans_at_the_range_ends(self):
+    def test_clamped_scans_at_the_range_ends(self, checked_move):
         # N = 0 puts every true remainder at 0 and N = lcm - 1 at M_j - 1,
         # so clamping cuts every error that points out of [0, M_j - 1]
         def add(sums, err, tau):  # into [total, max, violations]
@@ -386,7 +381,7 @@ class TestAgainstLoopsAndSolver:
                 for n in (0, lam - 1)
                 for rs in [[n % m for m in ms]]
             }
-            scan, checked_scan = plan.scans(True)
+            scan, checked_scan = _scans(plan, True)
             for tau in (1, 3, 8):
                 span, off = 2 * tau + 1, tau
                 rows = []
@@ -405,7 +400,7 @@ class TestAgainstLoopsAndSolver:
                     cut += sum(
                         x % span - off != e for x, e in zip(raws, errors)
                     )
-                    move = plan.checked_shift(errors)
+                    move = checked_move(plan, errors)
                     rt = [r + e for r, e in zip(rs, errors)]
                     folds, est = solve(plan, rt)
                     if move is None:
@@ -422,20 +417,66 @@ class TestAgainstLoopsAndSolver:
                 assert scan(rows, span, off, tau) == tuple(want_all)
         assert cut > 1000
 
-    def test_plan_with_no_stage(self):
+    def test_plan_with_no_stage(self, checked_move):
         program = _tree_program((7,), parse_tree("[0]"))
         assert program.steps == ()
         for e in (-3, 0, 5):
-            assert program.checked_shift([e]) == e
+            assert checked_move(program, [e]) == e
         vectors = [[-3], [0], [5]]
         assert mismatches(kernels_of(program), (7,), [], vectors) == set()
         # errors -3, 0 and 5: every trial passes and scores
         # |a + error| = 2, 0 and 4
-        scan, checked_scan = program.scans(False)
+        scan, checked_scan = _scans(program, False)
         rows = [[0, 4, 1], [3, 4, 0], [8, 4, -1]]
         failed = []
         assert checked_scan(rows, 9, 3, 2, failed) == (6, 4, 1)
         assert failed == []
+
+
+def condition_mismatches(ms, rng):
+    """Edge vectors where check_ns_condition and the checked scan differ.
+
+    Every pair edge of the single-stage plan at every reference k is
+    scored as one block; the trials the scan hands back must be those
+    the condition refuses.  Returns (mismatches, refusals, vectors).
+    """
+    wrong = refused = count = 0
+    for k in range(len(ms)):
+        plan = _folding_plan(ms, k)
+        vectors = [e for *_, e in edge_vectors(len(ms), plan._stages())]
+        rows, span, off = block_of(ms, vectors, rng)
+        failed = []
+        _scans(plan, False)[1](rows, span, off, 0, failed)
+        handed = {pos for pos, *_ in failed}
+        for pos, errors in enumerate(vectors):
+            ok = check_ns_condition(errors, ms, k)
+            wrong += ok == (pos in handed)
+            refused += not ok
+        count += len(vectors)
+    return wrong, refused, count
+
+
+class TestConditionAgainstTheScan:
+    """check_ns_condition reads the gcd table; the scan checks pairs."""
+
+    def test_random_entangled_sets(self):
+        rng = random.Random(1411)
+        refused = count = 0
+        for _ in range(150):
+            ms = entangled(rng, rng.choice((2, 3, 4, 5)))
+            wrong, r, c = condition_mismatches(ms, rng)
+            assert wrong == 0, ms
+            refused += r
+            count += c
+        # each pair has two passing and two failing edge vectors
+        assert 2 * refused == count > 4000
+
+    def test_gcds_past_the_digit_limit(self):
+        p = 10**4400 + 1
+        sets = ((6 * p, 10 * p, 15 * p), (p, 2 * p), (12 * p, 18 * p, 8 * p))
+        for ms in sets:
+            wrong, refused, count = condition_mismatches(ms, random.Random(7))
+            assert wrong == 0 and 2 * refused == count > 0
 
 
 # plan kinds the handback must cover: tree layouts over six moduli
@@ -489,8 +530,7 @@ def handbacks(rng):
         lam = math.lcm(*ms)
         for model, clamp in ((m, c) for m in (ONE_SIDED, SYMMETRIC)
                              for c in (False, True)):
-            family = "clamped_scans" if clamp else "scans"
-            _, checked_scan = _compile_moves(ms, stages, family)
+            _, checked_scan = _compile_scans(ms, stages, clamp)
             for tau in (2, 9, 40):
                 span, off = (tau + 1, 0) if model == ONE_SIDED else (
                     2 * tau + 1, tau
@@ -535,7 +575,9 @@ class TestHandback:
                 assert at_zero > 20 and at_top > 20, (kind, at_zero, at_top)
 
     def test_mutated_handback_is_caught(self, monkeypatch):
-        monkeypatch.setattr(robust, "exec", hand_back_r_minus_d, raising=False)
+        monkeypatch.setattr(
+            simulate, "exec", hand_back_r_minus_d, raising=False
+        )
         wrong_positions, wrong_remainders, _ = handbacks(random.Random(1409))
         # the check is intact, so only the remainders are wrong
         assert wrong_positions == 0 and wrong_remainders > 500
@@ -543,20 +585,20 @@ class TestHandback:
         for ms, plan in random_plans(random.Random(1410), 20):
             stages = plan._stages()
             vectors = [e for _, e in error_vectors(random.Random(5), ms, 40)]
-            mutant = every_family(_compile_moves, ms, stages)
+            mutant = every_family(_compile_scans, ms, stages)
             caught |= mismatches(mutant, ms, stages, vectors)
         assert caught == {"checked_scan", "clamped_checked_scan"}
 
 
 class TestBuiltOnFirstSweep:
     def test_each_family_on_first_use(self, monkeypatch):
-        calls = []  # (stages of the plan, family) per compile
+        calls = []  # (stages of the plan, clamping) per compile
 
-        def counted(moduli, stages, family):
-            calls.append((len(stages), family))
-            return _compile_moves(moduli, stages, family)
+        def counted(moduli, stages, clamp):
+            calls.append((len(stages), clamp))
+            return _compile_scans(moduli, stages, clamp)
 
-        monkeypatch.setattr(robust, "_compile_moves", counted)
+        monkeypatch.setattr(simulate, "_compile_scans", counted)
         # a fresh factor keeps every plan cache cold for these sets
         rng = random.Random(1407)
         f = rng.randrange(10**12, 10**13)
@@ -569,32 +611,37 @@ class TestBuiltOnFirstSweep:
         stage_bounds(layout, ms)
         propose_grouping(ms)
         propose_grouping(ms, share_reference=True)
+        # check_ns_condition reads the gcd table: no plan, no compile
+        other = tuple(f * m for m in (8, 12, 15))
+        plans = _folding_plan.cache_info().misses
+        assert check_ns_condition([0, 0, 0], other, 1)
+        assert not check_ns_condition([0, f * 4, 0], other, 1)
+        assert _folding_plan.cache_info().misses == plans
         assert calls == []
 
-        # one family per plan: the single stage, then the tree's two
+        # one scan pair per plan: the single stage, then the tree's two
         single = TrialConfig(moduli=ms, trials=20)
         tree = TrialConfig(moduli=ms, tree=layout, trials=20)
         sweep(single, [0, 1, 2])
-        assert calls == [(1, "scans")]
+        assert calls == [(1, False)]
         sweep(tree, [0, 1, 2])
-        assert calls == [(1, "scans"), (2, "scans")]
+        assert calls == [(1, False), (2, False)]
         sweep(single, [3])
         run_trials(tree)
         assert len(calls) == 2
         clamped = replace(single, error_model=SYMMETRIC, clamp_remainders=True)
         sweep(clamped, [0, 40])
-        assert calls[2:] == [(1, "clamped_scans")]
+        assert calls[2:] == [(1, True)]
         k = select_reference(ms)
         assert check_ns_condition([0, 0, 0], ms, k)
         assert not check_ns_condition([0, 0, f * 50], ms, k)
-        assert calls[3:] == [(1, "checked_shift")]
         sweep(clamped, [1])
         sweep(single, [4])
-        assert len(calls) == 4
+        assert len(calls) == 3
 
 
 class TestGeneratedCodeLimits:
-    def test_gcds_past_the_digit_limit(self, monkeypatch):
+    def test_gcds_past_the_digit_limit(self, monkeypatch, checked_move):
         p = 10**4400 + 1
         ms = (6 * p, 10 * p, 15 * p)
         if hasattr(sys, "get_int_max_str_digits"):
@@ -618,20 +665,22 @@ class TestGeneratedCodeLimits:
         rows = [sweep(cfg, taus) for cfg in cfgs]
         rows.append([run_trials(cfg) for cfg in cfgs])
         moves = [
-            (plan.checked_shift(failing), plan.checked_shift(passing))
+            (checked_move(plan, failing), checked_move(plan, passing))
             for plan in plans
         ]
         assert all(a is None and b is not None for a, b in moves)
 
-        monkeypatch.setattr(robust, "_compile_moves", loop_kernels)
-        for plan in plans:
-            plan._moves.clear()
-        assert rows[:3] == [sweep(cfg, taus) for cfg in cfgs]
-        assert rows[3] == [run_trials(cfg) for cfg in cfgs]
-        assert moves == [
-            (plan.checked_shift(failing), plan.checked_shift(passing))
-            for plan in plans
-        ]
+        monkeypatch.setattr(simulate, "_compile_scans", loop_kernels)
+        _scans.cache_clear()
+        try:
+            assert rows[:3] == [sweep(cfg, taus) for cfg in cfgs]
+            assert rows[3] == [run_trials(cfg) for cfg in cfgs]
+            assert moves == [
+                (checked_move(plan, failing), checked_move(plan, passing))
+                for plan in plans
+            ]
+        finally:
+            _scans.cache_clear()  # drop the loops' pairs
 
     def test_stage_of_3000_inputs(self):
         # a left-nested sum of 3,000 terms exhausts the compiler on 3.10-3.12
@@ -645,14 +694,18 @@ class TestGeneratedCodeLimits:
         )
         stages = [(stub, range(size))]
         moduli = tuple(range(2, size + 2))  # bounds for the clamped scans
-        kernels = every_family(_compile_moves, moduli, stages)
+        kernels = every_family(_compile_scans, moduli, stages)
         vectors = [[0] * size, [rng.randint(0, 2) for _ in range(size)]]
         for i, g in stub.pairs[::100]:  # both edges of every 100th pair
             lo, hi = -(g // 2), (g + 1) // 2 - 1
             for d in (lo - 1, lo, hi, hi + 1):
                 vectors.append([d if j == i else 0 for j in range(size)])
         assert mismatches(kernels, moduli, stages, vectors) == set()
-        assert kernels[0](vectors[0]) == 0
+        # no error: every trial passes and scores its anchor offset
+        rows, span, off = block_of(moduli, vectors[:1], rng)
+        failed = []
+        assert kernels[0][1](rows, span, off, 0, failed)[0] == abs(rows[0][-1])
+        assert failed == []
 
     def test_deep_chain_tree(self):
         # [0, [1, [0, ...]]] over (3, 5): 300 stages, one per level

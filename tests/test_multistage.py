@@ -1036,18 +1036,22 @@ class TestEffectiveBoundSoundness:
 
 
 class TestCheckedShift:
-    """The stage-wise exactness check against the tree run."""
+    """The sweep's stage-wise exactness check against the tree run."""
 
-    def test_certificates_match_the_tree_run(self):
-        # every unknown below the lcm and every error vector in [-4, 4]^3
+    def test_certificates_match_the_tree_run(self, checked_move):
+        # every unknown below the lcm and every error vector in [-4, 4]^3,
+        # each vector scored once through the program's checked scan
         ms = (20, 12, 15)
         program = _tree_program(ms, parse_tree("[[0,2],[1]]"))
+        moves = {
+            deltas: checked_move(program, deltas)
+            for deltas in product(range(-4, 5), repeat=3)
+        }
         issued = refused = 0
         for n in range(math.lcm(*ms)):
             rs = [n % m for m in ms]
             (_, anchor_folds), anchor, _ = program.run(rs)
-            for deltas in product(range(-4, 5), repeat=3):
-                move = program.checked_shift(deltas)
+            for deltas, move in moves.items():
                 try:
                     (_, folds), est, _ = program.run(
                         [r + d for r, d in zip(rs, deltas)]
@@ -1064,10 +1068,14 @@ class TestCheckedShift:
                     assert est - anchor == move, (n, deltas)
         assert issued > 10_000 and refused > 10_000
 
-    def test_single_leaf_is_the_plan_check(self):
+    def test_single_leaf_is_the_plan_check(self, checked_move):
         rng = random.Random(5)
         program = _tree_program(EX_SIM, parse_tree("[0,1,2]"))
         plan = _folding_plan(EX_SIM, select_reference(EX_SIM))
+        refused = 0
         for _ in range(500):
             deltas = [rng.randint(-20, 20) for _ in EX_SIM]
-            assert program.checked_shift(deltas) == plan.checked_shift(deltas)
+            move = checked_move(program, deltas)
+            assert move == checked_move(plan, deltas), deltas
+            refused += move is None
+        assert 0 < refused < 500

@@ -222,16 +222,20 @@ class TestCheckedShift:
         plan = _folding_plan(EX1, 3)
         assert plan.pairs == ((0, 10), (1, 15), (2, 10))
 
-    def test_none_exactly_when_the_solve_misses(self):
-        # every unknown below the lcm and every error vector in [-2, 2]^3:
-        # a certificate is the solve's exact outcome, a refusal a miss
+    def test_none_exactly_when_the_solve_misses(self, checked_move):
+        # every unknown below the lcm and every error vector in [-2, 2]^3,
+        # scored through the plan's checked scan: a certificate is the
+        # solve's exact outcome, a refusal a miss
         ms = (8, 12, 15)
         plan = _folding_plan(ms, select_reference(ms))
+        moves = {
+            deltas: checked_move(plan, deltas)
+            for deltas in product(range(-2, 3), repeat=3)
+        }
         issued = refused = 0
         for n in range(math.lcm(*ms)):
             truth = true_folding(n, ms)
-            for deltas in product(range(-2, 3), repeat=3):
-                move = plan.checked_shift(deltas)
+            for deltas, move in moves.items():
                 try:
                     folding, est = _solve_with_plan(
                         plan, [n % m + d for m, d in zip(ms, deltas)]

@@ -1,6 +1,7 @@
 import math
 from dataclasses import asdict, replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,7 @@ from modfold.robust import (
     SearchCapExceeded,
     _folding_plan,
     _solve_with_plan,
+    check_ns_condition,
     select_reference,
     theta_bound,
     validate_moduli,
@@ -820,6 +822,40 @@ class TestVerifyExactness:
         assert not rep.passed
         assert rep.sufficiency_failures > 0
         assert len(rep.sufficiency_counterexamples) <= 20
+
+    def test_condition_once_per_error_vector(self):
+        # the condition reads (deltas, moduli, k) only, not the unknown
+        calls = []
+
+        def counted(deltas, ms, k):
+            calls.append(tuple(deltas))
+            return check_ns_condition(deltas, ms, k)
+
+        ms, window = (8, 12, 15), 2
+        rep = verify_exactness_condition(ms, window=window, condition=counted)
+        assert len(calls) == len(set(calls)) == (2 * window + 1) ** len(ms)
+        assert rep == verify_exactness_condition(ms, window=window)
+        assert rep.cases == math.lcm(*ms) * len(calls)
+
+    def test_counterexamples_in_enumeration_order(self):
+        # a per-(N, vector) recount of a mutated condition's report
+        def narrowed(deltas, ms, k):
+            return check_ns_condition(deltas, ms, k) and deltas[0] != 1
+
+        ms, window = (8, 12, 15), 2
+        rep = verify_exactness_condition(ms, window=window, condition=narrowed)
+        k = select_reference(ms)
+        nec, cond_true = [], 0
+        for n in range(math.lcm(*ms)):
+            for deltas in product(range(-window, window + 1), repeat=3):
+                ok = narrowed(deltas, ms, k)
+                cond_true += ok
+                if check_ns_condition(deltas, ms, k) and not ok:
+                    nec.append((n, deltas))
+        assert rep.condition_true == cond_true
+        assert rep.necessity_failures == len(nec) > 20
+        assert rep.necessity_counterexamples == tuple(nec[:20])
+        assert rep.sufficiency_failures == 0
 
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
