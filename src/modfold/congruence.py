@@ -74,7 +74,7 @@ def _merge_schedule(
     for n in moduli[1:]:
         g = math.gcd(acc, n)
         ndg = n // g
-        inv = _mod_inverse(acc // g, ndg) if ndg > 1 else 0
+        inv = _mod_inverse(acc // g, ndg)
         steps.append((g, ndg, inv, acc))
         acc *= ndg
     return moduli[0], tuple(steps)
@@ -156,8 +156,6 @@ def crt_coprime_closed_form(system: CongruenceSystem) -> int:
     total = math.prod(mods)
     acc = 0
     for r, m in zip(system.residues, mods):
-        if m == 1:
-            continue
         others = total // m
         acc += r * _mod_inverse(others, m) * others
     return acc % total

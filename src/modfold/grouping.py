@@ -9,19 +9,19 @@ covers qualify, the one with the largest worst-case effective bound wins
 
 The search runs on integers: every bound is a gcd over 4, so it compares
 the gcds themselves.  It reads the moduli's profile (robust._Profile), the
-pairwise gcd table that theta_bound and select_reference read too: the
-table gives theta, the reference modulus, the divisor-free check and the
+pairwise gcd table that theta_bound and select_reference read too: it
+gives theta, the reference modulus, the divisor-free check and the
 candidate sets.  The covers are enumerated depth first over index bit
 masks, skipping every set that adds no index to its prefix, extending no
 prefix that already covers every index and none that the later sets
 cannot complete.  Each distinct group of a cover of two or more groups is
-scored once, when a cover first holds it, as its max-min gcd (read from
-the table, with no gcd call) and its lcm; a cover is ranked by the
-multistage effective rule (_effective_gcds) over its groups' gcds and the
-cross gcd of their lcms (robust._maxmin_gcd).  Only the winning plan
-becomes a tree.  Its StageBounds comes from multistage._layout over the
-same profile, the one place that computes a plan's stage gcds: it reads
-each group's gcd from the same table and recomputes the cross gcd.
+scored once, when a cover first holds it, as the max-min gcd and the lcm
+of its moduli; a cover is ranked by the multistage effective rule
+(_effective_gcds) over its groups' gcds and the cross gcd of their lcms.
+Every max-min gcd here is robust._maxmin_gcd's.  Only the winning plan
+becomes a tree.  Its StageBounds comes from multistage._layout, the one
+place that computes a plan's stage gcds, which computes them again with
+the same routine.
 
 For moduli of the form M * c_i with pairwise-coprime c_i no grouping can
 help, and the search reports failure.
@@ -228,7 +228,7 @@ def propose_grouping(
                 if s is None:
                     m = c.members
                     group = m | {ref} if shared and len(m) == 1 else m
-                    s = scores[m] = _score(profile, tuple(sorted(group)))
+                    s = scores[m] = _score(ms, tuple(sorted(group)))
                 scored.append(s)
             groups, gcds, lams = zip(*scored)
             if len(set(lams)) < len(lams):
@@ -247,7 +247,7 @@ def propose_grouping(
             # a valid plan by construction: two or more groups of distinct
             # in-range indices with distinct lcms that cover every index
             layout = _layout(
-                Node(children=tuple(Leaf(indices=g) for g in groups)), profile
+                Node(children=tuple(Leaf(indices=g) for g in groups)), ms
             )
             return GroupingProposal(
                 moduli=ms,
@@ -262,13 +262,10 @@ def propose_grouping(
     )
 
 
-def _score(profile: _Profile, group: tuple[int, ...]):
+def _score(moduli: tuple[int, ...], group: tuple[int, ...]):
     """(group, its max-min gcd, its lcm) for sorted modulus indices."""
-    return (
-        group,
-        profile.maxmin(group)[0],
-        math.lcm(*[profile.moduli[i] for i in group]),
-    )
+    parts = [moduli[i] for i in group]
+    return group, _maxmin_gcd(parts)[0], math.lcm(*parts)
 
 
 def render_proposal(proposal: GroupingProposal) -> str:

@@ -26,13 +26,12 @@ each leaf, a cross bound for each internal node over its children's lcms,
 and the effective per-leaf bound (the minimum along the path to the root).
 Remainder errors strictly below the effective bounds guarantee exact
 recovery of every folding number.  Every bound is a stage's max-min gcd
-over 4, and _layout is the one place that computes those gcds: a leaf's
-is read from the moduli's profile (robust._Profile.maxmin, no gcd call),
-a node's is the max-min gcd of its child lcms (robust._maxmin_gcd).
-stage_bounds, per_group_reference_bounds and the grouping search's
-winning plan all take them from there.  The same pass gives each stage's
-reference, the first position attaining its gcd, which the tree program
-and per_group_reference_bounds read.
+over 4, and _layout is the one place that computes a plan's stage gcds,
+each as robust._maxmin_gcd over the stage's parts: a leaf's moduli or a
+node's child lcms.  stage_bounds, per_group_reference_bounds and the
+grouping search's winning plan all take them from there.  The same call
+gives each stage's reference, the first position attaining its gcd,
+which the tree program and per_group_reference_bounds read.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .robust import (
     FoldingSolution,
     _folding_plan,
     _maxmin_gcd,
-    _Profile,
     _profile,
     _profile_of,
     _quarter,
@@ -210,25 +208,22 @@ def validate_tree(tree: GroupTree | str | Sequence, n_moduli: int) -> None:
 
 
 def _layout(
-    tree: GroupTree, profile: _Profile
+    tree: GroupTree, moduli: tuple[int, ...]
 ) -> list[tuple[GroupTree, tuple[int, ...], tuple[int, ...], int, int]]:
     """The tree in post-order as (subtree, path, parts, reference, gcd).
 
     parts are the values a stage solves over: a leaf's moduli, or a node's
     child lcms.  gcd is the stage's bound gcd, the max-min gcd of its
-    parts, and reference the first position in parts attaining it: a
-    leaf's are read from the moduli's profile, a node's are computed over
-    its child lcms.  The tree must already be valid
-    (validate_tree) over profile.moduli.  Raises DegenerateTreeError when
+    parts, and reference the first position in parts attaining it, both
+    from _maxmin_gcd(parts).  The tree must already be valid
+    (validate_tree) over the moduli.  Raises DegenerateTreeError when
     siblings share an lcm.
     """
-    moduli = profile.moduli
     lams: list[int] = []  # lcms of the subtrees not yet joined
     out = []
     for t, path in _post_order(tree):
         if isinstance(t, Leaf):
             parts = tuple(moduli[i] for i in t.indices)
-            g, ref = profile.maxmin(t.indices)
         else:
             parts = tuple(lams[-len(t.children):])
             del lams[-len(t.children):]
@@ -243,7 +238,7 @@ def _layout(
                 raise DegenerateTreeError(
                     f"children {i} and {j} of node {path} share an lcm"
                 )
-            g, ref = _maxmin_gcd(parts)
+        g, ref = _maxmin_gcd(parts)
         lams.append(math.lcm(*parts))
         out.append((t, path, parts, ref, g))
     return out
@@ -340,10 +335,10 @@ def stage_bounds(
     tree: GroupTree | str | Sequence, moduli: Sequence[int]
 ) -> StageBounds:
     """Group, cross and effective bounds of a plan over the given moduli."""
-    profile = _profile_of(moduli)
+    ms = _profile_of(moduli).moduli
     tree = parse_tree(tree)
-    validate_tree(tree, len(profile.moduli))
-    return _stage_bounds(_layout(tree, profile))
+    validate_tree(tree, len(ms))
+    return _stage_bounds(_layout(tree, ms))
 
 
 def fused_error_bound(
@@ -383,7 +378,6 @@ class _TreeProgram:
     the leaf's own step), so foldings sums each occurrence's terms in one
     pass.  run needs that pass only when the plan repeats an index.
 
-    least_gcd is the least gcd any step rounds by (0 with no step), and
     _stages gives the steps as (plan, slots): what a sweep's scans check
     and move, stage by stage (see the simulate module).
 
@@ -396,7 +390,7 @@ class _TreeProgram:
     """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):
-        profile = _profile(moduli)
+        _profile(moduli)  # checks the moduli
         validate_tree(tree, len(moduli))
         self.moduli = moduli
         size = len(moduli)
@@ -404,7 +398,7 @@ class _TreeProgram:
         slots: list[int] = []  # table slots of the subtrees not yet joined
         occs: list[list] = []  # their leaf occurrences, as (index, terms)
         leaf_slots, node_slots = [], []  # each subtree's slot, by kind
-        for t, _, parts, ref, _ in _layout(tree, profile):
+        for t, _, parts, ref, _ in _layout(tree, moduli):
             is_leaf = isinstance(t, Leaf)
             if is_leaf:
                 # a leaf joins its indices' slots as a node joins its
@@ -426,7 +420,6 @@ class _TreeProgram:
                 occs.append([o for occ in children for o in occ])
             (leaf_slots if is_leaf else node_slots).append(slots[-1])
         self.steps = tuple(steps)
-        self.least_gcd = min((p.least_gcd for p, *_ in steps), default=0)
         self.occurrences = tuple((i, tuple(terms)) for i, terms in occs[0])
         self.shared = len(self.occurrences) > size
         # the root closes the post-order: its estimate is the final one,
@@ -521,6 +514,9 @@ def reconstruct_tree(
     occurrence.  FoldingFailure propagates from any stage, and from
     disagreeing occurrences of a shared index; only a root-stage failure
     carries a partial folding and estimate.
+
+    A string or nested-list layout is parsed on every call; to decode
+    many readings with one plan, call parse_tree once and pass the tree.
     """
     # exact ints first: (135.0, 180, 162) would hit the int tuple's
     # program; the program checks the rest of the moduli once, when built
@@ -574,10 +570,10 @@ def per_group_reference_bounds(
     min(G_j, gcd(lcm_j, lcm_k)/2 - min(G_k, G)).  In gcds, with every
     bound a gcd over 4, that is min(g_j, 2 gcd(lcm_j, lcm_k) - min(g_k, g)).
     """
-    profile = _profile_of(moduli)
+    ms = _profile_of(moduli).moduli
     tree = _two_stage(tree)
-    validate_tree(tree, len(profile.moduli))
-    *leaves, (_, _, lams, k, cross) = _layout(tree, profile)
+    validate_tree(tree, len(ms))
+    *leaves, (_, _, lams, k, cross) = _layout(tree, ms)
     gcds = [g for *_, g in leaves]
     ref = min(gcds[k], cross)
     return GroupReferenceBounds(

@@ -151,10 +151,9 @@ def _maxmin_gcd(values: Sequence[int]) -> tuple[int, int]:
     stands in, which makes the bound of a one-modulus group M/4.  Each row
     starts from the value itself (every gcd with it is at most the value)
     and stops once its minimum can no longer beat the best row so far.
-    It serves only fresh tuples of lcms: an inner stage's bound gcd in
-    multistage._layout and a cover's cross gcd in the grouping search.
-    Every max-min gcd over a set's moduli, a leaf stage's included, is
-    read from the set's _Profile instead.
+    It is the one max-min routine: a set's theta and reference
+    (_Profile), every stage's bound gcd and reference (multistage._layout)
+    and each group's and cover's gcd in the grouping search.
     """
     gcd = math.gcd
     best, best_i = -1, 0
@@ -184,17 +183,10 @@ class _Profile:
     """The pairwise gcd analysis of one moduli tuple, read by every caller.
 
     table[i][j] is gcd(M_i, M_j), with M_i itself on the diagonal.  No
-    entry of row i exceeds M_i, so the least entry of the row over any
-    set of indices holding i is the least gcd of M_i with the others (M_i
-    itself when there is no other, which makes a one-modulus bound M/4,
-    as in _maxmin_gcd).  least[i] is that over every index; theta_gcd,
-    the greatest of them, is the max-min gcd and reference the first
-    index attaining it, as _maxmin_gcd(moduli) gives them; theta is
-    theta_gcd / 4.  maxmin(group) is the same max-min gcd over a set of
-    indices, read from the table without a gcd call, with the first
-    position attaining it; they are the bound gcd and the reference of a
-    leaf stage over those indices, which multistage._layout reads for
-    every plan.
+    entry of row i exceeds M_i, so the least entry of row i is the least
+    gcd of M_i with the others (M_i itself when there is no other).
+    theta_gcd is the max-min gcd and reference the first index attaining
+    it, both from _maxmin_gcd(moduli); theta is theta_gcd / 4.
 
     M_j divides M_i exactly when table[i][j] == M_j, so M_i divides
     another modulus exactly when row i holds M_i more than once, and
@@ -207,8 +199,7 @@ class _Profile:
     """
 
     __slots__ = (
-        "moduli", "table", "least", "theta_gcd", "reference", "theta",
-        "divisor_free",
+        "moduli", "table", "theta_gcd", "reference", "theta", "divisor_free",
     )
 
     def __init__(self, moduli: tuple[int, ...]):
@@ -216,24 +207,11 @@ class _Profile:
         gcd = math.gcd
         self.moduli = moduli
         self.table = table = [[gcd(a, b) for b in moduli] for a in moduli]
-        self.least = least = list(map(min, table))
-        self.theta_gcd = theta_gcd = max(least)
-        self.reference = least.index(theta_gcd)
-        self.theta = _quarter(theta_gcd)
+        self.theta_gcd, self.reference = _maxmin_gcd(moduli)
+        self.theta = _quarter(self.theta_gcd)
         # a row holds its own modulus once, on the diagonal, unless that
         # modulus divides another
         self.divisor_free = sum(map(list.count, table, moduli)) == len(moduli)
-
-    def maxmin(self, group: Sequence[int]) -> tuple[int, int]:
-        """The max-min gcd of the moduli at the given (distinct) indices,
-        and the first position in group attaining it."""
-        best = first = 0
-        for pos, i in enumerate(group):
-            row = self.table[i]
-            least = min([row[j] for j in group])
-            if least > best:
-                best, first = least, pos
-        return best, first
 
     def require_divisor_free(self) -> None:
         """ValueError naming (by index) a modulus that divides another."""
@@ -294,7 +272,7 @@ def per_remainder_bounds(moduli: Sequence[int], k: int) -> BoundsReport:
         raise ValueError("per_remainder_bounds needs at least two moduli")
     _check_index("reference index", k, size)
     # every bound is a quarter: g/2 - q/4 == (2g - q)/4
-    q = p.least[k]
+    q = min(p.table[k])
     if q != p.theta_gcd:
         raise ValueError(
             f"index {k} does not attain the max-min bound; index "
@@ -382,9 +360,9 @@ class _FoldingPlan:
     rounded mean is therefore n_k M_k + r_k + (sum of e_i + bias) // 2L
     with bias = L - sum of g_i, computed exactly.
 
-    least_gcd is the least g the plan rounds by, and pairs holds (i, g_i)
-    per index i != k: the exactness condition the sweep checks, and the
-    window it certifies, are stated once, in the simulate module.
+    pairs holds (i, g_i) per index i != k: the exactness condition the
+    sweep checks, and the window it certifies, are stated once, in the
+    simulate module.
 
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least
@@ -393,12 +371,11 @@ class _FoldingPlan:
 
     __slots__ = (
         "moduli", "k", "mk", "cong_moduli", "head", "steps", "derive",
-        "twice_size", "bias", "least_gcd", "pairs",
+        "twice_size", "bias", "pairs",
     )
 
     def __init__(self, moduli: tuple[int, ...], k: int):
-        profile = _profile(moduli)
-        row = profile.table[k]
+        row = _profile(moduli).table[k]
         if len(moduli) < 2:
             raise ValueError("a folding plan needs at least two moduli")
         self.moduli = moduli
@@ -408,7 +385,7 @@ class _FoldingPlan:
         for i, (m, g) in enumerate(zip(moduli, row)):
             if i != k:
                 n = m // g
-                inv = _mod_inverse(mk // g, n) if n > 1 else 0
+                inv = _mod_inverse(mk // g, n)
                 terms.append((i, g, 2 * g, n, inv))
         self.cong_moduli = tuple(t[3] for t in terms)
         _, schedule = _merge_schedule(self.cong_moduli)
@@ -417,7 +394,6 @@ class _FoldingPlan:
         self.derive = tuple((i, n, mk // g) for i, g, _, n, _ in terms)
         self.twice_size = 2 * len(moduli)
         self.bias = len(moduli) - sum(t[1] for t in terms)
-        self.least_gcd = profile.least[k]
         self.pairs = tuple((i, g) for i, g, _, _, _ in terms)
 
     def _stages(self):

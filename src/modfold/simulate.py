@@ -48,8 +48,9 @@ sweep scores; for the occurrence estimate it would be the rounded mean
 over leaf occurrences.
 
 At some levels every trial passes, so the check is skipped there.  Let
-G be the least gcd any stage rounds by (plan.least_gcd: 4 theta for one
-stage, 4 theta_eff for a tree, 0 for a plan with no stage) and w the
+G be the least gcd any stage rounds by, the least g of the pairs the
+checked scan compares against (4 theta for one stage, 4 theta_eff for a
+tree, 0 for a plan with no stage), computed once per sweep, and w the
 level's window width (tau one-sided, 2 tau symmetric).  A level with
 2w < G is certified: clamping only moves an error toward 0, and a
 half-up rounded mean of values in [lo, hi] stays in [lo, hi], so every
@@ -335,6 +336,8 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         reconstruct = plan.run
 
     scan, checked_scan = _scans(plan, cfg.clamp_remainders)
+    # G, the least gcd the checked scan compares against
+    g_min = min((g for p, _ in plan._stages() for _, g in p.pairs), default=0)
     one_sided = cfg.error_model == ONE_SIDED
     # (index, tau, span, off, certified): an error is raw % span - off, so
     # the level's window width is w = span - 1; with 2w < G every trial
@@ -342,7 +345,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     levels = []
     for i, tau in enumerate(taus):
         span, off = (tau + 1, 0) if one_sided else (2 * tau + 1, tau)
-        levels.append((i, tau, span, off, 2 * (span - 1) < plan.least_gcd))
+        levels.append((i, tau, span, off, 2 * (span - 1) < g_min))
     # per-level counters, indexed like taus
     total_err = [0] * len(taus)
     max_err = [0] * len(taus)

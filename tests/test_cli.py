@@ -1,8 +1,12 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from modfold.cli import main
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -195,6 +199,37 @@ class TestSimulate:
         mean = 1275 * 10**317 + 20625 * 10**157 + 82
         max_err = 55 * 10**319 + 885 * 10**159 + 351
         assert out.splitlines()[2] == f"1,{mean}.500000,{max_err},1,15,0"
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            (
+                "bench/expected/single_135_180_162.csv",
+                "135 180 162 --tau-max 25 --trials 500 --seed 0",
+            ),
+            (
+                "bench/expected/tree_135_180_162.csv",
+                "135 180 162 --tau-max 11 --trials 500 --seed 0"
+                " --grouping [[0,1],[2]]",
+            ),
+            (
+                "bench/expected/depth3_192_288_216_360_320_448.csv",
+                "192 288 216 360 320 448 --tau-max 19 --trials 500 --seed 0"
+                " --grouping [[[0,1],[2,3]],[4,5]]",
+            ),
+            (
+                "tests/expected/clamped_8_12_15.csv",
+                "8 12 15 --tau-max 6 --trials 400 --seed 7"
+                " --error-model symmetric --clamp",
+            ),
+        ],
+        ids=["single", "tree", "depth3", "clamped"],
+    )
+    def test_golden_csv(self, capsys, golden, argv):
+        # the sweeps CI compares with cmp, byte for byte, run in-process
+        code, out, err = run(capsys, "simulate", *argv.split())
+        assert (code, err) == (0, "")
+        assert out.encode() == (ROOT / golden).read_bytes()
 
     def test_negative_tau_max_is_invalid_input(self, capsys):
         code, out, err = run(capsys, "simulate", "7", "9", "--tau-max", "-3")

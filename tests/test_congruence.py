@@ -124,6 +124,29 @@ class TestCoprimeClosedForm:
             done += 1
 
 
+class TestModulusOne:
+    """A modulus 1 holds for every x: its congruence adds nothing."""
+
+    @pytest.mark.parametrize("ms", [(1, 5), (5, 1), (1, 3, 7), (3, 7, 1)])
+    def test_general_and_closed_form(self, ms):
+        for n in range(math.lcm(*ms)):
+            sys_ = CongruenceSystem(remainders_of(n, ms), ms)
+            assert crt_general(sys_) == crt_coprime_closed_form(sys_) == n
+        # residues are reduced, so any residue modulo 1 is 0
+        sys_ = CongruenceSystem([4] * len(ms), ms)
+        assert crt_general(sys_) == crt_coprime_closed_form(sys_) == 4
+
+    def test_single_modulus_one(self):
+        sys_ = CongruenceSystem([3], [1])
+        assert crt_general(sys_) == crt_coprime_closed_form(sys_) == 0
+
+    def test_pair_merge(self):
+        for b in range(5):
+            assert crt_pair_merge(3, 1, b, 5) == (b, 5)
+            assert crt_pair_merge(b, 5, 3, 1) == (b, 5)
+        assert crt_pair_merge(2, 1, 0, 1) == (0, 1)
+
+
 class TestRemaindersOf:
     def test_zero(self):
         assert remainders_of(0, [7, 11, 13]) == (0, 0, 0)

@@ -694,7 +694,8 @@ class TestOneProfile:
     def test_stage_bounds_reads_the_search_profile(self, monkeypatch):
         # the design sequence: stage_bounds right after propose_grouping
         # validates nothing again, builds no profile or folding plan, and
-        # computes a gcd only per inner node, over its child lcms
+        # computes one max-min gcd per stage, in post-order, over its
+        # parts: a leaf's moduli or a node's child lcms
         def lcm_of(ms, group):
             return math.lcm(*(ms[i] for i in group))
 
@@ -702,11 +703,15 @@ class TestOneProfile:
         for ms in profile_sets():
             groups = propose_grouping(ms).groups
             if groups and len(cases) < 40:
-                lams = tuple(lcm_of(ms, g) for g in groups)
-                cases.append((ms, [list(g) for g in groups], [lams]))
+                stages = [tuple(ms[i] for i in g) for g in groups]
+                stages.append(tuple(lcm_of(ms, g) for g in groups))
+                cases.append((ms, [list(g) for g in groups], stages))
         ms = (192, 288, 216, 360, 320, 448)
         cases.append((ms, [[[0, 1], [2, 3]], [4, 5]], [
+            (192, 288),
+            (216, 360),
             (lcm_of(ms, (0, 1)), lcm_of(ms, (2, 3))),
+            (320, 448),
             (lcm_of(ms, (0, 1, 2, 3)), lcm_of(ms, (4, 5))),
         ]))
         calls = []
@@ -721,7 +726,7 @@ class TestOneProfile:
                 return fn(values, *args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
-        for ms, layout, nodes in cases:
+        for ms, layout, stages in cases:
             proposal = propose_grouping(ms)
             profiles = robust._profile.cache_info().misses
             plans = robust._folding_plan.cache_info().misses
@@ -730,9 +735,9 @@ class TestOneProfile:
             assert robust._profile.cache_info().misses == profiles
             assert robust._folding_plan.cache_info().misses == plans
             assert calls == [
-                ("modfold.multistage._maxmin_gcd", lams) for lams in nodes
+                ("modfold.multistage._maxmin_gcd", parts) for parts in stages
             ], (ms, layout)
-            if len(nodes) == 1:
+            if len(stages) == len(layout) + 1:  # the search's own plan
                 assert bounds == proposal.bounds
         assert len(cases) == 41
 

@@ -9,8 +9,10 @@ checked scan there, check that the remainders a checked scan hands a
 failing trial are its erroneous ones, that scans with a mutated edge or
 handback are caught, that a plan compiles only the clampings it is
 swept with, and that the generated code survives huge gcds, wide stages
-and deep trees.  checked_move (tests/conftest.py) scores one error
-vector through a plan's checked scan.
+and deep trees.  They also hold the error-free solve, whose estimate
+minus N is each row's anchor offset, to N on plans of every kind.
+checked_move (tests/conftest.py) scores one error vector through a
+plan's checked scan.
 """
 
 import math
@@ -588,6 +590,55 @@ class TestHandback:
             mutant = every_family(_compile_scans, ms, stages)
             caught |= mismatches(mutant, ms, stages, vectors)
         assert caught == {"checked_scan", "clamped_checked_scan"}
+
+
+# plans by kind, each over moduli 0..size-1 (size is one more than the
+# largest index)
+ERROR_FREE_LAYOUTS = {
+    "depth 2": ["[[0,1],[2]]", "[[0,1],[2,3]]", "[[0,1,2],[3,4],[5]]"],
+    "depth 3": [
+        "[[[0],[1]],[2]]", "[[[0,1],[2]],[3]]", "[[[0,1],[2,3]],[4,5]]",
+    ],
+    "shared index": [
+        "[[0,2],[1,2]]", "[[0,1],[1,2,3]]", "[[[0,1],[1,2]],[2,3]]",
+    ],
+}
+
+
+def true_values(rng, ms):
+    """Unknowns to solve for: both ends of [0, lcm) and ten between."""
+    lam = math.lcm(*ms)
+    return [0, lam - 1] + [rng.randrange(lam) for _ in range(10)]
+
+
+class TestErrorFreeSolve:
+    """On its true remainders every plan's estimate is N, so each row's
+    anchor offset is 0 and no anchor solve fails."""
+
+    def test_single_stage_plans(self):
+        rng = random.Random(1412)
+        for _ in range(200):
+            ms = entangled(rng, rng.randint(2, 6))
+            plan = _folding_plan(ms, select_reference(ms))
+            for n in true_values(rng, ms):
+                assert _solve_with_plan(plan, [n % m for m in ms])[1] == n
+
+    @pytest.mark.parametrize("kind", sorted(ERROR_FREE_LAYOUTS))
+    def test_tree_programs(self, kind):
+        rng = random.Random(kind)
+        built = 0
+        while built < 100:
+            layout = rng.choice(ERROR_FREE_LAYOUTS[kind])
+            size = 1 + max(map(int, re.findall(r"\d+", layout)))
+            ms = entangled(rng, size)
+            try:
+                program = _tree_program(ms, parse_tree(layout))
+            except DegenerateTreeError:
+                continue
+            built += 1
+            assert program.shared == (kind == "shared index")
+            for n in true_values(rng, ms):
+                assert program.run([n % m for m in ms])[1] == n, (ms, layout)
 
 
 class TestBuiltOnFirstSweep:

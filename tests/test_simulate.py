@@ -676,23 +676,34 @@ class TestSweepMatchesPerLevelRuns:
             "symmetric_clamped",
         ],
     )
-    def test_rows_at_the_window_edges(self, cfg, least_gcd, taus):
-        # every check passes at a level of window width w with 2w < G;
-        # the levels hold both sides of 2w = G and of w = G
+    def test_rows_at_the_window_edges(self, cfg, least_gcd, taus, monkeypatch):
+        # every check passes at a level of window width w with 2w < G, and
+        # the sweep certifies exactly those levels; the levels hold both
+        # sides of 2w = G and of w = G
         ms = cfg.moduli
-        plan = (
-            _folding_plan(ms, select_reference(ms))
-            if cfg.tree is None
-            else _tree_program(ms, cfg.tree)
-        )
         tree = cfg.tree or Leaf(tuple(range(len(ms))))
-        assert plan.least_gcd == _least_gcd(ms, tree) == least_gcd
+        assert _least_gcd(ms, tree) == least_gcd
         width = 1 if cfg.error_model == ONE_SIDED else 2  # w per unit tau
         widths = {width * tau for tau in taus}
         for edge in (least_gcd / 2, least_gcd):
             assert any(w < edge for w in widths)
             assert any(w >= edge for w in widths)
+        # the taus the sweep scores with its certified (unchecked) scan
+        certified = set()
+        scans_of = simulate._scans
+
+        def scans(plan, clamp):
+            scan, checked_scan = scans_of(plan, clamp)
+
+            def certified_scan(rows, span, off, tau):
+                certified.add(tau)
+                return scan(rows, span, off, tau)
+
+            return certified_scan, checked_scan
+
+        monkeypatch.setattr(simulate, "_scans", scans)
         rows = sweep(cfg, taus)
+        assert certified == {t for t in taus if 2 * width * t < least_gcd}
         for row, tau in zip(rows, taus):
             want = _per_level_oracle(replace(cfg, tau=tau))
             assert asdict(row) == asdict(want)
