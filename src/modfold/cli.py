@@ -6,14 +6,16 @@ Subcommands:
   group        search for a two-stage grouping beating the single-stage bound
   simulate     Monte Carlo sweep over error levels, CSV on stdout
 
-Exit codes: 0 success, 1 inconsistent reconstruction, 2 invalid input,
-3 search cap exceeded.
+`main(argv)` returns the exit code: 0 success, 1 inconsistent
+reconstruction, 2 invalid input, 3 search cap exceeded.  It may be called
+repeatedly in-process; it builds its parser once, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .congruence import InconsistentSystem
 from .grouping import _group_lines, _pq, propose_grouping, render_proposal
@@ -35,6 +37,7 @@ from .robust import (
 from .simulate import TrialConfig, stats_to_csv, sweep
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modfold",

@@ -1,9 +1,10 @@
+import argparse
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from modfold.cli import main
+from modfold.cli import _build_parser, main
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -266,3 +267,71 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "8", "12"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process and reuses it."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "modfold":
+                built.append(self)
+
+        _build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "bounds", "70", "75")[0] == 0
+        assert run(capsys, "reconstruct", "8", "12",
+                   "--remainders", "1", "5")[0] == 0
+        assert run(capsys, "group", "12", "18", "35")[0] == 0
+        assert run(capsys, "simulate", "7", "9", "--tau-max", "1",
+                   "--trials", "5")[0] == 0
+        for argv, code in ((["simulate", "8", "12"], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        assert len(built) == 1
+
+    def test_no_state_carries_over(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", "135", "180", "162", "--tau-max", "3",
+            "--trials", "50", "--seed", "4", "--grouping", "[[0,1],[2]]",
+            "--clamp", "--error-model", "symmetric",
+        )
+        assert (code, err) == (0, "")
+        code, out, err = run(
+            capsys, *"simulate 135 180 162 --tau-max 25 --trials 500"
+            " --seed 0".split(),
+        )
+        assert (code, err) == (0, "")
+        golden = ROOT / "bench/expected/single_135_180_162.csv"
+        assert out.encode() == golden.read_bytes()
+
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "8", "12"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("usage: modfold simulate")
+        assert "--tau-max" in out.err
+        code, _, err = run(capsys, "simulate", "8", "12", "--tau-max", "1",
+                           "--trials", "5")
+        assert (code, err) == (0, "")
+
+    def test_help_wraps_at_call_time_columns(self, capsys, monkeypatch):
+        parser = _build_parser()
+        help_text = {}
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--help"])
+            assert exc.value.code == 0
+            help_text[columns] = capsys.readouterr().out
+        assert _build_parser() is parser
+        narrow, wide = help_text["40"], help_text["200"]
+        assert narrow.startswith("usage: modfold simulate")
+        assert len(narrow.splitlines()) > len(wide.splitlines())
+        assert narrow.split() == wide.split()
