@@ -39,11 +39,8 @@ class CongruenceSystem:
     moduli: tuple[int, ...]
 
     def __init__(self, residues: Sequence[int], moduli: Sequence[int]):
-        residues = tuple(residues)
-        moduli = tuple(moduli)
-        if set(map(type, residues + moduli)) - {int}:  # only then reject
-            _check_ints("residue", residues)
-            _check_ints("modulus", moduli)
+        residues = _check_ints("residue", residues)
+        moduli = _check_ints("modulus", moduli)
         if len(residues) != len(moduli):
             raise ValueError(
                 f"{len(residues)} residues but {len(moduli)} moduli"
@@ -164,5 +161,6 @@ def crt_coprime_closed_form(system: CongruenceSystem) -> int:
 def remainders_of(n: int, moduli: Sequence[int]) -> tuple[int, ...]:
     """Exact remainders of n for each modulus, each in [0, modulus)."""
     _check_int("n", n)
-    _check_positive(_check_ints("modulus", moduli))
+    moduli = _check_ints("modulus", moduli)
+    _check_positive(moduli)
     return tuple(n % m for m in moduli)

@@ -25,8 +25,9 @@ class NotInvertibleError(ValueError):
 def _check_int(name: str, value, low: int | None = None) -> int:
     """Return value if it is an int (not a bool) and at least low.
 
-    Every public entry point passes its integer inputs through here, so a
-    float or a bool is rejected instead of being truncated or carried on.
+    Every public entry point passes its integer inputs through here or
+    through _check_ints, the one gate for sequences of ints, so a float or
+    a bool is rejected instead of being truncated or carried on.
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
@@ -55,10 +56,13 @@ def _check_exact(name: str, value, low: int | None = None) -> int | Fraction:
     return value
 
 
-def _check_ints(name: str, values: Iterable) -> list[int]:
-    """_check_int on every value; returns them as a list."""
-    values = list(values)
-    if set(map(type, values)) - {int}:  # only then can a value be rejected
+def _check_ints(name: str, values: Iterable) -> tuple[int, ...]:
+    """_check_int on every value; returns them as a tuple.
+
+    A tuple of plain ints passes in one type scan and is returned as is.
+    """
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):
         for v in values:
             _check_int(name, v)
     return values

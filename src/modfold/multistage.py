@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -87,31 +88,55 @@ class DegenerateTreeError(ValueError):
     """Two siblings share the same lcm, so their congruences collapse."""
 
 
+class _CachedHash:
+    """The dataclass's hash of a tree's one field, kept in _hash once made.
+
+    _hash is no field, so eq and repr ignore it, and a pickle rebuilds the
+    tree from its field without it.  It is made on the first hash, so a
+    plan too deep to hash fails there, not when it is built.
+    """
+
+    _hash = None
+
+    def __hash__(self):
+        if self._hash is None:
+            vars(self)["_hash"] = hash((vars(self)[self._field],))
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (vars(self)[self._field],)
+
+
 @dataclass(frozen=True)
-class Leaf:
+class Leaf(_CachedHash):
     """A group: indices into the moduli set (at least one, no repeats)."""
 
     indices: tuple[int, ...]
+    _field = "indices"
 
     def __post_init__(self):
         # 1.0 and True equal 1, so a cached program would take them for it
         if not isinstance(self.indices, tuple):
             raise ValueError("leaf indices must be a tuple")
-        if not {int}.issuperset(map(type, self.indices)):
-            _check_ints("leaf index", self.indices)
+        _check_ints("leaf index", self.indices)
+
+    __hash__ = _CachedHash.__hash__  # or the dataclass would set its own
 
 
 @dataclass(frozen=True)
-class Node:
+class Node(_CachedHash):
     """An inner stage joining at least two subtrees."""
 
     children: tuple["GroupTree", ...]
+    _field = "children"
 
     def __post_init__(self):
         if not isinstance(self.children, tuple) or not all(
             isinstance(c, (Leaf, Node)) for c in self.children
         ):
             raise ValueError("node children must be a tuple of Leaf and Node")
+
+    __hash__ = _CachedHash.__hash__
 
 
 GroupTree = Leaf | Node
@@ -278,6 +303,14 @@ class StageSolution:
     per_group_estimates: tuple[int, ...]
     outer_folding: tuple[int, ...]
     final: FoldingSolution
+
+    def __init__(self, per_group_estimates, outer_folding, final):
+        # frozen: set the fields past the dataclass's __setattr__
+        vars(self).update(
+            per_group_estimates=per_group_estimates,
+            outer_folding=outer_folding,
+            final=final,
+        )
 
 
 @dataclass(frozen=True)
@@ -520,7 +553,7 @@ def reconstruct_tree(
     """
     # exact ints first: (135.0, 180, 162) would hit the int tuple's
     # program; the program checks the rest of the moduli once, when built
-    ms = tuple(_check_ints("modulus", moduli))
+    ms = _check_ints("modulus", moduli)
     tree = parse_tree(tree)
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
@@ -528,14 +561,11 @@ def reconstruct_tree(
     program = _program_for(ms, tree)
     (table, folds), _, composed = program.run(rt)
     folding, estimate = composed or program.foldings(folds, table)
+    outer = map(folds.__getitem__, program.outer_steps)
     return StageSolution(
-        per_group_estimates=tuple(table[s] for s in program.group_slots),
-        outer_folding=tuple(x for s in program.outer_steps for x in folds[s]),
-        final=FoldingSolution(
-            folding=folding,
-            estimate=estimate,
-            reference_index=program.reference_index,
-        ),
+        tuple(map(table.__getitem__, program.group_slots)),
+        tuple(chain.from_iterable(outer)),
+        FoldingSolution(folding, estimate, program.reference_index),
     )
 
 

@@ -113,6 +113,12 @@ class FoldingSolution:
     estimate: int
     reference_index: int | None
 
+    def __init__(self, folding, estimate, reference_index):
+        # frozen: set the fields past the dataclass's __setattr__
+        vars(self).update(
+            folding=folding, estimate=estimate, reference_index=reference_index
+        )
+
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -131,7 +137,7 @@ class BoundsReport:
 def validate_moduli(moduli: Sequence[int]) -> tuple[int, ...]:
     """Check moduli are distinct positive integers; return them as a tuple."""
     # errors name indices: a value past the digit limit cannot be printed
-    ms = tuple(_check_ints("modulus", moduli))
+    ms = _check_ints("modulus", moduli)
     if not ms:
         raise ValueError("empty moduli set")
     _check_positive(ms)
@@ -236,7 +242,7 @@ def _profile(moduli: tuple[int, ...]) -> _Profile:
 
 def _profile_of(moduli: Sequence[int]) -> _Profile:
     """The cached profile of moduli, after their exact-int check."""
-    return _profile(tuple(_check_ints("modulus", moduli)))
+    return _profile(_check_ints("modulus", moduli))
 
 
 def theta_bound(moduli: Sequence[int]) -> Fraction:
@@ -461,13 +467,13 @@ def solve_folding(
     """
     # exact ints first: (135.0, 180, 162) would hit the int tuple's plan;
     # the plan checks the rest of the moduli once, when it is built
-    ms = tuple(_check_ints("modulus", moduli))
+    ms = _check_ints("modulus", moduli)
     if len(remainders) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
     _check_index("reference index", k, len(ms))
     rt = _check_ints("remainder", remainders)
     folding, est = _solve_with_plan(_folding_plan(ms, k), rt)
-    return FoldingSolution(folding=folding, estimate=est, reference_index=k)
+    return FoldingSolution(folding, est, k)
 
 
 def folding_oracle(

@@ -161,6 +161,11 @@ class TestRemaindersOf:
         with pytest.raises(ValueError):
             remainders_of(5, [3, 0])
 
+    def test_moduli_from_an_iterator(self):
+        # the moduli are read once, by the int check
+        assert remainders_of(1000, iter([70, 75, 80, 90])) == (20, 25, 40, 10)
+        assert CongruenceSystem(iter([15, -1]), iter([4, 6])).residues == (3, 5)
+
 
 class TestCongruenceSystem:
     def test_residues_reduced(self):

@@ -1,15 +1,22 @@
 import math
+import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
+from modfold.congruence import CongruenceSystem, remainders_of
 from modfold.intmath import (
     NotInvertibleError,
     _check_exact,
+    _check_int,
+    _check_ints,
     mod_inverse,
     round_half_up,
     round_half_up_div,
 )
+from modfold.multistage import reconstruct_tree
+from modfold.robust import solve_folding
 
 
 class TestModInverse:
@@ -106,3 +113,115 @@ class TestCheckExact:
     def test_rejects_below_low(self, value):
         with pytest.raises(ValueError, match="tau must be >= 0"):
             _check_exact("tau", value, 0)
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+def _rejection(fn, *args):
+    """The message of the ValueError fn raises on args, None if it accepts."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _per_value(name, values):
+    for v in values:
+        _check_int(name, v)
+
+
+INTS = (0, 1, -7, 12, 10**30, Level.HIGH)
+MIXED = INTS + (True, False, 2.0, 0.5, -3.0, Fraction(3), Fraction(1, 2))
+
+
+class TestOneGate:
+    """_check_ints, the one exact-int gate, against a per-value loop."""
+
+    def _differential(self, pool, seed):
+        rng = random.Random(seed)
+        for _ in range(3000):
+            kinds = INTS if rng.random() < 0.4 else pool
+            values = [rng.choice(kinds) for _ in range(rng.randint(0, 6))]
+            expected = _rejection(_per_value, "modulus", values)
+            assert _rejection(_check_ints, "modulus", values) == expected
+            if expected is None:
+                out = _check_ints("modulus", values)
+                assert type(out) is tuple
+                assert all(a is b for a, b in zip(out, values))
+                assert len(out) == len(values)
+
+    def test_matches_the_per_value_check(self):
+        self._differential(MIXED, 21)
+
+    def test_numpy_ints_are_rejected_alike(self):
+        np = pytest.importorskip("numpy")
+        self._differential(MIXED + (np.int64(3), np.int64(-2)), 22)
+        with pytest.raises(ValueError, match="must be an int"):
+            _check_ints("modulus", (3, np.int64(5)))
+
+    def test_an_int_tuple_passes_through(self):
+        values = (3, 5, 7)
+        assert _check_ints("modulus", values) is values
+        assert _check_ints("modulus", iter([3, 5])) == (3, 5)
+
+
+MS = (135, 180, 162)
+RT = [5, 184, 114]
+TREE = "[[0,1],[2]]"
+BAD_TREE = "[[0,1.0],[2]]"
+solve, recon, system = solve_folding, reconstruct_tree, CongruenceSystem
+
+# (call, arguments, the exact message); the first bad input found wins
+REJECTIONS = [
+    (solve, ((135.0, 180, 162), RT, 0), "modulus must be an int, got 135.0"),
+    (solve, ((135, True, 162), RT, 0), "modulus must be an int, got True"),
+    (solve, (MS, [5, 184.0, 114], 0), "remainder must be an int, got 184.0"),
+    (solve, (MS, [5, 184, False], 0), "remainder must be an int, got False"),
+    (solve, (MS, [5, 184.0], 0), "remainders and moduli lengths differ"),
+    (solve, ((135, 2.0, 162), [5, 184.0], 0), "modulus must be an int, got 2.0"),
+    (solve, (MS, RT, True), "reference index must be an int, got True"),
+    (solve, (MS, [5.0, 184, 114], 1.0), "reference index must be an int, got 1.0"),
+    (solve, (MS, [5.0, 184, 114], 3), "reference index out of range"),
+    (recon, ((135, 180.0, 162), RT, TREE), "modulus must be an int, got 180.0"),
+    (recon, (MS, [5, 184, 114.0], TREE), "remainder must be an int, got 114.0"),
+    (recon, (MS, [True, 184, 114], TREE), "remainder must be an int, got True"),
+    (recon, (MS, [5, 184.0], TREE), "remainders and moduli lengths differ"),
+    (recon, (MS, RT, BAD_TREE), "leaf index must be an int, got 1.0"),
+    (recon, (MS, [5, 2.0], BAD_TREE), "leaf index must be an int, got 1.0"),
+    (recon, ((2.0, 180), [5, 2.0], BAD_TREE), "modulus must be an int, got 2.0"),
+    (system, ([1, 2.0], [3, 5]), "residue must be an int, got 2.0"),
+    (system, ([1, 2], [3, 5.0]), "modulus must be an int, got 5.0"),
+    (system, ([1, 2], [True, 5]), "modulus must be an int, got True"),
+    (system, ([1, 2, 3], [3, 5.0]), "modulus must be an int, got 5.0"),
+    (system, ([False], [3.0, 5]), "residue must be an int, got False"),
+    (system, ([1, 2, 3], [3, 5]), "3 residues but 2 moduli"),
+    (system, ([1, 2], [3, 0]), "moduli must be positive, index 1 is not"),
+    (remainders_of, (7.0, (3, 5)), "n must be an int, got 7.0"),
+    (remainders_of, (True, (3, 5)), "n must be an int, got True"),
+    (remainders_of, (7, (3, 5.0)), "modulus must be an int, got 5.0"),
+    (remainders_of, (7.0, (3, 5.0)), "n must be an int, got 7.0"),
+    (remainders_of, (7, (3, 0.0)), "modulus must be an int, got 0.0"),
+    (remainders_of, (7, (3, 0)), "moduli must be positive, index 1 is not"),
+]
+
+
+class TestPublicRejectionOrder:
+    @pytest.mark.parametrize(
+        "call, args, message",
+        REJECTIONS,
+        ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(REJECTIONS)],
+    )
+    def test_message(self, call, args, message):
+        assert _rejection(call, *args) == message
+
+    def test_int_subclasses_are_accepted(self):
+        ms = (Level.HIGH, 9)
+        assert remainders_of(Level.HIGH * 10, ms) == (0, 7)
+        assert CongruenceSystem([Level.LOW, 2], ms).residues == (1, 2)
+        assert solve_folding(MS, [Level.HIGH, 7, 7], 0).estimate == 7
+        tree = reconstruct_tree(MS, [Level.HIGH, 7, 7], TREE)
+        assert tree.final.estimate == 7

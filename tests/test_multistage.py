@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import time
 from collections import Counter
@@ -908,6 +911,93 @@ class TestDeepPlans:
             nested = [[0], nested]
         with pytest.raises(ValueError, match="too deep"):
             parse_tree(nested)
+
+
+class TestResultObjects:
+    """Results and trees: frozen, compared, hashed and pickled as the
+    dataclasses they are, with each tree's hash cached."""
+
+    def solved(self, tree):
+        rt = [n % m for n in [1244] for m in EX_SIM]
+        return reconstruct_tree(EX_SIM, rt, tree)
+
+    def test_fields_repr_and_hash(self):
+        final = FoldingSolution((9, 6, 7), 1244, None)
+        assert repr(final) == (
+            "FoldingSolution(folding=(9, 6, 7), estimate=1244, "
+            "reference_index=None)"
+        )
+        assert hash(final) == hash(((9, 6, 7), 1244, None))
+        assert final == FoldingSolution(
+            folding=(9, 6, 7), estimate=1244, reference_index=None
+        )
+        assert dataclasses.replace(final, estimate=1) == FoldingSolution(
+            (9, 6, 7), 1, None
+        )
+        sol = StageSolution((1, 2), (3,), final)
+        assert repr(sol) == (
+            "StageSolution(per_group_estimates=(1, 2), outer_folding=(3,), "
+            f"final={final!r})"
+        )
+        assert hash(sol) == hash(((1, 2), (3,), final))
+        assert [f.name for f in dataclasses.fields(StageSolution)] == [
+            "per_group_estimates", "outer_folding", "final",
+        ]
+
+    def test_results_stay_frozen(self):
+        sol = self.solved("[[0,1],[2]]")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.final.estimate = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.outer_folding = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del sol.final.folding
+
+    def test_tree_hash_is_cached_lazily(self):
+        leaf = Leaf((0, 1))
+        node = Node((leaf, Leaf((2,))))
+        assert "_hash" not in vars(leaf) and "_hash" not in vars(node)
+        # the dataclass's own hash, of the one field
+        assert hash(node) == hash(Node((Leaf((0, 1)), Leaf((2,)))))
+        assert vars(leaf)["_hash"] == hash(leaf) == hash(((0, 1),))
+        assert vars(node)["_hash"] == hash(node)
+        # the cache is no field: a hashed tree equals an unhashed one
+        assert node == Node((Leaf((0, 1)), Leaf((2,))))
+        assert [f.name for f in dataclasses.fields(Node)] == ["children"]
+        assert repr(leaf) == "Leaf(indices=(0, 1))"
+        assert "_hash" not in vars(dataclasses.replace(leaf, indices=(2,)))
+
+    def test_equal_trees_share_one_program(self):
+        ms = (291, 485, 679)  # in no other test: its program is built here
+        rt = [1000 % m for m in ms]
+        a, b = parse_tree("[[0,1],[2]]"), parse_tree([[0, 1], [2]])
+        assert a == b and a is not b and hash(a) == hash(b)
+        before = _tree_program.cache_info()
+        assert reconstruct_tree(ms, rt, a) == reconstruct_tree(ms, rt, b)
+        after = _tree_program.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 1
+
+    def test_pickle_round_trip(self):
+        tree = parse_tree("[[[0],[1]],[2]]")
+        sol = self.solved(tree)
+        for obj in (tree.children[1], tree, sol.final, sol):
+            hash(obj)  # the trees' hashes are cached before pickling
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(obj, protocol))
+                assert type(back) is type(obj)
+                assert back == obj and hash(back) == hash(obj)
+
+    def test_pickled_tree_holds_no_hash(self):
+        tree = parse_tree("[[[0],[1]],[2]]")
+        hash(tree)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(tree, protocol)
+            assert b"_hash" not in data
+            back = pickle.loads(data)
+            assert all("_hash" not in vars(t) for t, _ in _post_order(back))
+        # a copy is rebuilt from its field too, and checked as it is built
+        assert "_hash" not in vars(copy.deepcopy(tree))
 
 
 class TestExactIntegers:
