@@ -82,7 +82,7 @@ def _cmd_bounds(args) -> int:
     # every line is made before any is printed, so an input error leaves
     # stdout empty
     ms = tuple(args.moduli)
-    if args.grouping:
+    if args.grouping is not None:
         tree = parse_tree(args.grouping)
         b = stage_bounds(tree, ms)
         groups = [leaf.indices for leaf in tree_leaves(tree)]
@@ -123,10 +123,10 @@ def _cmd_bounds(args) -> int:
 def _cmd_reconstruct(args) -> int:
     ms = tuple(args.moduli)
     rt = list(args.remainders)
-    if args.grouping and args.reference is not None:
+    if args.grouping is not None and args.reference is not None:
         raise ValueError("--reference does not apply with --grouping")
     try:
-        if args.grouping:
+        if args.grouping is not None:
             sol = reconstruct_tree(ms, rt, parse_tree(args.grouping)).final
         else:
             k = args.reference
@@ -157,7 +157,7 @@ def _cmd_group(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.tau_max < 0:
         raise ValueError("--tau-max must be >= 0")
-    tree = parse_tree(args.grouping) if args.grouping else None
+    tree = parse_tree(args.grouping) if args.grouping is not None else None
     cfg = TrialConfig(
         moduli=tuple(args.moduli),
         tree=tree,

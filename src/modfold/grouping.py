@@ -8,20 +8,16 @@ covers qualify, the one with the largest worst-case effective bound wins
 (ties: fewer groups, then lexicographic index order).
 
 The search runs on integers: every bound is a gcd over 4, so it compares
-the gcds themselves.  It reads the moduli's profile (robust._Profile), the
-pairwise gcd table that theta_bound and select_reference read too: it
-gives theta, the reference modulus, the divisor-free check and the
-candidate sets.  The covers are enumerated depth first over index bit
-masks, skipping every set that adds no index to its prefix, extending no
-prefix that already covers every index and none that the later sets
-cannot complete.  Each distinct group of a cover of two or more groups is
-scored once, when a cover first holds it, as the max-min gcd and the lcm
-of its moduli; a cover is ranked by the multistage effective rule
-(_effective_gcds) over its groups' gcds and the cross gcd of their lcms.
-Every max-min gcd here is robust._maxmin_gcd's.  Only the winning plan
-becomes a tree.  Its StageBounds comes from multistage._layout, the one
-place that computes a plan's stage gcds, which computes them again with
-the same routine.
+the gcds themselves.  The moduli's profile (robust._Profile) gives theta,
+the reference modulus, the divisor-free check and the candidate sets.  The
+covers are enumerated depth first over index bit masks, skipping every set
+that adds no index to its prefix, extending no prefix that already covers
+every index and none that the later sets cannot complete.  Each distinct
+group of a cover of two or more groups is scored once, when a cover first
+holds it, as the max-min gcd and the lcm of its moduli; a cover is ranked
+by the multistage effective rule (_effective_gcds) over its groups' gcds
+and the cross gcd of their lcms.  Only the winning plan becomes a tree,
+and its StageBounds comes from multistage._layout.
 
 For moduli of the form M * c_i with pairwise-coprime c_i no grouping can
 help, and the search reports failure.

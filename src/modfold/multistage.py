@@ -14,24 +14,10 @@ node must have pairwise-distinct lcms.  Every walk over a tree goes through
 one iterative post-order walker, so a plan's depth is bounded by memory,
 not by the interpreter's recursion limit.
 
-One tree run serves the simulation and reconstruct_tree alike: it keeps
-one value table (the remainders, then each stage's estimate) and solves
-each stage of two or more inputs once, bottom-up, over table slots.  The
-per-index folding numbers are one sum of terms per leaf occurrence, made
-in a pass the run itself makes only when the plan repeats an index (its
-occurrences must agree), so both paths fail on the same inputs.
-
-The module also computes the stage-bound calculus: a per-group bound for
-each leaf, a cross bound for each internal node over its children's lcms,
-and the effective per-leaf bound (the minimum along the path to the root).
-Remainder errors strictly below the effective bounds guarantee exact
-recovery of every folding number.  Every bound is a stage's max-min gcd
-over 4, and _layout is the one place that computes a plan's stage gcds,
-each as robust._maxmin_gcd over the stage's parts: a leaf's moduli or a
-node's child lcms.  stage_bounds, per_group_reference_bounds and the
-grouping search's winning plan all take them from there.  The same call
-gives each stage's reference, the first position attaining its gcd,
-which the tree program and per_group_reference_bounds read.
+One tree run (_TreeProgram) serves the simulation and reconstruct_tree
+alike, so both fail on the same inputs.  The module also computes the
+stage-bound calculus of a plan (StageBounds), every stage's gcd coming
+from _layout.
 """
 
 from __future__ import annotations
@@ -237,12 +223,13 @@ def _layout(
 ) -> list[tuple[GroupTree, tuple[int, ...], tuple[int, ...], int, int]]:
     """The tree in post-order as (subtree, path, parts, reference, gcd).
 
-    parts are the values a stage solves over: a leaf's moduli, or a node's
-    child lcms.  gcd is the stage's bound gcd, the max-min gcd of its
-    parts, and reference the first position in parts attaining it, both
-    from _maxmin_gcd(parts).  The tree must already be valid
-    (validate_tree) over the moduli.  Raises DegenerateTreeError when
-    siblings share an lcm.
+    It is the one place that computes a plan's stage gcds: every bound of
+    the calculus is a stage's gcd over 4.  parts are the values a stage
+    solves over: a leaf's moduli, or a node's child lcms.  gcd is the
+    stage's bound gcd, the max-min gcd of its parts, and reference the
+    first position in parts attaining it, both from _maxmin_gcd(parts).
+    The tree must already be valid (validate_tree) over the moduli.
+    Raises DegenerateTreeError when siblings share an lcm.
     """
     lams: list[int] = []  # lcms of the subtrees not yet joined
     out = []
@@ -280,6 +267,9 @@ class StageBounds:
     cross: the root node's cross bound (None for a single-leaf tree).
     per_leaf_effective: min of the leaf's own bound and every ancestor
         cross bound.
+
+    Remainder errors strictly below the effective bounds guarantee exact
+    recovery of every folding number.
     """
 
     per_group: tuple[Fraction, ...]
@@ -367,7 +357,11 @@ def _stage_bounds(layout) -> StageBounds:
 def stage_bounds(
     tree: GroupTree | str | Sequence, moduli: Sequence[int]
 ) -> StageBounds:
-    """Group, cross and effective bounds of a plan over the given moduli."""
+    """Group, cross and effective bounds of a plan over the given moduli.
+
+    Each call checks the moduli, through their cached profile, and the
+    plan; it builds no solver plan.
+    """
     ms = _profile_of(moduli).moduli
     tree = parse_tree(tree)
     validate_tree(tree, len(ms))
@@ -382,6 +376,7 @@ def fused_error_bound(
     Taus must be nonnegative ints or Fractions and group sizes positive
     ints.
     """
+    taus, group_sizes = tuple(taus), tuple(group_sizes)
     if len(taus) != len(group_sizes):
         raise ValueError("taus and group_sizes lengths differ")
     if not taus:
@@ -409,13 +404,13 @@ class _TreeProgram:
     right), (index, terms) with one (step, input position, lcm of that
     input / M) term per step from the leaf up to the root (factor 1 at
     the leaf's own step), so foldings sums each occurrence's terms in one
-    pass.  run needs that pass only when the plan repeats an index.
+    pass.
 
     _stages gives the steps as (plan, slots): what a sweep's scans check
     and move, stage by stage (see the simulate module).
 
-    Each step's reference is the first index attaining its parts' max-min
-    gcd, read from the layout (as select_reference would pick it).
+    Each step's reference is its stage's layout reference, the index
+    select_reference would pick.
 
     Building a program checks the moduli (positive, distinct, nonempty,
     through their profile) and the tree, so a cached program's inputs are
@@ -555,9 +550,10 @@ def reconstruct_tree(
     # program; the program checks the rest of the moduli once, when built
     ms = _check_ints("modulus", moduli)
     tree = parse_tree(tree)
-    if len(remainders) != len(ms):
+    rt = tuple(remainders)
+    if len(rt) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
-    rt = _check_ints("remainder", remainders)
+    rt = _check_ints("remainder", rt)
     program = _program_for(ms, tree)
     (table, folds), _, composed = program.run(rt)
     folding, estimate = composed or program.foldings(folds, table)

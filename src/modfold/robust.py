@@ -9,18 +9,9 @@ bounds computed here.  The method:
   2. divide each remainder difference by gcd(M_k, M_i) and round it to an
      integer quotient estimate,
   3. turn the quotient estimates into congruences for n_k via modular
-     inverses and solve them with the generalized CRT merge, whose
-     schedule is precomputed once per (moduli, reference),
+     inverses and solve them with the generalized CRT merge,
   4. derive every other folding number by an exact division (the merged
      n_k meets n_k * c_i == q_i (mod n_i) for every i, so it always is).
-
-Every design quantity of a moduli set comes from one pairwise gcd table:
-the bound theta, the reference modulus of step 1, the per-remainder bounds,
-the exactness condition and each folding plan's gcds of step 2.  The table and what is read from
-it form the set's profile, built and validated once per moduli tuple and
-cached; theta_bound, select_reference, per_remainder_bounds,
-check_ns_condition, the folding plans and the grouping search all read
-it.
 
 Failures of step 3 or 4 (contradictory congruences, negative folding
 numbers) are diagnostic evidence that the errors exceeded the admissible
@@ -31,16 +22,9 @@ The fused estimate of N is the half-up-rounded average of the per-modulus
 reconstructions, which keeps |estimate - N| within the remainder error level
 whenever the folding numbers are exact.
 
-One solve is a fused kernel over constants built once per plan: a single
-loop rounds each quotient estimate and applies its CRT merge step at once
-(steps 2 and 3), and a single loop derives the other folding numbers
-(step 4).  The fused sum needs no third pass: with q_i, e_i the quotient
-and remainder of (2(r_i - r_k) + g_i) / 2g_i, and f_i M_i = (n_k c_i - q_i)
-g_i for an exact derivation, the sum of f_i M_i + r_i over all i equals
-L (n_k M_k + r_k) + (sum of e_i - sum of g_i) / 2, so the estimate is
-n_k M_k + r_k plus one integer division of the summed rounding remainders.
-Every step is exact integer arithmetic; the results equal those of the
-separate passes bit for bit.
+Every design quantity of a moduli set comes from its pairwise gcd table
+(_Profile).  One solve is a fused kernel over constants built once per
+(moduli, reference) (_FoldingPlan).
 """
 
 from __future__ import annotations
@@ -157,9 +141,7 @@ def _maxmin_gcd(values: Sequence[int]) -> tuple[int, int]:
     stands in, which makes the bound of a one-modulus group M/4.  Each row
     starts from the value itself (every gcd with it is at most the value)
     and stops once its minimum can no longer beat the best row so far.
-    It is the one max-min routine: a set's theta and reference
-    (_Profile), every stage's bound gcd and reference (multistage._layout)
-    and each group's and cover's gcd in the grouping search.
+    It is the package's one max-min routine.
     """
     gcd = math.gcd
     best, best_i = -1, 0
@@ -187,6 +169,10 @@ def _quarter(g: int) -> Fraction:
 
 class _Profile:
     """The pairwise gcd analysis of one moduli tuple, read by every caller.
+
+    The bound theta, the reference modulus, the per-remainder bounds, the
+    exactness condition and each folding plan's gcds all come from its
+    table; _profile caches one per moduli tuple.
 
     table[i][j] is gcd(M_i, M_j), with M_i itself on the diagonal.  No
     entry of row i exceeds M_i, so the least entry of row i is the least
@@ -322,6 +308,7 @@ def check_ns_condition(
     Deltas and moduli must be ints.
     """
     ms = _profile_of(moduli).moduli
+    deltas = tuple(deltas)
     if len(deltas) != len(ms):
         raise ValueError("deltas and moduli lengths differ")
     _check_index("reference index", k, len(ms))
@@ -355,8 +342,8 @@ class _FoldingPlan:
     merge schedule (g', n / g', inv', running modulus), taken from
     congruence._merge_schedule over the n's; derive holds (i, n, c) per
     index.  So one solve is one loop over head and steps, which rounds
-    each quotient estimate and merges its congruence at once, and one
-    loop over derive.
+    each quotient estimate and merges its congruence at once (steps 2
+    and 3 of the method), and one loop over derive (step 4).
 
     The fused estimate needs no pass of its own.  With the quotient
     estimate and the rounding remainder e_i taken together,
@@ -364,7 +351,9 @@ class _FoldingPlan:
     f_i M_i = (n_k c_i - q_i) g_i, the sum of f_i M_i + r_i over all i is
     L (n_k M_k + r_k) + (sum of e_i - sum of g_i) / 2.  Its half-up
     rounded mean is therefore n_k M_k + r_k + (sum of e_i + bias) // 2L
-    with bias = L - sum of g_i, computed exactly.
+    with bias = L - sum of g_i, computed exactly.  Every step is exact
+    integer arithmetic, so each folding number, estimate, failure reason
+    and partial result equals that of the separate passes bit for bit.
 
     pairs holds (i, g_i) per index i != k: the exactness condition the
     sweep checks, and the window it certifies, are stated once, in the
@@ -416,9 +405,8 @@ def _solve_with_plan(
 ) -> tuple[tuple[int, ...], int]:
     """Hot path shared by solve_folding and the multi-stage engine.
 
-    The merge steps are congruence._merge's loop applied inline, one per
-    quotient estimate as it is rounded; see _FoldingPlan for the fused
-    estimate.
+    The merge steps are congruence._merge's loop applied inline; see
+    _FoldingPlan for the loops and the fused estimate.
     """
     r_ref = remainders[plan.k]
     i, g, g2, n, inv = plan.head
@@ -468,10 +456,11 @@ def solve_folding(
     # exact ints first: (135.0, 180, 162) would hit the int tuple's plan;
     # the plan checks the rest of the moduli once, when it is built
     ms = _check_ints("modulus", moduli)
-    if len(remainders) != len(ms):
+    rt = tuple(remainders)
+    if len(rt) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
     _check_index("reference index", k, len(ms))
-    rt = _check_ints("remainder", remainders)
+    rt = _check_ints("remainder", rt)
     folding, est = _solve_with_plan(_folding_plan(ms, k), rt)
     return FoldingSolution(folding, est, k)
 
@@ -491,14 +480,15 @@ def folding_oracle(
     Raises SearchCapExceeded when lcm exceeds cap.
     """
     ms = validate_moduli(moduli)
-    if len(remainders) != len(ms):
+    rt = tuple(remainders)
+    if len(rt) != len(ms):
         raise ValueError("remainders and moduli lengths differ")
     _check_exact("tau", tau, 0)
     _check_int("cap", cap)
     lam = math.lcm(*ms)
     if lam > cap:
         raise SearchCapExceeded("the lcm of the moduli exceeds the cap")
-    rt = _check_ints("remainder", remainders)
+    rt = _check_ints("remainder", rt)
     out: list[FoldingSolution] = []
     seen: set[tuple[int, ...]] = set()
     for n in range(lam):

@@ -36,14 +36,15 @@ check stage by stage, on each stage's actual input errors (a tree's
 inner stages see their children's moves), and gives the root estimate's
 move, or stops at the first stage that fails; a plan with no stage has
 no condition.  robust.check_ns_condition is the same test for one
-stage, read from the moduli's gcd table.
+stage.
 
 So a trial whose errors pass the check is scored as the error-free
 anchor's outcome plus the returned move, and a trial that fails it runs
 the solver on its erroneous remainders.  The anchor is the solve on the
 trial's true remainders: one per trial, made when the trial is drawn, so
-the rows stay tied to the solver's own output.  Both ways give the rows
-the solver gives.  The move is the root stage's, the estimate a tree
+the rows stay tied to the solver's own output and a fault in the merge or
+the derivation still shows in every row.  Both ways give the rows the
+solver gives.  The move is the root stage's, the estimate a tree
 sweep scores; for the occurrence estimate it would be the rounded mean
 over leaf occurrences.
 
@@ -55,25 +56,13 @@ level's window width (tau one-sided, 2 tau symmetric).  A level with
 2w < G is certified: clamping only moves an error toward 0, and a
 half-up rounded mean of values in [lo, hi] stays in [lo, hi], so every
 stage's input errors lie in one window of width w and meet the
-condition.  A certified level is scored as the anchor plus the same move
-without the check; every other level checks each trial.
+condition: one-sided errors certify tau < G/2, symmetric ones tau < G/4.
+A certified level is scored as the anchor plus the same move without the
+check; every other level checks each trial.  On (135, 180, 162) about
+88% of the trials pass the check at one-sided levels 14-25.
 
-Every row of a block holds [x_0..x_{L-1}, r_0..r_{L-1}, a]: the raw
-error draws, the true remainders n mod M_j and the anchor offset a, the
-anchor's estimate minus n, all taken once, at the draw.  A level is
-scored over a block by one call of a scan, straight-line code that
-_compile_scans generates per plan and clamping, on the plan's first
-sweep (_scans keeps each pair; solving and designing build none).  One
-loop over the rows computes each error d_j from its raw draw
-(x_j % span - off, clamped with the moduli as constants so that
-r_j + d_j stays in [0, M_j - 1] when the remainders are clamped; the
-plain and clamped scans differ only in that line), then one local per stage's move in run order, and keeps
-the level's total, maximum and violations in locals.  The checked scan
-puts each stage's pair tests before its move as one chain of
-comparisons.  It hands back each failing trial with its erroneous
-remainders r_j + d_j, which the solver runs on.  The certified scan has
-no tests.  So a trial-level costs a few integer operations per stage and
-per pair, with no call, list or table of its own.
+A level is scored over a block by one call of a scan, generated per plan
+and clamping (_compile_scans).
 
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
@@ -190,8 +179,7 @@ def run_trials(cfg: TrialConfig) -> TrialStats:
 def sweep(cfg_base: TrialConfig, taus: Iterable[int]) -> list[TrialStats]:
     """One campaign per error level, same seed and trial count.
 
-    Each row equals run_trials(replace(cfg_base, tau=tau)); the trials are
-    drawn once and replayed at every level.
+    Each row equals run_trials(replace(cfg_base, tau=tau)).
     """
     return _run_levels(cfg_base, [_check_int("tau", t, 0) for t in taus])
 
@@ -235,20 +223,31 @@ _SCORE = """e = a + {root}
 def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
     """Generate (scan, checked_scan) for a run of stages.
 
+    It is the package's only code generator (solving, decoding and
+    designing build no code); _scans keeps its output per plan and
+    clamping.
+
     stages holds (plan, slots) per stage in run order: plan is the
     stage's robust._FoldingPlan (only its k and pairs are read) and slots
     are its input slots: 0..L-1 hold the remainder errors and L + s holds
     stage s's move, (2 sum(d) + c) // 2c over its c inputs d.  The root
     move is the last slot's.
 
-    Both scan one level over rows [x_0..x_{L-1}, r_0..r_{L-1}, a] with
-    error d_j = x_j % span - off, clamped when clamp so that r_j + d_j
-    lies in [0, M_j - 1].  scan returns the total, maximum and count
-    above tau of |a + root move|.  checked_scan(rows, span, off, tau,
-    failed) puts before each move the stage's condition,
-    -g <= 2 (d_i - d_k) < g per (i, g) of plan.pairs, sums only passing
-    trials, and appends (position, r_0 + d_0, ..., r_{L-1} + d_{L-1}) of
-    a failing trial to failed.
+    Both scan one level over a block's rows [x_0..x_{L-1},
+    r_0..r_{L-1}, a]: the raw error draws, the true remainders n mod M_j
+    and the anchor offset a (the anchor's estimate minus n), all taken
+    once, at the draw.  The loop body is straight-line code: each error
+    d_j = x_j % span - off (clamped when clamp, so that r_j + d_j lies in
+    [0, M_j - 1]; the only line in which the plain and clamped scans
+    differ), then one local per stage's move in run order, and the
+    level's total, maximum and count above tau of |a + root move| in
+    locals.  So a trial-level costs a few integer operations per stage
+    and per pair, with no call, list or table of its own.  scan has no
+    tests.  checked_scan(rows, span, off, tau, failed) puts before each
+    move the stage's condition, -g <= 2 (d_i - d_k) < g per (i, g) of
+    plan.pairs, as one chain of comparisons, sums only passing trials,
+    and appends (position, r_0 + d_0, ..., r_{L-1} + d_{L-1}) of a
+    failing trial to failed, for the solver to run on.
 
     Every gcd, size and modulus is a factory parameter, never source
     text (str() of an int past the digit limit raises ValueError), and
@@ -314,12 +313,8 @@ def _scans(plan, clamp: bool):
 def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     """Run cfg's trials once and score every trial at each level of taus.
 
-    Trials are drawn once, in blocks of _BLOCK rows, and each level is
-    scored over a block by one call of the plan's scan, certified or
-    checked (see the module docstring); clamping only picks the scans.
-    The failing trials of a checked scan run the solver on the
-    remainders it hands back.  Each trial's anchor is solved once, when
-    it is drawn.  cfg.tau is unused.
+    The sweep the module docstring describes; clamping only picks the
+    scans.  cfg.tau is unused.
     """
     if not taus:
         return []

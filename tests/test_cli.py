@@ -257,6 +257,37 @@ class TestDeepGrouping:
         assert err.startswith("error:") and "too deep" in err
 
 
+class TestEmptyGrouping:
+    """An empty --grouping is an invalid plan, not an absent one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "135", "180", "162"),
+            ("reconstruct", "135", "180", "162", "--remainders", "31", "162",
+             "111"),
+            ("simulate", "135", "180", "162", "--tau-max", "1", "--trials",
+             "5"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--grouping=")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_reference_is_still_refused(self, capsys):
+        code, out, err = run(
+            capsys, "reconstruct", "135", "180", "162",
+            "--remainders", "31", "162", "111", "--grouping=",
+            "--reference", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--reference" in err
+
+
 class TestParsing:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,8 +15,8 @@ from modfold.intmath import (
     round_half_up,
     round_half_up_div,
 )
-from modfold.multistage import reconstruct_tree
-from modfold.robust import solve_folding
+from modfold.multistage import fused_error_bound, reconstruct_tree
+from modfold.robust import check_ns_condition, folding_oracle, solve_folding
 
 
 class TestModInverse:
@@ -225,3 +225,30 @@ class TestPublicRejectionOrder:
         assert solve_folding(MS, [Level.HIGH, 7, 7], 0).estimate == 7
         tree = reconstruct_tree(MS, [Level.HIGH, 7, 7], TREE)
         assert tree.final.estimate == 7
+
+
+class TestIteratorInputs:
+    """Each sequence argument may be any iterable, read exactly once."""
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (solve_folding, (MS, [31, 162, 111], 0)),
+            (reconstruct_tree, (MS, [31, 162, 111], TREE)),
+            (check_ns_condition, ([1, -2, 3], MS, 0)),
+            (fused_error_bound, ([Fraction(9, 2), 3], [2, 1])),
+            (folding_oracle, ((8, 12, 15), [5, 9, 14], 1)),
+        ],
+        ids=["solve_folding", "reconstruct_tree", "check_ns_condition",
+             "fused_error_bound", "folding_oracle"],
+    )
+    def test_an_iterator_acts_as_its_list(self, call, args):
+        expected = call(*args)
+        iterated = [iter(a) if isinstance(a, list) else a for a in args]
+        assert call(*iterated) == expected
+
+    def test_an_iterator_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            solve_folding(MS, iter([5, 184]), 0)
+        with pytest.raises(ValueError, match="lengths differ"):
+            reconstruct_tree(MS, iter([5, 184]), TREE)
