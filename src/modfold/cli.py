@@ -94,11 +94,8 @@ def _cmd_bounds(args) -> int:
         for path, cb in b.node_cross:
             label = "root" if not path else "node " + "/".join(map(str, path))
             lines.append(f"cross bound at {label}: {_pq(cb)}")
-        try:
+        if len(b.node_cross) == 1:  # one inner node: a depth-2 plan
             ref = per_group_reference_bounds(tree, ms)
-        except ValueError:
-            pass  # reference bounds are defined for depth-2 plans only
-        else:
             lines.append(f"reference group: {ref.reference}")
             lines += [
                 f"tau[group {j}] < {_pq(t)}"

@@ -33,7 +33,7 @@ class InconsistentSystem(ValueError):
 
 @dataclass(frozen=True)
 class CongruenceSystem:
-    """A system x == residues[i] (mod moduli[i]), residues stored reduced."""
+    """A nonempty system x == residues[i] (mod moduli[i]), residues reduced."""
 
     residues: tuple[int, ...]
     moduli: tuple[int, ...]
@@ -45,6 +45,8 @@ class CongruenceSystem:
             raise ValueError(
                 f"{len(residues)} residues but {len(moduli)} moduli"
             )
+        if not moduli:
+            raise ValueError("empty congruence system")
         _check_positive(moduli)
         # frozen: set the fields past the dataclass's __setattr__
         vars(self).update(
@@ -117,8 +119,6 @@ def crt_general(system: CongruenceSystem) -> int:
     The result is the canonical representative in [0, lcm(moduli)).
     Raises InconsistentSystem when the congruences contradict each other.
     """
-    if len(system) == 0:
-        raise ValueError("empty congruence system")
     x = _merge(_merge_schedule(system.moduli), system.residues)
     if x is None:
         # a system is solvable iff every pair of its congruences is
@@ -141,8 +141,6 @@ def crt_coprime_closed_form(system: CongruenceSystem) -> int:
     Agrees with crt_general on every coprime system; rejects non-coprime
     moduli with ValueError.
     """
-    if len(system) == 0:
-        raise ValueError("empty congruence system")
     mods = system.moduli
     for i in range(len(mods)):
         for j in range(i + 1, len(mods)):

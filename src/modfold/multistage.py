@@ -105,6 +105,10 @@ class Leaf(_CachedHash):
         if not isinstance(self.indices, tuple):
             raise ValueError("leaf indices must be a tuple")
         _check_ints("leaf index", self.indices)
+        if not self.indices:
+            raise ValueError("leaf with no indices")
+        if len(set(self.indices)) != len(self.indices):
+            raise ValueError("a leaf repeats an index")
 
     __hash__ = _CachedHash.__hash__  # or the dataclass would set its own
 
@@ -121,6 +125,8 @@ class Node(_CachedHash):
             isinstance(c, (Leaf, Node)) for c in self.children
         ):
             raise ValueError("node children must be a tuple of Leaf and Node")
+        if len(self.children) < 2:
+            raise ValueError("inner node needs at least two children")
 
     __hash__ = _CachedHash.__hash__
 
@@ -142,6 +148,10 @@ def parse_tree(layout: GroupTree | str | Sequence) -> GroupTree:
         return _parse_node(data)
     except RecursionError:
         raise ValueError("grouping is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"grouping is not valid JSON: {exc.msg} at character {exc.pos}"
+        ) from None
 
 
 def _parse_node(data) -> GroupTree:
@@ -192,21 +202,16 @@ def tree_leaves(tree: GroupTree | str | Sequence) -> list[Leaf]:
 
 
 def validate_tree(tree: GroupTree | str | Sequence, n_moduli: int) -> None:
-    """Structural checks: index range, full coverage, node arity."""
+    """Check a plan against a moduli count: index range and coverage.
+
+    A Leaf or Node checks its own shape when it is built.
+    """
     _check_int("n_moduli", n_moduli, 0)
     seen: set[int] = set()
-    for t, _ in _post_order(parse_tree(tree)):
-        if isinstance(t, Node):
-            if len(t.children) < 2:
-                raise ValueError("inner node needs at least two children")
-            continue
-        if len(t.indices) == 0:
-            raise ValueError("leaf with no indices")
-        if len(set(t.indices)) != len(t.indices):
-            raise ValueError("a leaf repeats an index")
-        for i in t.indices:
+    for leaf in tree_leaves(tree):
+        for i in leaf.indices:
             _check_index("leaf index", i, n_moduli)
-        seen.update(t.indices)
+        seen.update(leaf.indices)
     # every index seen is in range, so the leaves cover them all exactly
     # when they hold n_moduli distinct ones; the message prints only
     # numbers bounded by the plan's size, as n_moduli may be too long

@@ -125,8 +125,8 @@ def _splitmix64(seed: int, index: int) -> int:
 class TrialConfig:
     """One simulation campaign.
 
-    tree=None runs the single-stage solver with the automatic reference;
-    otherwise the grouping plan (a GroupTree, a JSON string or nested
+    tree=None runs the single-stage solver (two or more moduli, automatic
+    reference); otherwise the plan (a GroupTree, a JSON string or nested
     lists, parsed at construction) drives a multi-stage reconstruction.
     error_model "one-sided" draws integer errors uniformly from {0..tau},
     "symmetric" from {-tau..tau}.  clamp_remainders forces perturbed
@@ -145,6 +145,8 @@ class TrialConfig:
         object.__setattr__(self, "moduli", validate_moduli(self.moduli))
         if self.tree is not None:
             object.__setattr__(self, "tree", parse_tree(self.tree))
+        elif len(self.moduli) < 2:
+            raise ValueError("single-stage simulation needs >= 2 moduli")
         _check_int("trials", self.trials, 1)
         _check_int("tau", self.tau, 0)
         _check_int("rng_seed", self.rng_seed)
@@ -322,8 +324,6 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     size = len(ms)
     lam = math.lcm(*ms)
     if cfg.tree is None:
-        if size < 2:
-            raise ValueError("single-stage simulation needs >= 2 moduli")
         plan = _folding_plan(ms, select_reference(ms))
         reconstruct = partial(_solve_with_plan, plan)
     else:
@@ -492,8 +492,6 @@ def verify_exactness_condition(
     cond = condition or _ns_condition
     plan = _folding_plan(ms, k)
 
-    cases = 0
-    cond_true = 0
     suff: list[tuple[int, tuple[int, ...]]] = []
     nec: list[tuple[int, tuple[int, ...]]] = []
     n_suff = 0
@@ -507,10 +505,7 @@ def verify_exactness_condition(
         base = [n % m for m in ms]
         truth = tuple(n // m for m in ms)
         for deltas, ok in vectors:
-            cases += 1
             rt = [r + d for r, d in zip(base, deltas)]
-            if ok:
-                cond_true += 1
             try:
                 folding, _ = _solve_with_plan(plan, rt)
                 exact = folding == truth
@@ -528,8 +523,8 @@ def verify_exactness_condition(
         moduli=ms,
         reference=k,
         window=window,
-        cases=cases,
-        condition_true=cond_true,
+        cases=total,
+        condition_true=lam * sum(1 for _, ok in vectors if ok),
         sufficiency_counterexamples=tuple(suff),
         necessity_counterexamples=tuple(nec),
         sufficiency_failures=n_suff,

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from modfold import cli
 from modfold.cli import _build_parser, main
 
 
@@ -52,6 +53,32 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "70", "70")
         assert code == 2
         assert "distinct" in err
+
+    def test_reference_bounds_only_on_depth_two(self, capsys, monkeypatch):
+        # the plan's depth, not an exception, decides whether the
+        # reference lines are made, so a fault inside the call surfaces
+        def broken(tree, moduli):
+            raise ValueError("reference bounds failed")
+
+        monkeypatch.setattr(cli, "per_group_reference_bounds", broken)
+        code, out, err = run(
+            capsys, "bounds", "135", "180", "162", "--grouping", "[[0,1],[2]]"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: reference bounds failed\n"
+        for grouping in ("[0,1,2]", "[[[0],[1]],[2]]"):
+            code, out, _ = run(
+                capsys, "bounds", "135", "180", "162", "--grouping", grouping
+            )
+            assert code == 0
+            assert "reference group" not in out
+
+    def test_structural_fault_before_index_fault(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "8", "12", "15", "--grouping", "[[0,5],[1,1]]"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: a leaf repeats an index\n"
 
     def test_invalid_input_prints_nothing(self, capsys):
         # every value is computed before the first line is printed
@@ -275,7 +302,10 @@ class TestEmptyGrouping:
         code, out, err = run(capsys, *argv, "--grouping=")
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err == (
+            "error: grouping is not valid JSON: Expecting value at "
+            "character 0\n"
+        )
 
     def test_reference_is_still_refused(self, capsys):
         code, out, err = run(

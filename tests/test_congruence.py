@@ -180,6 +180,15 @@ class TestCongruenceSystem:
         with pytest.raises(ValueError):
             CongruenceSystem([1], [0])
 
+    def test_empty_system_rejected_at_construction(self):
+        with pytest.raises(ValueError) as info:
+            CongruenceSystem([], [])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "empty congruence system"
+        # lengths are compared first, as before
+        with pytest.raises(ValueError, match="1 residues but 0 moduli"):
+            CongruenceSystem([1], [])
+
     def test_rejects_non_int(self):
         with pytest.raises(ValueError, match="n must be an int"):
             remainders_of(1000.5, (7, 9))

@@ -86,6 +86,24 @@ class TestTreeStructure:
             with pytest.raises(ValueError, match="leaf index"):
                 parse_tree(layout)
 
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ("", "grouping is not valid JSON: Expecting value at character 0"),
+            (
+                "[[0,1],[2]",
+                "grouping is not valid JSON: Expecting ',' delimiter at "
+                "character 10",
+            ),
+        ],
+        ids=["empty", "unclosed"],
+    )
+    def test_malformed_json_names_the_grouping(self, layout, message):
+        with pytest.raises(ValueError) as info:
+            parse_tree(layout)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
     def test_parse_returns_tree_unchanged(self):
         tree = parse_tree("[[0,1],[2]]")
         assert parse_tree(tree) is tree
@@ -145,6 +163,56 @@ class TestTreeStructure:
                 "the leaves cover 2 moduli indices; index 2 is the first in "
                 "no leaf"
             )
+
+
+class TestShapeAtConstruction:
+    """A Leaf or Node rejects a shape no reader accepts when it is built."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Leaf(()), "leaf with no indices"),
+            (lambda: Leaf((0, 0)), "a leaf repeats an index"),
+            (lambda: Node((Leaf((0,)),)), "inner node needs at least two children"),
+            (lambda: Node(()), "inner node needs at least two children"),
+            (
+                lambda: dataclasses.replace(Leaf((0, 1)), indices=()),
+                "leaf with no indices",
+            ),
+            (
+                lambda: dataclasses.replace(
+                    parse_tree("[[0],[1]]"), children=(Leaf((0,)),)
+                ),
+                "inner node needs at least two children",
+            ),
+            # the tuple and int checks come first
+            (lambda: Leaf([]), "leaf indices must be a tuple"),
+            (lambda: Leaf((1, 1.0)), "leaf index must be an int, got 1.0"),
+            (lambda: Node([]), "node children must be a tuple of Leaf and Node"),
+        ],
+        ids=[
+            "empty_leaf", "repeat", "one_child", "no_child", "replace_leaf",
+            "replace_node", "leaf_list", "leaf_float", "node_list",
+        ],
+    )
+    def test_type_and_message(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_structural_fault_reported_before_index_fault(self):
+        # the repeat is found when the plan is parsed, before any index is
+        # compared with the moduli count
+        for call in (
+            lambda: parse_tree("[[0,5],[1,1]]"),
+            lambda: validate_tree("[[0,5],[1,1]]", 3),
+            lambda: stage_bounds("[[0,5],[1,1]]", (8, 12, 15)),
+        ):
+            with pytest.raises(ValueError, match="^a leaf repeats an index$"):
+                call()
+        with pytest.raises(ValueError, match="^leaf index out of range$"):
+            validate_tree("[[0,5],[1,2]]", 3)
 
 
 class TestStageBounds:
@@ -997,7 +1065,9 @@ class TestResultObjects:
             back = pickle.loads(data)
             assert all("_hash" not in vars(t) for t, _ in _post_order(back))
         # a copy is rebuilt from its field too, and checked as it is built
-        assert "_hash" not in vars(copy.deepcopy(tree))
+        copied = copy.deepcopy(tree)
+        assert "_hash" not in vars(copied)
+        assert copied == tree and hash(copied) == hash(tree)
 
 
 class TestExactIntegers:
@@ -1125,7 +1195,7 @@ class TestEffectiveBoundSoundness:
         assert checked > 100
 
 
-class TestCheckedShift:
+class TestCheckedScan:
     """The sweep's stage-wise exactness check against the tree run."""
 
     def test_certificates_match_the_tree_run(self, checked_move):

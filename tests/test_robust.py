@@ -217,7 +217,7 @@ class TestQHatAndCondition:
             _FoldingPlan((8,), 0)
 
 
-class TestCheckedShift:
+class TestCheckedScan:
     def test_pairs(self):
         plan = _folding_plan(EX1, 3)
         assert plan.pairs == ((0, 10), (1, 15), (2, 10))

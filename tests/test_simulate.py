@@ -90,6 +90,16 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(moduli=(135, 180, 162), tree=layout)
 
+    def test_one_modulus_single_stage_rejected_at_construction(self):
+        with pytest.raises(ValueError) as info:
+            TrialConfig(moduli=(135,))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "single-stage simulation needs >= 2 moduli"
+        # a plan over the one modulus is a valid config
+        cfg = TrialConfig(moduli=(135,), tree="[0]", tau=3, trials=20)
+        with pytest.raises(ValueError, match="needs >= 2 moduli"):
+            replace(cfg, tree=None)
+
 
 class TestRunTrials:
     def test_zero_tau_is_error_free(self):
@@ -867,6 +877,25 @@ class TestVerifyExactness:
         assert rep.necessity_failures == len(nec) > 20
         assert rep.necessity_counterexamples == tuple(nec[:20])
         assert rep.sufficiency_failures == 0
+
+    def test_counts_cases_and_truthy_conditions(self):
+        # the counts of a per-(N, vector) tally, for a condition that
+        # returns truthy values other than True
+        def weighted(deltas, ms, k):
+            return 3 * check_ns_condition(deltas, ms, k)
+
+        ms, window = (8, 12, 15), 2
+        rep = verify_exactness_condition(ms, window=window, condition=weighted)
+        k = select_reference(ms)
+        vectors = list(product(range(-window, window + 1), repeat=3))
+        cases = cond_true = 0
+        for _ in range(math.lcm(*ms)):
+            for deltas in vectors:
+                cases += 1
+                cond_true += bool(weighted(deltas, ms, k))
+        assert (rep.cases, rep.condition_true) == (cases, cond_true)
+        assert 0 < cond_true < cases
+        assert rep == verify_exactness_condition(ms, window=window)
 
     def test_cap(self):
         with pytest.raises(SearchCapExceeded):
