@@ -28,7 +28,13 @@ quotient estimates, merge, folding numbers and success are the
 error-free ones, and each e_i grows by exactly 2(d_i - d_k).  The fused
 estimate, n_k M_k + r_k + (sum of e_i + bias) // 2c (robust._FoldingPlan),
 then moves by d_k + (2 sum(d_i - d_k) + c) // 2c = (2 sum(d) + c) // 2c,
-the half-up rounded mean of the stage's input errors: its move.  The
+the half-up rounded mean of the stage's input errors: its move.  Adding
+an integer s to every input error adds s to the move, since (2 sum(d) +
+2cs + c) // 2c is the move plus s, and leaves every difference d_i - d_k,
+so the condition, as it was; inputs that are a child stage's moves shift
+with their child.  So a scan may carry a level's symmetric offset in
+every error and take it off the root move once; clamping does not
+commute with a shift, so a clamped scan takes it off each error.  The
 condition is also necessary: a pair outside it changes that quotient
 estimate, and with it the folding numbers, so a stage that fails it
 loses its error-free folding numbers.  A plan's checked scan makes that
@@ -61,8 +67,9 @@ A certified level is scored as the anchor plus the same move without the
 check; every other level checks each trial.  On (135, 180, 162) about
 88% of the trials pass the check at one-sided levels 14-25.
 
-A level is scored over a block by one call of a scan, generated per plan
-and clamping (_compile_scans).
+A block is drawn by one call of a drawer, and a level is scored over it
+by one call of a scan, both generated per plan and clamping
+(_compile_scans).
 
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
@@ -194,8 +201,8 @@ def _sum_source(names: Sequence[str]) -> str:
     return f"({_sum_source(names[:half])} + {_sum_source(names[half:])})"
 
 
-# the generated source of a scan pair: a factory whose parameters are the
-# constants its functions read
+# the generated source of a plan's scans and drawer: a factory whose
+# parameters are the constants its functions read
 _SCANS = """def factory({params}):
     def scan(rows, span, off, tau):
         total = top = bad = 0
@@ -210,9 +217,25 @@ _SCANS = """def factory({params}):
             {checked}
             {score}
         return total, top, bad
-    return scan, checked_scan"""
-# a scan's score of one trial: |a + root move| into the level's sums
-_SCORE = """e = a + {root}
+
+    def draw(seed, start, stop, reconstruct):
+        ns, rows = [], []
+        step = (seed + start * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        for _ in range(start, stop):
+            z = step = (step + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            {mix}
+            key = z ^ (z >> 31)
+            {draws}
+            ns.append(n)
+            rows.append([{row}])
+        return ns, rows
+    return scan, checked_scan, draw"""
+# splitmix64's two mixing rounds on z, as _splitmix64 computes them
+_MIX = """z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF"""
+# a scan's score of one trial: |a + root move - shift| into the level's
+# sums, where shift is what the scan left in every error
+_SCORE = """e = a + {root}{shift}
             if e < 0:
                 e = -e
             total += e
@@ -223,7 +246,7 @@ _SCORE = """e = a + {root}
 
 
 def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
-    """Generate (scan, checked_scan) for a run of stages.
+    """Generate (scan, checked_scan, draw) for a run of stages.
 
     It is the package's only code generator (solving, decoding and
     designing build no code); _scans keeps its output per plan and
@@ -235,25 +258,37 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
     stage s's move, (2 sum(d) + c) // 2c over its c inputs d.  The root
     move is the last slot's.
 
-    Both scan one level over a block's rows [x_0..x_{L-1},
-    r_0..r_{L-1}, a]: the raw error draws, the true remainders n mod M_j
-    and the anchor offset a (the anchor's estimate minus n), all taken
-    once, at the draw.  The loop body is straight-line code: each error
-    d_j = x_j % span - off (clamped when clamp, so that r_j + d_j lies in
-    [0, M_j - 1]; the only line in which the plain and clamped scans
-    differ), then one local per stage's move in run order, and the
-    level's total, maximum and count above tau of |a + root move| in
-    locals.  So a trial-level costs a few integer operations per stage
-    and per pair, with no call, list or table of its own.  scan has no
-    tests.  checked_scan(rows, span, off, tau, failed) puts before each
-    move the stage's condition, -g <= 2 (d_i - d_k) < g per (i, g) of
-    plan.pairs, as one chain of comparisons, sums only passing trials,
-    and appends (position, r_0 + d_0, ..., r_{L-1} + d_{L-1}) of a
-    failing trial to failed, for the solver to run on.
+    draw(seed, start, stop, reconstruct) draws trials start..stop-1 of a
+    run seeded with seed, as the module docstring defines them, and
+    returns (ns, rows): the unknowns and one row [x_0..x_{L-1},
+    r_0..r_{L-1}, a] per trial, the raw error draws, the true remainders
+    n mod M_j and the anchor offset a = reconstruct((r_0, ...,
+    r_{L-1}))[1] - n.  Its loop body computes splitmix64 inline: the
+    trial key's input steps by gamma = 0x9E3779B97F4A7C15 from seed +
+    start * gamma, and draw j adds (j + 1) * gamma to the key, so it
+    equals _splitmix64 bit for bit.
 
-    Every gcd, size and modulus is a factory parameter, never source
-    text (str() of an int past the digit limit raises ValueError), and
-    sums are balanced (a long + chain exhausts the compiler's recursion).
+    Both scans score one level over a block's rows, so a row's cells are
+    each taken once, at the draw.  The loop body is straight-line code:
+    each error d_j, then one local per stage's move in run order, and the
+    level's total, maximum and count above tau of |a + root move| in
+    locals.  A plain scan's error is d_j = x_j % span, which carries the
+    level's offset off, so every move carries it too and the scan scores
+    a + root move - off (the module docstring says why).  A clamped scan
+    takes off from each error, d_j = x_j % span - off, and cuts it so
+    that r_j + d_j lies in [0, M_j - 1].  So a trial-level costs a few
+    integer operations per stage and per pair, with no call, list or
+    table of its own.  scan has no tests.  checked_scan(rows, span, off,
+    tau, failed) puts before each move the stage's condition, -g <= 2
+    (d_i - d_k) < g per (i, g) of plan.pairs, as one chain of
+    comparisons, sums only passing trials, and appends (position, r_0 +
+    d_0 - off, ..., r_{L-1} + d_{L-1} - off) of a failing trial to
+    failed, for the solver to run on (without - off when clamped).
+
+    Every gcd, size, modulus, the lcm and the draw steps (j + 1) * gamma
+    are factory parameters, never source text (str() of an int past the
+    digit limit raises ValueError), and sums are balanced (a long + chain
+    exhausts the compiler's recursion).
     """
     consts: dict[int, str] = {}
 
@@ -271,9 +306,10 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
                 f" else d{j}) - r{j}",
             ]
         else:
-            plain.append(f"d{j} = x{j} % span - off")
+            plain.append(f"d{j} = x{j} % span")
+    shift = "" if clamp else " - off"
     checked = list(plain)
-    handback = "".join(f", r{j} + d{j}" for j in range(size))
+    handback = "".join(f", r{j} + d{j}{shift}" for j in range(size))
     table = [f"d{j}" for j in range(size)]
     for plan, slots in stages:
         ins = [table[j] for j in slots]
@@ -293,13 +329,26 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
             f"    failed.append((pos{handback})); continue",
             move,
         ]
-    cells = [f"{v}{j}" for v in "xr" for j in range(size)] + ["a"]
+    # a trial's draw j is splitmix64 of its key stepped by (j + 1) gamma:
+    # the unknown at j = 0, then x_0..x_{L-1}
+    outs = [f"n = (z ^ (z >> 31)) % {const(math.lcm(*moduli))}"]
+    outs += [f"x{j} = z ^ (z >> 31)" for j in range(size)]
+    draws = []
+    for j, out in enumerate(outs):
+        step = const((j + 1) * 0x9E3779B97F4A7C15)
+        draws += [f"z = (key + {step}) & 0xFFFFFFFFFFFFFFFF", _MIX, out]
+    draws += [f"r{j} = n % {const(m)}" for j, m in enumerate(moduli)]
+    rs = ", ".join(f"r{j}" for j in range(size))
+    cells = [f"{v}{j}" for v in "xr" for j in range(size)]
     source = _SCANS.format(
         params=", ".join(consts.values()),
-        cells=", ".join(cells),
-        score=_SCORE.format(root=table[-1]),
+        cells=", ".join(cells + ["a"]),
+        score=_SCORE.format(root=table[-1], shift=shift),
         plain="\n            ".join(plain),
         checked="\n            ".join(checked),
+        mix=_MIX,
+        draws="\n            ".join(draws),
+        row=", ".join(cells + [f"reconstruct(({rs},))[1] - n"]),
     )
     namespace: dict = {}
     exec(source, namespace)
@@ -308,7 +357,8 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
 
 @lru_cache(maxsize=256)
 def _scans(plan, clamp: bool):
-    """The plan's (scan, checked_scan), generated on its first sweep."""
+    """The plan's (scan, checked_scan, draw), generated on its first
+    sweep."""
     return _compile_scans(plan.moduli, plan._stages(), clamp)
 
 
@@ -321,8 +371,6 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     if not taus:
         return []
     ms = cfg.moduli
-    size = len(ms)
-    lam = math.lcm(*ms)
     if cfg.tree is None:
         plan = _folding_plan(ms, select_reference(ms))
         reconstruct = partial(_solve_with_plan, plan)
@@ -330,7 +378,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         plan = _program_for(ms, cfg.tree)
         reconstruct = plan.run
 
-    scan, checked_scan = _scans(plan, cfg.clamp_remainders)
+    scan, checked_scan, draw = _scans(plan, cfg.clamp_remainders)
     # G, the least gcd the checked scan compares against
     g_min = min((g for p, _ in plan._stages() for _, g in p.pairs), default=0)
     one_sided = cfg.error_model == ONE_SIDED
@@ -347,21 +395,10 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     violations = [0] * len(taus)
     failures = [0] * len(taus)
     estimated = [0] * len(taus)
-    seed = cfg.rng_seed
-    draw_index = range(1, size + 1)
 
     for start in range(0, cfg.trials, _BLOCK):
-        ns, rows = [], []
-        for t in range(start, min(start + _BLOCK, cfg.trials)):
-            key = _splitmix64(seed, t)
-            n = _splitmix64(key, 0) % lam
-            row = [_splitmix64(key, j) for j in draw_index]
-            rs = [n % m for m in ms]
-            row += rs
-            # the anchor offset: the error-free solve's estimate minus n
-            row.append(reconstruct(rs)[1] - n)
-            ns.append(n)
-            rows.append(row)
+        stop = min(start + _BLOCK, cfg.trials)
+        ns, rows = draw(cfg.rng_seed, start, stop, reconstruct)
 
         for i, tau, span, off, certified in levels:
             if certified:

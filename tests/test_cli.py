@@ -250,8 +250,24 @@ class TestSimulate:
                 "8 12 15 --tau-max 6 --trials 400 --seed 7"
                 " --error-model symmetric --clamp",
             ),
+            # symmetric and unclamped, over two blocks from a negative
+            # seed: certified and checked levels, violations and failures
+            (
+                "tests/expected/symmetric_135_180_162.csv",
+                "135 180 162 --tau-max 16 --trials 1500 --seed -7"
+                " --error-model symmetric",
+            ),
+            (
+                "tests/expected/symmetric_depth3_192_288_216_360_320_448.csv",
+                "192 288 216 360 320 448 --tau-max 24 --trials 1500"
+                " --seed -7 --error-model symmetric"
+                " --grouping [[[0,1],[2,3]],[4,5]]",
+            ),
         ],
-        ids=["single", "tree", "depth3", "clamped"],
+        ids=[
+            "single", "tree", "depth3", "clamped", "symmetric",
+            "symmetric_depth3",
+        ],
     )
     def test_golden_csv(self, capsys, golden, argv):
         # the sweeps CI compares with cmp, byte for byte, run in-process

@@ -1,18 +1,24 @@
-"""The generated level scans.
+"""The generated level scans and drawer.
 
 simulate._compile_scans writes each plan's stage-by-stage pass as
 straight-line code: a pair of scans that score one error level over a
-block of trials, plain or clamped, one pair per call.  These tests hold
-it to the loops it replaced, written out here, and to the solver; they
-put every exactness pair at its edges, hold check_ns_condition to the
-checked scan there, check that the remainders a checked scan hands a
-failing trial are its erroneous ones, that scans with a mutated edge or
-handback are caught, that a plan compiles only the clampings it is
-swept with, and that the generated code survives huge gcds, wide stages
-and deep trees.  They also hold the error-free solve, whose estimate
-minus N is each row's anchor offset, to N on plans of every kind.
-checked_move (tests/conftest.py) scores one error vector through a
-plan's checked scan.
+block of trials, plain or clamped, and a drawer that draws the block,
+one triple per call.  These tests hold the scans to the loops they
+replaced, written out here, and to the solver; they put every exactness
+pair at its edges, with a nonzero symmetric offset, so that a plain
+scan's score and handback are held to the loops with the offset taken
+off the root move and off each handed-back remainder; they hold
+check_ns_condition to the checked scan there, check that the remainders
+a checked scan hands a failing trial are its erroneous ones, that scans
+with a mutated edge, handback or offset are caught, that a plan compiles
+only the clampings it is swept with, and that the generated code
+survives huge gcds, wide stages and deep trees.  They hold the drawer to
+rows built from simulate._splitmix64, across seeds, block starts and
+plan sizes, and catch a drawer with one mixing or step constant altered.
+They also hold the error-free solve, whose estimate minus N is each
+row's anchor offset, to N on plans of every kind.  checked_move
+(tests/conftest.py) scores one error vector through a plan's checked
+scan.
 """
 
 import math
@@ -20,6 +26,7 @@ import random
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -115,14 +122,38 @@ def erroneous(moduli, row, span, off, clamp):
     return out
 
 
+def loop_draw(moduli):
+    """The drawer as the simulate docstring defines the draws: trial t's
+    key is _splitmix64(seed, t), its unknown is draw 0 of that key modulo
+    the lcm, and its raw errors are draws 1..L."""
+    lam = math.lcm(*moduli)
+    mix = simulate._splitmix64
+
+    def draw(seed, start, stop, reconstruct):
+        ns, rows = [], []
+        for t in range(start, stop):
+            key = mix(seed, t)
+            n = mix(key, 0) % lam
+            rs = [n % m for m in moduli]
+            raws = [mix(key, j) for j in range(1, len(moduli) + 1)]
+            ns.append(n)
+            rows.append(raws + rs + [reconstruct(rs)[1] - n])
+        return ns, rows
+
+    return draw
+
+
 def loop_kernels(moduli, stages, clamp):
-    """A stand-in for _compile_scans that runs the loops."""
+    """A stand-in for _compile_scans that runs the loops and draws
+    through _splitmix64."""
     stages = list(stages)
-    return tuple(loop_scan(moduli, stages, clamp, c) for c in (False, True))
+    scans = tuple(loop_scan(moduli, stages, clamp, c) for c in (False, True))
+    return scans + (loop_draw(moduli),)
 
 
 def every_family(compile_scans, moduli, stages):
-    """(plain scans, clamped scans), one call per clamping."""
+    """(plain family, clamped family), one call per clamping; a family is
+    (scan, checked_scan, draw)."""
     return tuple(compile_scans(moduli, stages, clamp) for clamp in FAMILIES)
 
 
@@ -255,8 +286,8 @@ def mismatches(kernels, moduli, stages, vectors):
     plain, clamped = kernels
     reference = every_family(loop_kernels, moduli, stages)
     out = set()
-    generated = dict(zip(SCANS, plain + clamped))
-    expected = dict(zip(SCANS, reference[0] + reference[1]))
+    generated = dict(zip(SCANS, plain[:2] + clamped[:2]))
+    expected = dict(zip(SCANS, reference[0][:2] + reference[1][:2]))
     rng = random.Random(len(vectors))
     for name, (clamp, checked) in SCANS.items():
         rows, span, off = block_of(moduli, vectors, rng)
@@ -364,6 +395,46 @@ class TestAgainstLoopsAndSolver:
         assert set(caught) == {"checked_scan", "clamped_checked_scan"}
         assert min(caught.values()) > 20, caught
 
+    @pytest.mark.parametrize(
+        "site, caught_by",
+        [
+            # the score takes the offset off the root move
+            (r"(e = a \+ d\d+) - off", {"scan", "checked_scan"}),
+            # each handed-back remainder takes it off too
+            (r"\b(r(\d+) \+ d\2) - off", {"checked_scan"}),
+        ],
+        ids=["score", "handback"],
+    )
+    def test_unfolded_offset_is_caught(self, monkeypatch, site, caught_by):
+        # a plain scan's errors and moves carry the level's offset, which
+        # it takes off the score and off each handed-back remainder once;
+        # a scan that keeps it is caught at the pair edges, where off > 0.
+        # A clamped scan takes the offset off each error, so its source
+        # has neither site
+        rng = random.Random(1413)
+        sources = []
+
+        def mutated(source, namespace):
+            sources.append(source)
+            exec(re.sub(site, r"\1", source), namespace)
+
+        caught = {}
+        for ms, plan in random_plans(rng, 20):
+            stages = plan._stages()
+            vectors = [e for *_, e in edge_vectors(len(ms), stages)]
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "exec", mutated, raising=False)
+                mutant = every_family(_compile_scans, ms, stages)
+            for name in mismatches(mutant, ms, stages, vectors):
+                caught[name] = caught.get(name, 0) + 1
+        # the sources come plain, clamped, plain, ...; a plan with no
+        # stage hands nothing back
+        plain, clamped = sources[0::2], sources[1::2]
+        assert all(re.search(site, s) for s in plain if "append((pos" in s)
+        assert not any(re.search(site, s) for s in clamped)
+        assert set(caught) == caught_by
+        assert min(caught.values()) > 10, caught
+
     def test_clamped_scans_at_the_range_ends(self, checked_move):
         # N = 0 puts every true remainder at 0 and N = lcm - 1 at M_j - 1,
         # so clamping cuts every error that points out of [0, M_j - 1]
@@ -383,7 +454,7 @@ class TestAgainstLoopsAndSolver:
                 for n in (0, lam - 1)
                 for rs in [[n % m for m in ms]]
             }
-            scan, checked_scan = _scans(plan, True)
+            scan, checked_scan, _ = _scans(plan, True)
             for tau in (1, 3, 8):
                 span, off = 2 * tau + 1, tau
                 rows = []
@@ -428,7 +499,7 @@ class TestAgainstLoopsAndSolver:
         assert mismatches(kernels_of(program), (7,), [], vectors) == set()
         # errors -3, 0 and 5: every trial passes and scores
         # |a + error| = 2, 0 and 4
-        scan, checked_scan = _scans(program, False)
+        scan, checked_scan, _ = _scans(program, False)
         rows = [[0, 4, 1], [3, 4, 0], [8, 4, -1]]
         failed = []
         assert checked_scan(rows, 9, 3, 2, failed) == (6, 4, 1)
@@ -532,7 +603,7 @@ def handbacks(rng):
         lam = math.lcm(*ms)
         for model, clamp in ((m, c) for m in (ONE_SIDED, SYMMETRIC)
                              for c in (False, True)):
-            _, checked_scan = _compile_scans(ms, stages, clamp)
+            _, checked_scan, _ = _compile_scans(ms, stages, clamp)
             for tau in (2, 9, 40):
                 span, off = (tau + 1, 0) if model == ONE_SIDED else (
                     2 * tau + 1, tau
@@ -590,6 +661,95 @@ class TestHandback:
             mutant = every_family(_compile_scans, ms, stages)
             caught |= mismatches(mutant, ms, stages, vectors)
         assert caught == {"checked_scan", "clamped_checked_scan"}
+
+
+# the drawer's seeds (past both ends of [0, 2**64)) and block starts
+DRAW_SEEDS = (0, -7, 2**64 + 3)
+DRAW_STARTS = (0, 1024)
+
+
+def drawer_plans(rng):
+    """(moduli, plan, reconstruct): a one-leaf plan, single stages over
+    2..7 moduli and a depth-3 tree over six."""
+    program = _tree_program((7,), parse_tree("[0]"))
+    out = [((7,), program, program.run)]
+    for size in range(2, 8):
+        ms = entangled(rng, size)
+        plan = _folding_plan(ms, select_reference(ms))
+        out.append((ms, plan, partial(_solve_with_plan, plan)))
+    while True:
+        ms = entangled(rng, 6)
+        try:
+            program = _tree_program(ms, parse_tree("[[[0,1],[2,3]],[4,5]]"))
+        except DegenerateTreeError:
+            continue
+        return out + [(ms, program, program.run)]
+
+
+class TestDrawer:
+    """The generated drawer equals rows built from _splitmix64."""
+
+    def test_rows_built_from_splitmix64(self):
+        rng = random.Random(1415)
+        sizes = set()
+        for ms, plan, reconstruct in drawer_plans(rng):
+            want = loop_draw(ms)
+            for clamp in FAMILIES:
+                draw = _scans(plan, clamp)[2]
+                for seed in DRAW_SEEDS:
+                    assert draw(seed, 9, 9, reconstruct) == ([], [])
+                    for start in DRAW_STARTS:
+                        args = (seed, start, start + 25, reconstruct)
+                        assert draw(*args) == want(*args), (ms, seed, start)
+            sizes.add(len(ms))
+        assert sizes == set(range(1, 8))
+
+    def test_altered_constant_is_caught(self, monkeypatch):
+        # each hex constant and shift count in the drawer's source, one
+        # site at a time, off by one bit or one place
+        ms = (8, 12, 15)
+        plan = _folding_plan(ms, select_reference(ms))
+        stages = plan._stages()
+        reconstruct = partial(_solve_with_plan, plan)
+        runs = [
+            (seed, start, start + 8, reconstruct)
+            for seed in DRAW_SEEDS
+            for start in DRAW_STARTS
+        ]
+        want = [loop_draw(ms)(*args) for args in runs]
+        sources = []
+
+        def capture(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(simulate, "exec", capture, raising=False)
+        _compile_scans(ms, stages, False)
+        (source,) = sources
+        body = source.index("def draw(")
+        altered = set()
+        for found in re.finditer(r"0x[0-9A-F]+|>> \d+", source[body:]):
+            text = found.group()
+            if text.startswith("0x"):
+                new = f"0x{int(text, 16) ^ 1:X}"
+            else:
+                new = f">> {int(text[3:]) + 1}"
+            at, end = body + found.start(), body + found.end()
+            mutant = source[:at] + new + source[end:]
+
+            def mutated(_, namespace):
+                exec(mutant, namespace)
+
+            monkeypatch.setattr(simulate, "exec", mutated, raising=False)
+            draw = _compile_scans(ms, stages, False)[2]
+            got = [draw(*args) for args in runs]
+            assert got != want, (at, text, new)
+            altered.add(text)
+        # the step gamma, both multipliers, the mask and the three shifts
+        assert altered == {
+            "0x9E3779B97F4A7C15", "0xBF58476D1CE4E5B9", "0x94D049BB133111EB",
+            "0xFFFFFFFFFFFFFFFF", ">> 30", ">> 27", ">> 31",
+        }
 
 
 # plans by kind, each over moduli 0..size-1 (size is one more than the
@@ -757,6 +917,14 @@ class TestGeneratedCodeLimits:
         failed = []
         assert kernels[0][1](rows, span, off, 0, failed)[0] == abs(rows[0][-1])
         assert failed == []
+        # the drawer of 3,000 moduli: 3,001 draws and 6,001 cells a row
+
+        def first(rs):
+            return None, rs[0]
+
+        for _, _, draw in kernels:
+            args = (-7, 1024, 1026, first)
+            assert draw(*args) == loop_draw(moduli)(*args)
 
     def test_deep_chain_tree(self):
         # [0, [1, [0, ...]]] over (3, 5): 300 stages, one per level

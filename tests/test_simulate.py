@@ -279,20 +279,28 @@ class TestSweep:
             sweep(cfg, [0, 1])
 
     def test_each_trial_drawn_once(self, monkeypatch):
-        draws = []
-        real = simulate._splitmix64
+        draws = []  # the trials each drawer call draws
+        scans_of = simulate._scans
 
-        def counting(seed, index):
-            draws.append(index)
-            return real(seed, index)
+        def scans(plan, clamp):
+            scan, checked_scan, draw = scans_of(plan, clamp)
 
-        monkeypatch.setattr(simulate, "_splitmix64", counting)
+            def counting(seed, start, stop, reconstruct):
+                draws.extend(range(start, stop))
+                return draw(seed, start, stop, reconstruct)
+
+            return scan, checked_scan, counting
+
+        monkeypatch.setattr(simulate, "_scans", scans)
+        monkeypatch.setattr(simulate, "_BLOCK", 16)
         cfg = TrialConfig(moduli=(135, 180, 162), trials=50, rng_seed=5)
         assert sweep(cfg, []) == []
         assert draws == []
         sweep(cfg, range(26))
-        # per trial: the substream key, the unknown, one error per modulus
-        assert len(draws) == 50 * (2 + 3)
+        # every trial once, over four blocks; the drawer makes each
+        # trial's substream key, unknown and one error per modulus
+        # (tests/test_moves.py::TestDrawer)
+        assert draws == list(range(50))
 
     @pytest.mark.parametrize(
         "moduli, layout, error_model, clamp, owner, name, inside, outside",
@@ -703,13 +711,13 @@ class TestSweepMatchesPerLevelRuns:
         scans_of = simulate._scans
 
         def scans(plan, clamp):
-            scan, checked_scan = scans_of(plan, clamp)
+            scan, checked_scan, draw = scans_of(plan, clamp)
 
             def certified_scan(rows, span, off, tau):
                 certified.add(tau)
                 return scan(rows, span, off, tau)
 
-            return certified_scan, checked_scan
+            return certified_scan, checked_scan, draw
 
         monkeypatch.setattr(simulate, "_scans", scans)
         rows = sweep(cfg, taus)
