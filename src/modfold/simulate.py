@@ -38,21 +38,21 @@ commute with a shift, so a clamped scan takes it off each error.  The
 condition is also necessary: a pair outside it changes that quotient
 estimate, and with it the folding numbers, so a stage that fails it
 loses its error-free folding numbers.  A plan's checked scan makes that
-check stage by stage, on each stage's actual input errors (a tree's
-inner stages see their children's moves), and gives the root estimate's
-move, or stops at the first stage that fails; a plan with no stage has
-no condition.  robust.check_ns_condition is the same test for one
-stage.
+check for every stage, on each stage's actual input errors (a tree's
+inner stages see their children's moves), and a trial passes when every
+stage does; a plan with no stage has no condition.
+robust.check_ns_condition is the same test for one stage.
 
 So a trial whose errors pass the check is scored as the error-free
-anchor's outcome plus the returned move, and a trial that fails it runs
-the solver on its erroneous remainders.  The anchor is the solve on the
-trial's true remainders: one per trial, made when the trial is drawn, so
-the rows stay tied to the solver's own output and a fault in the merge or
-the derivation still shows in every row.  Both ways give the rows the
-solver gives.  The move is the root stage's, the estimate a tree
-sweep scores; for the occurrence estimate it would be the rounded mean
-over leaf occurrences.
+anchor's outcome plus the root move, and a trial that fails it is solved
+on its erroneous remainders by the scan's own solve, the pure solver's
+arithmetic written out per stage (_compile_scans).  The anchor stays the
+pure solver's: the solve on the trial's true remainders, one per trial,
+made when the trial is drawn, so the rows stay tied to the solver's own
+output and a fault in the merge or the derivation still shows in every
+row.  Both ways give the rows the solver gives.  The move is the root
+stage's, the estimate a tree sweep scores; for the occurrence estimate
+it would be the rounded mean over leaf occurrences.
 
 At some levels every trial passes, so the check is skipped there.  Let
 G be the least gcd any stage rounds by, the least g of the pairs the
@@ -81,6 +81,7 @@ statistics, otherwise the trial is excluded from the mean and the max.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -201,22 +202,36 @@ def _sum_source(names: Sequence[str]) -> str:
     return f"({_sum_source(names[:half])} + {_sum_source(names[half:])})"
 
 
-# the generated source of a plan's scans and drawer: a factory whose
-# parameters are the constants its functions read
+# the generated source of a plan's solve, scans and drawer: a factory
+# whose parameters are the constants its functions read
 _SCANS = """def factory({params}):
+    def solve({values}):
+        {solve}
+
     def scan(rows, span, off, tau):
         total = top = bad = 0
         for {cells} in rows:
             {plain}
+            e = a + {root}{shift}
             {score}
         return total, top, bad
 
-    def checked_scan(rows, span, off, tau, failed):
-        total = top = bad = 0
-        for pos, ({cells}) in enumerate(rows):
-            {checked}
+    def checked_scan(rows, ns, span, off, tau):
+        total = top = bad = failures = skipped = 0
+        for n, ({cells}) in zip(ns, rows):
+            {plain}
+            if {check}:
+                e = a + {root}{shift}
+            else:
+                est, ok = solve({erroneous})
+                if not ok:
+                    failures += 1
+                    if est is None:
+                        skipped += 1
+                        continue
+                e = est - n
             {score}
-        return total, top, bad
+        return total, top, bad, failures, skipped
 
     def draw(seed, start, stop, reconstruct):
         ns, rows = [], []
@@ -229,14 +244,12 @@ _SCANS = """def factory({params}):
             ns.append(n)
             rows.append([{row}])
         return ns, rows
-    return scan, checked_scan, draw"""
+    return scan, checked_scan, draw, solve"""
 # splitmix64's two mixing rounds on z, as _splitmix64 computes them
 _MIX = """z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF"""
-# a scan's score of one trial: |a + root move - shift| into the level's
-# sums, where shift is what the scan left in every error
-_SCORE = """e = a + {root}{shift}
-            if e < 0:
+# a scan's score of one trial's error e into the level's sums
+_SCORE = """if e < 0:
                 e = -e
             total += e
             if e > top:
@@ -245,18 +258,129 @@ _SCORE = """e = a + {root}{shift}
                 bad += 1"""
 
 
+def _solve_lines(size: int, stages, const) -> list[str]:
+    """The body of the emitted solve(v_0..v_{L-1}).
+
+    It is robust._solve_with_plan run on each stage in run order, as
+    _TreeProgram.run runs it, written out per stage: one divmod per pair
+    (head, then steps) with the merge step inline, the estimate into slot
+    L + s, then the negative-folding test nk * c < q per (i, n, c) of
+    derive, since (nk c - q) // n < 0 exactly when nk c < q; the merged
+    n_k itself is a residue, never negative.  It returns (estimate, ok)
+    and fails as run does: (None, False) on a contradiction, or on a
+    negative folding number below the root; (root estimate, False) on
+    one at the root; and, on a plan that repeats an index, (None, False)
+    when that index's occurrences disagree (_agreement_lines).  A plan
+    with no stage returns its one value.
+    """
+    if not stages:
+        return ["return v0, True"]
+    lines = []
+    root = len(stages) - 1
+    for s, (plan, slots) in enumerate(stages):
+        ins = [f"v{j}" for j in slots]
+        rk, nk, est = ins[plan.k], f"nk{s}", f"v{size + s}"
+
+        def quotient(i, g, g2, rest):
+            return (
+                f"q{s}_{i}, {rest} = divmod(2 * ({ins[i]} - {rk})"
+                f" + {const(g)}, {const(g2)})"
+            )
+
+        i, g, g2, n, inv = plan.head
+        lines += [
+            quotient(i, g, g2, "es"),
+            f"{nk} = q{s}_{i} * {const(inv)} % {const(n)}",
+        ]
+        for i, g, g2, n, inv, mg, mn, minv, mm in plan.steps:
+            lines += [
+                quotient(i, g, g2, "e"),
+                "es += e",
+                f"diff = q{s}_{i} * {const(inv)} % {const(n)} - {nk}",
+                f"if diff % {const(mg)}:",
+                "    return None, False",
+                f"{nk} += {const(mm)} * (diff // {const(mg)}"
+                f" * {const(minv)} % {const(mn)})",
+            ]
+        negative = " or ".join(
+            f"{nk} * {const(c)} < q{s}_{i}" for i, _, c in plan.derive
+        )
+        lines += [
+            f"{est} = {nk} * {const(plan.mk)} + {rk}"
+            f" + (es + {const(plan.bias)}) // {const(plan.twice_size)}",
+            f"if {negative}:",
+            f"    return {est if s == root else None}, False",
+        ]
+    lines += _agreement_lines(size, stages, const)
+    lines.append(f"return v{size + root}, True")
+    return lines
+
+
+def _agreement_lines(size: int, stages, const) -> list[str]:
+    """The emitted solve's check that a shared index's occurrences agree.
+
+    An index is shared when more than one stage input is its slot.  An
+    occurrence's folding number f, as _TreeProgram.foldings composes it,
+    is the sum over the steps from its leaf to the root of the step's
+    folding number for the input on the path times that input's lcm over
+    M_i; so f M_i is the same sum with the lcm itself, and two
+    occurrences of one index agree exactly when these sums do.  The
+    lines build the sums top-down, one t local per input on a path to a
+    shared occurrence, then compare each shared index's sums.
+    """
+    seen = Counter(j for _, slots in stages for j in slots if j < size)
+    shared = sorted(j for j, count in seen.items() if count > 1)
+    if not shared:
+        return []
+    # whether a slot's subtree holds a shared occurrence
+    holds = [j in shared for j in range(size)]
+    for _, slots in stages:
+        holds.append(any(holds[j] for j in slots))
+    above = {size + len(stages) - 1: None}  # a slot's sum from the root
+    sums: dict[int, list[str]] = {j: [] for j in shared}
+    lines = []
+    for s in range(len(stages) - 1, -1, -1):
+        plan, slots = stages[s]
+        if not holds[size + s]:
+            continue
+        parent = above[size + s]
+        derive = {i: (n, c) for i, n, c in plan.derive}
+        for i, j in enumerate(slots):
+            if not holds[j]:
+                continue
+            fold = f"nk{s}"
+            if i != plan.k:
+                n, c = derive[i]
+                fold = f"({fold} * {const(c)} - q{s}_{i}) // {const(n)}"
+            term = f"{fold} * {const(plan.moduli[i])}"
+            name = f"t{s}_{i}"
+            lines.append(
+                f"{name} = {term}" if parent is None
+                else f"{name} = {parent} + {term}"
+            )
+            if j < size:
+                sums[j].append(name)
+            else:
+                above[j] = name
+    for names in sums.values():
+        lines += [f"if not ({' == '.join(names)}):", "    return None, False"]
+    return lines
+
+
 def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
-    """Generate (scan, checked_scan, draw) for a run of stages.
+    """Generate (scan, checked_scan, draw, solve) for a run of stages.
 
     It is the package's only code generator (solving, decoding and
     designing build no code); _scans keeps its output per plan and
     clamping.
 
     stages holds (plan, slots) per stage in run order: plan is the
-    stage's robust._FoldingPlan (only its k and pairs are read) and slots
-    are its input slots: 0..L-1 hold the remainder errors and L + s holds
-    stage s's move, (2 sum(d) + c) // 2c over its c inputs d.  The root
-    move is the last slot's.
+    stage's robust._FoldingPlan and slots are its input slots.  In the
+    scans, slots 0..L-1 hold the remainder errors and L + s holds stage
+    s's move, (2 sum(d) + c) // 2c over its c inputs d; the root move is
+    the last slot's.  solve(v_0..v_{L-1}) takes erroneous remainders and
+    returns (estimate or None, ok), as _solve_lines writes it from each
+    plan's head, steps, derive, mk, bias and twice_size.
 
     draw(seed, start, stop, reconstruct) draws trials start..stop-1 of a
     run seeded with seed, as the module docstring defines them, and
@@ -271,24 +395,26 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
     Both scans score one level over a block's rows, so a row's cells are
     each taken once, at the draw.  The loop body is straight-line code:
     each error d_j, then one local per stage's move in run order, and the
-    level's total, maximum and count above tau of |a + root move| in
+    level's total, maximum and count above tau of the trial's error in
     locals.  A plain scan's error is d_j = x_j % span, which carries the
     level's offset off, so every move carries it too and the scan scores
-    a + root move - off (the module docstring says why).  A clamped scan
-    takes off from each error, d_j = x_j % span - off, and cuts it so
-    that r_j + d_j lies in [0, M_j - 1].  So a trial-level costs a few
+    |a + root move - off| (the module docstring says why).  A clamped
+    scan takes off from each error, d_j = x_j % span - off, and cuts it
+    so that r_j + d_j lies in [0, M_j - 1].  So a trial-level costs a few
     integer operations per stage and per pair, with no call, list or
-    table of its own.  scan has no tests.  checked_scan(rows, span, off,
-    tau, failed) puts before each move the stage's condition, -g <= 2
-    (d_i - d_k) < g per (i, g) of plan.pairs, as one chain of
-    comparisons, sums only passing trials, and appends (position, r_0 +
-    d_0 - off, ..., r_{L-1} + d_{L-1} - off) of a failing trial to
-    failed, for the solver to run on (without - off when clamped).
+    table of its own.  scan has no tests.  checked_scan(rows, ns, span,
+    off, tau) tests every stage's condition, -g <= 2 (d_i - d_k) < g per
+    (i, g) of plan.pairs, as one chain of comparisons after the moves.
+    A passing trial scores as scan does; a failing one calls solve(r_0 +
+    d_0 - off, ..., r_{L-1} + d_{L-1} - off) (without - off when
+    clamped), counts a failure when ok is False, is skipped when the
+    estimate is None and otherwise scores |estimate - n|.  It returns
+    (total, top, bad, failures, skipped).
 
-    Every gcd, size, modulus, the lcm and the draw steps (j + 1) * gamma
-    are factory parameters, never source text (str() of an int past the
-    digit limit raises ValueError), and sums are balanced (a long + chain
-    exhausts the compiler's recursion).
+    Every gcd, size, modulus, inverse, merge-step and lcm constant and
+    the draw steps (j + 1) * gamma are factory parameters, never source
+    text (str() of an int past the digit limit raises ValueError), and
+    sums are balanced (a long + chain exhausts the compiler's recursion).
     """
     consts: dict[int, str] = {}
 
@@ -308,27 +434,21 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
         else:
             plain.append(f"d{j} = x{j} % span")
     shift = "" if clamp else " - off"
-    checked = list(plain)
-    handback = "".join(f", r{j} + d{j}{shift}" for j in range(size))
     table = [f"d{j}" for j in range(size)]
+    checks = []
     for plan, slots in stages:
         ins = [table[j] for j in slots]
         c, dk = len(ins), ins[plan.k]
-        check = " and ".join(
+        checks += [
             f"{const(-g)} <= 2 * ({ins[i]} - {dk}) < {const(g)}"
             for i, g in plan.pairs
-        )
+        ]
         table.append(f"d{len(table)}")
-        move = (
+        plain.append(
             f"{table[-1]} = (2 * {_sum_source(ins)} + {const(c)})"
             f" // {const(2 * c)}"
         )
-        plain.append(move)
-        checked += [
-            f"if not ({check}):",
-            f"    failed.append((pos{handback})); continue",
-            move,
-        ]
+    solve = _solve_lines(size, stages, const)
     # a trial's draw j is splitmix64 of its key stepped by (j + 1) gamma:
     # the unknown at j = 0, then x_0..x_{L-1}
     outs = [f"n = (z ^ (z >> 31)) % {const(math.lcm(*moduli))}"]
@@ -342,10 +462,15 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
     cells = [f"{v}{j}" for v in "xr" for j in range(size)]
     source = _SCANS.format(
         params=", ".join(consts.values()),
+        values=", ".join(f"v{j}" for j in range(size)),
+        solve="\n        ".join(solve),
         cells=", ".join(cells + ["a"]),
-        score=_SCORE.format(root=table[-1], shift=shift),
         plain="\n            ".join(plain),
-        checked="\n            ".join(checked),
+        root=table[-1],
+        shift=shift,
+        score=_SCORE,
+        check=" and ".join(checks) or "True",
+        erroneous=", ".join(f"r{j} + d{j}{shift}" for j in range(size)),
         mix=_MIX,
         draws="\n            ".join(draws),
         row=", ".join(cells + [f"reconstruct(({rs},))[1] - n"]),
@@ -357,8 +482,8 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
 
 @lru_cache(maxsize=256)
 def _scans(plan, clamp: bool):
-    """The plan's (scan, checked_scan, draw), generated on its first
-    sweep."""
+    """The plan's (scan, checked_scan, draw, solve), generated on its
+    first sweep."""
     return _compile_scans(plan.moduli, plan._stages(), clamp)
 
 
@@ -366,7 +491,9 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     """Run cfg's trials once and score every trial at each level of taus.
 
     The sweep the module docstring describes; clamping only picks the
-    scans.  cfg.tau is unused.
+    scans.  A certified level runs scan, every other level checked_scan,
+    which solves its own failing trials and counts their failures and
+    the trials it skips.  cfg.tau is unused.
     """
     if not taus:
         return []
@@ -378,7 +505,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         plan = _program_for(ms, cfg.tree)
         reconstruct = plan.run
 
-    scan, checked_scan, draw = _scans(plan, cfg.clamp_remainders)
+    scan, checked_scan, draw, _ = _scans(plan, cfg.clamp_remainders)
     # G, the least gcd the checked scan compares against
     g_min = min((g for p, _ in plan._stages() for _, g in p.pairs), default=0)
     one_sided = cfg.error_model == ONE_SIDED
@@ -403,29 +530,13 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         for i, tau, span, off, certified in levels:
             if certified:
                 total, top, bad = scan(rows, span, off, tau)
-                count = len(rows)
+                failed = skipped = 0
             else:
-                failed, errs = [], []
-                total, top, bad = checked_scan(rows, span, off, tau, failed)
-                count = len(rows) - len(failed)
-                # some stage fails: only the solver knows, on the
-                # erroneous remainders the scan hands back
-                for pos, *rt in failed:
-                    try:
-                        est = reconstruct(rt)[1]
-                    except FoldingFailure as exc:
-                        failures[i] += 1
-                        est = exc.partial_estimate
-                        if est is None:
-                            continue
-                    count += 1
-                    errs.append(abs(est - ns[pos]))
-                if errs:
-                    total += sum(errs)
-                    top = max(top, *errs)
-                    # the fused estimate stays within the error level
-                    bad += sum(err > tau for err in errs)
-            estimated[i] += count
+                total, top, bad, failed, skipped = checked_scan(
+                    rows, ns, span, off, tau
+                )
+            failures[i] += failed
+            estimated[i] += len(rows) - skipped
             total_err[i] += total
             if top > max_err[i]:
                 max_err[i] = top

@@ -263,10 +263,18 @@ class TestSimulate:
                 " --seed -7 --error-model symmetric"
                 " --grouping [[[0,1],[2,3]],[4,5]]",
             ),
+            # a shared index: hundreds of folding failures at levels
+            # 13-20, and errors past 1,600 from failing trials whose
+            # root estimate is kept
+            (
+                "tests/expected/shared_135_180_162.csv",
+                "135 180 162 --grouping [[0,2],[1,2]] --tau-max 20"
+                " --trials 1500 --seed 3",
+            ),
         ],
         ids=[
             "single", "tree", "depth3", "clamped", "symmetric",
-            "symmetric_depth3",
+            "symmetric_depth3", "shared",
         ],
     )
     def test_golden_csv(self, capsys, golden, argv):

@@ -1,24 +1,27 @@
-"""The generated level scans and drawer.
+"""The generated level scans, solve and drawer.
 
 simulate._compile_scans writes each plan's stage-by-stage pass as
 straight-line code: a pair of scans that score one error level over a
-block of trials, plain or clamped, and a drawer that draws the block,
-one triple per call.  These tests hold the scans to the loops they
-replaced, written out here, and to the solver; they put every exactness
-pair at its edges, with a nonzero symmetric offset, so that a plain
-scan's score and handback are held to the loops with the offset taken
-off the root move and off each handed-back remainder; they hold
-check_ns_condition to the checked scan there, check that the remainders
-a checked scan hands a failing trial are its erroneous ones, that scans
-with a mutated edge, handback or offset are caught, that a plan compiles
-only the clampings it is swept with, and that the generated code
-survives huge gcds, wide stages and deep trees.  They hold the drawer to
-rows built from simulate._splitmix64, across seeds, block starts and
-plan sizes, and catch a drawer with one mixing or step constant altered.
-They also hold the error-free solve, whose estimate minus N is each
-row's anchor offset, to N on plans of every kind.  checked_move
-(tests/conftest.py) scores one error vector through a plan's checked
-scan.
+block of trials, plain or clamped, a solve that the checked scan runs on
+its failing trials, and a drawer that draws the block, one family per
+call.  These tests hold the scans to the loops they replaced, written
+out here, and to the solver; they put every exactness pair at its edges,
+with a nonzero symmetric offset, so that a plain scan's score and solve
+arguments are held to the loops with the offset taken off the root move
+and off each erroneous remainder; they hold check_ns_condition to the
+checked scan there, check that the checked scan solves a failing trial
+on its erroneous remainders, that scans with a mutated edge, solve
+argument or offset are caught, that a plan compiles only the clampings
+it is swept with, and that the generated code survives huge gcds, wide
+stages and deep trees.  They hold the emitted solve to the pure solver,
+estimate, success and partial estimate alike, and catch a solve with one
+constant off by one.  They hold the drawer to rows built from
+simulate._splitmix64, across seeds, block starts and plan sizes, and
+catch a drawer with one mixing or step constant altered.  They also hold
+the error-free solve, whose estimate minus N is each row's anchor
+offset, to N on plans of every kind.  checked_move and watch
+(tests/conftest.py) score one error vector through a plan's checked scan
+and record the calls a checked scan makes to its solve.
 """
 
 import math
@@ -26,10 +29,11 @@ import random
 import re
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 import pytest
+from conftest import watch
 
 import modfold.robust as robust
 import modfold.simulate as simulate
@@ -85,30 +89,83 @@ def loop_moves(stages, errors, checked):
     return table[-1]
 
 
-def loop_scan(moduli, stages, clamp, checked):
+def loop_solve(moduli, stages, rt):
+    """(estimate or None, ok) of the pure solver on erroneous remainders.
+
+    _solve_with_plan runs each stage in order, as _TreeProgram.run runs
+    it; a failure at the root keeps its partial estimate, one below it
+    none.  Then each leaf occurrence's folding number is composed as
+    _TreeProgram.foldings composes it, the sum over the steps from the
+    leaf to the root of the step's folding number for that input times
+    the input's lcm over M_i (carried as the sum with the lcm itself and
+    divided at the leaf), and the occurrences of one index must agree.
+    """
+    size = len(moduli)
+    table, folds = list(rt), []
+    for s, (plan, slots) in enumerate(stages):
+        try:
+            folding, est = _solve_with_plan(plan, [table[j] for j in slots])
+        except FoldingFailure as exc:
+            root = s == len(stages) - 1
+            return (exc.partial_estimate if root else None), False
+        folds.append(folding)
+        table.append(est)
+    found = {}  # index -> its occurrences' folding numbers
+    stack = [(len(table) - 1, 0)] if stages else []
+    while stack:
+        slot, total = stack.pop()
+        if slot < size:
+            found.setdefault(slot, set()).add(total // moduli[slot])
+            continue
+        plan, slots = stages[slot - size]
+        for i, j in enumerate(slots):
+            stack.append((j, total + folds[slot - size][i] * plan.moduli[i]))
+    if any(len(fs) > 1 for fs in found.values()):
+        return None, False
+    return table[-1], True
+
+
+def loop_scan(moduli, stages, clamp, checked, solve):
     """A level scan as a loop over rows, one loop_moves pass per trial.
 
-    A row is [raw draws, true remainders, anchor offset a].  A failing
-    trial is handed back as (position, its erroneous remainders).
+    A row is [raw draws, true remainders, anchor offset a].  The checked
+    scan takes the unknowns too and calls solve, through its solve cell,
+    on a failing trial's erroneous remainders, as the generated one calls
+    its emitted solve.
     """
     size = len(moduli)
 
-    def scan(rows, span, off, tau, failed=None):
-        total = top = bad = 0
-        for pos, row in enumerate(rows):
+    def score(sums, err, tau):  # into [total, max, violations]
+        sums[0] += err
+        sums[1] = max(sums[1], err)
+        sums[2] += err > tau
+
+    def scan(rows, span, off, tau):
+        sums = [0, 0, 0]
+        for row in rows:
             rt = erroneous(moduli, row, span, off, clamp)
             errors = [x - r for x, r in zip(rt, row[size:])]
-            move = loop_moves(stages, errors, checked)
-            if move is None:
-                failed.append((pos, *rt))
-            else:
-                err = abs(row[-1] + move)
-                total += err
-                top = max(top, err)
-                bad += err > tau
-        return total, top, bad
+            score(sums, abs(row[-1] + loop_moves(stages, errors, False)), tau)
+        return tuple(sums)
 
-    return scan
+    def checked_scan(rows, ns, span, off, tau):
+        sums = [0, 0, 0, 0, 0]  # and failures, skipped
+        for n, row in zip(ns, rows):
+            rt = erroneous(moduli, row, span, off, clamp)
+            errors = [x - r for x, r in zip(rt, row[size:])]
+            move = loop_moves(stages, errors, True)
+            if move is not None:
+                score(sums, abs(row[-1] + move), tau)
+                continue
+            est, ok = solve(*rt)
+            sums[3] += not ok
+            if est is None:
+                sums[4] += 1
+            else:
+                score(sums, abs(est - n), tau)
+        return tuple(sums)
+
+    return checked_scan if checked else scan
 
 
 def erroneous(moduli, row, span, off, clamp):
@@ -144,16 +201,24 @@ def loop_draw(moduli):
 
 
 def loop_kernels(moduli, stages, clamp):
-    """A stand-in for _compile_scans that runs the loops and draws
-    through _splitmix64."""
+    """A stand-in for _compile_scans that runs the loops, solves with
+    loop_solve (each distinct input once) and draws through
+    _splitmix64."""
     stages = list(stages)
-    scans = tuple(loop_scan(moduli, stages, clamp, c) for c in (False, True))
-    return scans + (loop_draw(moduli),)
+
+    @lru_cache(maxsize=None)
+    def solve(*rt):
+        return loop_solve(moduli, stages, rt)
+
+    scans = tuple(
+        loop_scan(moduli, stages, clamp, c, solve) for c in (False, True)
+    )
+    return scans + (loop_draw(moduli), solve)
 
 
 def every_family(compile_scans, moduli, stages):
     """(plain family, clamped family), one call per clamping; a family is
-    (scan, checked_scan, draw)."""
+    (scan, checked_scan, draw, solve)."""
     return tuple(compile_scans(moduli, stages, clamp) for clamp in FAMILIES)
 
 
@@ -251,16 +316,19 @@ SCANS = {
 
 
 def block_of(moduli, vectors, rng):
-    """(rows, span, off): one level whose raw draws give the error vectors.
+    """(rows, ns, span, off): one level whose raw draws give the error
+    vectors, and an unknown per row.
 
     With off past every |error| and span = 2 off + 1, a raw draw
     d + off + span q maps to error d, for any q.  The true remainders
     are in turn 0, M_j - 1 and one between, so a clamped scan clamps
-    some errors.  Anchor offsets are small ints.
+    some errors.  Anchor offsets are small ints, and the unknowns, which
+    only a solved trial's score reads, lie in [0, lcm).
     """
     off = 1 + max((abs(d) for errors in vectors for d in errors), default=0)
     span = 2 * off + 1
-    rows = []
+    lam = math.lcm(*moduli)
+    rows, ns = [], []
     for pos, errors in enumerate(vectors):
         q = off + span * rng.getrandbits(40)
         row = [d + q for d in errors]
@@ -272,7 +340,8 @@ def block_of(moduli, vectors, rng):
         ]
         row.append(rng.randint(-2, 2))
         rows.append(row)
-    return rows, span, off
+        ns.append(rng.randrange(lam))
+    return rows, ns, span, off
 
 
 def mismatches(kernels, moduli, stages, vectors):
@@ -280,26 +349,33 @@ def mismatches(kernels, moduli, stages, vectors):
 
     kernels is laid out as every_family gives them.  Each scan scores the
     vectors as one block, at a level whose raw draws give those errors,
-    and then each vector as a block of its own, with failed (handbacks
-    included) compared too.
+    and then each vector as a block of its own; a checked scan's calls
+    to its solve are compared too.
     """
     plain, clamped = kernels
     reference = every_family(loop_kernels, moduli, stages)
     out = set()
-    generated = dict(zip(SCANS, plain[:2] + clamped[:2]))
-    expected = dict(zip(SCANS, reference[0][:2] + reference[1][:2]))
+    generated = dict(zip(SCANS, (plain, plain, clamped, clamped)))
+    expected = dict(zip(SCANS, reference[:1] * 2 + reference[1:] * 2))
     rng = random.Random(len(vectors))
     for name, (clamp, checked) in SCANS.items():
-        rows, span, off = block_of(moduli, vectors, rng)
+        rows, ns, span, off = block_of(moduli, vectors, rng)
         tau = rng.randint(0, 3)
-        for block in [rows] + [[row] for row in rows]:
-            args = (block, span, off, tau)
-            # a checked scan also fills its failed list
-            mine, theirs = ([[]], [[]]) if checked else ((), ())
-            got = generated[name](*args, *mine), mine
-            want = expected[name](*args, *theirs), theirs
-            if got != want:
-                out.add(name)
+        blocks = [(rows, ns)] + [([row], [n]) for row, n in zip(rows, ns)]
+        if checked:
+            mine, calls = watch(generated[name])
+            theirs, want = watch(expected[name])
+        for block, block_ns in blocks:
+            if checked:
+                args = (block, block_ns, span, off, tau)
+                calls.clear()
+                want.clear()
+                if (mine(*args), calls) != (theirs(*args), want):
+                    out.add(name)
+            else:
+                args = (block, span, off, tau)
+                if generated[name][0](*args) != expected[name][0](*args):
+                    out.add(name)
     return out
 
 
@@ -312,6 +388,33 @@ def solve(plan, rt):
         return folds, est
     except FoldingFailure:
         return None, None
+
+
+def pure_outcome(plan, rt):
+    """(estimate or None, ok, kind) of the pure solver on rt.
+
+    The first two are what a sweep scores for a solved trial: a failure
+    keeps its partial estimate.  kind says how the solve ended: "ok",
+    "contradiction", "conflict", "negative at root" or "negative below
+    root".
+    """
+    try:
+        if isinstance(plan, robust._FoldingPlan):
+            return _solve_with_plan(plan, rt)[1], True, "ok"
+        return plan.run(rt)[1], True, "ok"
+    except FoldingFailure as exc:
+        est = exc.partial_estimate
+        if exc.reason.startswith("remainder errors produced contradictory"):
+            return est, False, "contradiction"
+        if exc.reason.startswith("conflicting folding numbers"):
+            return est, False, "conflict"
+        root = "at" if est is not None else "below"
+        return est, False, f"negative {root} root"
+
+
+def pure_solve(plan, rt):
+    """pure_outcome's (estimate or None, ok)."""
+    return pure_outcome(plan, rt)[:2]
 
 
 class TestAgainstLoopsAndSolver:
@@ -390,7 +493,8 @@ class TestAgainstLoopsAndSolver:
                 mutant = every_family(_compile_scans, ms, stages)
             for name in mismatches(mutant, ms, stages, vectors):
                 caught[name] = caught.get(name, 0) + 1
-        assert all(") < k" in s for s in sources if "if not" in s)
+        # every plan with a stage has an upper edge in its source
+        assert all(") < k" in s for s in sources if "if True:" not in s)
         # the unchecked scans have no edge to mutate
         assert set(caught) == {"checked_scan", "clamped_checked_scan"}
         assert min(caught.values()) > 20, caught
@@ -400,14 +504,15 @@ class TestAgainstLoopsAndSolver:
         [
             # the score takes the offset off the root move
             (r"(e = a \+ d\d+) - off", {"scan", "checked_scan"}),
-            # each handed-back remainder takes it off too
+            # each remainder handed to the solve takes it off too
             (r"\b(r(\d+) \+ d\2) - off", {"checked_scan"}),
         ],
         ids=["score", "handback"],
     )
     def test_unfolded_offset_is_caught(self, monkeypatch, site, caught_by):
         # a plain scan's errors and moves carry the level's offset, which
-        # it takes off the score and off each handed-back remainder once;
+        # it takes off the score and off each remainder it hands the
+        # solve once;
         # a scan that keeps it is caught at the pair edges, where off > 0.
         # A clamped scan takes the offset off each error, so its source
         # has neither site
@@ -427,10 +532,9 @@ class TestAgainstLoopsAndSolver:
                 mutant = every_family(_compile_scans, ms, stages)
             for name in mismatches(mutant, ms, stages, vectors):
                 caught[name] = caught.get(name, 0) + 1
-        # the sources come plain, clamped, plain, ...; a plan with no
-        # stage hands nothing back
+        # the sources come plain, clamped, plain, ...
         plain, clamped = sources[0::2], sources[1::2]
-        assert all(re.search(site, s) for s in plain if "append((pos" in s)
+        assert all(re.search(site, s) for s in plain)
         assert not any(re.search(site, s) for s in clamped)
         assert set(caught) == caught_by
         assert min(caught.values()) > 10, caught
@@ -454,14 +558,18 @@ class TestAgainstLoopsAndSolver:
                 for n in (0, lam - 1)
                 for rs in [[n % m for m in ms]]
             }
-            scan, checked_scan, _ = _scans(plan, True)
+            family = _scans(plan, True)
+            scan = family[0]
+            checked_scan, calls = watch(family)
             for tau in (1, 3, 8):
                 span, off = 2 * tau + 1, tau
-                rows = []
-                want = [0, 0, 0]  # checked: total, max, violations
+                rows, ns = [], []
+                # checked: total, max, violations, failures, skipped
+                want = [0, 0, 0, 0, 0]
                 want_all = [0, 0, 0]  # unchecked, over every row
-                want_failed = []
-                for pos, n in enumerate((0, lam - 1) * 8):
+                want_calls = []
+                for n in (0, lam - 1) * 8:
+                    ns.append(n)
                     rs, anchor_folds, anchor = ends[n]
                     raws = [rng.getrandbits(64) for _ in ms]
                     rows.append(raws + rs + [anchor - n])
@@ -477,16 +585,23 @@ class TestAgainstLoopsAndSolver:
                     rt = [r + e for r, e in zip(rs, errors)]
                     folds, est = solve(plan, rt)
                     if move is None:
-                        want_failed.append((pos, *rt))
+                        # solved on its erroneous remainders
+                        want_calls.append(tuple(rt))
                         assert folds != anchor_folds
+                        est, ok = pure_solve(plan, rt)
+                        want[3] += not ok
+                        if est is None:
+                            want[4] += 1
+                        else:
+                            add(want, abs(est - n), tau)
                     else:
                         assert (folds, est) == (anchor_folds, anchor + move)
                         add(want, abs(est - n), tau)
                     unchecked = loop_moves(stages, errors, False)
                     add(want_all, abs(anchor + unchecked - n), tau)
-                failed = []
-                got = checked_scan(rows, span, off, tau, failed)
-                assert (got, failed) == (tuple(want), want_failed)
+                calls.clear()
+                got = checked_scan(rows, ns, span, off, tau)
+                assert (got, calls) == (tuple(want), want_calls)
                 assert scan(rows, span, off, tau) == tuple(want_all)
         assert cut > 1000
 
@@ -499,31 +614,33 @@ class TestAgainstLoopsAndSolver:
         assert mismatches(kernels_of(program), (7,), [], vectors) == set()
         # errors -3, 0 and 5: every trial passes and scores
         # |a + error| = 2, 0 and 4
-        scan, checked_scan, _ = _scans(program, False)
+        checked_scan, calls = watch(_scans(program, False))
         rows = [[0, 4, 1], [3, 4, 0], [8, 4, -1]]
-        failed = []
-        assert checked_scan(rows, 9, 3, 2, failed) == (6, 4, 1)
-        assert failed == []
+        assert checked_scan(rows, [0, 4, 1], 9, 3, 2) == (6, 4, 1, 0, 0)
+        assert calls == []
+        # its solve returns its one value
+        vectors = [[v] for v in (-3, 0, 6, 7, 40)]
+        assert solve_mismatches(program, vectors) == ([], {"ok": 5})
 
 
 def condition_mismatches(ms, rng):
     """Edge vectors where check_ns_condition and the checked scan differ.
 
     Every pair edge of the single-stage plan at every reference k is
-    scored as one block; the trials the scan hands back must be those
+    scored as a one-row block; the trials the scan solves must be those
     the condition refuses.  Returns (mismatches, refusals, vectors).
     """
     wrong = refused = count = 0
     for k in range(len(ms)):
         plan = _folding_plan(ms, k)
+        checked_scan, calls = watch(_scans(plan, False))
         vectors = [e for *_, e in edge_vectors(len(ms), plan._stages())]
-        rows, span, off = block_of(ms, vectors, rng)
-        failed = []
-        _scans(plan, False)[1](rows, span, off, 0, failed)
-        handed = {pos for pos, *_ in failed}
-        for pos, errors in enumerate(vectors):
+        rows, ns, span, off = block_of(ms, vectors, rng)
+        for row, n, errors in zip(rows, ns, vectors):
+            calls.clear()
+            checked_scan([row], [n], span, off, 0)
             ok = check_ns_condition(errors, ms, k)
-            wrong += ok == (pos in handed)
+            wrong += ok == bool(calls)
             refused += not ok
         count += len(vectors)
     return wrong, refused, count
@@ -552,7 +669,8 @@ class TestConditionAgainstTheScan:
             assert wrong == 0 and 2 * refused == count > 0
 
 
-# plan kinds the handback must cover: tree layouts over six moduli
+# plan kinds whose solve arguments are checked: tree layouts over six
+# moduli
 HANDBACK_KINDS = {
     "single stage": None,
     "depth 2": "[[0,1,2],[3,4],[5]]",
@@ -581,7 +699,8 @@ def handback_cases(rng, per_kind):
 
 
 def hand_back_r_minus_d(source, namespace):
-    """exec, with each handed-back remainder r_j + d_j made r_j - d_j."""
+    """exec, with each remainder r_j + d_j handed to the solve made
+    r_j - d_j."""
     exec(re.sub(r"\br(\d+) \+ d\1\b", r"r\1 - d\1", source), namespace)
 
 
@@ -591,10 +710,11 @@ def handbacks(rng):
     For each plan kind, error model and clamping, rows are drawn as a
     sweep draws them, with a third of the unknowns at 0 and a third at
     lcm - 1 so that clamping cuts errors at both ends.  Returns the
-    failing trials the scans and loop_scan disagree on by position, the
-    handed-back tuples that differ from the trials' erroneous
-    remainders, and per kind and clamping the failing trials and the
-    handed-back remainders clamped to 0 and to M_j - 1.
+    blocks where the trials the scan solves, found one row at a time,
+    are not the ones loop_moves fails, the solve calls of a whole-block
+    scan that differ from those trials' erroneous remainders, and per
+    kind and clamping the failing trials and the remainders handed to
+    the solve clamped to 0 and to M_j - 1.
     """
     wrong_positions = wrong_remainders = 0
     seen = {}
@@ -603,26 +723,34 @@ def handbacks(rng):
         lam = math.lcm(*ms)
         for model, clamp in ((m, c) for m in (ONE_SIDED, SYMMETRIC)
                              for c in (False, True)):
-            _, checked_scan, _ = _compile_scans(ms, stages, clamp)
+            checked_scan, calls = watch(_compile_scans(ms, stages, clamp))
             for tau in (2, 9, 40):
                 span, off = (tau + 1, 0) if model == ONE_SIDED else (
                     2 * tau + 1, tau
                 )
-                rows = []
+                rows, ns = [], []
                 for _ in range(60):
                     n = rng.choice((0, lam - 1, rng.randrange(lam)))
                     raws = [rng.getrandbits(64) for _ in ms]
                     rows.append(raws + [n % m for m in ms] + [0])
-                failed, want = [], []
-                checked_scan(rows, span, off, tau, failed)
-                loop_scan(ms, stages, clamp, True)(rows, span, off, tau, want)
-                positions = [pos for pos, *_ in failed]
-                wrong_positions += positions != [pos for pos, *_ in want]
+                    ns.append(n)
+                positions, want = [], []
+                for pos, (row, n) in enumerate(zip(rows, ns)):
+                    calls.clear()
+                    checked_scan([row], [n], span, off, tau)
+                    positions += [pos] * len(calls)
+                    rt = erroneous(ms, row, span, off, clamp)
+                    errors = [x - r for x, r in zip(rt, row[len(ms):])]
+                    if loop_moves(stages, errors, True) is None:
+                        want.append(pos)
+                wrong_positions += positions != want
+                calls.clear()
+                checked_scan(rows, ns, span, off, tau)
                 tally = seen.setdefault((kind, clamp), [0, 0, 0])
-                for pos, *rt in failed:
+                for pos, rt in zip(positions, calls):
                     row = rows[pos]
                     truth = erroneous(ms, row, span, off, clamp)
-                    wrong_remainders += rt != truth
+                    wrong_remainders += list(rt) != truth
                     tally[0] += 1
                     unclamped = erroneous(ms, row, span, off, False)
                     for x, u, m in zip(truth, unclamped, ms):
@@ -632,7 +760,8 @@ def handbacks(rng):
 
 
 class TestHandback:
-    """A checked scan hands each failing trial its erroneous remainders."""
+    """A checked scan solves each failing trial on its erroneous
+    remainders."""
 
     def test_failing_trials_get_their_remainders(self):
         wrong_positions, wrong_remainders, seen = handbacks(
@@ -661,6 +790,164 @@ class TestHandback:
             mutant = every_family(_compile_scans, ms, stages)
             caught |= mismatches(mutant, ms, stages, vectors)
         assert caught == {"checked_scan", "clamped_checked_scan"}
+
+
+def solve_vectors(rng, ms, stages, count):
+    """Erroneous remainders, which the solver takes as given: random
+    errors at random unknowns; as many remainders drawn from
+    [-2 M_j, 3 M_j); as many N - f_j M_j at a random N, each f_j drawn
+    from [-2, N // M_j + 1], so that a derived folding number is -1
+    whatever the reference's is; and every pair's edge vectors at both
+    ends of [0, lcm) and at one unknown between."""
+    lam = math.lcm(*ms)
+    out = [
+        [n % m + e for m, e in zip(ms, errors)]
+        for n, errors in error_vectors(rng, ms, count)
+    ]
+    out += [
+        [rng.randrange(-2 * m, 3 * m) for m in ms] for _ in range(count)
+    ]
+    for n in (rng.randrange(lam) for _ in range(count)):
+        out.append([n - rng.randint(-2, n // m + 1) * m for m in ms])
+    for n in (0, lam - 1, rng.randrange(lam)):
+        out += [
+            [n % m + e for m, e in zip(ms, errors)]
+            for *_, errors in edge_vectors(len(ms), stages)
+        ]
+    return out
+
+
+def solve_mismatches(plan, vectors):
+    """The vectors on which the emitted solve, or loop_solve, differs from
+    the pure solver; and the pure solver's outcomes by kind."""
+    stages = plan._stages()
+    emitted = _scans(plan, False)[3]
+    wrong, kinds = [], {}
+    for rt in vectors:
+        *want, kind = pure_outcome(plan, rt)
+        want = tuple(want)
+        if emitted(*rt) != want or loop_solve(plan.moduli, stages, rt) != want:
+            wrong.append(rt)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return wrong, kinds
+
+
+# plans whose emitted solve is mutated, one constant site at a time: a
+# single stage, a depth-2 tree and a tree that shares index 2
+MUTATED_PLANS = (None, "[[0,1],[2]]", "[[0,2],[1,2]]")
+
+
+def unobservable(source, at, sign, stages):
+    """Whether the mutant that moves the solve constant at source[at:] by
+    one in the direction sign is one no input can tell from the solve.
+
+    A stage of c inputs rounds es + bias over 2c, and es + bias has the
+    parity of c: each rounding remainder e_i = (2 d + g_i) mod 2 g_i has
+    that of g_i, and bias = c - sum of g_i.  So a move of that sum by
+    one crosses no multiple of 2c when it goes to the parity c does not
+    have: +1 for even c, -1 for odd c.  The bias moves the sum itself; a
+    pair's g in its divmod moves e_i the same way while the quotient
+    stays, which it does for +1 on an even g and -1 on an odd one.  And
+    a stage of one pair merges one congruence, so n_k < n and q = n_k c
+    + n t; then n_k (c + 1) < q and (n_k (c + 1) - q) // n tell what
+    they tell with c.
+    """
+    line = source[source.rindex("\n", 0, at):source.index("\n", at)]
+    stage = re.search(r"\b(?:nk|q)(\d+)", line)
+    if stage is None:  # a merge step's contradiction test
+        return False
+    s = int(stage.group(1))
+    plan = stages[s][0]
+    even = "+" if len(plan.moduli) % 2 == 0 else "-"
+    before = source[:at]
+    if before.endswith("(es + "):
+        return sign == even
+    if before.endswith(") + "):  # a divmod's g
+        i = int(re.search(rf"\bq{s}_(\d+), ", line).group(1))
+        g = dict(plan.pairs)[i]
+        return sign == even == "+-"[g % 2]
+    # a c: n_k * c < q, or n_k * c - q in a fold
+    return (
+        sign == "+" and len(plan.pairs) == 1
+        and re.match(r"k\d+ [<-] q", source[at:]) is not None
+    )
+
+
+class TestEmittedSolve:
+    """The checked scan's emitted solve is the pure solver: the estimate,
+    failure versus success, and the partial estimate of a root failure."""
+
+    def test_random_plans_and_trees(self):
+        rng = random.Random(1416)
+        kinds = {}
+        for ms, plan in random_plans(rng, 80):
+            vectors = solve_vectors(rng, ms, plan._stages(), 30)
+            wrong, seen = solve_mismatches(plan, vectors)
+            assert wrong == [], (ms, plan, wrong[:3])
+            for kind, count in seen.items():
+                kinds[kind] = kinds.get(kind, 0) + count
+        assert min(kinds.values()) > 100 and len(kinds) == 5, kinds
+
+    def test_constant_off_by_one_is_caught(self, monkeypatch):
+        # each parameter and integer literal of the emitted solve's source,
+        # one site at a time, made one more and one less; the differential
+        # check or the sweep's rows must catch exactly the mutants that
+        # unobservable() does not prove equivalent
+        ms = (135, 180, 162)
+        rng = random.Random(1419)
+        caught = {"solve": 0, "rows": 0}
+        sites = equivalent = 0
+        for layout in MUTATED_PLANS:
+            plan = (
+                _folding_plan(ms, select_reference(ms)) if layout is None
+                else _program_for(ms, parse_tree(layout))
+            )
+            stages = plan._stages()
+            vectors = solve_vectors(rng, ms, stages, 100)
+            want = [pure_solve(plan, rt) for rt in vectors]
+            cfg = TrialConfig(moduli=ms, tree=layout, trials=200, rng_seed=3)
+            taus = [14, 25, 40]
+            rows = sweep(cfg, taus)
+            sources = []
+
+            def capture(source, namespace):
+                sources.append(source)
+                exec(source, namespace)
+
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "exec", capture, raising=False)
+                _compile_scans(ms, stages, False)
+            (source,) = sources
+            start, end = source.index("def solve("), source.index("def scan(")
+            for found in re.finditer(r"\bk\d+\b|\b\d+\b", source[start:end]):
+                at, stop = start + found.start(), start + found.end()
+                sites += 1
+                for sign in "+-":
+                    mutant = (
+                        f"{source[:at]}({found.group()} {sign} 1){source[stop:]}"
+                    )
+                    with monkeypatch.context() as m:
+                        m.setattr(simulate, "exec",
+                                  lambda _, namespace: exec(mutant, namespace),
+                                  raising=False)
+                        family = _compile_scans(ms, stages, False)
+                        m.setattr(simulate, "_scans", lambda plan, clamp: family)
+                        by_rows = sweep(cfg, taus) != rows
+                    by_solve = [family[3](*rt) for rt in vectors] != want
+                    caught["solve"] += by_solve
+                    caught["rows"] += by_rows
+                    missed = not (by_solve or by_rows)
+                    assert missed == unobservable(source, at, sign, stages), (
+                        layout, at, sign
+                    )
+                    equivalent += missed
+        # a bias and a g per stage, save the g's that no direction keeps,
+        # and a c per one-pair stage and per fold of a shared path
+        assert equivalent == 19
+        # the differential check alone catches every other mutant, and the
+        # rows most of them
+        assert sites > 70 and caught["solve"] == 2 * sites - equivalent
+        assert caught["rows"] > sites, caught
 
 
 # the drawer's seeds (past both ends of [0, 2**64)) and block starts
@@ -880,6 +1167,21 @@ class TestGeneratedCodeLimits:
             for plan in plans
         ]
         assert all(a is None and b is not None for a, b in moves)
+        # the emitted solves, and that of a plan sharing index 2, with
+        # errors up to the gcds' size as well, so that solves fail
+        rng = random.Random(1418)
+        kinds = set()
+        shared = parse_tree("[[0,2],[1,2]]")
+        for plan in plans + [_program_for((12 * p, 18 * p, 8 * p), shared)]:
+            vectors = solve_vectors(rng, plan.moduli, plan._stages(), 10)
+            vectors += [
+                [n % m + rng.randrange(-2 * p, 2 * p) for m in plan.moduli]
+                for n in (0, math.lcm(*plan.moduli) - 1) for _ in range(10)
+            ]
+            wrong, seen = solve_mismatches(plan, vectors)
+            assert wrong == []
+            kinds |= set(seen)
+        assert {"ok", "contradiction"} <= kinds, kinds
 
         monkeypatch.setattr(simulate, "_compile_scans", loop_kernels)
         _scans.cache_clear()
@@ -893,36 +1195,37 @@ class TestGeneratedCodeLimits:
         finally:
             _scans.cache_clear()  # drop the loops' pairs
 
-    def test_stage_of_3000_inputs(self):
+    def test_stage_of_3000_inputs(self, monkeypatch):
         # a left-nested sum of 3,000 terms exhausts the compiler on 3.10-3.12
         size, k = 3000, 1234
         rng = random.Random(1405)
-        stub = SimpleNamespace(
-            k=k,
-            pairs=tuple(
-                (i, rng.randrange(1, 10**6)) for i in range(size) if i != k
-            ),
-        )
-        stages = [(stub, range(size))]
-        moduli = tuple(range(2, size + 2))  # bounds for the clamped scans
+        moduli = tuple(range(2, size + 2))
+        # the plan's own constants, built from row k of the gcd table
+        # alone: the whole table would hold nine million gcds
+        row = [math.gcd(m, moduli[k]) for m in moduli]
+        with monkeypatch.context() as m:
+            m.setattr(robust, "_profile",
+                      lambda ms: SimpleNamespace(table={k: row}))
+            plan = robust._FoldingPlan(moduli, k)
+        stages = plan._stages()
         kernels = every_family(_compile_scans, moduli, stages)
         vectors = [[0] * size, [rng.randint(0, 2) for _ in range(size)]]
-        for i, g in stub.pairs[::100]:  # both edges of every 100th pair
+        for i, g in plan.pairs[::100]:  # both edges of every 100th pair
             lo, hi = -(g // 2), (g + 1) // 2 - 1
             for d in (lo - 1, lo, hi, hi + 1):
                 vectors.append([d if j == i else 0 for j in range(size)])
         assert mismatches(kernels, moduli, stages, vectors) == set()
         # no error: every trial passes and scores its anchor offset
-        rows, span, off = block_of(moduli, vectors[:1], rng)
-        failed = []
-        assert kernels[0][1](rows, span, off, 0, failed)[0] == abs(rows[0][-1])
-        assert failed == []
+        rows, ns, span, off = block_of(moduli, vectors[:1], rng)
+        checked_scan, calls = watch(kernels[0])
+        assert checked_scan(rows, ns, span, off, 0)[0] == abs(rows[0][-1])
+        assert calls == []
         # the drawer of 3,000 moduli: 3,001 draws and 6,001 cells a row
 
         def first(rs):
             return None, rs[0]
 
-        for _, _, draw in kernels:
+        for _, _, draw, _ in kernels:
             args = (-7, 1024, 1026, first)
             assert draw(*args) == loop_draw(moduli)(*args)
 
@@ -939,3 +1242,8 @@ class TestGeneratedCodeLimits:
         assert mismatches(
             kernels_of(program), (3, 5), stages, vectors
         ) == set()
+        # its emitted solve, both indices shared at every level
+        remainders = [[n % 3 + d0, n % 5 + d1]
+                      for n, (d0, d1) in zip(range(15), vectors[:30])]
+        wrong, kinds = solve_mismatches(program, remainders)
+        assert wrong == [] and len(kinds) > 1, kinds

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import watch
 
 from modfold import simulate
 from modfold.intmath import round_half_up_div
@@ -283,13 +284,13 @@ class TestSweep:
         scans_of = simulate._scans
 
         def scans(plan, clamp):
-            scan, checked_scan, draw = scans_of(plan, clamp)
+            scan, checked_scan, draw, solve = scans_of(plan, clamp)
 
             def counting(seed, start, stop, reconstruct):
                 draws.extend(range(start, stop))
                 return draw(seed, start, stop, reconstruct)
 
-            return scan, checked_scan, counting
+            return scan, checked_scan, counting, solve
 
         monkeypatch.setattr(simulate, "_scans", scans)
         monkeypatch.setattr(simulate, "_BLOCK", 16)
@@ -359,14 +360,27 @@ class TestSweep:
             return real(*args)
 
         monkeypatch.setattr(owner, name, counting)
+        solved = []  # each sweep's checked scan's calls to its own solve
+        scans_of = simulate._scans
+
+        def scans(plan, clamp):
+            family = scans_of(plan, clamp)
+            checked_scan, handed = watch(family)
+            solved.append(handed)
+            return family[0], checked_scan, *family[2:]
+
+        monkeypatch.setattr(simulate, "_scans", scans)
         for taus in (inside, outside, [*outside, *inside]):
             rows = passes(taus)
             calls.clear()
+            solved.clear()
             sweep(cfg, taus)
-            # one error-free solve per trial, made when it is drawn, and
-            # one solve per failed check; a sweep of no level draws none
-            assert len(calls) == sum(
-                bool(row) + row.count(False) for row in rows
+            # one error-free solve per trial, made when it is drawn; a
+            # sweep of no level draws none
+            assert len(calls) == sum(bool(row) for row in rows)
+            # and the checked scan's own solve once per failed check
+            assert sum(map(len, solved)) == sum(
+                row.count(False) for row in rows
             )
 
 
@@ -711,13 +725,13 @@ class TestSweepMatchesPerLevelRuns:
         scans_of = simulate._scans
 
         def scans(plan, clamp):
-            scan, checked_scan, draw = scans_of(plan, clamp)
+            scan, *family = scans_of(plan, clamp)
 
             def certified_scan(rows, span, off, tau):
                 certified.add(tau)
                 return scan(rows, span, off, tau)
 
-            return certified_scan, checked_scan, draw
+            return certified_scan, *family
 
         monkeypatch.setattr(simulate, "_scans", scans)
         rows = sweep(cfg, taus)
