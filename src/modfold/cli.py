@@ -37,6 +37,27 @@ from .robust import (
 from .simulate import TrialConfig, stats_to_csv, sweep
 
 
+# the longest invalid argument an error message echoes: int() takes at
+# most 4,300 digits, and echoing a longer argument would flood stderr
+_ECHO_LIMIT = 4300
+
+
+def _int(text: str) -> int:
+    """argparse's int type, except that an invalid argument longer than
+    _ECHO_LIMIT characters is reported by its length, not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = (
+            repr(text) if len(text) <= _ECHO_LIMIT
+            else f"an argument of {len(text)} characters; the CLI takes at "
+            f"most {_ECHO_LIMIT} digits"
+        )
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {shown}"
+        ) from None
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,17 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="robustness bounds of a moduli set")
-    p.add_argument("moduli", type=int, nargs="+")
+    p.add_argument("moduli", type=_int, nargs="+")
     p.add_argument("--grouping", metavar="TREE", help="nested index lists")
 
     p = sub.add_parser("reconstruct", help="recover N from remainders")
-    p.add_argument("moduli", type=int, nargs="+")
-    p.add_argument("--remainders", type=int, nargs="+", required=True)
+    p.add_argument("moduli", type=_int, nargs="+")
+    p.add_argument("--remainders", type=_int, nargs="+", required=True)
     p.add_argument("--grouping", metavar="TREE")
-    p.add_argument("--reference", type=int, default=None)
+    p.add_argument("--reference", type=_int, default=None)
 
     p = sub.add_parser("group", help="search for a two-stage grouping")
-    p.add_argument("moduli", type=int, nargs="+")
+    p.add_argument("moduli", type=_int, nargs="+")
     p.add_argument(
         "--share-reference",
         action="store_true",
@@ -64,10 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("simulate", help="Monte Carlo sweep, CSV to stdout")
-    p.add_argument("moduli", type=int, nargs="+")
-    p.add_argument("--tau-max", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("moduli", type=_int, nargs="+")
+    p.add_argument("--tau-max", type=_int, required=True)
+    p.add_argument("--trials", type=_int, default=100_000)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--grouping", metavar="TREE")
     p.add_argument(
         "--error-model",

@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 ORACLE_CAP_DEFAULT = 10_000_000
+# the reasons a stage's solve fails with, here and in generated code
+_CONTRADICTION = "remainder errors produced contradictory congruences"
+_NEGATIVE = "negative folding number"
 
 
 class FoldingFailure(Exception):
@@ -419,9 +422,7 @@ def _solve_with_plan(
         e_sum += e
         diff = q * inv % n - n_ref
         if diff % mg:
-            raise FoldingFailure(
-                "remainder errors produced contradictory congruences"
-            )
+            raise FoldingFailure(_CONTRADICTION)
         n_ref += mm * (diff // mg * minv % mn)
 
     # n_ref * c == q (mod n) for every term, so each division is exact
@@ -432,7 +433,7 @@ def _solve_with_plan(
     est = n_ref * plan.mk + r_ref + (e_sum + plan.bias) // plan.twice_size
     if min(folding) < 0:
         raise FoldingFailure(
-            "negative folding number",
+            _NEGATIVE,
             partial_folding=tuple(folding),
             partial_estimate=est,
         )

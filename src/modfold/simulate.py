@@ -46,13 +46,17 @@ robust.check_ns_condition is the same test for one stage.
 So a trial whose errors pass the check is scored as the error-free
 anchor's outcome plus the root move, and a trial that fails it is solved
 on its erroneous remainders by the scan's own solve, the pure solver's
-arithmetic written out per stage (_compile_scans).  The anchor stays the
-pure solver's: the solve on the trial's true remainders, one per trial,
-made when the trial is drawn, so the rows stay tied to the solver's own
-output and a fault in the merge or the derivation still shows in every
-row.  Both ways give the rows the solver gives.  The move is the root
-stage's, the estimate a tree sweep scores; for the occurrence estimate
-it would be the rounded mean over leaf occurrences.
+arithmetic written out per stage (_compile_scans).  The anchor is the
+solve on the trial's true remainders, one per trial, made when the trial
+is drawn: the pure solver's for a single stage, and for a tree the
+program's run, which is generated code from the same stage writer as
+the scans' solve (multistage._solve_lines).  So a fault in that writer
+could show in the anchor and the solve alike; the guards independent of
+it are the golden CSVs, the recursive reconstruction the tests hold
+every run to, and the benchmark's oracle.  Both ways give the rows the
+solver gives.  The move is the root stage's, the estimate a tree sweep
+scores; for the occurrence estimate it would be the rounded mean over
+leaf occurrences.
 
 At some levels every trial passes, so the check is skipped there.  Let
 G be the least gcd any stage rounds by, the least g of the pairs the
@@ -81,15 +85,20 @@ statistics, otherwise the trial is excluded from the mean and the max.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Sequence
 
 from .intmath import _check_index, _check_int
-from .multistage import GroupTree, _program_for, parse_tree
+from .multistage import (
+    GroupTree,
+    _program_for,
+    _solve_lines,
+    _sum_source,
+    parse_tree,
+)
 from .robust import (
     FoldingFailure,
     SearchCapExceeded,
@@ -119,6 +128,9 @@ _MASK64 = (1 << 64) - 1
 # trials drawn and scored together: each level is one scan of a block,
 # and the block bounds the rows held in memory
 _BLOCK = 1024
+# the most error levels one sweep takes, so that its counters and its
+# scans per block stay bounded
+_LEVEL_CAP = 100_000
 
 
 def _splitmix64(seed: int, index: int) -> int:
@@ -189,17 +201,18 @@ def run_trials(cfg: TrialConfig) -> TrialStats:
 def sweep(cfg_base: TrialConfig, taus: Iterable[int]) -> list[TrialStats]:
     """One campaign per error level, same seed and trial count.
 
-    Each row equals run_trials(replace(cfg_base, tau=tau)).
+    Each row equals run_trials(replace(cfg_base, tau=tau)).  taus may be
+    any iterable, endless included: past _LEVEL_CAP levels the sweep
+    raises SearchCapExceeded before it draws a trial.
     """
-    return _run_levels(cfg_base, [_check_int("tau", t, 0) for t in taus])
-
-
-def _sum_source(names: Sequence[str]) -> str:
-    """The sum of the named locals as a balanced tree of + terms."""
-    if len(names) == 1:
-        return names[0]
-    half = len(names) // 2
-    return f"({_sum_source(names[:half])} + {_sum_source(names[half:])})"
+    levels = [
+        _check_int("tau", t, 0) for t in islice(taus, _LEVEL_CAP + 1)
+    ]
+    if len(levels) > _LEVEL_CAP:
+        raise SearchCapExceeded(
+            f"a sweep takes at most {_LEVEL_CAP} error levels"
+        )
+    return _run_levels(cfg_base, levels)
 
 
 # the generated source of a plan's solve, scans and drawer: a factory
@@ -258,121 +271,19 @@ _SCORE = """if e < 0:
                 bad += 1"""
 
 
-def _solve_lines(size: int, stages, const) -> list[str]:
-    """The body of the emitted solve(v_0..v_{L-1}).
-
-    It is robust._solve_with_plan run on each stage in run order, as
-    _TreeProgram.run runs it, written out per stage: one divmod per pair
-    (head, then steps) with the merge step inline, the estimate into slot
-    L + s, then the negative-folding test nk * c < q per (i, n, c) of
-    derive, since (nk c - q) // n < 0 exactly when nk c < q; the merged
-    n_k itself is a residue, never negative.  It returns (estimate, ok)
-    and fails as run does: (None, False) on a contradiction, or on a
-    negative folding number below the root; (root estimate, False) on
-    one at the root; and, on a plan that repeats an index, (None, False)
-    when that index's occurrences disagree (_agreement_lines).  A plan
-    with no stage returns its one value.
-    """
-    if not stages:
-        return ["return v0, True"]
-    lines = []
-    root = len(stages) - 1
-    for s, (plan, slots) in enumerate(stages):
-        ins = [f"v{j}" for j in slots]
-        rk, nk, est = ins[plan.k], f"nk{s}", f"v{size + s}"
-
-        def quotient(i, g, g2, rest):
-            return (
-                f"q{s}_{i}, {rest} = divmod(2 * ({ins[i]} - {rk})"
-                f" + {const(g)}, {const(g2)})"
-            )
-
-        i, g, g2, n, inv = plan.head
-        lines += [
-            quotient(i, g, g2, "es"),
-            f"{nk} = q{s}_{i} * {const(inv)} % {const(n)}",
-        ]
-        for i, g, g2, n, inv, mg, mn, minv, mm in plan.steps:
-            lines += [
-                quotient(i, g, g2, "e"),
-                "es += e",
-                f"diff = q{s}_{i} * {const(inv)} % {const(n)} - {nk}",
-                f"if diff % {const(mg)}:",
-                "    return None, False",
-                f"{nk} += {const(mm)} * (diff // {const(mg)}"
-                f" * {const(minv)} % {const(mn)})",
-            ]
-        negative = " or ".join(
-            f"{nk} * {const(c)} < q{s}_{i}" for i, _, c in plan.derive
-        )
-        lines += [
-            f"{est} = {nk} * {const(plan.mk)} + {rk}"
-            f" + (es + {const(plan.bias)}) // {const(plan.twice_size)}",
-            f"if {negative}:",
-            f"    return {est if s == root else None}, False",
-        ]
-    lines += _agreement_lines(size, stages, const)
-    lines.append(f"return v{size + root}, True")
-    return lines
-
-
-def _agreement_lines(size: int, stages, const) -> list[str]:
-    """The emitted solve's check that a shared index's occurrences agree.
-
-    An index is shared when more than one stage input is its slot.  An
-    occurrence's folding number f, as _TreeProgram.foldings composes it,
-    is the sum over the steps from its leaf to the root of the step's
-    folding number for the input on the path times that input's lcm over
-    M_i; so f M_i is the same sum with the lcm itself, and two
-    occurrences of one index agree exactly when these sums do.  The
-    lines build the sums top-down, one t local per input on a path to a
-    shared occurrence, then compare each shared index's sums.
-    """
-    seen = Counter(j for _, slots in stages for j in slots if j < size)
-    shared = sorted(j for j, count in seen.items() if count > 1)
-    if not shared:
-        return []
-    # whether a slot's subtree holds a shared occurrence
-    holds = [j in shared for j in range(size)]
-    for _, slots in stages:
-        holds.append(any(holds[j] for j in slots))
-    above = {size + len(stages) - 1: None}  # a slot's sum from the root
-    sums: dict[int, list[str]] = {j: [] for j in shared}
-    lines = []
-    for s in range(len(stages) - 1, -1, -1):
-        plan, slots = stages[s]
-        if not holds[size + s]:
-            continue
-        parent = above[size + s]
-        derive = {i: (n, c) for i, n, c in plan.derive}
-        for i, j in enumerate(slots):
-            if not holds[j]:
-                continue
-            fold = f"nk{s}"
-            if i != plan.k:
-                n, c = derive[i]
-                fold = f"({fold} * {const(c)} - q{s}_{i}) // {const(n)}"
-            term = f"{fold} * {const(plan.moduli[i])}"
-            name = f"t{s}_{i}"
-            lines.append(
-                f"{name} = {term}" if parent is None
-                else f"{name} = {parent} + {term}"
-            )
-            if j < size:
-                sums[j].append(name)
-            else:
-                above[j] = name
-    for names in sums.values():
-        lines += [f"if not ({' == '.join(names)}):", "    return None, False"]
-    return lines
+def _solve_fail(reason: str, partial) -> str:
+    """The emitted solve's failure line: (the partial estimate, False),
+    None unless a folding number at the root is negative."""
+    return f"return {None if partial is None else partial[1]}, False"
 
 
 def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
     """Generate (scan, checked_scan, draw, solve) for a run of stages.
 
-    It is the package's only code generator (solving, decoding and
-    designing build no code); _scans keeps its output per plan and
-    clamping.
+    Its solve comes from multistage._solve_lines, the one writer of
+    stage arithmetic, which also writes each tree program's run; the
+    scans and the drawer are written here.  _scans keeps its output per
+    plan and clamping.
 
     stages holds (plan, slots) per stage in run order: plan is the
     stage's robust._FoldingPlan and slots are its input slots.  In the
@@ -448,7 +359,8 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
             f"{table[-1]} = (2 * {_sum_source(ins)} + {const(c)})"
             f" // {const(2 * c)}"
         )
-    solve = _solve_lines(size, stages, const)
+    solve, _ = _solve_lines(size, stages, const, _solve_fail)
+    solve.append(f"return v{size + len(stages) - 1 if stages else 0}, True")
     # a trial's draw j is splitmix64 of its key stepped by (j + 1) gamma:
     # the unknown at j = 0, then x_0..x_{L-1}
     outs = [f"n = (z ^ (z >> 31)) % {const(math.lcm(*moduli))}"]

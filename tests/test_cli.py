@@ -158,6 +158,20 @@ class TestReconstruct:
         assert "partial estimate: -22" in out
 
 
+    def test_shared_index(self, capsys):
+        # the occurrences of index 2 disagree, then agree
+        argv = ("reconstruct", "135", "180", "162", "--grouping",
+                "[[0,2],[1,2]]", "--remainders")
+        code, out, _ = run(capsys, *argv, "76", "163", "-7")
+        assert code == 1
+        assert out == (
+            "verdict: inconsistent (conflicting folding numbers for "
+            "modulus index 2)\n"
+        )
+        code, out, _ = run(capsys, *argv, "95", "144", "127")
+        assert code == 0
+        assert out.splitlines()[:2] == ["estimate: 1584", "folding: 11 8 9"]
+
 class TestGroup:
     def test_success(self, capsys):
         code, out, _ = run(
@@ -283,6 +297,14 @@ class TestSimulate:
         assert (code, err) == (0, "")
         assert out.encode() == (ROOT / golden).read_bytes()
 
+    def test_endless_sweep_hits_the_level_cap(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "4", "6", "--tau-max",
+            "100000000000000000000", "--trials", "1",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: a sweep takes at most 100000 error levels\n"
+
     def test_negative_tau_max_is_invalid_input(self, capsys):
         code, out, err = run(capsys, "simulate", "7", "9", "--tau-max", "-3")
         assert code == 2
@@ -353,6 +375,25 @@ class TestParsing:
             main(["simulate", "8", "12"])
         assert exc.value.code == 2
 
+
+    def test_invalid_int_is_echoed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "135", "abc", "162"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("argument moduli: invalid int value: 'abc'\n")
+
+    def test_int_past_the_digit_limit_is_not_echoed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "7" * 5000, "5"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(
+            "argument moduli: invalid int value: an argument of 5000 "
+            "characters; the CLI takes at most 4300 digits\n"
+        )
+        assert len(out.err) < 300
 
 class TestParserReuse:
     """main builds its parser once per process and reuses it."""

@@ -15,7 +15,11 @@ argument or offset are caught, that a plan compiles only the clampings
 it is swept with, and that the generated code survives huge gcds, wide
 stages and deep trees.  They hold the emitted solve to the pure solver,
 estimate, success and partial estimate alike, and catch a solve with one
-constant off by one.  They hold the drawer to rows built from
+constant off by one.  They hold each tree program's run, the stage
+writer's other output, to the recursive reconstruction and to the
+per-stage loop (loop_run), every field or the failure triple alike, on
+random and shared plans, a 300-stage chain and moduli past the digit
+limit.  They hold the drawer to rows built from
 simulate._splitmix64, across seeds, block starts and plan sizes, and
 catch a drawer with one mixing or step constant altered.  They also hold
 the error-free solve, whose estimate minus N is each row's anchor
@@ -28,12 +32,19 @@ import math
 import random
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache, partial
 from types import SimpleNamespace
 
 import pytest
 from conftest import watch
+from test_multistage import (
+    outcome,
+    random_entangled,
+    random_plan,
+    recursive_reconstruct,
+)
 
 import modfold.robust as robust
 import modfold.simulate as simulate
@@ -47,6 +58,7 @@ from modfold.multistage import (
     parse_tree,
     reconstruct_tree,
     stage_bounds,
+    tree_leaves,
 )
 from modfold.robust import (
     FoldingFailure,
@@ -89,16 +101,19 @@ def loop_moves(stages, errors, checked):
     return table[-1]
 
 
-def loop_solve(moduli, stages, rt):
-    """(estimate or None, ok) of the pure solver on erroneous remainders.
+def loop_run(moduli, stages, rt):
+    """The pure solver's run on erroneous remainders.
 
-    _solve_with_plan runs each stage in order, as _TreeProgram.run runs
-    it; a failure at the root keeps its partial estimate, one below it
-    none.  Then each leaf occurrence's folding number is composed as
-    _TreeProgram.foldings composes it, the sum over the steps from the
-    leaf to the root of the step's folding number for that input times
-    the input's lcm over M_i (carried as the sum with the lcm itself and
-    divided at the leaf), and the occurrences of one index must agree.
+    _solve_with_plan runs each stage in order; a failure at the root
+    keeps its partial folding and estimate, one below it neither.  Then
+    each leaf occurrence's folding number is the sum over the steps from
+    the leaf to the root of the step's folding number for that input
+    times the input's lcm over M_i (carried as the sum with the lcm
+    itself and divided at the leaf), and the occurrences of one index
+    must agree, the first to differ, left to right, naming its index.
+    Returns (root stage's estimate, one folding per step, folding, the
+    rounded mean of f * M_i + r_i over every occurrence), or the failure
+    triple (reason, partial folding, partial estimate).
     """
     size = len(moduli)
     table, folds = list(rt), []
@@ -106,23 +121,39 @@ def loop_solve(moduli, stages, rt):
         try:
             folding, est = _solve_with_plan(plan, [table[j] for j in slots])
         except FoldingFailure as exc:
-            root = s == len(stages) - 1
-            return (exc.partial_estimate if root else None), False
+            if s < len(stages) - 1:
+                return exc.reason, None, None
+            return exc.reason, exc.partial_folding, exc.partial_estimate
         folds.append(folding)
         table.append(est)
-    found = {}  # index -> its occurrences' folding numbers
-    stack = [(len(table) - 1, 0)] if stages else []
+    found = {}  # index -> its first occurrence's folding number
+    total = count = 0
+    stack = [(len(table) - 1, 0)]
     while stack:
-        slot, total = stack.pop()
+        slot, f_m = stack.pop()
         if slot < size:
-            found.setdefault(slot, set()).add(total // moduli[slot])
+            f = f_m // moduli[slot]
+            if found.setdefault(slot, f) != f:
+                reason = f"conflicting folding numbers for modulus index {slot}"
+                return reason, None, None
+            total += f_m + rt[slot]
+            count += 1
             continue
         plan, slots = stages[slot - size]
-        for i, j in enumerate(slots):
-            stack.append((j, total + folds[slot - size][i] * plan.moduli[i]))
-    if any(len(fs) > 1 for fs in found.values()):
-        return None, False
-    return table[-1], True
+        for i in range(len(slots) - 1, -1, -1):  # popped left to right
+            term = folds[slot - size][i] * plan.moduli[i]
+            stack.append((slots[i], f_m + term))
+    folding = tuple(found[i] for i in range(size))
+    return table[-1], folds, folding, (2 * total + count) // (2 * count)
+
+
+def loop_solve(moduli, stages, rt):
+    """(estimate or None, ok) of loop_run: what the emitted solve returns,
+    a failure keeping only its partial estimate."""
+    out = loop_run(moduli, stages, rt)
+    if isinstance(out[0], str):
+        return out[2], False
+    return out[0], True
 
 
 def loop_scan(moduli, stages, clamp, checked, solve):
@@ -384,8 +415,8 @@ def solve(plan, rt):
     try:
         if isinstance(plan, robust._FoldingPlan):
             return _solve_with_plan(plan, rt)
-        (_, folds), est, _ = plan.run(rt)
-        return folds, est
+        _, est, outer, folding, _ = plan.run(rt)
+        return (outer, folding), est
     except FoldingFailure:
         return None, None
 
@@ -950,6 +981,115 @@ class TestEmittedSolve:
         assert caught["rows"] > sites, caught
 
 
+class TestGeneratedRun:
+    """Each tree program's run is generated code: it gives what the
+    recursive reconstruction and the per-stage loop give, the failure
+    triple included."""
+
+    def check(self, program, tree, rt):
+        """The run's outcome against both references; its kind."""
+        ms, stages = program.moduli, program._stages()
+        try:
+            groups, root, outer, folding, estimate = program.run(rt)
+        except FoldingFailure as exc:
+            got = (exc.reason, exc.partial_folding, exc.partial_estimate)
+            assert loop_run(ms, stages, rt) == got
+            assert outcome(recursive_reconstruct, ms, rt, tree) == (
+                "failure", *got
+            )
+            if exc.reason.startswith("negative"):
+                partial = "partial" if exc.partial_folding else "no partial"
+                return f"negative, {partial}"
+            return exc.reason.split()[0]
+        want = recursive_reconstruct(ms, rt, tree)
+        assert (groups, outer, folding, estimate) == (
+            want.per_group_estimates,
+            want.outer_folding,
+            want.final.folding,
+            want.final.estimate,
+        )
+        loop_root, _, loop_folding, loop_estimate = loop_run(ms, stages, rt)
+        assert (root, folding, estimate) == (
+            loop_root, loop_folding, loop_estimate
+        )
+        return "ok"
+
+    def test_random_plans(self):
+        rng = random.Random(1420)
+        kinds = Counter()
+        plans = shared = 0
+        while plans < 250:
+            size = rng.randint(2, 6)
+            ms = random_entangled(rng, size)
+            tree = parse_tree(random_plan(rng, size))
+            try:
+                program = _tree_program(ms, tree)
+            except DegenerateTreeError:
+                continue
+            plans += 1
+            shared += sum(len(leaf.indices) for leaf in tree_leaves(tree)) > size
+            lam = math.lcm(*ms)
+            for _ in range(24):
+                # unknowns near 0 as well, where folding numbers go negative
+                n = rng.randrange(rng.choice((lam, min(lam, 30))))
+                tau = rng.choice((0, 2, 5, 13, 30))
+                rt = [n % m + rng.randint(-tau, tau) for m in ms]
+                kinds[self.check(program, tree, rt)] += 1
+        assert shared > 40, shared
+        assert len(kinds) == 5 and min(kinds.values()) >= 10, kinds
+
+    def test_first_conflict_from_left_to_right(self):
+        # indices 1, 2 and 3 all disagree; the first occurrence to differ
+        # from its index's first, left to right, is the second of index 2
+        ms, tree = (252, 360, 960, 1701), parse_tree("[[2,3],[0,1,2],[1,3]]")
+        program = _program_for(ms, tree)
+        rt = [74, 158, 744, 586]
+        assert self.check(program, tree, rt) == "conflicting"
+        with pytest.raises(FoldingFailure, match="modulus index 2$"):
+            program.run(rt)
+
+    def test_deep_shared_chain(self):
+        # the 300-stage chain of test_deep_chain_tree: both indices are
+        # shared at every level
+        tree = Node((Leaf((0,)), Leaf((1,))))
+        for level in range(299):
+            tree = Node((Leaf((level % 2,)), tree))
+        program = _program_for((3, 5), tree)
+        rng = random.Random(1421)
+        vectors = [
+            [n % 3 + d0, n % 5 + d1]
+            for n in range(15)
+            for d0, d1 in ((0, 0), (1, -1), (-2, 2))
+        ]
+        vectors += [[rng.randint(-9, 9) for _ in range(2)] for _ in range(20)]
+        kinds = Counter(self.check(program, tree, rt) for rt in vectors)
+        assert kinds["ok"] >= 15 and len(kinds) > 1, kinds
+
+    def test_moduli_past_the_digit_limit(self):
+        # decoded through reconstruct_tree: the run's constants are
+        # factory parameters, never source text
+        p = 10**4400 + 1
+        rng = random.Random(1422)
+        kinds = Counter()
+        for ms, layout in (
+            ((6 * p, 10 * p, 15 * p), "[[0,1],[2]]"),
+            ((12 * p, 18 * p, 8 * p), "[[0,2],[1,2]]"),
+        ):
+            tree = parse_tree(layout)
+            program = _program_for(ms, tree)
+            lam = math.lcm(*ms)
+            for _ in range(10):
+                n = rng.randrange(lam)
+                rt = [n % m + rng.randint(-3, 3) for m in ms]
+                sol = reconstruct_tree(ms, rt, tree)
+                assert sol.final.folding == tuple(n // m for m in ms)
+                assert abs(sol.final.estimate - n) <= 3
+                kinds[self.check(program, tree, rt)] += 1
+                rt = [n % m + rng.randrange(-2 * p, 2 * p) for m in ms]
+                kinds[self.check(program, tree, rt)] += 1
+        assert kinds["ok"] >= 20 and len(kinds) > 1, kinds
+
+
 # the drawer's seeds (past both ends of [0, 2**64)) and block starts
 DRAW_SEEDS = (0, -7, 2**64 + 3)
 DRAW_STARTS = (0, 1024)
@@ -1083,7 +1223,8 @@ class TestErrorFreeSolve:
             except DegenerateTreeError:
                 continue
             built += 1
-            assert program.shared == (kind == "shared index")
+            occurrences = len(re.findall(r"\d+", layout))
+            assert (occurrences > size) == (kind == "shared index")
             for n in true_values(rng, ms):
                 assert program.run([n % m for m in ms])[1] == n, (ms, layout)
 

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+import modfold.multistage as multistage
 import modfold.robust as robust
 from modfold.intmath import round_half_up_div
 from modfold.multistage import (
@@ -812,12 +813,13 @@ class TestStepReferences:
         while plans < 300:
             size = rng.randint(2, 6)
             ms = random_entangled(rng, size)
+            tree = parse_tree(random_plan(rng, size))
             try:
-                program = _tree_program(ms, parse_tree(random_plan(rng, size)))
+                program = _tree_program(ms, tree)
             except DegenerateTreeError:
                 continue
             plans += 1
-            shared += program.shared
+            shared += sum(len(leaf.indices) for leaf in tree_leaves(tree)) > size
             for plan, *_ in program.steps:
                 steps += 1
                 past_first += plan.k > 0
@@ -865,7 +867,7 @@ class TestOneRun:
             except DegenerateTreeError:
                 continue
             plans += 1
-            shared += len(program.occurrences) > size
+            shared += sum(len(leaf.indices) for leaf in tree_leaves(tree)) > size
             # one step per folding plan built: each leaf of two or more
             # indices and each node (bench/workloads.py plans_built)
             assert len(program.steps) == sum(
@@ -878,7 +880,7 @@ class TestOneRun:
                 tau = rng.choice((0, 2, 5, 13, 30))
                 rt = [n % m + rng.randint(-tau, tau) for m in ms]
                 try:
-                    (table, folds), est, composed = program.run(rt)
+                    groups, _, outer, folding, estimate = program.run(rt)
                 except FoldingFailure as exc:
                     with pytest.raises(FoldingFailure) as again:
                         reconstruct_tree(ms, rt, tree)
@@ -892,40 +894,43 @@ class TestOneRun:
                     root_partials += exc.partial_estimate is not None
                     continue
                 sol = reconstruct_tree(ms, rt, tree)
-                assert est == table[-1] and len(folds) == len(program.steps)
-                assert composed == (
-                    (sol.final.folding, sol.final.estimate)
-                    if program.shared
-                    else None
+                assert (groups, outer, folding, estimate) == (
+                    sol.per_group_estimates,
+                    sol.outer_folding,
+                    sol.final.folding,
+                    sol.final.estimate,
                 )
                 assert sol == recursive_reconstruct(ms, rt, tree)
-                assert sol.per_group_estimates == tuple(
-                    table[s] for s in program.group_slots
-                )
         assert shared > 50 and fails > 500 and root_partials > 0
 
+    def test_one_run_per_reconstruct_tree_call(self, monkeypatch):
+        # each call runs the program once; the program compiles its run
+        # once, when it is built, and a sweep's anchor reuses it
+        calls = {"run": 0, "compile": 0}
+        run, compile_run = _TreeProgram.run, multistage._compile_run
 
-    def test_one_foldings_pass_per_reconstruct_tree_call(self, monkeypatch):
-        calls = {"run": 0, "foldings": 0}
+        def counted_run(*args):
+            calls["run"] += 1
+            return run(*args)
 
-        def counted(name):
-            original = getattr(_TreeProgram, name)
+        def counted_compile(*args):
+            calls["compile"] += 1
+            return compile_run(*args)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(_TreeProgram, name, wrapper)
-
-        counted("run")
-        counted("foldings")
-        ms = (12, 18, 35)
+        monkeypatch.setattr(_TreeProgram, "run", counted_run)
+        monkeypatch.setattr(multistage, "_compile_run", counted_compile)
+        # a fresh factor keeps the program cache cold for these moduli
+        f = random.Random(1419).randrange(10**12, 10**13)
+        ms = tuple(f * m for m in (12, 18, 35))
         for tree, n in (("[[0,2],[1,2]]", 100), ("[[0,1],[2]]", 100)):
-            calls.update(run=0, foldings=0)
+            calls.update(run=0, compile=0)
             rt = [n % m for m in ms]
-            sol = reconstruct_tree(ms, rt, tree)
-            assert sol.final.folding == tuple(n // m for m in ms)
-            assert calls == {"run": 1, "foldings": 1}, tree
+            for repeat in range(3):
+                sol = reconstruct_tree(ms, rt, tree)
+                assert sol.final.folding == tuple(n // m for m in ms)
+                assert calls == {"run": repeat + 1, "compile": 1}, tree
+            run_trials(TrialConfig(moduli=ms, tree=tree, trials=5))
+            assert calls == {"run": 8, "compile": 1}, tree
 
 
 def deep_chain(depth):
@@ -1210,10 +1215,10 @@ class TestCheckedScan:
         issued = refused = 0
         for n in range(math.lcm(*ms)):
             rs = [n % m for m in ms]
-            (_, anchor_folds), anchor, _ = program.run(rs)
+            _, anchor, *anchor_folds, _ = program.run(rs)
             for deltas, move in moves.items():
                 try:
-                    (_, folds), est, _ = program.run(
+                    _, est, *folds, _ = program.run(
                         [r + d for r, d in zip(rs, deltas)]
                     )
                 except FoldingFailure:

@@ -1,7 +1,7 @@
 import math
 from dataclasses import asdict, replace
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 from conftest import watch
@@ -270,6 +270,16 @@ class TestSweep:
     def test_rejects_bad_level(self, tau):
         with pytest.raises(ValueError, match="tau"):
             sweep(TrialConfig(moduli=(8, 12, 15), trials=10), [0, tau])
+
+    def test_endless_levels_hit_the_cap(self, monkeypatch):
+        cfg = TrialConfig(moduli=(4, 6), trials=1)
+        with pytest.raises(SearchCapExceeded, match="100000 error levels"):
+            sweep(cfg, count())
+        # the cap's edge: as many levels as the cap pass, one more fails
+        monkeypatch.setattr(simulate, "_LEVEL_CAP", 5)
+        assert [r.tau for r in sweep(cfg, range(5))] == [0, 1, 2, 3, 4]
+        with pytest.raises(SearchCapExceeded):
+            sweep(cfg, range(6))
 
     def test_too_deep_plan_is_a_value_error(self):
         tree = Node((Leaf((0,)), Leaf((1,))))
