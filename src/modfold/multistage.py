@@ -440,8 +440,8 @@ def _solve_lines(size: int, stages, const, fail, composed=()):
 
     Then, top-down, each leaf occurrence of an index in composed or of a
     shared index (the slot of more than one stage input) gets f * M_i,
-    f its folding number: the sum over the steps from its leaf
-    to the root of the step's folding number for the input on the path
+    f its folding number: the sum over the stages from its leaf
+    to the root of the stage's folding number for the input on the path
     times that input's lcm over M_i, so f * M_i is the same sum with the
     lcm itself.  Each input on such a path gets one t local, its
     parent's plus its own term.  Two occurrences of an index agree
@@ -619,21 +619,20 @@ def _compile_run(moduli: tuple[int, ...], stages, groups, outer):
 class _TreeProgram:
     """Prevalidated reconstruction plan for a fixed (moduli, tree) pair.
 
-    steps holds the stages of two or more inputs in post-order as (plan,
+    stages holds the stages of two or more inputs in post-order as (plan,
     slots): slots 0..L-1 hold the remainders and slot L + s the estimate
-    of step s, and a step's slots are its inputs' (a leaf's indices or
-    its children's slots).  A one-index leaf is no step, only its
-    remainder's slot.  Each step's reference is its stage's layout
-    reference, the index select_reference would pick.  _stages gives the
-    steps: what a sweep's scans check and move, stage by stage (see the
-    simulate module).
+    of stage s, and a stage's slots are its inputs' (a leaf's indices or
+    its children's slots).  A one-index leaf is no stage, only its
+    remainder's slot.  Each stage's reference is its layout reference,
+    the index select_reference would pick.  stages is what a sweep's
+    scans check and move, stage by stage (see the simulate module); with
+    moduli and run it is the protocol a robust._FoldingPlan shares.
 
     Building a program checks the moduli (positive, distinct, nonempty,
     through their profile) and the tree, so a cached program's inputs are
     not checked again, and compiles its run (_compile_run) once.  That
     compile is most of a build: on a 2-vCPU Xeon under Python 3.11, a
-    plan of two or three stages builds in about 0.4-0.8 ms, against
-    0.02-0.04 ms without it.
+    plan of two or three stages builds in about 0.4-0.8 ms.
     """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):
@@ -641,7 +640,7 @@ class _TreeProgram:
         validate_tree(tree, len(moduli))
         self.moduli = moduli
         size = len(moduli)
-        steps = []
+        stages = []
         slots: list[int] = []  # table slots of the subtrees not yet joined
         leaf_slots, node_slots = [], []  # each subtree's slot, by kind
         for t, _, parts, ref, _ in _layout(tree, moduli):
@@ -652,23 +651,23 @@ class _TreeProgram:
                 slots += t.indices
             c = len(parts)
             if c > 1:
-                steps.append((_folding_plan(parts, ref), tuple(slots[-c:])))
+                stages.append((_folding_plan(parts, ref), tuple(slots[-c:])))
                 del slots[-c:]
-                slots.append(size + len(steps) - 1)
+                slots.append(size + len(stages) - 1)
             (leaf_slots if is_leaf else node_slots).append(slots[-1])
-        self.steps = tuple(steps)
+        self.stages = tuple(stages)
         # the root closes the post-order: its estimate is the final one,
         # not a group record, and its multipliers lead
         self._run = _compile_run(
             moduli,
-            self.steps,
+            self.stages,
             tuple(leaf_slots + node_slots)[:-1],
             tuple(s - size for s in node_slots[-1:] + node_slots[:-1]),
         )
         # a single-leaf plan is the single-stage solver, reference included
         self.reference_index = (
-            tree.indices[steps[0][0].k]
-            if isinstance(tree, Leaf) and steps
+            tree.indices[stages[0][0].k]
+            if isinstance(tree, Leaf) and stages
             else None
         )
 
@@ -677,9 +676,6 @@ class _TreeProgram:
         (group estimates, root stage's estimate, outer folding, folding,
         occurrence estimate).  FoldingFailure propagates."""
         return self._run(remainders)
-
-    def _stages(self):
-        return self.steps
 
 
 @lru_cache(maxsize=128)

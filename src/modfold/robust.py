@@ -360,7 +360,8 @@ class _FoldingPlan:
 
     pairs holds (i, g_i) per index i != k: the exactness condition the
     sweep checks, and the window it certifies, are stated once, in the
-    simulate module.
+    simulate module.  A sweep takes a plan as it takes a
+    multistage._TreeProgram, through moduli, stages and run.
 
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least
@@ -394,8 +395,15 @@ class _FoldingPlan:
         self.bias = len(moduli) - sum(t[1] for t in terms)
         self.pairs = tuple((i, g) for i, g, _, _, _ in terms)
 
-    def _stages(self):
+    @property
+    def stages(self):
+        # made on each read: held by the plan, it would tie the plan into
+        # a reference cycle that outlives its eviction from _folding_plan
         return ((self, range(len(self.moduli))),)
+
+    def run(self, remainders: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """_solve_with_plan on this plan, looked up at call time."""
+        return _solve_with_plan(self, remainders)
 
 
 @lru_cache(maxsize=512)

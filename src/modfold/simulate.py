@@ -47,16 +47,17 @@ So a trial whose errors pass the check is scored as the error-free
 anchor's outcome plus the root move, and a trial that fails it is solved
 on its erroneous remainders by the scan's own solve, the pure solver's
 arithmetic written out per stage (_compile_scans).  The anchor is the
-solve on the trial's true remainders, one per trial, made when the trial
-is drawn: the pure solver's for a single stage, and for a tree the
-program's run, which is generated code from the same stage writer as
-the scans' solve (multistage._solve_lines).  So a fault in that writer
-could show in the anchor and the solve alike; the guards independent of
-it are the golden CSVs, the recursive reconstruction the tests hold
-every run to, and the benchmark's oracle.  Both ways give the rows the
-solver gives.  The move is the root stage's, the estimate a tree sweep
-scores; for the occurrence estimate it would be the rounded mean over
-leaf occurrences.
+plan's run on the trial's true remainders, one per trial, made when the
+trial is drawn: the pure solver for a single stage, and for a tree the
+program's generated run, from the same stage writer as the scans' solve
+(multistage._solve_lines).  So a tree's anchor and solve could share a
+fault of that writer; the guards independent of it are the golden CSVs,
+the recursive reconstruction the tests hold every run to, and the
+benchmark's oracle.  run is looked up on each sweep, never cached with
+the scans, so a run patched on the plan's class is the one a later
+sweep calls.  Both ways give the rows the solver gives.  The move is
+the root stage's, the estimate a tree sweep scores; for the occurrence
+estimate it would be the rounded mean over leaf occurrences.
 
 At some levels every trial passes, so the check is skipped there.  Let
 G be the least gcd any stage rounds by, the least g of the pairs the
@@ -71,9 +72,9 @@ A certified level is scored as the anchor plus the same move without the
 check; every other level checks each trial.  On (135, 180, 162) about
 88% of the trials pass the check at one-sided levels 14-25.
 
-A block is drawn by one call of a drawer, and a level is scored over it
-by one call of a scan, both generated per plan and clamping
-(_compile_scans).
+A block is drawn by one call of a drawer, into rows that carry all a
+trial needs, and a level is scored over it by one call of its scan,
+both generated per plan and clamping (_compile_scans).
 
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
@@ -87,7 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice, product
 from typing import Callable, Iterable, Sequence
 
@@ -221,17 +222,26 @@ _SCANS = """def factory({params}):
     def solve({values}):
         {solve}
 
-    def scan(rows, span, off, tau):
-        total = top = bad = 0
-        for {cells} in rows:
-            {plain}
-            e = a + {root}{shift}
-            {score}
-        return total, top, bad
+    {scan}
 
-    def checked_scan(rows, ns, span, off, tau):
-        total = top = bad = failures = skipped = 0
-        for n, ({cells}) in zip(ns, rows):
+    {checked_scan}
+
+    def draw(seed, start, stop, reconstruct):
+        rows = []
+        step = (seed + start * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        for _ in range(start, stop):
+            z = step = (step + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            {mix}
+            key = z ^ (z >> 31)
+            {draws}
+            rows.append([{row}])
+        return rows
+    return scan, checked_scan, draw, solve"""
+# the one scan body, instantiated as scan (check True, which the
+# compiler drops with its else branch) and as checked_scan
+_SCAN = """def {name}(rows, level):
+        span, off, tau, total, top, bad, failures, skipped = level
+        for {cells} in rows:
             {plain}
             if {check}:
                 e = a + {root}{shift}
@@ -244,20 +254,7 @@ _SCANS = """def factory({params}):
                         continue
                 e = est - n
             {score}
-        return total, top, bad, failures, skipped
-
-    def draw(seed, start, stop, reconstruct):
-        ns, rows = [], []
-        step = (seed + start * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        for _ in range(start, stop):
-            z = step = (step + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            {mix}
-            key = z ^ (z >> 31)
-            {draws}
-            ns.append(n)
-            rows.append([{row}])
-        return ns, rows
-    return scan, checked_scan, draw, solve"""
+        level[3:] = total, top, bad, failures, skipped"""
 # splitmix64's two mixing rounds on z, as _splitmix64 computes them
 _MIX = """z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF"""
@@ -295,32 +292,32 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
 
     draw(seed, start, stop, reconstruct) draws trials start..stop-1 of a
     run seeded with seed, as the module docstring defines them, and
-    returns (ns, rows): the unknowns and one row [x_0..x_{L-1},
-    r_0..r_{L-1}, a] per trial, the raw error draws, the true remainders
-    n mod M_j and the anchor offset a = reconstruct((r_0, ...,
-    r_{L-1}))[1] - n.  Its loop body computes splitmix64 inline: the
-    trial key's input steps by gamma = 0x9E3779B97F4A7C15 from seed +
-    start * gamma, and draw j adds (j + 1) * gamma to the key, so it
-    equals _splitmix64 bit for bit.
+    returns one row [x_0..x_{L-1}, r_0..r_{L-1}, a, n] of 2L + 2 cells
+    per trial: the raw error draws, the true remainders n mod M_j, the
+    anchor offset a = reconstruct((r_0, ..., r_{L-1}))[1] - n and the
+    unknown n.  Its loop body computes splitmix64 inline: the trial
+    key's input steps by gamma = 0x9E3779B97F4A7C15 from seed + start *
+    gamma, and draw j adds (j + 1) * gamma to the key, so it equals
+    _splitmix64 bit for bit.
 
-    Both scans score one level over a block's rows, so a row's cells are
-    each taken once, at the draw.  The loop body is straight-line code:
-    each error d_j, then one local per stage's move in run order, and the
-    level's total, maximum and count above tau of the trial's error in
-    locals.  A plain scan's error is d_j = x_j % span, which carries the
-    level's offset off, so every move carries it too and the scan scores
-    |a + root move - off| (the module docstring says why).  A clamped
-    scan takes off from each error, d_j = x_j % span - off, and cuts it
-    so that r_j + d_j lies in [0, M_j - 1].  So a trial-level costs a few
-    integer operations per stage and per pair, with no call, list or
-    table of its own.  scan has no tests.  checked_scan(rows, ns, span,
-    off, tau) tests every stage's condition, -g <= 2 (d_i - d_k) < g per
-    (i, g) of plan.pairs, as one chain of comparisons after the moves.
-    A passing trial scores as scan does; a failing one calls solve(r_0 +
-    d_0 - off, ..., r_{L-1} + d_{L-1} - off) (without - off when
-    clamped), counts a failure when ok is False, is skipped when the
-    estimate is None and otherwise scores |estimate - n|.  It returns
-    (total, top, bad, failures, skipped).
+    Both scans come from one source, _SCAN.  scan(rows, level) scores a
+    level [span, off, tau, total, top, bad, failures, skipped] over a
+    block's rows: it unpacks the level, adds the block into its sums and
+    writes level[3:] back.  The loop body is straight-line code: each
+    error d_j, one local per stage's move in run order, the trial's
+    check, then its error into the sums.  A plain scan's error is d_j =
+    x_j % span, which carries the level's offset off, so every move
+    carries it too and a passing trial scores |a + root move - off| (the
+    module docstring says why).  A clamped scan takes off from each
+    error, d_j = x_j % span - off, and cuts it so that r_j + d_j lies in
+    [0, M_j - 1].  So a trial-level costs a few integer operations per
+    stage and per pair, with no call, list or table of its own.
+    checked_scan's check is every stage's condition, -g <= 2 (d_i - d_k)
+    < g per (i, g) of plan.pairs, as one chain of comparisons; scan's is
+    True.  A failing trial calls solve(r_0 + d_0 - off, ..., r_{L-1} +
+    d_{L-1} - off) (without - off when clamped), counts a failure when
+    ok is False, is skipped when the estimate is None and otherwise
+    scores |estimate - n|.
 
     Every gcd, size, modulus, inverse, merge-step and lcm constant and
     the draw steps (j + 1) * gamma are factory parameters, never source
@@ -372,20 +369,25 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
     draws += [f"r{j} = n % {const(m)}" for j, m in enumerate(moduli)]
     rs = ", ".join(f"r{j}" for j in range(size))
     cells = [f"{v}{j}" for v in "xr" for j in range(size)]
-    source = _SCANS.format(
-        params=", ".join(consts.values()),
-        values=", ".join(f"v{j}" for j in range(size)),
-        solve="\n        ".join(solve),
-        cells=", ".join(cells + ["a"]),
+    body = dict(
+        cells=", ".join(cells + ["a", "n"]),
         plain="\n            ".join(plain),
         root=table[-1],
         shift=shift,
         score=_SCORE,
-        check=" and ".join(checks) or "True",
         erroneous=", ".join(f"r{j} + d{j}{shift}" for j in range(size)),
+    )
+    source = _SCANS.format(
+        params=", ".join(consts.values()),
+        values=", ".join(f"v{j}" for j in range(size)),
+        solve="\n        ".join(solve),
+        scan=_SCAN.format(name="scan", check="True", **body),
+        checked_scan=_SCAN.format(
+            name="checked_scan", check=" and ".join(checks) or "True", **body
+        ),
         mix=_MIX,
         draws="\n            ".join(draws),
-        row=", ".join(cells + [f"reconstruct(({rs},))[1] - n"]),
+        row=", ".join(cells + [f"reconstruct(({rs},))[1] - n", "n"]),
     )
     namespace: dict = {}
     exec(source, namespace)
@@ -396,81 +398,64 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
 def _scans(plan, clamp: bool):
     """The plan's (scan, checked_scan, draw, solve), generated on its
     first sweep."""
-    return _compile_scans(plan.moduli, plan._stages(), clamp)
+    return _compile_scans(plan.moduli, plan.stages, clamp)
 
 
 def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     """Run cfg's trials once and score every trial at each level of taus.
 
     The sweep the module docstring describes; clamping only picks the
-    scans.  A certified level runs scan, every other level checked_scan,
-    which solves its own failing trials and counts their failures and
-    the trials it skips.  cfg.tau is unused.
+    scans.  Each level's scan is picked once: scan at a certified level,
+    checked_scan at every other.  The anchor is the plan's run, looked
+    up on each sweep, never kept with the cached scans, so that a run
+    patched on the plan's class later (a tracer's wrapper) is the one
+    the sweep calls.  cfg.tau is unused.
     """
     if not taus:
         return []
     ms = cfg.moduli
     if cfg.tree is None:
         plan = _folding_plan(ms, select_reference(ms))
-        reconstruct = partial(_solve_with_plan, plan)
     else:
         plan = _program_for(ms, cfg.tree)
-        reconstruct = plan.run
 
     scan, checked_scan, draw, _ = _scans(plan, cfg.clamp_remainders)
     # G, the least gcd the checked scan compares against
-    g_min = min((g for p, _ in plan._stages() for _, g in p.pairs), default=0)
+    g_min = min((g for p, _ in plan.stages for _, g in p.pairs), default=0)
     one_sided = cfg.error_model == ONE_SIDED
-    # (index, tau, span, off, certified): an error is raw % span - off, so
-    # the level's window width is w = span - 1; with 2w < G every trial
-    # passes, so the check is skipped
+    # (scan, level): an error is raw % span - off, so the level's window
+    # width is w = span - 1; with 2w < G every trial passes, so the
+    # check is skipped
     levels = []
-    for i, tau in enumerate(taus):
+    for tau in taus:
         span, off = (tau + 1, 0) if one_sided else (2 * tau + 1, tau)
-        levels.append((i, tau, span, off, 2 * (span - 1) < g_min))
-    # per-level counters, indexed like taus
-    total_err = [0] * len(taus)
-    max_err = [0] * len(taus)
-    violations = [0] * len(taus)
-    failures = [0] * len(taus)
-    estimated = [0] * len(taus)
+        score = scan if 2 * (span - 1) < g_min else checked_scan
+        levels.append((score, [span, off, tau, 0, 0, 0, 0, 0]))
 
+    run = plan.run
     for start in range(0, cfg.trials, _BLOCK):
-        stop = min(start + _BLOCK, cfg.trials)
-        ns, rows = draw(cfg.rng_seed, start, stop, reconstruct)
+        rows = draw(cfg.rng_seed, start, min(start + _BLOCK, cfg.trials), run)
+        for score, level in levels:
+            score(rows, level)
 
-        for i, tau, span, off, certified in levels:
-            if certified:
-                total, top, bad = scan(rows, span, off, tau)
-                failed = skipped = 0
-            else:
-                total, top, bad, failed, skipped = checked_scan(
-                    rows, ns, span, off, tau
-                )
-            failures[i] += failed
-            estimated[i] += len(rows) - skipped
-            total_err[i] += total
-            if top > max_err[i]:
-                max_err[i] = top
-            violations[i] += bad
-
-    return [
-        TrialStats(
-            tau=tau,
-            trials=cfg.trials,
-            mean_abs_error=(
-                Fraction(total_err[i], estimated[i])
-                if estimated[i]
-                else Fraction(0)
-            ),
-            max_abs_error=max_err[i],
-            bound=tau,
-            bound_violations=violations[i],
-            folding_failures=failures[i],
-            estimated_trials=estimated[i],
+    stats = []
+    for _, (_, _, tau, total, top, bad, failures, skipped) in levels:
+        estimated = cfg.trials - skipped
+        stats.append(
+            TrialStats(
+                tau=tau,
+                trials=cfg.trials,
+                mean_abs_error=(
+                    Fraction(total, estimated) if estimated else Fraction(0)
+                ),
+                max_abs_error=top,
+                bound=tau,
+                bound_violations=bad,
+                folding_failures=failures,
+                estimated_trials=estimated,
+            )
         )
-        for i, tau, *_ in levels
-    ]
+    return stats
 
 
 def stats_to_csv(rows: Sequence[TrialStats]) -> str:

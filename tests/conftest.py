@@ -33,6 +33,16 @@ def watch(family):
     return rebuilt, calls
 
 
+def scored(scan, rows, span, off, tau):
+    """What one scan call adds into a fresh level over rows: (total, top,
+    bad, failures, skipped), the level's sums as simulate._compile_scans
+    lays a level out."""
+    level = [span, off, tau, 0, 0, 0, 0, 0]
+    scan(rows, level)
+    assert level[:3] == [span, off, tau]
+    return tuple(level[3:])
+
+
 # the watched checked scan of each family checked_move has scored with
 _watched = lru_cache(maxsize=None)(watch)
 
@@ -48,10 +58,10 @@ def _checked_move(plan, errors):
     greatest error, so a passing trial's total is off + move.
     """
     off = 1 + max(map(abs, errors))
-    row = [d + off for d in errors] + [0] * len(errors) + [off]
+    row = [d + off for d in errors] + [0] * len(errors) + [off, 0]
     checked_scan, calls = _watched(simulate._scans(plan, False))
     calls.clear()
-    total, *_ = checked_scan([row], [0], 2 * off + 1, off, 0)
+    total, *_ = scored(checked_scan, [row], 2 * off + 1, off, 0)
     if calls:
         # a failing trial is solved on its erroneous remainders
         assert calls == [tuple(errors)]

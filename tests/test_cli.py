@@ -1,4 +1,6 @@
 import argparse
+import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -285,10 +287,17 @@ class TestSimulate:
                 "135 180 162 --grouping [[0,2],[1,2]] --tau-max 20"
                 " --trials 1500 --seed 3",
             ),
+            # a clamped tree over two blocks: levels 0-11 certified,
+            # 12-24 checked, with violations and folding failures
+            (
+                "tests/expected/clamped_tree_135_180_162.csv",
+                "135 180 162 --grouping [[0,1],[2]] --tau-max 24"
+                " --trials 1500 --seed 5 --error-model symmetric --clamp",
+            ),
         ],
         ids=[
             "single", "tree", "depth3", "clamped", "symmetric",
-            "symmetric_depth3", "shared",
+            "symmetric_depth3", "shared", "clamped_tree",
         ],
     )
     def test_golden_csv(self, capsys, golden, argv):
@@ -461,3 +470,127 @@ class TestParserReuse:
         assert narrow.startswith("usage: modfold simulate")
         assert len(narrow.splitlines()) > len(wide.splitlines())
         assert narrow.split() == wide.split()
+
+
+# the argv fuzz test's pools: each argv is built from valid parts, and
+# about half the argvs take one part from a hostile pool instead
+FUZZ_MODULI = (
+    ["135", "180", "162"], ["8", "12", "15"], ["70", "75", "80", "90"],
+    ["12", "18", "35"], ["192", "288", "216", "360", "320", "448"],
+    ["3", "5"],
+)
+FUZZ_HOSTILE_MODULI = (
+    ["0", "5"], ["-4", "6"], ["6", "6", "9"], ["4", "8", "12"], ["7"],
+    ["1" + "0" * 4400, "3"], [str(10**160 + 7), str(10**160 + 9), "6"],
+    [str(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                      47, 53, 59)],
+)
+# valid plans by moduli count
+FUZZ_GROUPINGS = {
+    2: ("[[0],[1]]", "[0,1]"),
+    3: ("[[0,1],[2]]", "[[0,2],[1,2]]", "[0,1,2]", "[[[0],[1]],[2]]"),
+    4: ("[[0,1],[2,3]]", "[[0,1],[1,2,3]]"),
+    6: ("[[[0,1],[2,3]],[4,5]]", "[[0,1,2],[3,4],[5]]"),
+}
+FUZZ_HOSTILE_GROUPINGS = (
+    "[[0,1],[2]", "", "{}", "null", "[]", '"x"', "[[0,0],[1,2]]",
+    "[[0,1],[9]]", "[[0.0,1],[2]]", "[[true,1],[2]]", "[[0,1],[2.5]]",
+    "[" * 3000 + "0,1" + "]" * 3000, "[[[0,1],[0,1]],[2]]",
+)
+# within, at and past the level cap, and a negative level
+FUZZ_TAU_MAX = ("0", "1", "3", "30")
+FUZZ_HOSTILE_TAU_MAX = ("-3", "100000", str(10**20), "1" + "0" * 4400)
+FUZZ_TRIALS = ("1", "3", "5")
+FUZZ_HOSTILE_TRIALS = ("0", "-2", "2.5")
+
+
+def fuzz_argv(rng):
+    """One argv for cli.main: a command over valid parts, then, half the
+    time, one of its parts made hostile."""
+    command = rng.choice(("bounds", "reconstruct", "group", "simulate"))
+    parts = {
+        "bounds": ("moduli", "grouping"),
+        "reconstruct": ("moduli", "grouping", "remainders"),
+        "group": ("moduli",),
+        "simulate": ("moduli", "grouping", "tau", "trials"),
+    }[command]
+    hostile = rng.choice(parts) if rng.random() < 0.5 else None
+    moduli = rng.choice(
+        FUZZ_HOSTILE_MODULI if hostile == "moduli" else FUZZ_MODULI
+    )
+    argv = [command, *moduli]
+    grouping = None
+    if hostile == "grouping":
+        grouping = rng.choice(FUZZ_HOSTILE_GROUPINGS)
+    elif "grouping" in parts and rng.random() < 0.5:
+        grouping = rng.choice(FUZZ_GROUPINGS.get(len(moduli), ("[0]",)))
+    if grouping is not None:
+        argv += ["--grouping", grouping]
+    if command == "reconstruct":
+        # a hostile moduli set gets remainders of the first valid one
+        valid = moduli if moduli in FUZZ_MODULI else FUZZ_MODULI[0]
+        n = rng.randrange(10**6)
+        spread = rng.choice((0, 2, 20, 200, 5000))
+        count = len(valid)
+        if hostile == "remainders":
+            count += rng.choice((-count, -1, 1))
+        rs = [
+            n % int(m) + rng.randint(-spread, spread)
+            for m in (valid * 2)[:count]
+        ]
+        argv += ["--remainders", *map(str, rs)]
+        if grouping is None and rng.random() < 0.3:
+            argv += ["--reference", str(rng.randint(-1, len(moduli)))]
+    elif command == "group":
+        if rng.random() < 0.5:
+            argv.append("--share-reference")
+    elif command == "simulate":
+        taus = FUZZ_HOSTILE_TAU_MAX if hostile == "tau" else FUZZ_TAU_MAX
+        trials = FUZZ_HOSTILE_TRIALS if hostile == "trials" else FUZZ_TRIALS
+        argv += ["--tau-max", rng.choice(taus), "--trials", rng.choice(trials),
+                 "--seed", str(rng.choice((-7, 0, 3, 2**70)))]
+        if rng.random() < 0.5:
+            argv += ["--error-model", rng.choice(("symmetric", "one-sided"))]
+        if rng.random() < 0.3:
+            argv.append("--clamp")
+    return argv
+
+
+class TestArgvFuzz:
+    """cli.main's exit contract over seeded random argvs, in-process: an
+    exit code in {0, 1, 2, 3}, argparse's SystemExit(2) the one exception
+    that escapes, no stdout on a failure but reconstruct's verdict, and
+    stderr opening with error: or usage: on invalid input or a cap."""
+
+    def test_exit_contract(self, capsys):
+        rng = random.Random(1901)
+        codes = Counter()
+        for _ in range(400):
+            argv = fuzz_argv(rng)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                code = "usage"
+            captured = capsys.readouterr()
+            out, err = captured.out, captured.err
+            codes[code] += 1
+            if code == "usage":
+                code = 2
+            assert code in (0, 1, 2, 3), argv
+            if code == 0:
+                assert out and err == "", argv
+            elif code == 1 and argv[0] == "reconstruct":
+                lines = out.splitlines()
+                assert lines and lines[0].startswith(
+                    "verdict: inconsistent ("
+                ), argv
+                assert all(
+                    line.startswith("partial estimate: ") for line in lines[1:]
+                ), argv
+            else:
+                assert out == "", argv
+            if code in (2, 3):
+                assert err.startswith(("error:", "usage:")), argv
+        # every exit code, and argparse's exit, is reached
+        assert min(codes[c] for c in (0, 1, 2, 3, "usage")) >= 10, codes

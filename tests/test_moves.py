@@ -23,9 +23,10 @@ limit.  They hold the drawer to rows built from
 simulate._splitmix64, across seeds, block starts and plan sizes, and
 catch a drawer with one mixing or step constant altered.  They also hold
 the error-free solve, whose estimate minus N is each row's anchor
-offset, to N on plans of every kind.  checked_move and watch
-(tests/conftest.py) score one error vector through a plan's checked scan
-and record the calls a checked scan makes to its solve.
+offset, to N on plans of every kind.  checked_move, watch and scored
+(tests/conftest.py) score one error vector through a plan's checked scan,
+record the calls a checked scan makes to its solve, and read what one
+scan call adds into a fresh level.
 """
 
 import math
@@ -34,11 +35,11 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
-from conftest import watch
+from conftest import scored, watch
 from test_multistage import (
     outcome,
     random_entangled,
@@ -159,44 +160,36 @@ def loop_solve(moduli, stages, rt):
 def loop_scan(moduli, stages, clamp, checked, solve):
     """A level scan as a loop over rows, one loop_moves pass per trial.
 
-    A row is [raw draws, true remainders, anchor offset a].  The checked
-    scan takes the unknowns too and calls solve, through its solve cell,
-    on a failing trial's erroneous remainders, as the generated one calls
-    its emitted solve.
+    A row is [raw draws, true remainders, anchor offset a, unknown n],
+    and the scan adds the rows into a level [span, off, tau, total, top,
+    bad, failures, skipped] as the generated one does.  The checked scan
+    calls solve, through its solve cell, on a failing trial's erroneous
+    remainders, as the generated one calls its emitted solve.
     """
     size = len(moduli)
 
-    def score(sums, err, tau):  # into [total, max, violations]
-        sums[0] += err
-        sums[1] = max(sums[1], err)
-        sums[2] += err > tau
-
-    def scan(rows, span, off, tau):
-        sums = [0, 0, 0]
+    def scan(rows, level):
+        span, off, tau, *sums = level
         for row in rows:
+            *_, a, n = row
             rt = erroneous(moduli, row, span, off, clamp)
             errors = [x - r for x, r in zip(rt, row[size:])]
-            score(sums, abs(row[-1] + loop_moves(stages, errors, False)), tau)
-        return tuple(sums)
-
-    def checked_scan(rows, ns, span, off, tau):
-        sums = [0, 0, 0, 0, 0]  # and failures, skipped
-        for n, row in zip(ns, rows):
-            rt = erroneous(moduli, row, span, off, clamp)
-            errors = [x - r for x, r in zip(rt, row[size:])]
-            move = loop_moves(stages, errors, True)
+            move = loop_moves(stages, errors, checked)
             if move is not None:
-                score(sums, abs(row[-1] + move), tau)
-                continue
-            est, ok = solve(*rt)
-            sums[3] += not ok
-            if est is None:
-                sums[4] += 1
+                err = abs(a + move)
             else:
-                score(sums, abs(est - n), tau)
-        return tuple(sums)
+                est, ok = solve(*rt)
+                sums[3] += not ok
+                if est is None:
+                    sums[4] += 1
+                    continue
+                err = abs(est - n)
+            sums[0] += err
+            sums[1] = max(sums[1], err)
+            sums[2] += err > tau
+        level[3:] = sums
 
-    return checked_scan if checked else scan
+    return scan
 
 
 def erroneous(moduli, row, span, off, clamp):
@@ -218,15 +211,14 @@ def loop_draw(moduli):
     mix = simulate._splitmix64
 
     def draw(seed, start, stop, reconstruct):
-        ns, rows = [], []
+        rows = []
         for t in range(start, stop):
             key = mix(seed, t)
             n = mix(key, 0) % lam
             rs = [n % m for m in moduli]
             raws = [mix(key, j) for j in range(1, len(moduli) + 1)]
-            ns.append(n)
-            rows.append(raws + rs + [reconstruct(rs)[1] - n])
-        return ns, rows
+            rows.append(raws + rs + [reconstruct(rs)[1] - n, n])
+        return rows
 
     return draw
 
@@ -347,19 +339,20 @@ SCANS = {
 
 
 def block_of(moduli, vectors, rng):
-    """(rows, ns, span, off): one level whose raw draws give the error
-    vectors, and an unknown per row.
+    """(rows, span, off): one level whose raw draws give the error
+    vectors.
 
     With off past every |error| and span = 2 off + 1, a raw draw
     d + off + span q maps to error d, for any q.  The true remainders
     are in turn 0, M_j - 1 and one between, so a clamped scan clamps
-    some errors.  Anchor offsets are small ints, and the unknowns, which
-    only a solved trial's score reads, lie in [0, lcm).
+    some errors.  Anchor offsets are small ints, and the unknowns, the
+    rows' last cells, which only a solved trial's score reads, lie in
+    [0, lcm).
     """
     off = 1 + max((abs(d) for errors in vectors for d in errors), default=0)
     span = 2 * off + 1
     lam = math.lcm(*moduli)
-    rows, ns = [], []
+    rows = []
     for pos, errors in enumerate(vectors):
         q = off + span * rng.getrandbits(40)
         row = [d + q for d in errors]
@@ -370,9 +363,9 @@ def block_of(moduli, vectors, rng):
             for j, m in enumerate(moduli)
         ]
         row.append(rng.randint(-2, 2))
+        row.append(rng.randrange(lam))
         rows.append(row)
-        ns.append(rng.randrange(lam))
-    return rows, ns, span, off
+    return rows, span, off
 
 
 def mismatches(kernels, moduli, stages, vectors):
@@ -390,23 +383,19 @@ def mismatches(kernels, moduli, stages, vectors):
     expected = dict(zip(SCANS, reference[:1] * 2 + reference[1:] * 2))
     rng = random.Random(len(vectors))
     for name, (clamp, checked) in SCANS.items():
-        rows, ns, span, off = block_of(moduli, vectors, rng)
+        rows, span, off = block_of(moduli, vectors, rng)
         tau = rng.randint(0, 3)
-        blocks = [(rows, ns)] + [([row], [n]) for row, n in zip(rows, ns)]
-        if checked:
-            mine, calls = watch(generated[name])
-            theirs, want = watch(expected[name])
-        for block, block_ns in blocks:
-            if checked:
-                args = (block, block_ns, span, off, tau)
-                calls.clear()
-                want.clear()
-                if (mine(*args), calls) != (theirs(*args), want):
-                    out.add(name)
-            else:
-                args = (block, span, off, tau)
-                if generated[name][0](*args) != expected[name][0](*args):
-                    out.add(name)
+        mine, calls = watch(generated[name])
+        theirs, want = watch(expected[name])
+        if not checked:
+            # the unchecked scans, which never call their solve
+            mine, theirs = generated[name][0], expected[name][0]
+        for block in [rows] + [[row] for row in rows]:
+            calls.clear()
+            want.clear()
+            got = scored(mine, block, span, off, tau), calls
+            if got != (scored(theirs, block, span, off, tau), want):
+                out.add(name)
     return out
 
 
@@ -453,7 +442,7 @@ class TestAgainstLoopsAndSolver:
         rng = random.Random(1401)
         issued = refused = 0
         for ms, plan in random_plans(rng, 160):
-            stages = plan._stages()
+            stages = plan.stages
             vectors = []
             for n, errors in error_vectors(rng, ms, 40):
                 vectors.append(errors)
@@ -475,7 +464,7 @@ class TestAgainstLoopsAndSolver:
         rng = random.Random(1402)
         exact = {"even": 0, "odd": 0}
         for ms, plan in random_plans(rng, 200):
-            stages = plan._stages()
+            stages = plan.stages
             size = len(ms)
             n = rng.randrange(math.lcm(*ms))
             rs = [n % m for m in ms]
@@ -515,17 +504,17 @@ class TestAgainstLoopsAndSolver:
 
         caught = {}
         for ms, plan in plans:
-            stages = plan._stages()
+            stages = plan.stages
             vectors = [e for *_, e in edge_vectors(len(ms), stages)]
             kernels = every_family(_compile_scans, ms, stages)
             assert mismatches(kernels, ms, stages, vectors) == set()
             with monkeypatch.context() as m:
                 m.setattr(simulate, "exec", mutated, raising=False)
                 mutant = every_family(_compile_scans, ms, stages)
+            # a plan has an upper edge in both sources when it has a stage
+            assert {") < k" in s for s in sources[-2:]} == {bool(stages)}
             for name in mismatches(mutant, ms, stages, vectors):
                 caught[name] = caught.get(name, 0) + 1
-        # every plan with a stage has an upper edge in its source
-        assert all(") < k" in s for s in sources if "if True:" not in s)
         # the unchecked scans have no edge to mutate
         assert set(caught) == {"checked_scan", "clamped_checked_scan"}
         assert min(caught.values()) > 20, caught
@@ -556,7 +545,7 @@ class TestAgainstLoopsAndSolver:
 
         caught = {}
         for ms, plan in random_plans(rng, 20):
-            stages = plan._stages()
+            stages = plan.stages
             vectors = [e for *_, e in edge_vectors(len(ms), stages)]
             with monkeypatch.context() as m:
                 m.setattr(simulate, "exec", mutated, raising=False)
@@ -581,7 +570,7 @@ class TestAgainstLoopsAndSolver:
         rng = random.Random(1408)
         cut = 0
         for ms, plan in random_plans(rng, 60):
-            stages = plan._stages()
+            stages = plan.stages
             lam = math.lcm(*ms)
             # per end: true remainders, error-free folding and estimate
             ends = {
@@ -594,16 +583,16 @@ class TestAgainstLoopsAndSolver:
             checked_scan, calls = watch(family)
             for tau in (1, 3, 8):
                 span, off = 2 * tau + 1, tau
-                rows, ns = [], []
+                rows = []
                 # checked: total, max, violations, failures, skipped
                 want = [0, 0, 0, 0, 0]
-                want_all = [0, 0, 0]  # unchecked, over every row
+                # unchecked, over every row, with no failure and no skip
+                want_all = [0, 0, 0, 0, 0]
                 want_calls = []
                 for n in (0, lam - 1) * 8:
-                    ns.append(n)
                     rs, anchor_folds, anchor = ends[n]
                     raws = [rng.getrandbits(64) for _ in ms]
-                    rows.append(raws + rs + [anchor - n])
+                    rows.append(raws + rs + [anchor - n, n])
                     # the per-trial clamped errors
                     errors = [
                         min(max(r + x % span - off, 0), m - 1) - r
@@ -631,14 +620,14 @@ class TestAgainstLoopsAndSolver:
                     unchecked = loop_moves(stages, errors, False)
                     add(want_all, abs(anchor + unchecked - n), tau)
                 calls.clear()
-                got = checked_scan(rows, ns, span, off, tau)
+                got = scored(checked_scan, rows, span, off, tau)
                 assert (got, calls) == (tuple(want), want_calls)
-                assert scan(rows, span, off, tau) == tuple(want_all)
+                assert scored(scan, rows, span, off, tau) == tuple(want_all)
         assert cut > 1000
 
     def test_plan_with_no_stage(self, checked_move):
         program = _tree_program((7,), parse_tree("[0]"))
-        assert program.steps == ()
+        assert program.stages == ()
         for e in (-3, 0, 5):
             assert checked_move(program, [e]) == e
         vectors = [[-3], [0], [5]]
@@ -646,8 +635,8 @@ class TestAgainstLoopsAndSolver:
         # errors -3, 0 and 5: every trial passes and scores
         # |a + error| = 2, 0 and 4
         checked_scan, calls = watch(_scans(program, False))
-        rows = [[0, 4, 1], [3, 4, 0], [8, 4, -1]]
-        assert checked_scan(rows, [0, 4, 1], 9, 3, 2) == (6, 4, 1, 0, 0)
+        rows = [[0, 4, 1, 0], [3, 4, 0, 4], [8, 4, -1, 1]]
+        assert scored(checked_scan, rows, 9, 3, 2) == (6, 4, 1, 0, 0)
         assert calls == []
         # its solve returns its one value
         vectors = [[v] for v in (-3, 0, 6, 7, 40)]
@@ -665,11 +654,11 @@ def condition_mismatches(ms, rng):
     for k in range(len(ms)):
         plan = _folding_plan(ms, k)
         checked_scan, calls = watch(_scans(plan, False))
-        vectors = [e for *_, e in edge_vectors(len(ms), plan._stages())]
-        rows, ns, span, off = block_of(ms, vectors, rng)
-        for row, n, errors in zip(rows, ns, vectors):
+        vectors = [e for *_, e in edge_vectors(len(ms), plan.stages)]
+        rows, span, off = block_of(ms, vectors, rng)
+        for row, errors in zip(rows, vectors):
             calls.clear()
-            checked_scan([row], [n], span, off, 0)
+            scored(checked_scan, [row], span, off, 0)
             ok = check_ns_condition(errors, ms, k)
             wrong += ok == bool(calls)
             refused += not ok
@@ -750,7 +739,7 @@ def handbacks(rng):
     wrong_positions = wrong_remainders = 0
     seen = {}
     for kind, ms, plan in handback_cases(rng, 6):
-        stages = plan._stages()
+        stages = plan.stages
         lam = math.lcm(*ms)
         for model, clamp in ((m, c) for m in (ONE_SIDED, SYMMETRIC)
                              for c in (False, True)):
@@ -759,16 +748,15 @@ def handbacks(rng):
                 span, off = (tau + 1, 0) if model == ONE_SIDED else (
                     2 * tau + 1, tau
                 )
-                rows, ns = [], []
+                rows = []
                 for _ in range(60):
                     n = rng.choice((0, lam - 1, rng.randrange(lam)))
                     raws = [rng.getrandbits(64) for _ in ms]
-                    rows.append(raws + [n % m for m in ms] + [0])
-                    ns.append(n)
+                    rows.append(raws + [n % m for m in ms] + [0, n])
                 positions, want = [], []
-                for pos, (row, n) in enumerate(zip(rows, ns)):
+                for pos, row in enumerate(rows):
                     calls.clear()
-                    checked_scan([row], [n], span, off, tau)
+                    scored(checked_scan, [row], span, off, tau)
                     positions += [pos] * len(calls)
                     rt = erroneous(ms, row, span, off, clamp)
                     errors = [x - r for x, r in zip(rt, row[len(ms):])]
@@ -776,7 +764,7 @@ def handbacks(rng):
                         want.append(pos)
                 wrong_positions += positions != want
                 calls.clear()
-                checked_scan(rows, ns, span, off, tau)
+                scored(checked_scan, rows, span, off, tau)
                 tally = seen.setdefault((kind, clamp), [0, 0, 0])
                 for pos, rt in zip(positions, calls):
                     row = rows[pos]
@@ -816,7 +804,7 @@ class TestHandback:
         assert wrong_positions == 0 and wrong_remainders > 500
         caught = set()
         for ms, plan in random_plans(random.Random(1410), 20):
-            stages = plan._stages()
+            stages = plan.stages
             vectors = [e for _, e in error_vectors(random.Random(5), ms, 40)]
             mutant = every_family(_compile_scans, ms, stages)
             caught |= mismatches(mutant, ms, stages, vectors)
@@ -851,7 +839,7 @@ def solve_vectors(rng, ms, stages, count):
 def solve_mismatches(plan, vectors):
     """The vectors on which the emitted solve, or loop_solve, differs from
     the pure solver; and the pure solver's outcomes by kind."""
-    stages = plan._stages()
+    stages = plan.stages
     emitted = _scans(plan, False)[3]
     wrong, kinds = [], {}
     for rt in vectors:
@@ -912,7 +900,7 @@ class TestEmittedSolve:
         rng = random.Random(1416)
         kinds = {}
         for ms, plan in random_plans(rng, 80):
-            vectors = solve_vectors(rng, ms, plan._stages(), 30)
+            vectors = solve_vectors(rng, ms, plan.stages, 30)
             wrong, seen = solve_mismatches(plan, vectors)
             assert wrong == [], (ms, plan, wrong[:3])
             for kind, count in seen.items():
@@ -933,7 +921,7 @@ class TestEmittedSolve:
                 _folding_plan(ms, select_reference(ms)) if layout is None
                 else _program_for(ms, parse_tree(layout))
             )
-            stages = plan._stages()
+            stages = plan.stages
             vectors = solve_vectors(rng, ms, stages, 100)
             want = [pure_solve(plan, rt) for rt in vectors]
             cfg = TrialConfig(moduli=ms, tree=layout, trials=200, rng_seed=3)
@@ -988,7 +976,7 @@ class TestGeneratedRun:
 
     def check(self, program, tree, rt):
         """The run's outcome against both references; its kind."""
-        ms, stages = program.moduli, program._stages()
+        ms, stages = program.moduli, program.stages
         try:
             groups, root, outer, folding, estimate = program.run(rt)
         except FoldingFailure as exc:
@@ -1103,7 +1091,7 @@ def drawer_plans(rng):
     for size in range(2, 8):
         ms = entangled(rng, size)
         plan = _folding_plan(ms, select_reference(ms))
-        out.append((ms, plan, partial(_solve_with_plan, plan)))
+        out.append((ms, plan, plan.run))
     while True:
         ms = entangled(rng, 6)
         try:
@@ -1124,7 +1112,7 @@ class TestDrawer:
             for clamp in FAMILIES:
                 draw = _scans(plan, clamp)[2]
                 for seed in DRAW_SEEDS:
-                    assert draw(seed, 9, 9, reconstruct) == ([], [])
+                    assert draw(seed, 9, 9, reconstruct) == []
                     for start in DRAW_STARTS:
                         args = (seed, start, start + 25, reconstruct)
                         assert draw(*args) == want(*args), (ms, seed, start)
@@ -1136,8 +1124,8 @@ class TestDrawer:
         # site at a time, off by one bit or one place
         ms = (8, 12, 15)
         plan = _folding_plan(ms, select_reference(ms))
-        stages = plan._stages()
-        reconstruct = partial(_solve_with_plan, plan)
+        stages = plan.stages
+        reconstruct = plan.run
         runs = [
             (seed, start, start + 8, reconstruct)
             for seed in DRAW_SEEDS
@@ -1314,7 +1302,7 @@ class TestGeneratedCodeLimits:
         kinds = set()
         shared = parse_tree("[[0,2],[1,2]]")
         for plan in plans + [_program_for((12 * p, 18 * p, 8 * p), shared)]:
-            vectors = solve_vectors(rng, plan.moduli, plan._stages(), 10)
+            vectors = solve_vectors(rng, plan.moduli, plan.stages, 10)
             vectors += [
                 [n % m + rng.randrange(-2 * p, 2 * p) for m in plan.moduli]
                 for n in (0, math.lcm(*plan.moduli) - 1) for _ in range(10)
@@ -1348,7 +1336,7 @@ class TestGeneratedCodeLimits:
             m.setattr(robust, "_profile",
                       lambda ms: SimpleNamespace(table={k: row}))
             plan = robust._FoldingPlan(moduli, k)
-        stages = plan._stages()
+        stages = plan.stages
         kernels = every_family(_compile_scans, moduli, stages)
         vectors = [[0] * size, [rng.randint(0, 2) for _ in range(size)]]
         for i, g in plan.pairs[::100]:  # both edges of every 100th pair
@@ -1357,11 +1345,11 @@ class TestGeneratedCodeLimits:
                 vectors.append([d if j == i else 0 for j in range(size)])
         assert mismatches(kernels, moduli, stages, vectors) == set()
         # no error: every trial passes and scores its anchor offset
-        rows, ns, span, off = block_of(moduli, vectors[:1], rng)
+        rows, span, off = block_of(moduli, vectors[:1], rng)
         checked_scan, calls = watch(kernels[0])
-        assert checked_scan(rows, ns, span, off, 0)[0] == abs(rows[0][-1])
+        assert scored(checked_scan, rows, span, off, 0)[0] == abs(rows[0][-2])
         assert calls == []
-        # the drawer of 3,000 moduli: 3,001 draws and 6,001 cells a row
+        # the drawer of 3,000 moduli: 3,001 draws and 6,002 cells a row
 
         def first(rs):
             return None, rs[0]
@@ -1376,7 +1364,7 @@ class TestGeneratedCodeLimits:
         for level in range(299):
             tree = Node((Leaf((level % 2,)), tree))
         program = _program_for((3, 5), tree)
-        stages = program._stages()
+        stages = program.stages
         assert len(stages) == 300
         rng = random.Random(1406)
         vectors = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(200)]

@@ -820,7 +820,7 @@ class TestStepReferences:
                 continue
             plans += 1
             shared += sum(len(leaf.indices) for leaf in tree_leaves(tree)) > size
-            for plan, *_ in program.steps:
+            for plan, *_ in program.stages:
                 steps += 1
                 past_first += plan.k > 0
                 assert plan.k == robust._profile(plan.moduli).reference
@@ -868,9 +868,9 @@ class TestOneRun:
                 continue
             plans += 1
             shared += sum(len(leaf.indices) for leaf in tree_leaves(tree)) > size
-            # one step per folding plan built: each leaf of two or more
+            # one stage per folding plan built: each leaf of two or more
             # indices and each node (bench/workloads.py plans_built)
-            assert len(program.steps) == sum(
+            assert len(program.stages) == sum(
                 isinstance(t, Node) or len(t.indices) > 1
                 for t, _ in _post_order(tree)
             )

@@ -6,7 +6,7 @@ from itertools import count, product
 import pytest
 from conftest import watch
 
-from modfold import simulate
+from modfold import robust, simulate
 from modfold.intmath import round_half_up_div
 from modfold.multistage import (
     Leaf,
@@ -318,14 +318,14 @@ class TestSweep:
         [
             # one stage, G = 27: every check passes at one-sided levels
             # 0..13 (2w < G); past them some fail
-            ((135, 180, 162), None, ONE_SIDED, False, simulate,
+            ((135, 180, 162), None, ONE_SIDED, False, robust,
              "_solve_with_plan", range(14), range(14, 29)),
             # G = 45
             ((135, 180, 162), "[[0,1],[2]]", ONE_SIDED, False, _TreeProgram,
              "run", range(23), range(23, 47)),
             # G = 3 and w = 2 tau, clamped; 9 of the 50 trials fail every
             # check at levels 1..3, and each still has its anchor
-            ((8, 12, 15), None, SYMMETRIC, True, simulate,
+            ((8, 12, 15), None, SYMMETRIC, True, robust,
              "_solve_with_plan", range(1), range(1, 4)),
             # a shared index, G = 6
             ((36, 54, 60), "[[0,2],[1,2]]", ONE_SIDED, False, _TreeProgram,
@@ -392,6 +392,49 @@ class TestSweep:
             assert sum(map(len, solved)) == sum(
                 row.count(False) for row in rows
             )
+
+
+class TestAnchorLookup:
+    """A sweep reaches its anchor through the plan's run on each sweep, so
+    a run patched on the class after the scans were compiled, as the
+    benchmark's span recorder patches _TreeProgram.run, is the one it
+    calls: for a tree that run, for a single stage robust._solve_with_plan
+    and never a tree's run."""
+
+    TRIALS = 40
+    # certified and checked levels on both plans
+    TAUS = [0, 5, 30]
+
+    def counted(self, monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_tree_run_patched_after_the_scans_compiled(self, monkeypatch):
+        cfg = TrialConfig(
+            moduli=(135, 180, 162), tree="[[0,1],[2]]", trials=self.TRIALS,
+            rng_seed=17,
+        )
+        want = sweep(cfg, self.TAUS)  # compiles the plan's family
+        runs = self.counted(monkeypatch, _TreeProgram, "run")
+        assert sweep(cfg, self.TAUS) == want
+        assert len(runs) == self.TRIALS
+
+    def test_single_stage_anchor_is_the_solver(self, monkeypatch):
+        cfg = TrialConfig(
+            moduli=(135, 180, 162), trials=self.TRIALS, rng_seed=17
+        )
+        want = sweep(cfg, self.TAUS)
+        solves = self.counted(monkeypatch, robust, "_solve_with_plan")
+        runs = self.counted(monkeypatch, _TreeProgram, "run")
+        assert sweep(cfg, self.TAUS) == want
+        assert (len(solves), runs) == (self.TRIALS, [])
 
 
 def _stage_wise_move(moduli, tree, errors):
@@ -737,9 +780,9 @@ class TestSweepMatchesPerLevelRuns:
         def scans(plan, clamp):
             scan, *family = scans_of(plan, clamp)
 
-            def certified_scan(rows, span, off, tau):
-                certified.add(tau)
-                return scan(rows, span, off, tau)
+            def certified_scan(rows, level):
+                certified.add(level[2])  # its tau
+                scan(rows, level)
 
             return certified_scan, *family
 
