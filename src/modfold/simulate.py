@@ -76,6 +76,21 @@ A block is drawn by one call of a drawer, into rows that carry all a
 trial needs, and a level is scored over it by one call of its scan,
 both generated per plan and clamping (_compile_scans).
 
+A raw error draw x enters a scan only as x % span, and x % s == (x % P)
+% s whenever s divides P.  So levels whose spans share a multiple P may
+scan a copy of the block with every raw draw taken mod P, and score
+exactly the rows they score on the raw block; only the draws change, so
+the copy is the block's, never a plan's.  The sweep splits its levels,
+in sweep order, into families: a level joins the current family while
+the lcm P of the family's spans stays below one CPython digit (2**30 on
+most builds, sys.int_info), so every draw of the copy is a one-digit
+int and each of its % takes CPython's one-digit path, where a raw
+64-bit draw spans three digits.  The digit only decides speed: the
+identity holds for any P the spans divide, so no row depends on the
+digit size.  A family of fewer than _FAMILY_MIN levels scans the raw
+block, since its copy costs more than it saves; a lone level,
+run_trials' included, is such a family.
+
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
 still produced a fused value of N (a negative folding number in the
@@ -86,6 +101,7 @@ statistics, otherwise the trial is excluded from the mean and the max.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -129,6 +145,13 @@ _MASK64 = (1 << 64) - 1
 # trials drawn and scored together: each level is one scan of a block,
 # and the block bounds the rows held in memory
 _BLOCK = 1024
+# a family of levels scans a reduced copy of the block only from this
+# many levels on: a copy costs about 0.2 us per row over three moduli
+# (0.37 over six) and saves 0.02-0.1 us per row at each level that
+# scans it, so below about four levels it costs more than it saves
+_FAMILY_MIN = 4
+# one CPython digit: a family's modulus stays below it
+_DIGIT = 1 << sys.int_info.bits_per_digit
 # the most error levels one sweep takes, so that its counters and its
 # scans per block stay bounded
 _LEVEL_CAP = 100_000
@@ -192,6 +215,29 @@ class TrialStats:
     bound_violations: int
     folding_failures: int
     estimated_trials: int
+
+    def __init__(
+        self,
+        tau,
+        trials,
+        mean_abs_error,
+        max_abs_error,
+        bound,
+        bound_violations,
+        folding_failures,
+        estimated_trials,
+    ):
+        # frozen: set the fields past the dataclass's __setattr__
+        vars(self).update(
+            tau=tau,
+            trials=trials,
+            mean_abs_error=mean_abs_error,
+            max_abs_error=max_abs_error,
+            bound=bound,
+            bound_violations=bound_violations,
+            folding_failures=folding_failures,
+            estimated_trials=estimated_trials,
+        )
 
 
 def run_trials(cfg: TrialConfig) -> TrialStats:
@@ -401,15 +447,63 @@ def _scans(plan, clamp: bool):
     return _compile_scans(plan.moduli, plan.stages, clamp)
 
 
+@lru_cache(maxsize=64)
+def _reducer(size: int):
+    """reduce(rows, p) for rows of size moduli: a copy of the rows with
+    each raw draw x_j taken mod p, the other cells as they were.  A copied
+    row is a tuple, built in one allocation where a list takes two: the
+    scans only unpack it."""
+    xs = [f"x{j}" for j in range(size)]
+    rest = [f"r{j}" for j in range(size)] + ["a", "n"]
+    source = (
+        "def reduce(rows, p):\n"
+        f"    return [({', '.join(x + ' % p' for x in xs)}, {', '.join(rest)})"
+        f" for {', '.join(xs + rest)} in rows]"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["reduce"]
+
+
+def _families(spans: Sequence[int]) -> list[tuple[int | None, list[int]]]:
+    """Split a sweep's levels, given as a non-empty list of their spans
+    in sweep order, into the families the module docstring describes.
+
+    Returns (modulus, members) per family in order, members its levels'
+    indices: a level joins the current family while the lcm of the
+    family's spans stays below _DIGIT.  A family of _FAMILY_MIN or more
+    levels scans its block reduced mod that lcm, its modulus; a smaller
+    one scans the raw block, modulus None.
+    """
+    families = []
+    members: list[int] = []
+    lcm = 1
+    for i, span in enumerate(spans):
+        grown = math.lcm(lcm, span)
+        if members and grown >= _DIGIT:
+            families.append((lcm, members))
+            members, grown = [], span
+        members.append(i)
+        lcm = grown
+    families.append((lcm, members))
+    return [
+        (p if len(members) >= _FAMILY_MIN else None, members)
+        for p, members in families
+    ]
+
+
 def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     """Run cfg's trials once and score every trial at each level of taus.
 
     The sweep the module docstring describes; clamping only picks the
     scans.  Each level's scan is picked once: scan at a certified level,
-    checked_scan at every other.  The anchor is the plan's run, looked
-    up on each sweep, never kept with the cached scans, so that a run
-    patched on the plan's class later (a tracer's wrapper) is the one
-    the sweep calls.  cfg.tau is unused.
+    checked_scan at every other.  Each block is drawn once, and each
+    family of levels (_families) scans either that block or one copy of
+    it reduced by the family's modulus, made when the family reaches the
+    block and dropped before the next family's.  The anchor is the
+    plan's run, looked up on each sweep, never kept with the cached
+    scans, so that a run patched on the plan's class later (a tracer's
+    wrapper) is the one the sweep calls.  cfg.tau is unused.
     """
     if not taus:
         return []
@@ -420,6 +514,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         plan = _program_for(ms, cfg.tree)
 
     scan, checked_scan, draw, _ = _scans(plan, cfg.clamp_remainders)
+    reduce = _reducer(len(ms))
     # G, the least gcd the checked scan compares against
     g_min = min((g for p, _ in plan.stages for _, g in p.pairs), default=0)
     one_sided = cfg.error_model == ONE_SIDED
@@ -431,12 +526,19 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
         span, off = (tau + 1, 0) if one_sided else (2 * tau + 1, tau)
         score = scan if 2 * (span - 1) < g_min else checked_scan
         levels.append((score, [span, off, tau, 0, 0, 0, 0, 0]))
+    families = [
+        (modulus, [levels[i] for i in members])
+        for modulus, members in _families([lv[0] for _, lv in levels])
+    ]
 
     run = plan.run
     for start in range(0, cfg.trials, _BLOCK):
         rows = draw(cfg.rng_seed, start, min(start + _BLOCK, cfg.trials), run)
-        for score, level in levels:
-            score(rows, level)
+        for modulus, members in families:
+            block = rows if modulus is None else reduce(rows, modulus)
+            for score, level in members:
+                score(block, level)
+            del block
 
     stats = []
     for _, (_, _, tau, total, top, bad, failures, skipped) in levels:
@@ -475,7 +577,7 @@ def _fixed6(x: Fraction) -> str:
     Past the float range the value is rounded exactly (half to even).
     """
     try:
-        return f"{float(x):.6f}"
+        return f"{x.numerator / x.denominator:.6f}"
     except OverflowError:
         units = round(x * 10**6)
         return f"{units // 10**6}.{units % 10**6:06d}"

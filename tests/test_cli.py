@@ -294,10 +294,17 @@ class TestSimulate:
                 "135 180 162 --grouping [[0,1],[2]] --tau-max 24"
                 " --trials 1500 --seed 5 --error-model symmetric --clamp",
             ),
+            # 121 clamped levels: families of 12 levels down to single
+            # ones, reduced blocks and raw ones
+            (
+                "tests/expected/long_clamped_135_180_162.csv",
+                "135 180 162 --tau-max 120 --trials 300 --seed 11"
+                " --error-model symmetric --clamp",
+            ),
         ],
         ids=[
             "single", "tree", "depth3", "clamped", "symmetric",
-            "symmetric_depth3", "shared", "clamped_tree",
+            "symmetric_depth3", "shared", "clamped_tree", "long_clamped",
         ],
     )
     def test_golden_csv(self, capsys, golden, argv):

@@ -1,5 +1,8 @@
 import math
-from dataclasses import asdict, replace
+import pickle
+import random
+import sys
+from dataclasses import FrozenInstanceError, asdict, replace
 from fractions import Fraction
 from itertools import count, product
 
@@ -265,6 +268,28 @@ class TestSweep:
         assert stats_to_csv([row]).splitlines()[1] == (
             f"0,{mean},{10**400},0,3,0"
         )
+
+    def test_csv_mean_matches_float_formatting(self):
+        gen = random.Random(28)
+        for _ in range(2000):
+            bits = gen.choice((8, 53, 200, 1000))
+            x = Fraction(gen.getrandbits(bits), gen.getrandbits(bits) + 1)
+            assert simulate._fixed6(x) == f"{float(x):.6f}", x
+
+    def test_stats_are_frozen_values(self):
+        fields = dict(
+            tau=3, trials=10, mean_abs_error=Fraction(7, 5), max_abs_error=4,
+            bound=3, bound_violations=2, folding_failures=1,
+            estimated_trials=9,
+        )
+        row = TrialStats(**fields)
+        assert asdict(row) == fields
+        assert row == TrialStats(*fields.values())
+        assert hash(row) == hash(TrialStats(**fields))
+        assert row != replace(row, folding_failures=0)
+        assert pickle.loads(pickle.dumps(row)) == row
+        with pytest.raises(FrozenInstanceError):
+            row.tau = 4
 
     @pytest.mark.parametrize("tau", [2.7, True, Fraction(2), -1])
     def test_rejects_bad_level(self, tau):
@@ -676,6 +701,44 @@ DIFFERENTIAL_CASES = [
     # no stage at all: no condition, every check passes
     (TrialConfig(moduli=(7,), tree=parse_tree("[0]"), trials=100), [0, 2]),
 ]
+# levels split into families (simulate._families), each case with a
+# family that scans a reduced block; with 30-bit digits the first case
+# is one family and the others cross family edges
+FAMILY_CASES = [
+    # one family of spans 1..40001; with 15-bit digits span 40001 is alone
+    (
+        TrialConfig(moduli=(135, 180, 162), trials=300, rng_seed=28),
+        [0, 21, 22, 23, 25, 3, 22, 40000],
+    ),
+    # lcm(14..23) < 2**30 <= lcm(13..23): spans 23..14, then 13..1, then
+    # a raw family of three
+    (
+        TrialConfig(moduli=(135, 180, 162), trials=200, rng_seed=29),
+        [*range(22, -1, -1), 40000, 25, 3],
+    ),
+    # spans 2 tau + 1: ten levels, then tau 13 alone
+    (
+        TrialConfig(
+            moduli=(135, 180, 162),
+            trials=300,
+            rng_seed=30,
+            error_model=SYMMETRIC,
+            clamp_remainders=True,
+        ),
+        [0, 4, 11, 8, 12, 2, 5, 6, 1, 30, 13],
+    ),
+    # eleven levels, then four
+    (
+        TrialConfig(
+            moduli=(192, 288, 216, 360, 320, 448),
+            tree=parse_tree("[[[0,1],[2,3]],[4,5]]"),
+            trials=200,
+            rng_seed=31,
+        ),
+        [21, 22, 5, 0, 19, 13, 17, 30, 40, 1, 7, 36, 28, 10, 44],
+    ),
+]
+DIFFERENTIAL_CASES += FAMILY_CASES
 
 
 class TestSweepMatchesPerLevelRuns:
@@ -841,6 +904,30 @@ class TestSweepMatchesPerLevelRuns:
                 rows = [asdict(row) for row in sweep(run, taus)]
                 assert rows == want[trials], (block, trials)
 
+    def test_a_modulus_missing_a_span_is_caught(self, monkeypatch):
+        # each reduced family's modulus without its largest span, which
+        # no case's other spans divide: the rows must then differ
+        families = simulate._families
+
+        def mutant(spans):
+            out = []
+            for modulus, members in families(spans):
+                if modulus is not None:
+                    kept = [spans[i] for i in members]
+                    kept.remove(max(kept))
+                    modulus = math.lcm(*kept)
+                out.append((modulus, members))
+            return out
+
+        monkeypatch.setattr(simulate, "_families", mutant)
+        for cfg, taus in FAMILY_CASES:
+            rows = [asdict(row) for row in sweep(cfg, taus)]
+            want = [
+                asdict(_per_level_oracle(replace(cfg, tau=tau)))
+                for tau in taus
+            ]
+            assert rows != want, taus
+
     def test_goldens_through_sweep(self):
         rows = [sweep(cfg, taus)[1] for cfg, taus in DIFFERENTIAL_CASES[:3]]
         assert rows[0].mean_abs_error == Fraction(229, 500)
@@ -849,6 +936,75 @@ class TestSweepMatchesPerLevelRuns:
             Fraction(1203, 40),
             244,
         )
+
+
+class TestFamilies:
+    DIGIT = 1 << sys.int_info.bits_per_digit
+
+    def test_split(self):
+        gen = random.Random(2028)
+        for _ in range(500):
+            spans = [
+                gen.choice(
+                    (gen.randint(1, 30), gen.randint(1, 3000), 2**31 + 1)
+                )
+                for _ in range(gen.randint(1, 40))
+            ]
+            families = simulate._families(spans)
+            # the families partition the levels in sweep order
+            assert [i for _, members in families for i in members] == list(
+                range(len(spans))
+            )
+            lcms = [math.lcm(*(spans[i] for i in m)) for _, m in families]
+            for (modulus, members), lcm in zip(families, lcms):
+                assert members
+                if len(members) > 1:
+                    assert lcm < self.DIGIT
+                if len(members) < simulate._FAMILY_MIN:
+                    assert modulus is None
+                else:
+                    assert modulus == lcm
+            # each family is as long as the digit lets it grow
+            for lcm, (_, members) in zip(lcms, families[1:]):
+                assert math.lcm(lcm, spans[members[0]]) >= self.DIGIT
+
+    def test_reduced_rows(self):
+        top = (1 << 64) - 1
+        for size in (1, 3, 6):
+            reduce = simulate._reducer(size)
+            rows = [
+                [x] * size + list(range(size)) + [-5, 10**30]
+                for x in (0, top, 12345)
+            ]
+            for p in (1, 2, 26, 232792560, self.DIGIT - 1):
+                want = [
+                    tuple([x % p for x in row[:size]] + row[size:])
+                    for row in rows
+                ]
+                assert reduce(rows, p) == want
+
+    def test_small_families_scan_the_raw_block(self, monkeypatch):
+        reduced = []  # the modulus of each reduce call
+        reducer_of = simulate._reducer
+
+        def reducer(size):
+            reduce = reducer_of(size)
+
+            def recording(rows, p):
+                reduced.append(p)
+                return reduce(rows, p)
+
+            return recording
+
+        monkeypatch.setattr(simulate, "_reducer", reducer)
+        monkeypatch.setattr(simulate, "_BLOCK", 16)
+        cfg = TrialConfig(moduli=(135, 180, 162), trials=40, rng_seed=5)
+        run_trials(replace(cfg, tau=7))
+        sweep(cfg, [0, 1, 2])
+        assert reduced == []
+        # families 1..22 (reduced), 23..25 (raw): once per block of 16
+        sweep(cfg, range(25))
+        assert reduced == [math.lcm(*range(1, 23))] * 3
 
 
 class TestTreeSweepFailures:
