@@ -44,11 +44,13 @@ from .robust import (
     FoldingSolution,
     _CONTRADICTION,
     _NEGATIVE,
+    _Factory,
     _folding_plan,
     _maxmin_gcd,
     _profile,
     _profile_of,
     _quarter,
+    _vars_init,
 )
 
 __all__ = [
@@ -284,6 +286,7 @@ class StageBounds:
     per_leaf_effective: tuple[Fraction, ...]
 
 
+@_vars_init
 @dataclass(frozen=True)
 class StageSolution:
     """All intermediate values of a multi-stage reconstruction.
@@ -299,14 +302,6 @@ class StageSolution:
     per_group_estimates: tuple[int, ...]
     outer_folding: tuple[int, ...]
     final: FoldingSolution
-
-    def __init__(self, per_group_estimates, outer_folding, final):
-        # frozen: set the fields past the dataclass's __setattr__
-        vars(self).update(
-            per_group_estimates=per_group_estimates,
-            outer_folding=outer_folding,
-            final=final,
-        )
 
 
 @dataclass(frozen=True)
@@ -424,8 +419,8 @@ def _solve_lines(size: int, stages, const, fail, composed=()):
     emitted solve (simulate._compile_scans) and every tree program's run
     (_compile_run) are its output.  stages holds (plan, slots) per stage
     in run order, slots being the stage's input slots: 0..L-1 hold the
-    values v_0..v_{L-1} and L + s stage s's estimate.  const(value)
-    names a constant (a factory parameter), and fail(reason, partial)
+    values v_0..v_{L-1} and L + s stage s's estimate.  const is the
+    robust._Factory that names each constant, and fail(reason, partial)
     gives the line a failure runs, partial being None or the failing
     stage's (folding numbers, estimate) as source.
 
@@ -557,14 +552,11 @@ def _raise(reason: str, partial) -> str:
     return f"raise FoldingFailure({reason!r}, {partial[0]}, {partial[1]})"
 
 
-# the generated source of a tree program's run: a factory whose
-# parameters are the constants the run reads
-_RUN = """def factory({params}):
-    def run(remainders):
-        {values}, = remainders
-        {body}
-        return {groups}, {root}, {outer}, {folding}, {estimate}
-    return run"""
+# the generated source of a tree program's run
+_RUN = """def run(remainders):
+    {values}, = remainders
+    {body}
+    return {groups}, {root}, {outer}, {folding}, {estimate}"""
 
 
 def _compile_run(moduli: tuple[int, ...], stages, groups, outer):
@@ -578,15 +570,9 @@ def _compile_run(moduli: tuple[int, ...], stages, groups, outer):
     number per index from its first occurrence's f * M_i, the occurrence
     estimate); that estimate is the half-up rounded mean of f * M_i + r_i
     over every occurrence.  It raises FoldingFailure as _solve_lines
-    writes it.  Every constant is a factory parameter, never source text
-    (str() of an int past the digit limit raises ValueError), and the
-    sums are balanced (a long + chain exhausts the compiler's recursion).
+    writes it.
     """
-    consts: dict[int, str] = {}
-
-    def const(value: int) -> str:
-        return consts.setdefault(value, f"k{len(consts)}")
-
+    const = _Factory()
     size = len(moduli)
     body, occurrences = _solve_lines(
         size, stages, const, _raise, range(size)
@@ -598,7 +584,7 @@ def _compile_run(moduli: tuple[int, ...], stages, groups, outer):
     total = _sum_source([x for j, t in occurrences for x in (t, f"v{j}")])
     parts = dict(
         values=", ".join(f"v{j}" for j in range(size)),
-        body="\n        ".join(body),
+        body="\n    ".join(body),
         groups=_tuple_source(f"v{j}" for j in groups),
         root=f"v{size + len(stages) - 1}" if stages else "v0",
         outer=_tuple_source(
@@ -612,8 +598,7 @@ def _compile_run(moduli: tuple[int, ...], stages, groups, outer):
         estimate=f"(2 * {total} + {const(count)}) // {const(2 * count)}",
     )
     namespace = {"FoldingFailure": FoldingFailure}
-    exec(_RUN.format(params=", ".join(consts.values()), **parts), namespace)
-    return namespace["factory"](*consts)
+    return const.build(_RUN.format(**parts), "run", namespace)
 
 
 class _TreeProgram:
@@ -630,9 +615,8 @@ class _TreeProgram:
 
     Building a program checks the moduli (positive, distinct, nonempty,
     through their profile) and the tree, so a cached program's inputs are
-    not checked again, and compiles its run (_compile_run) once.  That
-    compile is most of a build: on a 2-vCPU Xeon under Python 3.11, a
-    plan of two or three stages builds in about 0.4-0.8 ms.
+    not checked again, and compiles its run (_compile_run) once, which
+    is most of a build.
     """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):

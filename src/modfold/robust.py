@@ -30,7 +30,7 @@ Every design quantity of a moduli set comes from its pairwise gcd table
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -92,6 +92,48 @@ class SearchCapExceeded(RuntimeError):
     """An exhaustive search would exceed the configured work cap."""
 
 
+class _Factory:
+    """The package's one builder of generated code.
+
+    Called with an int, it names that constant k0, k1, ... in first-use
+    order.  build(source, returns, namespace) execs, in namespace, def
+    factory(k0, k1, ...) whose body is source, top-level code, and whose
+    last line is return returns, then calls it with the constants and
+    returns what it gives.  So every constant a generated function reads
+    is a factory parameter, never source text: str() of an int past the
+    digit limit raises ValueError.  A generated sum of many terms is
+    balanced (multistage._sum_source), since a long + chain exhausts the
+    compiler's recursion.
+    """
+
+    def __init__(self):
+        self.consts: dict[int, str] = {}
+
+    def __call__(self, value: int) -> str:
+        return self.consts.setdefault(value, f"k{len(self.consts)}")
+
+    def build(self, source: str, returns: str, namespace: dict):
+        head = f"def factory({', '.join(self.consts.values())}):"
+        body = source.replace("\n", "\n    ")
+        exec(f"{head}\n    {body}\n    return {returns}", namespace)
+        return namespace["factory"](*self.consts)
+
+
+def _vars_init(cls):
+    """cls, a frozen dataclass, with an __init__ generated from its fields
+    that sets them all in one vars(self).update, past the dataclass's
+    __setattr__: a call costs one dict update, and its keywords are the
+    field list itself."""
+    names = [f.name for f in fields(cls)]
+    source = (
+        f"def __init__(self, {', '.join(names)}):\n"
+        f"    vars(self).update({', '.join(f'{n}={n}' for n in names)})"
+    )
+    cls.__init__ = _Factory().build(source, "__init__", {})
+    return cls
+
+
+@_vars_init
 @dataclass(frozen=True)
 class FoldingSolution:
     """Recovered folding numbers plus the fused integer estimate."""
@@ -99,12 +141,6 @@ class FoldingSolution:
     folding: tuple[int, ...]
     estimate: int
     reference_index: int | None
-
-    def __init__(self, folding, estimate, reference_index):
-        # frozen: set the fields past the dataclass's __setattr__
-        vars(self).update(
-            folding=folding, estimate=estimate, reference_index=reference_index
-        )
 
 
 @dataclass(frozen=True)
@@ -369,8 +405,8 @@ class _FoldingPlan:
     """
 
     __slots__ = (
-        "moduli", "k", "mk", "cong_moduli", "head", "steps", "derive",
-        "twice_size", "bias", "pairs",
+        "moduli", "k", "mk", "head", "steps", "derive", "twice_size", "bias",
+        "pairs",
     )
 
     def __init__(self, moduli: tuple[int, ...], k: int):
@@ -386,8 +422,7 @@ class _FoldingPlan:
                 n = m // g
                 inv = _mod_inverse(mk // g, n)
                 terms.append((i, g, 2 * g, n, inv))
-        self.cong_moduli = tuple(t[3] for t in terms)
-        _, schedule = _merge_schedule(self.cong_moduli)
+        _, schedule = _merge_schedule(tuple(t[3] for t in terms))
         self.head = terms[0]
         self.steps = tuple(t + s for t, s in zip(terms[1:], schedule))
         self.derive = tuple((i, n, mk // g) for i, g, _, n, _ in terms)

@@ -53,11 +53,9 @@ program's generated run, from the same stage writer as the scans' solve
 (multistage._solve_lines).  So a tree's anchor and solve could share a
 fault of that writer; the guards independent of it are the golden CSVs,
 the recursive reconstruction the tests hold every run to, and the
-benchmark's oracle.  run is looked up on each sweep, never cached with
-the scans, so a run patched on the plan's class is the one a later
-sweep calls.  Both ways give the rows the solver gives.  The move is
-the root stage's, the estimate a tree sweep scores; for the occurrence
-estimate it would be the rounded mean over leaf occurrences.
+benchmark's oracle.  Both ways give the rows the solver gives.  The
+move is the root stage's, the estimate a tree sweep scores; for the
+occurrence estimate it would be the rounded mean over leaf occurrences.
 
 At some levels every trial passes, so the check is skipped there.  Let
 G be the least gcd any stage rounds by, the least g of the pairs the
@@ -72,9 +70,10 @@ A certified level is scored as the anchor plus the same move without the
 check; every other level checks each trial.  On (135, 180, 162) about
 88% of the trials pass the check at one-sided levels 14-25.
 
-A block is drawn by one call of a drawer, into rows that carry all a
-trial needs, and a level is scored over it by one call of its scan,
-both generated per plan and clamping (_compile_scans).
+A block is drawn by one call of its moduli set's drawer, into rows that
+carry all a trial needs (_compile_rows), and a level is scored over it
+by one call of its scan, generated per plan and clamping
+(_compile_scans).
 
 A raw error draw x enters a scan only as x % span, and x % s == (x % P)
 % s whenever s divides P.  So levels whose spans share a multiple P may
@@ -119,9 +118,11 @@ from .multistage import (
 from .robust import (
     FoldingFailure,
     SearchCapExceeded,
+    _Factory,
     _folding_plan,
     _ns_condition,
     _solve_with_plan,
+    _vars_init,
     select_reference,
     validate_moduli,
 )
@@ -203,6 +204,7 @@ class TrialConfig:
             )
 
 
+@_vars_init
 @dataclass(frozen=True)
 class TrialStats:
     """Aggregated outcome of a campaign."""
@@ -215,29 +217,6 @@ class TrialStats:
     bound_violations: int
     folding_failures: int
     estimated_trials: int
-
-    def __init__(
-        self,
-        tau,
-        trials,
-        mean_abs_error,
-        max_abs_error,
-        bound,
-        bound_violations,
-        folding_failures,
-        estimated_trials,
-    ):
-        # frozen: set the fields past the dataclass's __setattr__
-        vars(self).update(
-            tau=tau,
-            trials=trials,
-            mean_abs_error=mean_abs_error,
-            max_abs_error=max_abs_error,
-            bound=bound,
-            bound_violations=bound_violations,
-            folding_failures=folding_failures,
-            estimated_trials=estimated_trials,
-        )
 
 
 def run_trials(cfg: TrialConfig) -> TrialStats:
@@ -262,56 +241,56 @@ def sweep(cfg_base: TrialConfig, taus: Iterable[int]) -> list[TrialStats]:
     return _run_levels(cfg_base, levels)
 
 
-# the generated source of a plan's solve, scans and drawer: a factory
-# whose parameters are the constants its functions read
-_SCANS = """def factory({params}):
-    def solve({values}):
-        {solve}
+# the generated source of a plan's solve and scans
+_SCANS = """def solve({values}):
+    {solve}
 
-    {scan}
+{scan}
 
-    {checked_scan}
-
-    def draw(seed, start, stop, reconstruct):
-        rows = []
-        step = (seed + start * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        for _ in range(start, stop):
-            z = step = (step + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            {mix}
-            key = z ^ (z >> 31)
-            {draws}
-            rows.append([{row}])
-        return rows
-    return scan, checked_scan, draw, solve"""
+{checked_scan}"""
 # the one scan body, instantiated as scan (check True, which the
 # compiler drops with its else branch) and as checked_scan
 _SCAN = """def {name}(rows, level):
-        span, off, tau, total, top, bad, failures, skipped = level
-        for {cells} in rows:
-            {plain}
-            if {check}:
-                e = a + {root}{shift}
-            else:
-                est, ok = solve({erroneous})
-                if not ok:
-                    failures += 1
-                    if est is None:
-                        skipped += 1
-                        continue
-                e = est - n
-            {score}
-        level[3:] = total, top, bad, failures, skipped"""
-# splitmix64's two mixing rounds on z, as _splitmix64 computes them
-_MIX = """z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF"""
+    span, off, tau, total, top, bad, failures, skipped = level
+    for {cells} in rows:
+        {plain}
+        if {check}:
+            e = a + {root}{shift}
+        else:
+            est, ok = solve({erroneous})
+            if not ok:
+                failures += 1
+                if est is None:
+                    skipped += 1
+                    continue
+            e = est - n
+        {score}
+    level[3:] = total, top, bad, failures, skipped"""
 # a scan's score of one trial's error e into the level's sums
 _SCORE = """if e < 0:
-                e = -e
-            total += e
-            if e > top:
-                top = e
-            if e > tau:
-                bad += 1"""
+            e = -e
+        total += e
+        if e > top:
+            top = e
+        if e > tau:
+            bad += 1"""
+# the generated source of a moduli set's drawer and reducer
+_ROWS = """def draw(seed, start, stop, reconstruct):
+    rows = []
+    step = (seed + start * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    for _ in range(start, stop):
+        z = step = (step + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        {mix}
+        key = z ^ (z >> 31)
+        {draws}
+        rows.append(({row}))
+    return rows
+
+def reduce(rows, p):
+    return [({reduced}) for {cells} in rows]"""
+# splitmix64's two mixing rounds on z, as _splitmix64 computes them
+_MIX = """z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF"""
 
 
 def _solve_fail(reason: str, partial) -> str:
@@ -321,12 +300,12 @@ def _solve_fail(reason: str, partial) -> str:
 
 
 def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
-    """Generate (scan, checked_scan, draw, solve) for a run of stages.
+    """Generate (scan, checked_scan, solve) for a run of stages.
 
     Its solve comes from multistage._solve_lines, the one writer of
     stage arithmetic, which also writes each tree program's run; the
-    scans and the drawer are written here.  _scans keeps its output per
-    plan and clamping.
+    scans are written here.  _scans keeps its output per plan and
+    clamping; robust._Factory builds it.
 
     stages holds (plan, slots) per stage in run order: plan is the
     stage's robust._FoldingPlan and slots are its input slots.  In the
@@ -335,16 +314,6 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
     the last slot's.  solve(v_0..v_{L-1}) takes erroneous remainders and
     returns (estimate or None, ok), as _solve_lines writes it from each
     plan's head, steps, derive, mk, bias and twice_size.
-
-    draw(seed, start, stop, reconstruct) draws trials start..stop-1 of a
-    run seeded with seed, as the module docstring defines them, and
-    returns one row [x_0..x_{L-1}, r_0..r_{L-1}, a, n] of 2L + 2 cells
-    per trial: the raw error draws, the true remainders n mod M_j, the
-    anchor offset a = reconstruct((r_0, ..., r_{L-1}))[1] - n and the
-    unknown n.  Its loop body computes splitmix64 inline: the trial
-    key's input steps by gamma = 0x9E3779B97F4A7C15 from seed + start *
-    gamma, and draw j adds (j + 1) * gamma to the key, so it equals
-    _splitmix64 bit for bit.
 
     Both scans come from one source, _SCAN.  scan(rows, level) scores a
     level [span, off, tau, total, top, bad, failures, skipped] over a
@@ -364,17 +333,8 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
     d_{L-1} - off) (without - off when clamped), counts a failure when
     ok is False, is skipped when the estimate is None and otherwise
     scores |estimate - n|.
-
-    Every gcd, size, modulus, inverse, merge-step and lcm constant and
-    the draw steps (j + 1) * gamma are factory parameters, never source
-    text (str() of an int past the digit limit raises ValueError), and
-    sums are balanced (a long + chain exhausts the compiler's recursion).
     """
-    consts: dict[int, str] = {}
-
-    def const(value: int) -> str:
-        return consts.setdefault(value, f"k{len(consts)}")
-
+    const = _Factory()
     size = len(moduli)
     plain = []
     for j, m in enumerate(moduli):
@@ -404,6 +364,58 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
         )
     solve, _ = _solve_lines(size, stages, const, _solve_fail)
     solve.append(f"return v{size + len(stages) - 1 if stages else 0}, True")
+    body = dict(
+        cells=", ".join(_cells(size)),
+        plain="\n        ".join(plain),
+        root=table[-1],
+        shift=shift,
+        score=_SCORE,
+        erroneous=", ".join(f"r{j} + d{j}{shift}" for j in range(size)),
+    )
+    source = _SCANS.format(
+        values=", ".join(f"v{j}" for j in range(size)),
+        solve="\n    ".join(solve),
+        scan=_SCAN.format(name="scan", check="True", **body),
+        checked_scan=_SCAN.format(
+            name="checked_scan", check=" and ".join(checks) or "True", **body
+        ),
+    )
+    return const.build(source, "scan, checked_scan, solve", {})
+
+
+@lru_cache(maxsize=256)
+def _scans(plan, clamp: bool):
+    """The plan's (scan, checked_scan, solve), generated on its first
+    sweep."""
+    return _compile_scans(plan.moduli, plan.stages, clamp)
+
+
+def _cells(size: int) -> list[str]:
+    """The names of a row's cells over size moduli (_compile_rows)."""
+    return [f"{v}{j}" for v in "xr" for j in range(size)] + ["a", "n"]
+
+
+def _compile_rows(moduli: tuple[int, ...]):
+    """Generate (draw, reduce), the rows of a sweep over moduli.
+
+    draw(seed, start, stop, reconstruct) draws trials start..stop-1 of a
+    run seeded with seed, as the module docstring defines them, and
+    returns one row (x_0..x_{L-1}, r_0..r_{L-1}, a, n) of 2L + 2 cells
+    per trial: the raw error draws, the true remainders n mod M_j, the
+    anchor offset a = reconstruct((r_0, ..., r_{L-1}))[1] - n and the
+    unknown n.  Its loop body computes splitmix64 inline: the trial
+    key's input steps by gamma = 0x9E3779B97F4A7C15 from seed + start *
+    gamma, and draw j adds (j + 1) * gamma to the key, so it equals
+    _splitmix64 bit for bit.  reduce(rows, p) copies rows with each raw
+    draw x_j taken mod p, the other cells as they were.
+
+    A row reads only the moduli, and the plan only through reconstruct,
+    so _rows keeps one pair per moduli set, whatever plans and clampings
+    sweep it.  A row is a tuple, built in one allocation where a list
+    takes two: the scans only unpack it.
+    """
+    const = _Factory()
+    size = len(moduli)
     # a trial's draw j is splitmix64 of its key stepped by (j + 1) gamma:
     # the unknown at j = 0, then x_0..x_{L-1}
     outs = [f"n = (z ^ (z >> 31)) % {const(math.lcm(*moduli))}"]
@@ -413,56 +425,22 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
         step = const((j + 1) * 0x9E3779B97F4A7C15)
         draws += [f"z = (key + {step}) & 0xFFFFFFFFFFFFFFFF", _MIX, out]
     draws += [f"r{j} = n % {const(m)}" for j, m in enumerate(moduli)]
-    rs = ", ".join(f"r{j}" for j in range(size))
-    cells = [f"{v}{j}" for v in "xr" for j in range(size)]
-    body = dict(
-        cells=", ".join(cells + ["a", "n"]),
-        plain="\n            ".join(plain),
-        root=table[-1],
-        shift=shift,
-        score=_SCORE,
-        erroneous=", ".join(f"r{j} + d{j}{shift}" for j in range(size)),
-    )
-    source = _SCANS.format(
-        params=", ".join(consts.values()),
-        values=", ".join(f"v{j}" for j in range(size)),
-        solve="\n        ".join(solve),
-        scan=_SCAN.format(name="scan", check="True", **body),
-        checked_scan=_SCAN.format(
-            name="checked_scan", check=" and ".join(checks) or "True", **body
-        ),
+    cells = _cells(size)
+    rs = ", ".join(cells[size:2 * size])
+    source = _ROWS.format(
         mix=_MIX,
-        draws="\n            ".join(draws),
-        row=", ".join(cells + [f"reconstruct(({rs},))[1] - n", "n"]),
+        draws="\n        ".join(draws),
+        row=", ".join(cells[:-2] + [f"reconstruct(({rs},))[1] - n", "n"]),
+        reduced=", ".join([f"{x} % p" for x in cells[:size]] + cells[size:]),
+        cells=", ".join(cells),
     )
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["factory"](*consts)
+    return const.build(source, "draw, reduce", {})
 
 
 @lru_cache(maxsize=256)
-def _scans(plan, clamp: bool):
-    """The plan's (scan, checked_scan, draw, solve), generated on its
-    first sweep."""
-    return _compile_scans(plan.moduli, plan.stages, clamp)
-
-
-@lru_cache(maxsize=64)
-def _reducer(size: int):
-    """reduce(rows, p) for rows of size moduli: a copy of the rows with
-    each raw draw x_j taken mod p, the other cells as they were.  A copied
-    row is a tuple, built in one allocation where a list takes two: the
-    scans only unpack it."""
-    xs = [f"x{j}" for j in range(size)]
-    rest = [f"r{j}" for j in range(size)] + ["a", "n"]
-    source = (
-        "def reduce(rows, p):\n"
-        f"    return [({', '.join(x + ' % p' for x in xs)}, {', '.join(rest)})"
-        f" for {', '.join(xs + rest)} in rows]"
-    )
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["reduce"]
+def _rows(moduli: tuple[int, ...]):
+    """The moduli set's (draw, reduce), generated on its first sweep."""
+    return _compile_rows(moduli)
 
 
 def _families(spans: Sequence[int]) -> list[tuple[int | None, list[int]]]:
@@ -501,9 +479,10 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     family of levels (_families) scans either that block or one copy of
     it reduced by the family's modulus, made when the family reaches the
     block and dropped before the next family's.  The anchor is the
-    plan's run, looked up on each sweep, never kept with the cached
-    scans, so that a run patched on the plan's class later (a tracer's
-    wrapper) is the one the sweep calls.  cfg.tau is unused.
+    plan's run, looked up on each sweep and handed to the drawer, never
+    kept with the cached scans or rows, so that a run patched on the
+    plan's class later (a tracer's wrapper) is the one the sweep calls.
+    cfg.tau is unused.
     """
     if not taus:
         return []
@@ -513,8 +492,8 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     else:
         plan = _program_for(ms, cfg.tree)
 
-    scan, checked_scan, draw, _ = _scans(plan, cfg.clamp_remainders)
-    reduce = _reducer(len(ms))
+    scan, checked_scan, _ = _scans(plan, cfg.clamp_remainders)
+    draw, reduce = _rows(ms)
     # G, the least gcd the checked scan compares against
     g_min = min((g for p, _ in plan.stages for _, g in p.pairs), default=0)
     one_sided = cfg.error_model == ONE_SIDED

@@ -9,14 +9,14 @@ from modfold import simulate
 def watch(family):
     """The family's checked scan, calling its solve through a recorder.
 
-    family is (scan, checked_scan, draw, solve) as simulate._compile_scans
+    family is (scan, checked_scan, solve) as simulate._compile_scans
     returns it.  The checked scan is rebuilt from its code with a new
     cell for solve, holding a function that records each call's
     arguments, a failing trial's erroneous remainders, and then runs the
     family's solve; the family itself is left as it was.  Returns
     (checked_scan, calls), calls the list of recorded argument tuples.
     """
-    _, checked_scan, _, solve = family
+    _, checked_scan, solve = family
     calls = []
 
     def recorder(*rt):
@@ -58,7 +58,7 @@ def _checked_move(plan, errors):
     greatest error, so a passing trial's total is off + move.
     """
     off = 1 + max(map(abs, errors))
-    row = [d + off for d in errors] + [0] * len(errors) + [off, 0]
+    row = (*[d + off for d in errors], *[0] * len(errors), off, 0)
     checked_scan, calls = _watched(simulate._scans(plan, False))
     calls.clear()
     total, *_ = scored(checked_scan, [row], 2 * off + 1, off, 0)

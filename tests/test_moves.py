@@ -1,10 +1,11 @@
-"""The generated level scans, solve and drawer.
+"""The generated level scans, solve and rows.
 
 simulate._compile_scans writes each plan's stage-by-stage pass as
 straight-line code: a pair of scans that score one error level over a
-block of trials, plain or clamped, a solve that the checked scan runs on
-its failing trials, and a drawer that draws the block, one family per
-call.  These tests hold the scans to the loops they replaced, written
+block of trials, plain or clamped, and a solve that the checked scan
+runs on its failing trials, one family per call; simulate._compile_rows
+writes the drawer that draws the block, and its reducer, once per moduli
+set.  These tests hold the scans to the loops they replaced, written
 out here, and to the solver; they put every exactness pair at its edges,
 with a nonzero symmetric offset, so that a plain scan's score and solve
 arguments are held to the loops with the offset taken off the root move
@@ -20,9 +21,10 @@ writer's other output, to the recursive reconstruction and to the
 per-stage loop (loop_run), every field or the failure triple alike, on
 random and shared plans, a 300-stage chain and moduli past the digit
 limit.  They hold the drawer to rows built from
-simulate._splitmix64, across seeds, block starts and plan sizes, and
-catch a drawer with one mixing or step constant altered.  They also hold
-the error-free solve, whose estimate minus N is each row's anchor
+simulate._splitmix64, across seeds, block starts and plan sizes, check
+that every plan over a moduli set draws the same rows from one drawer,
+and catch a drawer with one mixing or step constant altered.  They also
+hold the error-free solve, whose estimate minus N is each row's anchor
 offset, to N on plans of every kind.  checked_move, watch and scored
 (tests/conftest.py) score one error vector through a plan's checked scan,
 record the calls a checked scan makes to its solve, and read what one
@@ -160,7 +162,7 @@ def loop_solve(moduli, stages, rt):
 def loop_scan(moduli, stages, clamp, checked, solve):
     """A level scan as a loop over rows, one loop_moves pass per trial.
 
-    A row is [raw draws, true remainders, anchor offset a, unknown n],
+    A row is (raw draws, true remainders, anchor offset a, unknown n),
     and the scan adds the rows into a level [span, off, tau, total, top,
     bad, failures, skipped] as the generated one does.  The checked scan
     calls solve, through its solve cell, on a failing trial's erroneous
@@ -217,16 +219,26 @@ def loop_draw(moduli):
             n = mix(key, 0) % lam
             rs = [n % m for m in moduli]
             raws = [mix(key, j) for j in range(1, len(moduli) + 1)]
-            rows.append(raws + rs + [reconstruct(rs)[1] - n, n])
+            rows.append((*raws, *rs, reconstruct(tuple(rs))[1] - n, n))
         return rows
 
     return draw
 
 
+def loop_rows(moduli):
+    """A stand-in for _compile_rows: loop_draw, and a reducer that takes
+    each raw draw mod p in a loop."""
+    size = len(moduli)
+
+    def reduce(rows, p):
+        return [tuple(x % p for x in row[:size]) + row[size:] for row in rows]
+
+    return loop_draw(moduli), reduce
+
+
 def loop_kernels(moduli, stages, clamp):
-    """A stand-in for _compile_scans that runs the loops, solves with
-    loop_solve (each distinct input once) and draws through
-    _splitmix64."""
+    """A stand-in for _compile_scans that runs the loops and solves with
+    loop_solve (each distinct input once)."""
     stages = list(stages)
 
     @lru_cache(maxsize=None)
@@ -236,12 +248,12 @@ def loop_kernels(moduli, stages, clamp):
     scans = tuple(
         loop_scan(moduli, stages, clamp, c, solve) for c in (False, True)
     )
-    return scans + (loop_draw(moduli), solve)
+    return scans + (solve,)
 
 
 def every_family(compile_scans, moduli, stages):
     """(plain family, clamped family), one call per clamping; a family is
-    (scan, checked_scan, draw, solve)."""
+    (scan, checked_scan, solve)."""
     return tuple(compile_scans(moduli, stages, clamp) for clamp in FAMILIES)
 
 
@@ -364,7 +376,7 @@ def block_of(moduli, vectors, rng):
         ]
         row.append(rng.randint(-2, 2))
         row.append(rng.randrange(lam))
-        rows.append(row)
+        rows.append(tuple(row))
     return rows, span, off
 
 
@@ -509,7 +521,7 @@ class TestAgainstLoopsAndSolver:
             kernels = every_family(_compile_scans, ms, stages)
             assert mismatches(kernels, ms, stages, vectors) == set()
             with monkeypatch.context() as m:
-                m.setattr(simulate, "exec", mutated, raising=False)
+                m.setattr(robust, "exec", mutated, raising=False)
                 mutant = every_family(_compile_scans, ms, stages)
             # a plan has an upper edge in both sources when it has a stage
             assert {") < k" in s for s in sources[-2:]} == {bool(stages)}
@@ -548,7 +560,7 @@ class TestAgainstLoopsAndSolver:
             stages = plan.stages
             vectors = [e for *_, e in edge_vectors(len(ms), stages)]
             with monkeypatch.context() as m:
-                m.setattr(simulate, "exec", mutated, raising=False)
+                m.setattr(robust, "exec", mutated, raising=False)
                 mutant = every_family(_compile_scans, ms, stages)
             for name in mismatches(mutant, ms, stages, vectors):
                 caught[name] = caught.get(name, 0) + 1
@@ -592,7 +604,7 @@ class TestAgainstLoopsAndSolver:
                 for n in (0, lam - 1) * 8:
                     rs, anchor_folds, anchor = ends[n]
                     raws = [rng.getrandbits(64) for _ in ms]
-                    rows.append(raws + rs + [anchor - n, n])
+                    rows.append((*raws, *rs, anchor - n, n))
                     # the per-trial clamped errors
                     errors = [
                         min(max(r + x % span - off, 0), m - 1) - r
@@ -635,7 +647,7 @@ class TestAgainstLoopsAndSolver:
         # errors -3, 0 and 5: every trial passes and scores
         # |a + error| = 2, 0 and 4
         checked_scan, calls = watch(_scans(program, False))
-        rows = [[0, 4, 1, 0], [3, 4, 0, 4], [8, 4, -1, 1]]
+        rows = [(0, 4, 1, 0), (3, 4, 0, 4), (8, 4, -1, 1)]
         assert scored(checked_scan, rows, 9, 3, 2) == (6, 4, 1, 0, 0)
         assert calls == []
         # its solve returns its one value
@@ -752,7 +764,7 @@ def handbacks(rng):
                 for _ in range(60):
                     n = rng.choice((0, lam - 1, rng.randrange(lam)))
                     raws = [rng.getrandbits(64) for _ in ms]
-                    rows.append(raws + [n % m for m in ms] + [0, n])
+                    rows.append((*raws, *[n % m for m in ms], 0, n))
                 positions, want = [], []
                 for pos, row in enumerate(rows):
                     calls.clear()
@@ -797,7 +809,7 @@ class TestHandback:
 
     def test_mutated_handback_is_caught(self, monkeypatch):
         monkeypatch.setattr(
-            simulate, "exec", hand_back_r_minus_d, raising=False
+            robust, "exec", hand_back_r_minus_d, raising=False
         )
         wrong_positions, wrong_remainders, _ = handbacks(random.Random(1409))
         # the check is intact, so only the remainders are wrong
@@ -840,7 +852,7 @@ def solve_mismatches(plan, vectors):
     """The vectors on which the emitted solve, or loop_solve, differs from
     the pure solver; and the pure solver's outcomes by kind."""
     stages = plan.stages
-    emitted = _scans(plan, False)[3]
+    emitted = _scans(plan, False)[2]
     wrong, kinds = [], {}
     for rt in vectors:
         *want, kind = pure_outcome(plan, rt)
@@ -934,7 +946,7 @@ class TestEmittedSolve:
                 exec(source, namespace)
 
             with monkeypatch.context() as m:
-                m.setattr(simulate, "exec", capture, raising=False)
+                m.setattr(robust, "exec", capture, raising=False)
                 _compile_scans(ms, stages, False)
             (source,) = sources
             start, end = source.index("def solve("), source.index("def scan(")
@@ -946,13 +958,13 @@ class TestEmittedSolve:
                         f"{source[:at]}({found.group()} {sign} 1){source[stop:]}"
                     )
                     with monkeypatch.context() as m:
-                        m.setattr(simulate, "exec",
+                        m.setattr(robust, "exec",
                                   lambda _, namespace: exec(mutant, namespace),
                                   raising=False)
                         family = _compile_scans(ms, stages, False)
                         m.setattr(simulate, "_scans", lambda plan, clamp: family)
                         by_rows = sweep(cfg, taus) != rows
-                    by_solve = [family[3](*rt) for rt in vectors] != want
+                    by_solve = [family[2](*rt) for rt in vectors] != want
                     caught["solve"] += by_solve
                     caught["rows"] += by_rows
                     missed = not (by_solve or by_rows)
@@ -1107,24 +1119,50 @@ class TestDrawer:
     def test_rows_built_from_splitmix64(self):
         rng = random.Random(1415)
         sizes = set()
-        for ms, plan, reconstruct in drawer_plans(rng):
+        for ms, _, reconstruct in drawer_plans(rng):
             want = loop_draw(ms)
-            for clamp in FAMILIES:
-                draw = _scans(plan, clamp)[2]
-                for seed in DRAW_SEEDS:
-                    assert draw(seed, 9, 9, reconstruct) == []
-                    for start in DRAW_STARTS:
-                        args = (seed, start, start + 25, reconstruct)
-                        assert draw(*args) == want(*args), (ms, seed, start)
+            draw = simulate._rows(ms)[0]
+            for seed in DRAW_SEEDS:
+                assert draw(seed, 9, 9, reconstruct) == []
+                for start in DRAW_STARTS:
+                    args = (seed, start, start + 25, reconstruct)
+                    assert draw(*args) == want(*args), (ms, seed, start)
             sizes.add(len(ms))
         assert sizes == set(range(1, 8))
+
+    def test_every_plan_draws_the_same_rows(self, monkeypatch):
+        # single stage, depth 2 and a shared index, plain and clamped: each
+        # sweep's drawer, called with one reconstruct, gives the same rows
+        ms = (135, 180, 162)
+        draws = []  # the drawer of each sweep
+        rows_of = simulate._rows
+
+        def rows(moduli):
+            draw, reduce = rows_of(moduli)
+            draws.append(draw)
+            return draw, reduce
+
+        monkeypatch.setattr(simulate, "_rows", rows)
+        for layout in (None, "[[0,1],[2]]", "[[0,2],[1,2]]"):
+            for clamp in FAMILIES:
+                cfg = TrialConfig(
+                    moduli=ms, tree=layout, trials=30, rng_seed=9,
+                    error_model=SYMMETRIC, clamp_remainders=clamp,
+                )
+                sweep(cfg, [0, 20])
+        assert len(draws) == 6
+
+        def first(rs):
+            return None, rs[0]
+
+        want = loop_draw(ms)(9, 0, 30, first)
+        assert all(draw(9, 0, 30, first) == want for draw in draws)
 
     def test_altered_constant_is_caught(self, monkeypatch):
         # each hex constant and shift count in the drawer's source, one
         # site at a time, off by one bit or one place
         ms = (8, 12, 15)
         plan = _folding_plan(ms, select_reference(ms))
-        stages = plan.stages
         reconstruct = plan.run
         runs = [
             (seed, start, start + 8, reconstruct)
@@ -1138,33 +1176,35 @@ class TestDrawer:
             sources.append(source)
             exec(source, namespace)
 
-        monkeypatch.setattr(simulate, "exec", capture, raising=False)
-        _compile_scans(ms, stages, False)
+        monkeypatch.setattr(robust, "exec", capture, raising=False)
+        simulate._compile_rows(ms)
         (source,) = sources
-        body = source.index("def draw(")
-        altered = set()
-        for found in re.finditer(r"0x[0-9A-F]+|>> \d+", source[body:]):
+        body, end = source.index("def draw("), source.index("def reduce(")
+        altered = Counter()
+        for found in re.finditer(r"0x[0-9A-F]+|>> \d+", source[body:end]):
             text = found.group()
             if text.startswith("0x"):
                 new = f"0x{int(text, 16) ^ 1:X}"
             else:
                 new = f">> {int(text[3:]) + 1}"
-            at, end = body + found.start(), body + found.end()
-            mutant = source[:at] + new + source[end:]
+            at, stop = body + found.start(), body + found.end()
+            mutant = source[:at] + new + source[stop:]
 
             def mutated(_, namespace):
                 exec(mutant, namespace)
 
-            monkeypatch.setattr(simulate, "exec", mutated, raising=False)
-            draw = _compile_scans(ms, stages, False)[2]
+            monkeypatch.setattr(robust, "exec", mutated, raising=False)
+            draw = simulate._compile_rows(ms)[0]
             got = [draw(*args) for args in runs]
             assert got != want, (at, text, new)
-            altered.add(text)
-        # the step gamma, both multipliers, the mask and the three shifts
-        assert altered == {
+            altered[text] += 1
+        # the step gamma, both multipliers, the mask and the three shifts,
+        # at 43 sites over three moduli
+        assert set(altered) == {
             "0x9E3779B97F4A7C15", "0xBF58476D1CE4E5B9", "0x94D049BB133111EB",
             "0xFFFFFFFFFFFFFFFF", ">> 30", ">> 27", ">> 31",
         }
+        assert sum(altered.values()) == 43
 
 
 # plans by kind, each over moduli 0..size-1 (size is one more than the
@@ -1266,6 +1306,38 @@ class TestBuiltOnFirstSweep:
         sweep(single, [4])
         assert len(calls) == 3
 
+    def test_rows_once_per_moduli_set(self, monkeypatch):
+        # rows read only the moduli: one row factory for every plan and
+        # clamping over a set, one scan family per (plan, clamping)
+        scans, rows = [], []
+        compile_rows = simulate._compile_rows
+
+        def counted_scans(moduli, stages, clamp):
+            scans.append((len(stages), clamp))
+            return _compile_scans(moduli, stages, clamp)
+
+        def counted_rows(moduli):
+            rows.append(moduli)
+            return compile_rows(moduli)
+
+        monkeypatch.setattr(simulate, "_compile_scans", counted_scans)
+        monkeypatch.setattr(simulate, "_compile_rows", counted_rows)
+        simulate._rows.cache_clear()
+        _scans.cache_clear()
+        ms = (135, 180, 162)
+        for layout in (None, "[[0,1],[2]]", "[[0,2],[1,2]]"):
+            for clamp in FAMILIES:
+                cfg = TrialConfig(
+                    moduli=ms, tree=layout, trials=20,
+                    error_model=SYMMETRIC, clamp_remainders=clamp,
+                )
+                sweep(cfg, [0, 9])
+                sweep(cfg, [3])
+        assert rows == [ms]
+        # stages per plan: one, two, and three for the shared index
+        assert scans == [(1, False), (1, True), (2, False), (2, True),
+                         (3, False), (3, True)]
+
 
 class TestGeneratedCodeLimits:
     def test_gcds_past_the_digit_limit(self, monkeypatch, checked_move):
@@ -1313,7 +1385,9 @@ class TestGeneratedCodeLimits:
         assert {"ok", "contradiction"} <= kinds, kinds
 
         monkeypatch.setattr(simulate, "_compile_scans", loop_kernels)
+        monkeypatch.setattr(simulate, "_compile_rows", loop_rows)
         _scans.cache_clear()
+        simulate._rows.cache_clear()
         try:
             assert rows[:3] == [sweep(cfg, taus) for cfg in cfgs]
             assert rows[3] == [run_trials(cfg) for cfg in cfgs]
@@ -1322,7 +1396,9 @@ class TestGeneratedCodeLimits:
                 for plan in plans
             ]
         finally:
-            _scans.cache_clear()  # drop the loops' pairs
+            # drop the loops' families and rows
+            _scans.cache_clear()
+            simulate._rows.cache_clear()
 
     def test_stage_of_3000_inputs(self, monkeypatch):
         # a left-nested sum of 3,000 terms exhausts the compiler on 3.10-3.12
@@ -1349,14 +1425,16 @@ class TestGeneratedCodeLimits:
         checked_scan, calls = watch(kernels[0])
         assert scored(checked_scan, rows, span, off, 0)[0] == abs(rows[0][-2])
         assert calls == []
-        # the drawer of 3,000 moduli: 3,001 draws and 6,002 cells a row
+        # the rows of 3,000 moduli: 3,001 draws and 6,002 cells a row
 
         def first(rs):
             return None, rs[0]
 
-        for _, _, draw, _ in kernels:
-            args = (-7, 1024, 1026, first)
-            assert draw(*args) == loop_draw(moduli)(*args)
+        args = (-7, 1024, 1026, first)
+        draw, reduce = simulate._compile_rows(moduli)
+        drawn = draw(*args)
+        assert drawn == loop_draw(moduli)(*args)
+        assert reduce(drawn, 97) == loop_rows(moduli)[1](drawn, 97)
 
     def test_deep_chain_tree(self):
         # [0, [1, [0, ...]]] over (3, 5): 300 stages, one per level

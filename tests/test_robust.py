@@ -1,9 +1,14 @@
+import inspect
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
+
+import modfold.robust as robust
 
 from modfold.congruence import (
     CongruenceSystem,
@@ -19,12 +24,14 @@ from modfold.grouping import propose_grouping
 from modfold.intmath import NotInvertibleError, mod_inverse, round_half_up_div
 from modfold.multistage import (
     DegenerateTreeError,
+    StageSolution,
     parse_tree,
     stage_bounds,
     validate_tree,
 )
 from modfold.robust import (
     FoldingFailure,
+    FoldingSolution,
     _FoldingPlan,
     _folding_plan,
     _maxmin_gcd,
@@ -39,7 +46,7 @@ from modfold.robust import (
     theta_bound,
     validate_moduli,
 )
-from modfold.simulate import verify_exactness_condition
+from modfold.simulate import TrialStats, verify_exactness_condition
 
 EX1 = (70, 75, 80, 90)
 
@@ -330,7 +337,8 @@ class TestSolveFolding:
     def test_coprime_plan_matches_oracle(self):
         # reference 3 on EX1 yields pairwise-coprime congruence moduli
         plan = _folding_plan(EX1, 3)
-        assert math.lcm(*plan.cong_moduli) == math.prod(plan.cong_moduli)
+        cong_moduli = [n for _, n, _ in plan.derive]
+        assert math.lcm(*cong_moduli) == math.prod(cong_moduli)
         rng = random.Random(53)
         for _ in range(12):
             n = rng.randrange(math.lcm(*EX1))
@@ -795,7 +803,7 @@ class TestFusedKernel:
                 for k in range(size):  # every reference, not only theta's
                     plan = _folding_plan(ms, k)
                     plans += 1
-                    divisor_terms += plan.cong_moduli.count(1)
+                    divisor_terms += [n for _, n, _ in plan.derive].count(1)
                     g_min = min(math.gcd(ms[k], m) for m in ms)
                     for _ in range(15):
                         n = rng.randrange(lam)
@@ -835,3 +843,51 @@ class TestFusedKernel:
                         rt[(j + 1) % len(ms)] -= d // 3
                         want = outcome(separate_passes_solve, ms, k, rt)
                         assert outcome(_solve_with_plan, plan, rt) == want
+
+
+# each value type whose __init__ robust._vars_init generates, with one
+# value per field
+CONSTRUCTED = {
+    "FoldingSolution": (FoldingSolution, ((5, 6, 7), 1244, 1)),
+    "StageSolution": (
+        StageSolution, ((1244, 40), (3, 1), FoldingSolution((9,), 9, None))
+    ),
+    "TrialStats": (TrialStats, (3, 100, Fraction(7, 4), 9, 3, 12, 2, 98)),
+}
+
+
+def check_dataclass_contract(cls, values):
+    """Assert that cls, built from values, behaves as a frozen dataclass
+    with its generated __init__ would."""
+    names = [f.name for f in fields(cls)]
+    obj = cls(*values)
+    assert [getattr(obj, n) for n in names] == list(values)
+    assert cls(**dict(zip(names, values))) == obj
+    assert vars(obj) == dict(zip(names, values))
+    assert list(inspect.signature(cls).parameters) == names
+    assert hash(obj) == hash(cls(*values))
+    assert repr(obj) == f"{cls.__qualname__}(" + ", ".join(
+        f"{n}={v!r}" for n, v in zip(names, values)
+    ) + ")"
+    marker = object()
+    moved = replace(obj, **{names[-1]: marker})
+    assert vars(moved) == {**vars(obj), names[-1]: marker}
+    assert moved != obj and replace(obj) == obj
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, names[0], values[0])
+
+
+class TestGeneratedConstructors:
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+    def test_dataclass_contract(self, name):
+        check_dataclass_contract(*CONSTRUCTED[name])
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+    def test_builder_dropping_a_field_is_caught(self, monkeypatch, name):
+        cls, values = CONSTRUCTED[name]
+        monkeypatch.setattr(cls, "__init__", cls.__init__)  # restored after
+        monkeypatch.setattr(robust, "fields", lambda c: fields(c)[:-1])
+        robust._vars_init(cls)
+        with pytest.raises(TypeError, match="positional argument"):
+            check_dataclass_contract(cls, values)

@@ -316,18 +316,18 @@ class TestSweep:
 
     def test_each_trial_drawn_once(self, monkeypatch):
         draws = []  # the trials each drawer call draws
-        scans_of = simulate._scans
+        rows_of = simulate._rows
 
-        def scans(plan, clamp):
-            scan, checked_scan, draw, solve = scans_of(plan, clamp)
+        def rows(moduli):
+            draw, reduce = rows_of(moduli)
 
             def counting(seed, start, stop, reconstruct):
                 draws.extend(range(start, stop))
                 return draw(seed, start, stop, reconstruct)
 
-            return scan, checked_scan, counting, solve
+            return counting, reduce
 
-        monkeypatch.setattr(simulate, "_scans", scans)
+        monkeypatch.setattr(simulate, "_rows", rows)
         monkeypatch.setattr(simulate, "_BLOCK", 16)
         cfg = TrialConfig(moduli=(135, 180, 162), trials=50, rng_seed=5)
         assert sweep(cfg, []) == []
@@ -970,33 +970,34 @@ class TestFamilies:
 
     def test_reduced_rows(self):
         top = (1 << 64) - 1
-        for size in (1, 3, 6):
-            reduce = simulate._reducer(size)
+        for moduli in ((7,), (135, 180, 162), (192, 288, 216, 360, 320, 448)):
+            size = len(moduli)
+            _, reduce = simulate._rows(moduli)
             rows = [
-                [x] * size + list(range(size)) + [-5, 10**30]
+                (*[x] * size, *range(size), -5, 10**30)
                 for x in (0, top, 12345)
             ]
             for p in (1, 2, 26, 232792560, self.DIGIT - 1):
                 want = [
-                    tuple([x % p for x in row[:size]] + row[size:])
+                    (*[x % p for x in row[:size]], *row[size:])
                     for row in rows
                 ]
                 assert reduce(rows, p) == want
 
     def test_small_families_scan_the_raw_block(self, monkeypatch):
         reduced = []  # the modulus of each reduce call
-        reducer_of = simulate._reducer
+        rows_of = simulate._rows
 
-        def reducer(size):
-            reduce = reducer_of(size)
+        def rows(moduli):
+            draw, reduce = rows_of(moduli)
 
             def recording(rows, p):
                 reduced.append(p)
                 return reduce(rows, p)
 
-            return recording
+            return draw, recording
 
-        monkeypatch.setattr(simulate, "_reducer", reducer)
+        monkeypatch.setattr(simulate, "_rows", rows)
         monkeypatch.setattr(simulate, "_BLOCK", 16)
         cfg = TrialConfig(moduli=(135, 180, 162), trials=40, rng_seed=5)
         run_trials(replace(cfg, tau=7))
