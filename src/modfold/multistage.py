@@ -433,16 +433,18 @@ def _solve_lines(size: int, stages, const, fail, composed=()):
     whose estimate is no value of N; one at the root carries the root
     stage's folding numbers and estimate.
 
-    Then, top-down, each leaf occurrence of an index in composed or of a
-    shared index (the slot of more than one stage input) gets f * M_i,
-    f its folding number: the sum over the stages from its leaf
-    to the root of the stage's folding number for the input on the path
-    times that input's lcm over M_i, so f * M_i is the same sum with the
-    lcm itself.  Each input on such a path gets one t local, its
-    parent's plus its own term.  Two occurrences of an index agree
-    exactly when these sums do, so every occurrence but an index's first
-    is compared with that first, left to right, and the first to differ
-    fails with "conflicting folding numbers for modulus index i".
+    Then one top-down, depth-first walk from the root composes each leaf
+    occurrence of an index in composed or of a shared index (the slot of
+    more than one stage input) as f * M_i, f its folding number: the sum
+    over the stages from its leaf to the root of the stage's folding
+    number for the input on the path times that input's lcm over M_i, so
+    f * M_i is the same sum with the lcm itself.  The walk enters only
+    inputs whose subtree holds such an occurrence, and gives each its
+    folding number and one t local, its parent's plus its own term.  Two
+    occurrences of an index agree exactly when these sums do, so the
+    walk, which meets the occurrences left to right, compares every
+    occurrence but an index's first with that first, and the first to
+    differ fails with "conflicting folding numbers for modulus index i".
 
     Returns (lines, occurrences): occurrences holds (index, f * M_i
     source) per occurrence so composed, left to right.  A plan with no
@@ -450,6 +452,12 @@ def _solve_lines(size: int, stages, const, fail, composed=()):
     """
     if not stages:
         return [], [(j, const(0)) for j in composed]
+    counts = Counter(j for _, slots in stages for j in slots if j < size)
+    wanted = set(composed) | {j for j, count in counts.items() if count > 1}
+    # whether a slot's subtree holds a wanted occurrence
+    holds = [j in wanted for j in range(size)]
+    for _, slots in stages:
+        holds.append(any(holds[j] for j in slots))
     lines = []
     root = len(stages) - 1
     for s, (plan, slots) in enumerate(stages):
@@ -491,45 +499,26 @@ def _solve_lines(size: int, stages, const, fail, composed=()):
             f"    {fail(_NEGATIVE, partial)}",
         ]
 
-    counts = Counter(j for _, slots in stages for j in slots if j < size)
-    wanted = set(composed) | {j for j, count in counts.items() if count > 1}
-    # whether a slot's subtree holds a wanted occurrence
-    holds = [j in wanted for j in range(size)]
-    for _, slots in stages:
-        holds.append(any(holds[j] for j in slots))
-    above = {size + root: None}  # a slot's sum from the root
-    for s in range(root, -1, -1):
-        plan, slots = stages[s]
-        if not holds[size + s]:
-            continue
-        parent = above[size + s]
-        for i, j in enumerate(slots):
-            if not holds[j]:
-                continue
-            fold = _fold_name(plan, s, i)
-            if i != plan.k:
-                lines.append(f"{fold} = {_fold_source(plan, s, i, const)}")
-            term = f"{fold} * {const(plan.moduli[i])}"
-            above[j] = f"t{s}_{i}"
-            lines.append(
-                f"t{s}_{i} = {term}" if parent is None
-                else f"t{s}_{i} = {parent} + {term}"
-            )
-    # the composed occurrences left to right: the inputs depth first
     occurrences = []
-    stack = [(root, i) for i in range(len(stages[root][1]) - 1, -1, -1)]
+    first: dict[int, str] = {}
+    # (stage, input, its parent's t local and " + "): inputs depth first
+    stack = [(root, i, "") for i in reversed(range(len(stages[root][1])))]
     while stack:
-        s, i = stack.pop()
-        j = stages[s][1][i]
+        s, i, prefix = stack.pop()
+        plan, slots = stages[s]
+        j = slots[i]
         if not holds[j]:
             continue
-        if j < size:
-            occurrences.append((j, f"t{s}_{i}"))
-        else:
+        fold, t = _fold_name(plan, s, i), f"t{s}_{i}"
+        if i != plan.k:
+            lines.append(f"{fold} = {_fold_source(plan, s, i, const)}")
+        lines.append(f"{t} = {prefix}{fold} * {const(plan.moduli[i])}")
+        if j >= size:
             c = len(stages[j - size][1])
-            stack += [(j - size, ci) for ci in range(c - 1, -1, -1)]
-    first: dict[int, str] = {}
-    for j, t in occurrences:
+            prefix = f"{t} + "
+            stack += [(j - size, ci, prefix) for ci in reversed(range(c))]
+            continue
+        occurrences.append((j, t))
         if first.setdefault(j, t) != t:
             lines += [
                 f"if {t} != {first[j]}:",

@@ -84,11 +84,10 @@ in sweep order, into families: a level joins the current family while
 the lcm P of the family's spans stays below one CPython digit (2**30 on
 most builds, sys.int_info), so every draw of the copy is a one-digit
 int and each of its % takes CPython's one-digit path, where a raw
-64-bit draw spans three digits.  The digit only decides speed: the
-identity holds for any P the spans divide, so no row depends on the
-digit size.  A family of fewer than _FAMILY_MIN levels scans the raw
-block, since its copy costs more than it saves; a lone level,
-run_trials' included, is such a family.
+64-bit draw spans three digits.  Every family, a lone level's and
+run_trials' included, scans its block reduced mod its P; no scan reads
+the raw block.  The digit only decides speed: the identity holds for
+any P the spans divide, so no row depends on the digit size.
 
 Inconsistent reconstructions count as folding failures; a tree trial
 fails exactly when reconstruct_tree fails on it.  When the failing stage
@@ -114,6 +113,7 @@ from .multistage import (
     _solve_lines,
     _sum_source,
     parse_tree,
+    validate_tree,
 )
 from .robust import (
     FoldingFailure,
@@ -146,11 +146,6 @@ _MASK64 = (1 << 64) - 1
 # trials drawn and scored together: each level is one scan of a block,
 # and the block bounds the rows held in memory
 _BLOCK = 1024
-# a family of levels scans a reduced copy of the block only from this
-# many levels on: a copy costs about 0.2 us per row over three moduli
-# (0.37 over six) and saves 0.02-0.1 us per row at each level that
-# scans it, so below about four levels it costs more than it saves
-_FAMILY_MIN = 4
 # one CPython digit: a family's modulus stays below it
 _DIGIT = 1 << sys.int_info.bits_per_digit
 # the most error levels one sweep takes, so that its counters and its
@@ -173,6 +168,9 @@ class TrialConfig:
     tree=None runs the single-stage solver (two or more moduli, automatic
     reference); otherwise the plan (a GroupTree, a JSON string or nested
     lists, parsed at construction) drives a multi-stage reconstruction.
+    The plan is checked against the moduli when the config is built
+    (validate_tree); siblings whose lcms collide (DegenerateTreeError)
+    are found only when a run builds the plan's program.
     error_model "one-sided" draws integer errors uniformly from {0..tau},
     "symmetric" from {-tau..tau}.  clamp_remainders forces perturbed
     remainders back into [0, M_i - 1].
@@ -190,6 +188,7 @@ class TrialConfig:
         object.__setattr__(self, "moduli", validate_moduli(self.moduli))
         if self.tree is not None:
             object.__setattr__(self, "tree", parse_tree(self.tree))
+            validate_tree(self.tree, len(self.moduli))
         elif len(self.moduli) < 2:
             raise ValueError("single-stage simulation needs >= 2 moduli")
         _check_int("trials", self.trials, 1)
@@ -443,15 +442,14 @@ def _rows(moduli: tuple[int, ...]):
     return _compile_rows(moduli)
 
 
-def _families(spans: Sequence[int]) -> list[tuple[int | None, list[int]]]:
+def _families(spans: Sequence[int]) -> list[tuple[int, list[int]]]:
     """Split a sweep's levels, given as a non-empty list of their spans
     in sweep order, into the families the module docstring describes.
 
     Returns (modulus, members) per family in order, members its levels'
-    indices: a level joins the current family while the lcm of the
-    family's spans stays below _DIGIT.  A family of _FAMILY_MIN or more
-    levels scans its block reduced mod that lcm, its modulus; a smaller
-    one scans the raw block, modulus None.
+    indices and modulus the lcm of their spans, which the family's
+    block is reduced by: a level joins the current family while that
+    lcm stays below _DIGIT.
     """
     families = []
     members: list[int] = []
@@ -464,10 +462,7 @@ def _families(spans: Sequence[int]) -> list[tuple[int | None, list[int]]]:
         members.append(i)
         lcm = grown
     families.append((lcm, members))
-    return [
-        (p if len(members) >= _FAMILY_MIN else None, members)
-        for p, members in families
-    ]
+    return families
 
 
 def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
@@ -476,12 +471,12 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     The sweep the module docstring describes; clamping only picks the
     scans.  Each level's scan is picked once: scan at a certified level,
     checked_scan at every other.  Each block is drawn once, and each
-    family of levels (_families) scans either that block or one copy of
-    it reduced by the family's modulus, made when the family reaches the
-    block and dropped before the next family's.  The anchor is the
-    plan's run, looked up on each sweep and handed to the drawer, never
-    kept with the cached scans or rows, so that a run patched on the
-    plan's class later (a tracer's wrapper) is the one the sweep calls.
+    family of levels (_families) scans one copy of it reduced by the
+    family's modulus, made when the family reaches the block and dropped
+    before the next family's.  The anchor is the plan's run, looked up
+    on each sweep and handed to the drawer, never kept with the cached
+    scans or rows, so that a run patched on the plan's class later (a
+    tracer's wrapper) is the one the sweep calls.
     cfg.tau is unused.
     """
     if not taus:
@@ -514,7 +509,7 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     for start in range(0, cfg.trials, _BLOCK):
         rows = draw(cfg.rng_seed, start, min(start + _BLOCK, cfg.trials), run)
         for modulus, members in families:
-            block = rows if modulus is None else reduce(rows, modulus)
+            block = reduce(rows, modulus)
             for score, level in members:
                 score(block, level)
             del block

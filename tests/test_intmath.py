@@ -134,6 +134,29 @@ def _per_value(name, values):
         _check_int(name, v)
 
 
+class IntLike:
+    """An integer that is no int subclass, as np.int64 is: it converts
+    through __index__ and __int__, and it compares and hashes as its int,
+    so a cache keyed on it would take it for that int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    __int__ = __index__
+
+    def __eq__(self, other):
+        return self.value == other
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"IntLike({self.value})"
+
+
 INTS = (0, 1, -7, 12, 10**30, Level.HIGH)
 MIXED = INTS + (True, False, 2.0, 0.5, -3.0, Fraction(3), Fraction(1, 2))
 
@@ -156,6 +179,15 @@ class TestOneGate:
 
     def test_matches_the_per_value_check(self):
         self._differential(MIXED, 21)
+
+    def test_int_like_values_are_rejected_alike(self):
+        # the numpy case below, without numpy
+        like = IntLike(5)
+        assert (like, int(like), hash(like)) == (5, 5, hash(5))
+        assert {(3, like): 0}[(3, 5)] == 0  # one cache key with the int
+        self._differential(MIXED + (IntLike(3), IntLike(-2)), 23)
+        with pytest.raises(ValueError, match="must be an int, got IntLike"):
+            _check_ints("modulus", (3, like))
 
     def test_numpy_ints_are_rejected_alike(self):
         np = pytest.importorskip("numpy")

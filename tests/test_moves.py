@@ -15,12 +15,13 @@ on its erroneous remainders, that scans with a mutated edge, solve
 argument or offset are caught, that a plan compiles only the clampings
 it is swept with, and that the generated code survives huge gcds, wide
 stages and deep trees.  They hold the emitted solve to the pure solver,
-estimate, success and partial estimate alike, and catch a solve with one
-constant off by one.  They hold each tree program's run, the stage
-writer's other output, to the recursive reconstruction and to the
-per-stage loop (loop_run), every field or the failure triple alike, on
-random and shared plans, a 300-stage chain and moduli past the digit
-limit.  They hold the drawer to rows built from
+estimate, success and partial estimate alike, catch a solve with one
+constant off by one, and check that it composes only the occurrences
+of a shared index, where the run composes every one.  They hold each
+tree program's run, the stage writer's other output, to the recursive
+reconstruction and to the per-stage loop (loop_run), every field or the
+failure triple alike, on random and shared plans, a 300-stage chain and
+moduli past the digit limit.  They hold the drawer to rows built from
 simulate._splitmix64, across seeds, block starts and plan sizes, check
 that every plan over a moduli set draws the same rows from one drawer,
 and catch a drawer with one mixing or step constant altered.  They also
@@ -57,6 +58,7 @@ from modfold.multistage import (
     Leaf,
     Node,
     _program_for,
+    _solve_lines,
     _tree_program,
     parse_tree,
     reconstruct_tree,
@@ -65,6 +67,7 @@ from modfold.multistage import (
 )
 from modfold.robust import (
     FoldingFailure,
+    _Factory,
     _folding_plan,
     _solve_with_plan,
     check_ns_condition,
@@ -77,6 +80,7 @@ from modfold.simulate import (
     TrialConfig,
     _compile_scans,
     _scans,
+    _solve_fail,
     run_trials,
     sweep,
 )
@@ -979,6 +983,66 @@ class TestEmittedSolve:
         # rows most of them
         assert sites > 70 and caught["solve"] == 2 * sites - equivalent
         assert caught["rows"] > sites, caught
+
+
+class TestComposedOccurrences:
+    """The emitted solve composes only the occurrences it compares, those
+    of a shared index, so a failing sweep trial pays for no other; a
+    tree program's run composes every occurrence."""
+
+    MS = (135, 180, 162)
+    DEPTH3 = ((192, 288, 216, 360, 320, 448), "[[[0,1],[2,3]],[4,5]]")
+
+    def composed(self, stages, size, composed=()):
+        """(the t and folding locals the lines assign, occurrences)."""
+        lines, occurrences = _solve_lines(
+            size, stages, _Factory(), _solve_fail, composed
+        )
+        assigned = (re.match(r"([tf]\d+_\d+) = ", line) for line in lines)
+        return {m.group(1) for m in assigned if m}, occurrences
+
+    def stages_of(self, ms, layout):
+        if layout is None:
+            return _folding_plan(ms, select_reference(ms)).stages
+        return _program_for(ms, parse_tree(layout)).stages
+
+    @pytest.mark.parametrize(
+        "ms, layout", [(MS, None), (MS, "[[0,1],[2]]"), DEPTH3]
+    )
+    def test_no_shared_index_composes_nothing(self, ms, layout):
+        stages = self.stages_of(ms, layout)
+        assert self.composed(stages, len(ms)) == (set(), [])
+
+    def test_shared_index_composes_its_paths_only(self):
+        stages = self.stages_of(self.MS, "[[0,2],[1,2]]")
+        # stages [0, 2], [1, 2] and the root over their estimates: index 2
+        # is input 1 of either leaf stage, under root inputs 0 and 1
+        paths = [(2, 0), (2, 1), (0, 1), (1, 1)]
+        want = {f"t{s}_{i}" for s, i in paths} | {
+            f"f{s}_{i}" for s, i in paths if i != stages[s][0].k
+        }
+        assert self.composed(stages, 3) == (
+            want, [(2, "t0_1"), (2, "t1_1")]
+        )
+
+    @pytest.mark.parametrize(
+        "ms, layout",
+        [(MS, None), (MS, "[[0,1],[2]]"), (MS, "[[0,2],[1,2]]"), DEPTH3],
+    )
+    def test_the_run_composes_every_occurrence(self, ms, layout):
+        stages = self.stages_of(ms, layout)
+        names, occurrences = self.composed(stages, len(ms), range(len(ms)))
+        inputs = [
+            (s, i) for s, (_, slots) in enumerate(stages)
+            for i in range(len(slots))
+        ]
+        assert names == {f"t{s}_{i}" for s, i in inputs} | {
+            f"f{s}_{i}" for s, i in inputs if i != stages[s][0].k
+        }
+        tree = parse_tree(layout or list(range(len(ms))))
+        assert [j for j, _ in occurrences] == [
+            j for leaf in tree_leaves(tree) for j in leaf.indices
+        ]
 
 
 class TestGeneratedRun:

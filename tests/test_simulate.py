@@ -94,6 +94,30 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(moduli=(135, 180, 162), tree=layout)
 
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ([[0, 5], [2]], "^leaf index out of range$"),
+            (
+                [[0], [1]],
+                "^the leaves cover 2 moduli indices; index 2 is the first "
+                "in no leaf$",
+            ),
+        ],
+    )
+    def test_plan_checked_against_the_moduli_at_construction(
+        self, layout, message
+    ):
+        with pytest.raises(ValueError, match=message) as info:
+            TrialConfig((135, 180, 162), tree=layout)
+        assert type(info.value) is ValueError
+        cfg = TrialConfig((135, 180, 162), tree=[[0, 1], [2]])
+        # replace rebuilds the config, so it is checked too
+        with pytest.raises(ValueError, match="index 2 is the first"):
+            replace(cfg, tree=[[0], [1]])
+        with pytest.raises(ValueError, match="^leaf index out of range$"):
+            replace(cfg, moduli=(135, 180))
+
     def test_one_modulus_single_stage_rejected_at_construction(self):
         with pytest.raises(ValueError) as info:
             TrialConfig(moduli=(135,))
@@ -701,9 +725,9 @@ DIFFERENTIAL_CASES = [
     # no stage at all: no condition, every check passes
     (TrialConfig(moduli=(7,), tree=parse_tree("[0]"), trials=100), [0, 2]),
 ]
-# levels split into families (simulate._families), each case with a
-# family that scans a reduced block; with 30-bit digits the first case
-# is one family and the others cross family edges
+# levels split into families (simulate._families), each of which scans
+# a reduced block; with 30-bit digits the first case is one family and
+# the others cross family edges
 FAMILY_CASES = [
     # one family of spans 1..40001; with 15-bit digits span 40001 is alone
     (
@@ -711,7 +735,7 @@ FAMILY_CASES = [
         [0, 21, 22, 23, 25, 3, 22, 40000],
     ),
     # lcm(14..23) < 2**30 <= lcm(13..23): spans 23..14, then 13..1, then
-    # a raw family of three
+    # a family of three
     (
         TrialConfig(moduli=(135, 180, 162), trials=200, rng_seed=29),
         [*range(22, -1, -1), 40000, 25, 3],
@@ -905,18 +929,16 @@ class TestSweepMatchesPerLevelRuns:
                 assert rows == want[trials], (block, trials)
 
     def test_a_modulus_missing_a_span_is_caught(self, monkeypatch):
-        # each reduced family's modulus without its largest span, which
-        # no case's other spans divide: the rows must then differ
+        # each family's modulus without its largest span, which no
+        # case's other spans divide: the rows must then differ
         families = simulate._families
 
         def mutant(spans):
             out = []
-            for modulus, members in families(spans):
-                if modulus is not None:
-                    kept = [spans[i] for i in members]
-                    kept.remove(max(kept))
-                    modulus = math.lcm(*kept)
-                out.append((modulus, members))
+            for _, members in families(spans):
+                kept = [spans[i] for i in members]
+                kept.remove(max(kept))
+                out.append((math.lcm(*kept), members))
             return out
 
         monkeypatch.setattr(simulate, "_families", mutant)
@@ -960,10 +982,7 @@ class TestFamilies:
                 assert members
                 if len(members) > 1:
                     assert lcm < self.DIGIT
-                if len(members) < simulate._FAMILY_MIN:
-                    assert modulus is None
-                else:
-                    assert modulus == lcm
+                assert modulus == lcm
             # each family is as long as the digit lets it grow
             for lcm, (_, members) in zip(lcms, families[1:]):
                 assert math.lcm(lcm, spans[members[0]]) >= self.DIGIT
@@ -984,28 +1003,47 @@ class TestFamilies:
                 ]
                 assert reduce(rows, p) == want
 
-    def test_small_families_scan_the_raw_block(self, monkeypatch):
+    def test_every_family_scans_a_reduced_block(self, monkeypatch):
         reduced = []  # the modulus of each reduce call
-        rows_of = simulate._rows
+        blocks = []  # what each reduce call returns
+        rows_of, scans_of = simulate._rows, simulate._scans
 
         def rows(moduli):
             draw, reduce = rows_of(moduli)
 
             def recording(rows, p):
                 reduced.append(p)
-                return reduce(rows, p)
+                blocks.append(reduce(rows, p))
+                return blocks[-1]
 
             return draw, recording
 
+        def scans(plan, clamp):
+            def watched(scan):
+                def run(rows, level):
+                    # the block is the last reduce call's, not the raw one
+                    assert rows is blocks[-1]
+                    scan(rows, level)
+
+                return run
+
+            scan, checked_scan, solve = scans_of(plan, clamp)
+            return watched(scan), watched(checked_scan), solve
+
         monkeypatch.setattr(simulate, "_rows", rows)
+        monkeypatch.setattr(simulate, "_scans", scans)
         monkeypatch.setattr(simulate, "_BLOCK", 16)
         cfg = TrialConfig(moduli=(135, 180, 162), trials=40, rng_seed=5)
+        # three blocks of 16: one reduce call per family and block
         run_trials(replace(cfg, tau=7))
+        assert reduced == [8] * 3
+        reduced.clear()
         sweep(cfg, [0, 1, 2])
-        assert reduced == []
-        # families 1..22 (reduced), 23..25 (raw): once per block of 16
+        assert reduced == [6] * 3
+        reduced.clear()
+        # families 1..22 and 23..25, in turn on each block
         sweep(cfg, range(25))
-        assert reduced == [math.lcm(*range(1, 23))] * 3
+        assert reduced == [math.lcm(*range(1, 23)), 23 * 24 * 25] * 3
 
 
 class TestTreeSweepFailures:
