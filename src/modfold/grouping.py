@@ -121,7 +121,7 @@ def _candidate_sets(profile: _Profile) -> list[CandidateSet]:
 
 
 def minimal_covers(
-    cands: Sequence[CandidateSet],
+    cands: Iterable[CandidateSet],
     n_moduli: int,
     *,
     cap: int = COVER_CAP_DEFAULT,
@@ -132,8 +132,10 @@ def minimal_covers(
     removing any one member loses coverage.  Covers come ordered by size,
     then lexicographically by candidate position.  Enumeration is
     exponential in the number of candidate sets; SearchCapExceeded guards
-    beyond cap sets.  Members must be ints.
+    beyond cap sets.  cands may be any iterable, read once; members must
+    be ints.
     """
+    cands = tuple(cands)
     if len(cands) > _check_int("cap", cap):
         raise SearchCapExceeded(
             f"{len(cands)} candidate sets exceed the cover cap {cap}"

@@ -14,19 +14,20 @@ node must have pairwise-distinct lcms.  Every walk over a tree goes through
 one iterative post-order walker, so a plan's depth is bounded by memory,
 not by the interpreter's recursion limit.
 
-One tree run serves the simulation and reconstruct_tree alike, so both
-fail on the same inputs: each _TreeProgram's run is straight-line code,
-generated once when the program is built (_compile_run) by the same
-writer of stage arithmetic as the sweep's solve (_solve_lines).  The
-module also computes the stage-bound calculus of a plan (StageBounds),
-every stage's gcd coming from _layout.
+One generated solve per plan serves reconstruct_tree and the sweep
+alike, so both fail on the same inputs: each _TreeProgram compiles its
+solve once, when it is built (_compile_solve, from the one writer of
+stage arithmetic, _solve_lines).  The solve never raises; it returns a
+failure as a value, and the program's run raises it as FoldingFailure,
+while a sweep's failing trials call the solve itself.  The module also
+computes the stage-bound calculus of a plan (StageBounds), every
+stage's gcd coming from _layout.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -412,52 +413,46 @@ def _fold_source(plan, s: int, i: int, const) -> str:
     return f"(nk{s} * {const(c)} - q{s}_{i}) // {const(n)}"
 
 
-def _solve_lines(size: int, stages, const, fail, composed=()):
+def _solve_lines(size: int, stages, const):
     """The straight-line solve of a run of stages, as source lines.
 
-    It is the package's one writer of stage arithmetic: the sweep's
-    emitted solve (simulate._compile_scans) and every tree program's run
-    (_compile_run) are its output.  stages holds (plan, slots) per stage
-    in run order, slots being the stage's input slots: 0..L-1 hold the
-    values v_0..v_{L-1} and L + s stage s's estimate.  const is the
-    robust._Factory that names each constant, and fail(reason, partial)
-    gives the line a failure runs, partial being None or the failing
-    stage's (folding numbers, estimate) as source.
+    It is the package's one writer of stage arithmetic, and _compile_solve
+    its one user.  stages holds (plan, slots) per stage in run order,
+    slots being the stage's input slots: 0..L-1 hold the values
+    v_0..v_{L-1} and L + s stage s's estimate.  const is the
+    robust._Factory that names each constant.
 
     Each stage is robust._solve_with_plan written out: one divmod per
     pair (head, then steps) with the merge step inline, the estimate into
     v_{L+s}, then the negative-folding test nk * c < q per (i, n, c) of
     derive, since (nk c - q) // n < 0 exactly when nk c < q; the merged
-    n_k itself is a residue, never negative.  A contradiction fails with
-    no partial, and so does a negative folding number below the root,
-    whose estimate is no value of N; one at the root carries the root
-    stage's folding numbers and estimate.
+    n_k itself is a residue, never negative.  A failure returns (None,
+    partial estimate, reason, partial folding): a contradiction carries
+    no partial, and neither does a negative folding number below the
+    root, whose estimate is no value of N; one at the root carries the
+    root stage's estimate and folding numbers.
 
     Then one top-down, depth-first walk from the root composes each leaf
-    occurrence of an index in composed or of a shared index (the slot of
-    more than one stage input) as f * M_i, f its folding number: the sum
-    over the stages from its leaf to the root of the stage's folding
-    number for the input on the path times that input's lcm over M_i, so
-    f * M_i is the same sum with the lcm itself.  The walk enters only
-    inputs whose subtree holds such an occurrence, and gives each its
-    folding number and one t local, its parent's plus its own term.  Two
+    occurrence as f * M_i, f its folding number: the sum over the stages
+    from its leaf to the root of the stage's folding number for the
+    input on the path times that input's lcm over M_i, so f * M_i is the
+    same sum with the lcm itself.  The walk gives each input its folding
+    number and one t local, its parent's plus its own term.  Two
     occurrences of an index agree exactly when these sums do, so the
     walk, which meets the occurrences left to right, compares every
     occurrence but an index's first with that first, and the first to
     differ fails with "conflicting folding numbers for modulus index i".
 
     Returns (lines, occurrences): occurrences holds (index, f * M_i
-    source) per occurrence so composed, left to right.  A plan with no
-    stage has one occurrence, whose folding number is 0.
+    source) per occurrence, left to right.  A plan with no stage has one
+    occurrence, whose folding number is 0.
     """
     if not stages:
-        return [], [(j, const(0)) for j in composed]
-    counts = Counter(j for _, slots in stages for j in slots if j < size)
-    wanted = set(composed) | {j for j, count in counts.items() if count > 1}
-    # whether a slot's subtree holds a wanted occurrence
-    holds = [j in wanted for j in range(size)]
-    for _, slots in stages:
-        holds.append(any(holds[j] for j in slots))
+        return [], [(0, const(0))]
+
+    def fail(reason, est="None", folds="None"):
+        return f"    return None, {est}, {reason!r}, {folds}"
+
     lines = []
     root = len(stages) - 1
     for s, (plan, slots) in enumerate(stages):
@@ -481,22 +476,22 @@ def _solve_lines(size: int, stages, const, fail, composed=()):
                 "es += e",
                 f"diff = q{s}_{i} * {const(inv)} % {const(n)} - {nk}",
                 f"if diff % {const(mg)}:",
-                f"    {fail(_CONTRADICTION, None)}",
+                fail(_CONTRADICTION),
                 f"{nk} += {const(mm)} * (diff // {const(mg)}"
                 f" * {const(minv)} % {const(mn)})",
             ]
         negative = " or ".join(
             f"{nk} * {const(c)} < q{s}_{i}" for i, _, c in plan.derive
         )
-        partial = None
+        partial = ()
         if s == root:
             folds = (_fold_source(plan, s, i, const) for i in range(len(ins)))
-            partial = (_tuple_source(folds), est)
+            partial = (est, _tuple_source(folds))
         lines += [
             f"{est} = {nk} * {const(plan.mk)} + {rk}"
             f" + (es + {const(plan.bias)}) // {const(plan.twice_size)}",
             f"if {negative}:",
-            f"    {fail(_NEGATIVE, partial)}",
+            fail(_NEGATIVE, *partial),
         ]
 
     occurrences = []
@@ -507,8 +502,6 @@ def _solve_lines(size: int, stages, const, fail, composed=()):
         s, i, prefix = stack.pop()
         plan, slots = stages[s]
         j = slots[i]
-        if not holds[j]:
-            continue
         fold, t = _fold_name(plan, s, i), f"t{s}_{i}"
         if i != plan.k:
             lines.append(f"{fold} = {_fold_source(plan, s, i, const)}")
@@ -522,9 +515,7 @@ def _solve_lines(size: int, stages, const, fail, composed=()):
         if first.setdefault(j, t) != t:
             lines += [
                 f"if {t} != {first[j]}:",
-                "    " + fail(
-                    f"conflicting folding numbers for modulus index {j}", None
-                ),
+                fail(f"conflicting folding numbers for modulus index {j}"),
             ]
     return lines, occurrences
 
@@ -534,38 +525,31 @@ def _tuple_source(items) -> str:
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
-def _raise(reason: str, partial) -> str:
-    """The run's failure line: FoldingFailure with the reason and partial."""
-    if partial is None:
-        return f"raise FoldingFailure({reason!r})"
-    return f"raise FoldingFailure({reason!r}, {partial[0]}, {partial[1]})"
-
-
-# the generated source of a tree program's run
-_RUN = """def run(remainders):
+# the generated source of a plan's solve
+_SOLVE = """def solve(remainders):
     {values}, = remainders
     {body}
     return {groups}, {root}, {outer}, {folding}, {estimate}"""
 
 
-def _compile_run(moduli: tuple[int, ...], stages, groups, outer):
-    """Generate a tree program's run(remainders) from _solve_lines.
+def _compile_solve(moduli: tuple[int, ...], stages, groups, outer):
+    """Generate a plan's one solve(remainders) from _solve_lines.
 
     stages holds (plan, slots) per stage in run order, groups the slots
     of the group estimates and outer the stages whose folding numbers
-    make the outer folding, in StageSolution's orders.  The run solves
-    every stage and composes every leaf occurrence, and returns (group
-    estimates, the root stage's estimate, outer folding, one folding
-    number per index from its first occurrence's f * M_i, the occurrence
-    estimate); that estimate is the half-up rounded mean of f * M_i + r_i
-    over every occurrence.  It raises FoldingFailure as _solve_lines
-    writes it.
+    make the outer folding, in StageSolution's orders.  The solve takes
+    the remainders as one tuple, solves every stage and composes every
+    leaf occurrence, and returns (group estimates, the root stage's
+    estimate, outer folding, one folding number per index from its first
+    occurrence's f * M_i, the occurrence estimate); that estimate is the
+    half-up rounded mean of f * M_i + r_i over every occurrence.  It
+    never raises: a failure returns (None, partial estimate, reason,
+    partial folding), so slot 1 is the root stage's estimate, or the
+    partial one, either way.
     """
     const = _Factory()
     size = len(moduli)
-    body, occurrences = _solve_lines(
-        size, stages, const, _raise, range(size)
-    )
+    body, occurrences = _solve_lines(size, stages, const)
     first: dict[int, str] = {}
     for j, t in occurrences:
         first.setdefault(j, t)
@@ -586,8 +570,7 @@ def _compile_run(moduli: tuple[int, ...], stages, groups, outer):
         ),
         estimate=f"(2 * {total} + {const(count)}) // {const(2 * count)}",
     )
-    namespace = {"FoldingFailure": FoldingFailure}
-    return const.build(_RUN.format(**parts), "run", namespace)
+    return const.build(_SOLVE.format(**parts), "solve")
 
 
 class _TreeProgram:
@@ -604,8 +587,9 @@ class _TreeProgram:
 
     Building a program checks the moduli (positive, distinct, nonempty,
     through their profile) and the tree, so a cached program's inputs are
-    not checked again, and compiles its run (_compile_run) once, which
-    is most of a build.
+    not checked again, and compiles its solve (_compile_solve) once,
+    which is most of a build.  run wraps the solve for decoding; a
+    sweep's failing trials call the solve directly.
     """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):
@@ -631,7 +615,7 @@ class _TreeProgram:
         self.stages = tuple(stages)
         # the root closes the post-order: its estimate is the final one,
         # not a group record, and its multipliers lead
-        self._run = _compile_run(
+        self.solve = _compile_solve(
             moduli,
             self.stages,
             tuple(leaf_slots + node_slots)[:-1],
@@ -645,10 +629,14 @@ class _TreeProgram:
         )
 
     def run(self, remainders: Sequence[int]):
-        """The compiled run on the remainders, as _compile_run returns it:
+        """The solve on the remainders, as _compile_solve returns it:
         (group estimates, root stage's estimate, outer folding, folding,
-        occurrence estimate).  FoldingFailure propagates."""
-        return self._run(remainders)
+        occurrence estimate); its failure raises FoldingFailure."""
+        out = self.solve(remainders)
+        if out[0] is None:
+            _, estimate, reason, folding = out
+            raise FoldingFailure(reason, folding, estimate)
+        return out
 
 
 @lru_cache(maxsize=128)

@@ -96,14 +96,15 @@ class _Factory:
     """The package's one builder of generated code.
 
     Called with an int, it names that constant k0, k1, ... in first-use
-    order.  build(source, returns, namespace) execs, in namespace, def
-    factory(k0, k1, ...) whose body is source, top-level code, and whose
-    last line is return returns, then calls it with the constants and
+    order.  build(source, returns, **free) execs def factory(k0, k1, ...,
+    *free) whose body is source, top-level code, and whose last line is
+    return returns, then calls it with the constants and free and
     returns what it gives.  So every constant a generated function reads
     is a factory parameter, never source text: str() of an int past the
-    digit limit raises ValueError.  A generated sum of many terms is
-    balanced (multistage._sum_source), since a long + chain exhausts the
-    compiler's recursion.
+    digit limit raises ValueError; and each value in free, a function
+    the generated code calls, is a free variable of it under its name.
+    A generated sum of many terms is balanced (multistage._sum_source),
+    since a long + chain exhausts the compiler's recursion.
     """
 
     def __init__(self):
@@ -112,11 +113,12 @@ class _Factory:
     def __call__(self, value: int) -> str:
         return self.consts.setdefault(value, f"k{len(self.consts)}")
 
-    def build(self, source: str, returns: str, namespace: dict):
-        head = f"def factory({', '.join(self.consts.values())}):"
+    def build(self, source: str, returns: str, **free):
+        head = f"def factory({', '.join([*self.consts.values(), *free])}):"
         body = source.replace("\n", "\n    ")
+        namespace: dict = {}
         exec(f"{head}\n    {body}\n    return {returns}", namespace)
-        return namespace["factory"](*self.consts)
+        return namespace["factory"](*self.consts, **free)
 
 
 def _vars_init(cls):
@@ -129,7 +131,7 @@ def _vars_init(cls):
         f"def __init__(self, {', '.join(names)}):\n"
         f"    vars(self).update({', '.join(f'{n}={n}' for n in names)})"
     )
-    cls.__init__ = _Factory().build(source, "__init__", {})
+    cls.__init__ = _Factory().build(source, "__init__")
     return cls
 
 
@@ -397,7 +399,8 @@ class _FoldingPlan:
     pairs holds (i, g_i) per index i != k: the exactness condition the
     sweep checks, and the window it certifies, are stated once, in the
     simulate module.  A sweep takes a plan as it takes a
-    multistage._TreeProgram, through moduli, stages and run.
+    multistage._TreeProgram, through moduli, stages and run, and builds
+    its solve on its first sweep (simulate._scans), not with the plan.
 
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least

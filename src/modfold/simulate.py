@@ -45,13 +45,16 @@ robust.check_ns_condition is the same test for one stage.
 
 So a trial whose errors pass the check is scored as the error-free
 anchor's outcome plus the root move, and a trial that fails it is solved
-on its erroneous remainders by the scan's own solve, the pure solver's
-arithmetic written out per stage (_compile_scans).  The anchor is the
-plan's run on the trial's true remainders, one per trial, made when the
-trial is drawn: the pure solver for a single stage, and for a tree the
-program's generated run, from the same stage writer as the scans' solve
-(multistage._solve_lines).  So a tree's anchor and solve could share a
-fault of that writer; the guards independent of it are the golden CSVs,
+on its erroneous remainders by the plan's one solve, the pure solver's
+arithmetic written out per stage (multistage._compile_solve): a tree
+program's own, which its run wraps for reconstruct_tree, or for a single
+stage one built on the plan's first sweep (_scans).  The solve returns
+a failure rather than raise it, and the scan reads slot 1 of what it
+returns, the root stage's estimate or the partial one.  The anchor is
+the plan's run on the trial's true remainders, one per trial, made when
+the trial is drawn: the pure solver for a single stage, and for a tree
+that same solve.  So a tree's anchor and failing trials could share a
+fault of the solve; the guards independent of it are the golden CSVs,
 the recursive reconstruction the tests hold every run to, and the
 benchmark's oracle.  Both ways give the rows the solver gives.  The
 move is the root stage's, the estimate a tree sweep scores; for the
@@ -109,8 +112,8 @@ from typing import Callable, Iterable, Sequence
 from .intmath import _check_index, _check_int
 from .multistage import (
     GroupTree,
+    _compile_solve,
     _program_for,
-    _solve_lines,
     _sum_source,
     parse_tree,
     validate_tree,
@@ -119,6 +122,7 @@ from .robust import (
     FoldingFailure,
     SearchCapExceeded,
     _Factory,
+    _FoldingPlan,
     _folding_plan,
     _ns_condition,
     _solve_with_plan,
@@ -173,7 +177,8 @@ class TrialConfig:
     are found only when a run builds the plan's program.
     error_model "one-sided" draws integer errors uniformly from {0..tau},
     "symmetric" from {-tau..tau}.  clamp_remainders forces perturbed
-    remainders back into [0, M_i - 1].
+    remainders back into [0, M_i - 1].  trials is not capped: a run's
+    time is linear in trials (times levels, for a sweep).
     """
 
     moduli: tuple[int, ...]
@@ -228,7 +233,8 @@ def sweep(cfg_base: TrialConfig, taus: Iterable[int]) -> list[TrialStats]:
 
     Each row equals run_trials(replace(cfg_base, tau=tau)).  taus may be
     any iterable, endless included: past _LEVEL_CAP levels the sweep
-    raises SearchCapExceeded before it draws a trial.
+    raises SearchCapExceeded before it draws a trial.  The trial count is
+    not capped, so the run time is linear in trials × levels.
     """
     levels = [
         _check_int("tau", t, 0) for t in islice(taus, _LEVEL_CAP + 1)
@@ -240,11 +246,8 @@ def sweep(cfg_base: TrialConfig, taus: Iterable[int]) -> list[TrialStats]:
     return _run_levels(cfg_base, levels)
 
 
-# the generated source of a plan's solve and scans
-_SCANS = """def solve({values}):
-    {solve}
-
-{scan}
+# the generated source of a plan's scans
+_SCANS = """{scan}
 
 {checked_scan}"""
 # the one scan body, instantiated as scan (check True, which the
@@ -256,8 +259,9 @@ _SCAN = """def {name}(rows, level):
         if {check}:
             e = a + {root}{shift}
         else:
-            est, ok = solve({erroneous})
-            if not ok:
+            out = solve(({erroneous},))
+            est = out[1]
+            if out[0] is None:
                 failures += 1
                 if est is None:
                     skipped += 1
@@ -292,27 +296,20 @@ _MIX = """z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF"""
 
 
-def _solve_fail(reason: str, partial) -> str:
-    """The emitted solve's failure line: (the partial estimate, False),
-    None unless a folding number at the root is negative."""
-    return f"return {None if partial is None else partial[1]}, False"
-
-
-def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
+def _compile_scans(moduli: Sequence[int], stages, clamp: bool, solve):
     """Generate (scan, checked_scan, solve) for a run of stages.
 
-    Its solve comes from multistage._solve_lines, the one writer of
-    stage arithmetic, which also writes each tree program's run; the
-    scans are written here.  _scans keeps its output per plan and
-    clamping; robust._Factory builds it.
+    solve is the plan's one solve (multistage._compile_solve), which a
+    tree program's run wraps too; the scans, written here, take it as a
+    factory parameter, so it is a free variable of theirs named solve,
+    and the source holds no stage arithmetic.  _scans keeps the output
+    per plan and clamping; robust._Factory builds it.
 
     stages holds (plan, slots) per stage in run order: plan is the
     stage's robust._FoldingPlan and slots are its input slots.  In the
     scans, slots 0..L-1 hold the remainder errors and L + s holds stage
     s's move, (2 sum(d) + c) // 2c over its c inputs d; the root move is
-    the last slot's.  solve(v_0..v_{L-1}) takes erroneous remainders and
-    returns (estimate or None, ok), as _solve_lines writes it from each
-    plan's head, steps, derive, mk, bias and twice_size.
+    the last slot's.
 
     Both scans come from one source, _SCAN.  scan(rows, level) scores a
     level [span, off, tau, total, top, bad, failures, skipped] over a
@@ -328,9 +325,10 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
     stage and per pair, with no call, list or table of its own.
     checked_scan's check is every stage's condition, -g <= 2 (d_i - d_k)
     < g per (i, g) of plan.pairs, as one chain of comparisons; scan's is
-    True.  A failing trial calls solve(r_0 + d_0 - off, ..., r_{L-1} +
-    d_{L-1} - off) (without - off when clamped), counts a failure when
-    ok is False, is skipped when the estimate is None and otherwise
+    True.  A failing trial calls solve((r_0 + d_0 - off, ..., r_{L-1} +
+    d_{L-1} - off)) (without - off when clamped) and reads slot 1, the
+    root stage's estimate or the partial one: it counts a failure when
+    slot 0 is None, is skipped when the estimate is None and otherwise
     scores |estimate - n|.
     """
     const = _Factory()
@@ -361,8 +359,6 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
             f"{table[-1]} = (2 * {_sum_source(ins)} + {const(c)})"
             f" // {const(2 * c)}"
         )
-    solve, _ = _solve_lines(size, stages, const, _solve_fail)
-    solve.append(f"return v{size + len(stages) - 1 if stages else 0}, True")
     body = dict(
         cells=", ".join(_cells(size)),
         plain="\n        ".join(plain),
@@ -372,21 +368,29 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool):
         erroneous=", ".join(f"r{j} + d{j}{shift}" for j in range(size)),
     )
     source = _SCANS.format(
-        values=", ".join(f"v{j}" for j in range(size)),
-        solve="\n    ".join(solve),
         scan=_SCAN.format(name="scan", check="True", **body),
         checked_scan=_SCAN.format(
             name="checked_scan", check=" and ".join(checks) or "True", **body
         ),
     )
-    return const.build(source, "scan, checked_scan, solve", {})
+    return const.build(source, "scan, checked_scan, solve", solve=solve)
 
 
 @lru_cache(maxsize=256)
 def _scans(plan, clamp: bool):
     """The plan's (scan, checked_scan, solve), generated on its first
-    sweep."""
-    return _compile_scans(plan.moduli, plan.stages, clamp)
+    sweep: a program's own solve, built with it, or a single stage's,
+    built once per plan (_stage_solve) whatever it is swept with."""
+    single = isinstance(plan, _FoldingPlan)
+    solve = _stage_solve(plan) if single else plan.solve
+    return _compile_scans(plan.moduli, plan.stages, clamp, solve)
+
+
+@lru_cache(maxsize=256)
+def _stage_solve(plan):
+    """A single-stage plan's solve (multistage._compile_solve), built on
+    its first sweep: a plan built for solve_folding never needs it."""
+    return _compile_solve(plan.moduli, plan.stages, (), ())
 
 
 def _cells(size: int) -> list[str]:
@@ -433,7 +437,7 @@ def _compile_rows(moduli: tuple[int, ...]):
         reduced=", ".join([f"{x} % p" for x in cells[:size]] + cells[size:]),
         cells=", ".join(cells),
     )
-    return const.build(source, "draw, reduce", {})
+    return const.build(source, "draw, reduce")
 
 
 @lru_cache(maxsize=256)

@@ -63,8 +63,9 @@ def _checked_move(plan, errors):
     calls.clear()
     total, *_ = scored(checked_scan, [row], 2 * off + 1, off, 0)
     if calls:
-        # a failing trial is solved on its erroneous remainders
-        assert calls == [tuple(errors)]
+        # a failing trial is solved on its erroneous remainders, handed
+        # over as one tuple
+        assert calls == [(tuple(errors),)]
         return None
     return total - off
 

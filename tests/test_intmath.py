@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from modfold.congruence import CongruenceSystem, remainders_of
+from modfold.grouping import candidate_sets, minimal_covers
 from modfold.intmath import (
     NotInvertibleError,
     _check_exact,
@@ -270,9 +271,12 @@ class TestIteratorInputs:
             (check_ns_condition, ([1, -2, 3], MS, 0)),
             (fused_error_bound, ([Fraction(9, 2), 3], [2, 1])),
             (folding_oracle, ((8, 12, 15), [5, 9, 14], 1)),
+            (minimal_covers, (
+                candidate_sets((210, 143, 77, 128, 81, 125, 169)), 7
+            )),
         ],
         ids=["solve_folding", "reconstruct_tree", "check_ns_condition",
-             "fused_error_bound", "folding_oracle"],
+             "fused_error_bound", "folding_oracle", "minimal_covers"],
     )
     def test_an_iterator_acts_as_its_list(self, call, args):
         expected = call(*args)

@@ -2,23 +2,24 @@
 
 simulate._compile_scans writes each plan's stage-by-stage pass as
 straight-line code: a pair of scans that score one error level over a
-block of trials, plain or clamped, and a solve that the checked scan
-runs on its failing trials, one family per call; simulate._compile_rows
-writes the drawer that draws the block, and its reducer, once per moduli
-set.  These tests hold the scans to the loops they replaced, written
-out here, and to the solver; they put every exactness pair at its edges,
-with a nonzero symmetric offset, so that a plain scan's score and solve
-arguments are held to the loops with the offset taken off the root move
-and off each erroneous remainder; they hold check_ns_condition to the
-checked scan there, check that the checked scan solves a failing trial
-on its erroneous remainders, that scans with a mutated edge, solve
-argument or offset are caught, that a plan compiles only the clampings
-it is swept with, and that the generated code survives huge gcds, wide
-stages and deep trees.  They hold the emitted solve to the pure solver,
-estimate, success and partial estimate alike, catch a solve with one
-constant off by one, and check that it composes only the occurrences
-of a shared index, where the run composes every one.  They hold each
-tree program's run, the stage writer's other output, to the recursive
+block of trials, plain or clamped, one family per call, calling the
+plan's one solve (multistage._compile_solve) on their failing trials;
+simulate._compile_rows writes the drawer that draws the block, and its
+reducer, once per moduli set.  These tests hold the scans to the loops
+they replaced, written out here, and to the solver; they put every
+exactness pair at its edges, with a nonzero symmetric offset, so that a
+plain scan's score and solve arguments are held to the loops with the
+offset taken off the root move and off each erroneous remainder; they
+hold check_ns_condition to the checked scan there, check that the
+checked scan solves a failing trial on its erroneous remainders, that
+scans with a mutated edge, solve argument or offset are caught, that a
+plan compiles only the clampings it is swept with, that its stage
+arithmetic is compiled once, and that the generated code survives huge
+gcds, wide stages and deep trees.  They hold each plan's solve, as its
+sweeps call it, to the pure solver, estimate, success and partial
+estimate alike, and to loop_solve in every slot, catch a solve with one
+constant off by one, and check that it composes every occurrence.  They
+hold each tree program's run, which wraps that solve, to the recursive
 reconstruction and to the per-stage loop (loop_run), every field or the
 failure triple alike, on random and shared plans, a 300-stage chain and
 moduli past the digit limit.  They hold the drawer to rows built from
@@ -50,6 +51,7 @@ from test_multistage import (
     recursive_reconstruct,
 )
 
+import modfold.multistage as multistage
 import modfold.robust as robust
 import modfold.simulate as simulate
 from modfold.grouping import propose_grouping
@@ -57,6 +59,7 @@ from modfold.multistage import (
     DegenerateTreeError,
     Leaf,
     Node,
+    _compile_solve,
     _program_for,
     _solve_lines,
     _tree_program,
@@ -80,7 +83,6 @@ from modfold.simulate import (
     TrialConfig,
     _compile_scans,
     _scans,
-    _solve_fail,
     run_trials,
     sweep,
 )
@@ -155,12 +157,25 @@ def loop_run(moduli, stages, rt):
 
 
 def loop_solve(moduli, stages, rt):
-    """(estimate or None, ok) of loop_run: what the emitted solve returns,
-    a failure keeping only its partial estimate."""
+    """loop_run laid out as a plan's solve returns it, with the root
+    stage's estimate or the partial one in slot 1: (steps' folding,
+    root stage's estimate, folding, occurrence estimate), or (None,
+    partial estimate, reason, partial folding)."""
     out = loop_run(moduli, stages, rt)
     if isinstance(out[0], str):
-        return out[2], False
-    return out[0], True
+        reason, folding, estimate = out
+        return None, estimate, reason, folding
+    root, folds, folding, estimate = out
+    return folds, root, folding, estimate
+
+
+def solve_of(plan):
+    """The plan's one solve: a program's own, or one compiled as a
+    single-stage plan's sweeps compile theirs (simulate._stage_solve),
+    kept in no cache."""
+    if isinstance(plan, robust._FoldingPlan):
+        return _compile_solve(plan.moduli, plan.stages, (), ())
+    return plan.solve
 
 
 def loop_scan(moduli, stages, clamp, checked, solve):
@@ -170,7 +185,8 @@ def loop_scan(moduli, stages, clamp, checked, solve):
     and the scan adds the rows into a level [span, off, tau, total, top,
     bad, failures, skipped] as the generated one does.  The checked scan
     calls solve, through its solve cell, on a failing trial's erroneous
-    remainders, as the generated one calls its emitted solve.
+    remainders, handed over as one tuple, and reads slot 1, as the
+    generated one calls the plan's solve.
     """
     size = len(moduli)
 
@@ -184,8 +200,9 @@ def loop_scan(moduli, stages, clamp, checked, solve):
             if move is not None:
                 err = abs(a + move)
             else:
-                est, ok = solve(*rt)
-                sums[3] += not ok
+                out = solve(tuple(rt))
+                est = out[1]
+                sums[3] += out[0] is None
                 if est is None:
                     sums[4] += 1
                     continue
@@ -240,13 +257,14 @@ def loop_rows(moduli):
     return loop_draw(moduli), reduce
 
 
-def loop_kernels(moduli, stages, clamp):
-    """A stand-in for _compile_scans that runs the loops and solves with
-    loop_solve (each distinct input once)."""
+def loop_kernels(moduli, stages, clamp, solve=None):
+    """A stand-in for _compile_scans that runs the loops and, in place of
+    the solve it is handed, solves with loop_solve (each distinct input
+    once)."""
     stages = list(stages)
 
     @lru_cache(maxsize=None)
-    def solve(*rt):
+    def solve(rt):
         return loop_solve(moduli, stages, rt)
 
     scans = tuple(
@@ -255,10 +273,12 @@ def loop_kernels(moduli, stages, clamp):
     return scans + (solve,)
 
 
-def every_family(compile_scans, moduli, stages):
-    """(plain family, clamped family), one call per clamping; a family is
-    (scan, checked_scan, solve)."""
-    return tuple(compile_scans(moduli, stages, clamp) for clamp in FAMILIES)
+def every_family(compile_scans, moduli, stages, solve):
+    """(plain family, clamped family), one call per clamping, each handed
+    solve; a family is (scan, checked_scan, solve)."""
+    return tuple(
+        compile_scans(moduli, stages, clamp, solve) for clamp in FAMILIES
+    )
 
 
 def kernels_of(plan):
@@ -393,7 +413,7 @@ def mismatches(kernels, moduli, stages, vectors):
     to its solve are compared too.
     """
     plain, clamped = kernels
-    reference = every_family(loop_kernels, moduli, stages)
+    reference = every_family(loop_kernels, moduli, stages, None)
     out = set()
     generated = dict(zip(SCANS, (plain, plain, clamped, clamped)))
     expected = dict(zip(SCANS, reference[:1] * 2 + reference[1:] * 2))
@@ -520,13 +540,13 @@ class TestAgainstLoopsAndSolver:
 
         caught = {}
         for ms, plan in plans:
-            stages = plan.stages
+            stages, solve = plan.stages, solve_of(plan)
             vectors = [e for *_, e in edge_vectors(len(ms), stages)]
-            kernels = every_family(_compile_scans, ms, stages)
+            kernels = every_family(_compile_scans, ms, stages, solve)
             assert mismatches(kernels, ms, stages, vectors) == set()
             with monkeypatch.context() as m:
                 m.setattr(robust, "exec", mutated, raising=False)
-                mutant = every_family(_compile_scans, ms, stages)
+                mutant = every_family(_compile_scans, ms, stages, solve)
             # a plan has an upper edge in both sources when it has a stage
             assert {") < k" in s for s in sources[-2:]} == {bool(stages)}
             for name in mismatches(mutant, ms, stages, vectors):
@@ -561,11 +581,11 @@ class TestAgainstLoopsAndSolver:
 
         caught = {}
         for ms, plan in random_plans(rng, 20):
-            stages = plan.stages
+            stages, solve = plan.stages, solve_of(plan)
             vectors = [e for *_, e in edge_vectors(len(ms), stages)]
             with monkeypatch.context() as m:
                 m.setattr(robust, "exec", mutated, raising=False)
-                mutant = every_family(_compile_scans, ms, stages)
+                mutant = every_family(_compile_scans, ms, stages, solve)
             for name in mismatches(mutant, ms, stages, vectors):
                 caught[name] = caught.get(name, 0) + 1
         # the sources come plain, clamped, plain, ...
@@ -622,7 +642,7 @@ class TestAgainstLoopsAndSolver:
                     folds, est = solve(plan, rt)
                     if move is None:
                         # solved on its erroneous remainders
-                        want_calls.append(tuple(rt))
+                        want_calls.append((tuple(rt),))
                         assert folds != anchor_folds
                         est, ok = pure_solve(plan, rt)
                         want[3] += not ok
@@ -736,7 +756,7 @@ def handback_cases(rng, per_kind):
 
 def hand_back_r_minus_d(source, namespace):
     """exec, with each remainder r_j + d_j handed to the solve made
-    r_j - d_j."""
+    r_j - d_j; a solve's own source holds no such remainder."""
     exec(re.sub(r"\br(\d+) \+ d\1\b", r"r\1 - d\1", source), namespace)
 
 
@@ -759,7 +779,9 @@ def handbacks(rng):
         lam = math.lcm(*ms)
         for model, clamp in ((m, c) for m in (ONE_SIDED, SYMMETRIC)
                              for c in (False, True)):
-            checked_scan, calls = watch(_compile_scans(ms, stages, clamp))
+            checked_scan, calls = watch(
+                _compile_scans(ms, stages, clamp, solve_of(plan))
+            )
             for tau in (2, 9, 40):
                 span, off = (tau + 1, 0) if model == ONE_SIDED else (
                     2 * tau + 1, tau
@@ -782,7 +804,7 @@ def handbacks(rng):
                 calls.clear()
                 scored(checked_scan, rows, span, off, tau)
                 tally = seen.setdefault((kind, clamp), [0, 0, 0])
-                for pos, rt in zip(positions, calls):
+                for pos, (rt,) in zip(positions, calls):
                     row = rows[pos]
                     truth = erroneous(ms, row, span, off, clamp)
                     wrong_remainders += list(rt) != truth
@@ -822,7 +844,7 @@ class TestHandback:
         for ms, plan in random_plans(random.Random(1410), 20):
             stages = plan.stages
             vectors = [e for _, e in error_vectors(random.Random(5), ms, 40)]
-            mutant = every_family(_compile_scans, ms, stages)
+            mutant = every_family(_compile_scans, ms, stages, solve_of(plan))
             caught |= mismatches(mutant, ms, stages, vectors)
         assert caught == {"checked_scan", "clamped_checked_scan"}
 
@@ -853,26 +875,32 @@ def solve_vectors(rng, ms, stages, count):
 
 
 def solve_mismatches(plan, vectors):
-    """The vectors on which the emitted solve, or loop_solve, differs from
-    the pure solver; and the pure solver's outcomes by kind."""
+    """The vectors on which the plan's solve, as its sweeps call it,
+    differs from the pure solver's (estimate or None, ok), or from
+    loop_solve in any slot but the stages' folding numbers, which
+    loop_solve lays out its own way; and the pure solver's outcomes by
+    kind."""
     stages = plan.stages
-    emitted = _scans(plan, False)[2]
+    solve = _scans(plan, False)[2]
     wrong, kinds = [], {}
     for rt in vectors:
         *want, kind = pure_outcome(plan, rt)
-        want = tuple(want)
-        if emitted(*rt) != want or loop_solve(plan.moduli, stages, rt) != want:
+        out, loop = solve(tuple(rt)), loop_solve(plan.moduli, stages, rt)
+        got = out[1], out[0] is not None
+        if got[1]:
+            out, loop = (out[1], *out[3:]), loop[1:]
+        if got != tuple(want) or out != loop:
             wrong.append(rt)
         kinds[kind] = kinds.get(kind, 0) + 1
     return wrong, kinds
 
 
-# plans whose emitted solve is mutated, one constant site at a time: a
+# plans whose one solve is mutated, one constant site at a time: a
 # single stage, a depth-2 tree and a tree that shares index 2
 MUTATED_PLANS = (None, "[[0,1],[2]]", "[[0,2],[1,2]]")
 
 
-def unobservable(source, at, sign, stages):
+def unobservable(source, at, sign, stages, occurrences):
     """Whether the mutant that moves the solve constant at source[at:] by
     one in the direction sign is one no input can tell from the solve.
 
@@ -886,15 +914,26 @@ def unobservable(source, at, sign, stages):
     a stage of one pair merges one congruence, so n_k < n and q = n_k c
     + n t; then n_k (c + 1) < q and (n_k (c + 1) - q) // n tell what
     they tell with c.
+
+    The last line returns, on a success, each folding number f as
+    f M_i // M_i, and the occurrence estimate (2 S + c) // 2c over the c
+    occurrences.  2 S + c has the parity of c, so the c in that sum is
+    the bias again.  And f M // (M - 1) = f + f // (M - 1), which is f
+    for 0 <= f < M - 1, as every folding number of a success is here.
     """
     line = source[source.rindex("\n", 0, at):source.index("\n", at)]
+    before = source[:at]
+    if line.lstrip().startswith("return ("):  # a success's results
+        if re.search(r"\bt\d+_\d+ // $", before):
+            return sign == "-"
+        parity = "+" if occurrences % 2 == 0 else "-"
+        return before.endswith(") + ") and sign == parity
     stage = re.search(r"\b(?:nk|q)(\d+)", line)
     if stage is None:  # a merge step's contradiction test
         return False
     s = int(stage.group(1))
     plan = stages[s][0]
     even = "+" if len(plan.moduli) % 2 == 0 else "-"
-    before = source[:at]
     if before.endswith("(es + "):
         return sign == even
     if before.endswith(") + "):  # a divmod's g
@@ -909,8 +948,9 @@ def unobservable(source, at, sign, stages):
 
 
 class TestEmittedSolve:
-    """The checked scan's emitted solve is the pure solver: the estimate,
-    failure versus success, and the partial estimate of a root failure."""
+    """A plan's one solve, as its sweeps call it, is the pure solver: the
+    estimate, failure versus success, and the partial estimate of a root
+    failure; and it is loop_solve in every slot."""
 
     def test_random_plans_and_trees(self):
         rng = random.Random(1416)
@@ -924,22 +964,47 @@ class TestEmittedSolve:
         assert min(kinds.values()) > 100 and len(kinds) == 5, kinds
 
     def test_constant_off_by_one_is_caught(self, monkeypatch):
-        # each parameter and integer literal of the emitted solve's source,
-        # one site at a time, made one more and one less; the differential
-        # check or the sweep's rows must catch exactly the mutants that
+        # each parameter and integer literal of the plan's one solve, one
+        # site at a time, made one more and one less; the solve's full
+        # results or the sweep's rows must catch exactly the mutants that
         # unobservable() does not prove equivalent
         ms = (135, 180, 162)
-        rng = random.Random(1419)
+        rng, wide = random.Random(1419), random.Random(1423)
         caught = {"solve": 0, "rows": 0}
         sites = equivalent = 0
         for layout in MUTATED_PLANS:
-            plan = (
-                _folding_plan(ms, select_reference(ms)) if layout is None
-                else _program_for(ms, parse_tree(layout))
-            )
+            if layout is None:
+                plan = _folding_plan(ms, select_reference(ms))
+                occurrences = len(ms)
+
+                def build():
+                    return _compile_solve(ms, plan.stages, (), ())
+            else:
+                tree = parse_tree(layout)
+                plan = _program_for(ms, tree)
+                occurrences = len(re.findall(r"\d+", layout))
+
+                def build():
+                    return multistage._TreeProgram(ms, tree).solve
             stages = plan.stages
-            vectors = solve_vectors(rng, ms, stages, 100)
-            want = [pure_solve(plan, rt) for rt in vectors]
+            vectors = [
+                tuple(rt) for rt in solve_vectors(rng, ms, stages, 100)
+            ]
+            # remainders N - f_j M_j with f_j in [-40, 40], so that a root
+            # stage's derived folding number falls below -n
+            vectors += [
+                tuple(n - wide.randint(-40, 40) * m for m in ms)
+                for n in (wide.randrange(math.lcm(*ms)) for _ in range(200))
+            ]
+            assert solve_mismatches(plan, vectors)[0] == []
+            solve = _scans(plan, False)[2]
+            want = [solve(rt) for rt in vectors]
+            # every folding number of a success is below its M_j - 1
+            assert all(
+                f < m - 1
+                for out in want if out[0] is not None
+                for f, m in zip(out[3], ms)
+            )
             cfg = TrialConfig(moduli=ms, tree=layout, trials=200, rng_seed=3)
             taus = [14, 25, 40]
             rows = sweep(cfg, taus)
@@ -951,9 +1016,9 @@ class TestEmittedSolve:
 
             with monkeypatch.context() as m:
                 m.setattr(robust, "exec", capture, raising=False)
-                _compile_scans(ms, stages, False)
+                build()
             (source,) = sources
-            start, end = source.index("def solve("), source.index("def scan(")
+            start, end = source.index("def solve("), source.rindex("\n")
             for found in re.finditer(r"\bk\d+\b|\b\d+\b", source[start:end]):
                 at, stop = start + found.start(), start + found.end()
                 sites += 1
@@ -965,80 +1030,53 @@ class TestEmittedSolve:
                         m.setattr(robust, "exec",
                                   lambda _, namespace: exec(mutant, namespace),
                                   raising=False)
-                        family = _compile_scans(ms, stages, False)
+                        mutated = build()
+                    family = _compile_scans(ms, stages, False, mutated)
+                    with monkeypatch.context() as m:
                         m.setattr(simulate, "_scans", lambda plan, clamp: family)
                         by_rows = sweep(cfg, taus) != rows
-                    by_solve = [family[2](*rt) for rt in vectors] != want
+                    by_solve = [mutated(rt) for rt in vectors] != want
                     caught["solve"] += by_solve
                     caught["rows"] += by_rows
                     missed = not (by_solve or by_rows)
-                    assert missed == unobservable(source, at, sign, stages), (
-                        layout, at, sign
-                    )
+                    assert missed == unobservable(
+                        source, at, sign, stages, occurrences
+                    ), (layout, at, sign)
                     equivalent += missed
-        # a bias and a g per stage, save the g's that no direction keeps,
-        # and a c per one-pair stage and per fold of a shared path
-        assert equivalent == 19
-        # the differential check alone catches every other mutant, and the
+        # a bias and a g per stage, save the g's that no direction keeps;
+        # a c per one-pair stage, in its test, its fold and a root's
+        # partial folding; and per plan its folding divisors and count
+        assert equivalent == 35
+        # the solve's results alone catch every other mutant, and the
         # rows most of them
-        assert sites > 70 and caught["solve"] == 2 * sites - equivalent
+        assert sites > 110 and caught["solve"] == 2 * sites - equivalent
         assert caught["rows"] > sites, caught
 
 
 class TestComposedOccurrences:
-    """The emitted solve composes only the occurrences it compares, those
-    of a shared index, so a failing sweep trial pays for no other; a
-    tree program's run composes every occurrence."""
+    """A plan's one solve composes every leaf occurrence."""
 
     MS = (135, 180, 162)
     DEPTH3 = ((192, 288, 216, 360, 320, 448), "[[[0,1],[2,3]],[4,5]]")
-
-    def composed(self, stages, size, composed=()):
-        """(the t and folding locals the lines assign, occurrences)."""
-        lines, occurrences = _solve_lines(
-            size, stages, _Factory(), _solve_fail, composed
-        )
-        assigned = (re.match(r"([tf]\d+_\d+) = ", line) for line in lines)
-        return {m.group(1) for m in assigned if m}, occurrences
-
-    def stages_of(self, ms, layout):
-        if layout is None:
-            return _folding_plan(ms, select_reference(ms)).stages
-        return _program_for(ms, parse_tree(layout)).stages
-
-    @pytest.mark.parametrize(
-        "ms, layout", [(MS, None), (MS, "[[0,1],[2]]"), DEPTH3]
-    )
-    def test_no_shared_index_composes_nothing(self, ms, layout):
-        stages = self.stages_of(ms, layout)
-        assert self.composed(stages, len(ms)) == (set(), [])
-
-    def test_shared_index_composes_its_paths_only(self):
-        stages = self.stages_of(self.MS, "[[0,2],[1,2]]")
-        # stages [0, 2], [1, 2] and the root over their estimates: index 2
-        # is input 1 of either leaf stage, under root inputs 0 and 1
-        paths = [(2, 0), (2, 1), (0, 1), (1, 1)]
-        want = {f"t{s}_{i}" for s, i in paths} | {
-            f"f{s}_{i}" for s, i in paths if i != stages[s][0].k
-        }
-        assert self.composed(stages, 3) == (
-            want, [(2, "t0_1"), (2, "t1_1")]
-        )
 
     @pytest.mark.parametrize(
         "ms, layout",
         [(MS, None), (MS, "[[0,1],[2]]"), (MS, "[[0,2],[1,2]]"), DEPTH3],
     )
     def test_the_run_composes_every_occurrence(self, ms, layout):
-        stages = self.stages_of(ms, layout)
-        names, occurrences = self.composed(stages, len(ms), range(len(ms)))
+        if layout is None:
+            stages = _folding_plan(ms, select_reference(ms)).stages
+        else:
+            stages = _program_for(ms, parse_tree(layout)).stages
+        lines, occurrences = _solve_lines(len(ms), stages, _Factory())
+        assigned = (re.match(r"([tf]\d+_\d+) = ", line) for line in lines)
         inputs = [
             (s, i) for s, (_, slots) in enumerate(stages)
             for i in range(len(slots))
         ]
-        assert names == {f"t{s}_{i}" for s, i in inputs} | {
-            f"f{s}_{i}" for s, i in inputs if i != stages[s][0].k
-        }
+        assert {m.group(1) for m in assigned if m} == {
+            f"t{s}_{i}" for s, i in inputs
+        } | {f"f{s}_{i}" for s, i in inputs if i != stages[s][0].k}
         tree = parse_tree(layout or list(range(len(ms))))
         assert [j for j, _ in occurrences] == [
             j for leaf in tree_leaves(tree) for j in leaf.indices
@@ -1325,9 +1363,9 @@ class TestBuiltOnFirstSweep:
     def test_each_family_on_first_use(self, monkeypatch):
         calls = []  # (stages of the plan, clamping) per compile
 
-        def counted(moduli, stages, clamp):
+        def counted(moduli, stages, clamp, solve):
             calls.append((len(stages), clamp))
-            return _compile_scans(moduli, stages, clamp)
+            return _compile_scans(moduli, stages, clamp, solve)
 
         monkeypatch.setattr(simulate, "_compile_scans", counted)
         # a fresh factor keeps every plan cache cold for these sets
@@ -1376,9 +1414,9 @@ class TestBuiltOnFirstSweep:
         scans, rows = [], []
         compile_rows = simulate._compile_rows
 
-        def counted_scans(moduli, stages, clamp):
+        def counted_scans(moduli, stages, clamp, solve):
             scans.append((len(stages), clamp))
-            return _compile_scans(moduli, stages, clamp)
+            return _compile_scans(moduli, stages, clamp, solve)
 
         def counted_rows(moduli):
             rows.append(moduli)
@@ -1401,6 +1439,39 @@ class TestBuiltOnFirstSweep:
         # stages per plan: one, two, and three for the shared index
         assert scans == [(1, False), (1, True), (2, False), (2, True),
                          (3, False), (3, True)]
+
+    def test_stage_arithmetic_compiled_once_per_plan(self, monkeypatch):
+        # a plan's one solve holds its stage arithmetic, the only
+        # generated source with a divmod: a decode and the plan's sweeps,
+        # plain and clamped, share it
+        sources = []
+
+        def recorded(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        def arithmetic():
+            return sum("divmod(" in source for source in sources)
+
+        monkeypatch.setattr(robust, "exec", recorded, raising=False)
+        # a fresh factor keeps every plan cache cold for these sets
+        rng = random.Random(1424)
+        f = rng.randrange(10**12, 10**13)
+        ms = tuple(f * m for m in (135, 180, 162))
+        tree = parse_tree("[[0,1],[2]]")
+        n = rng.randrange(math.lcm(*ms))
+        sol = reconstruct_tree(ms, [n % m for m in ms], tree)
+        assert sol.final.estimate == n
+        for layout, compiled in ((tree, 1), (None, 2)):
+            for clamp in FAMILIES:
+                cfg = TrialConfig(
+                    moduli=ms, tree=layout, trials=20, error_model=SYMMETRIC,
+                    clamp_remainders=clamp,
+                )
+                sweep(cfg, [0, 9])
+            assert arithmetic() == compiled, layout
+        # and none of them raises: a failure is returned
+        assert not any(re.search(r"\braise\b", s) for s in sources)
 
 
 class TestGeneratedCodeLimits:
@@ -1432,7 +1503,7 @@ class TestGeneratedCodeLimits:
             for plan in plans
         ]
         assert all(a is None and b is not None for a, b in moves)
-        # the emitted solves, and that of a plan sharing index 2, with
+        # the plans' solves, and that of a plan sharing index 2, with
         # errors up to the gcds' size as well, so that solves fail
         rng = random.Random(1418)
         kinds = set()
@@ -1477,7 +1548,7 @@ class TestGeneratedCodeLimits:
                       lambda ms: SimpleNamespace(table={k: row}))
             plan = robust._FoldingPlan(moduli, k)
         stages = plan.stages
-        kernels = every_family(_compile_scans, moduli, stages)
+        kernels = every_family(_compile_scans, moduli, stages, solve_of(plan))
         vectors = [[0] * size, [rng.randint(0, 2) for _ in range(size)]]
         for i, g in plan.pairs[::100]:  # both edges of every 100th pair
             lo, hi = -(g // 2), (g + 1) // 2 - 1
@@ -1513,7 +1584,7 @@ class TestGeneratedCodeLimits:
         assert mismatches(
             kernels_of(program), (3, 5), stages, vectors
         ) == set()
-        # its emitted solve, both indices shared at every level
+        # its solve, both indices shared at every level
         remainders = [[n % 3 + d0, n % 5 + d1]
                       for n, (d0, d1) in zip(range(15), vectors[:30])]
         wrong, kinds = solve_mismatches(program, remainders)

@@ -904,10 +904,11 @@ class TestOneRun:
         assert shared > 50 and fails > 500 and root_partials > 0
 
     def test_one_run_per_reconstruct_tree_call(self, monkeypatch):
-        # each call runs the program once; the program compiles its run
-        # once, when it is built, and a sweep's anchor reuses it
+        # each call runs the program once; the program compiles its
+        # solve once, when it is built, and a sweep's anchor and scans
+        # reuse it
         calls = {"run": 0, "compile": 0}
-        run, compile_run = _TreeProgram.run, multistage._compile_run
+        run, compile_solve = _TreeProgram.run, multistage._compile_solve
 
         def counted_run(*args):
             calls["run"] += 1
@@ -915,10 +916,10 @@ class TestOneRun:
 
         def counted_compile(*args):
             calls["compile"] += 1
-            return compile_run(*args)
+            return compile_solve(*args)
 
         monkeypatch.setattr(_TreeProgram, "run", counted_run)
-        monkeypatch.setattr(multistage, "_compile_run", counted_compile)
+        monkeypatch.setattr(multistage, "_compile_solve", counted_compile)
         # a fresh factor keeps the program cache cold for these moduli
         f = random.Random(1419).randrange(10**12, 10**13)
         ms = tuple(f * m for m in (12, 18, 35))

@@ -437,7 +437,7 @@ class TestSweep:
             # one error-free solve per trial, made when it is drawn; a
             # sweep of no level draws none
             assert len(calls) == sum(bool(row) for row in rows)
-            # and the checked scan's own solve once per failed check
+            # and the plan's solve once per failed check
             assert sum(map(len, solved)) == sum(
                 row.count(False) for row in rows
             )
