@@ -442,13 +442,17 @@ def _solve_lines(size: int, stages, const):
     walk, which meets the occurrences left to right, compares every
     occurrence but an index's first with that first, and the first to
     differ fails with "conflicting folding numbers for modulus index i".
+    An occurrence whose path is the root stage alone has the stage's
+    folding number itself as f.  A plan of one stage composes nothing:
+    its indices are distinct, so no t local is assigned.
 
-    Returns (lines, occurrences): occurrences holds (index, f * M_i
-    source) per occurrence, left to right.  A plan with no stage has one
-    occurrence, whose folding number is 0.
+    Returns (lines, occurrences): occurrences holds (index, f source,
+    f * M_i source) per occurrence, left to right; the f * M_i local is
+    assigned only in a plan of two or more stages.  A plan with no stage
+    has one occurrence, whose folding number is 0.
     """
     if not stages:
-        return [], [(0, const(0))]
+        return [], [(0, const(0), const(0))]
 
     def fail(reason, est="None", folds="None"):
         return f"    return None, {est}, {reason!r}, {folds}"
@@ -503,15 +507,17 @@ def _solve_lines(size: int, stages, const):
         plan, slots = stages[s]
         j = slots[i]
         fold, t = _fold_name(plan, s, i), f"t{s}_{i}"
+        m = plan.moduli[i]
         if i != plan.k:
             lines.append(f"{fold} = {_fold_source(plan, s, i, const)}")
-        lines.append(f"{t} = {prefix}{fold} * {const(plan.moduli[i])}")
+        if root:
+            lines.append(f"{t} = {prefix}{fold} * {const(m)}")
         if j >= size:
             c = len(stages[j - size][1])
             prefix = f"{t} + "
             stack += [(j - size, ci, prefix) for ci in reversed(range(c))]
             continue
-        occurrences.append((j, t))
+        occurrences.append((j, f"{t} // {const(m)}" if prefix else fold, t))
         if first.setdefault(j, t) != t:
             lines += [
                 f"if {t} != {first[j]}:",
@@ -541,8 +547,11 @@ def _compile_solve(moduli: tuple[int, ...], stages, groups, outer):
     the remainders as one tuple, solves every stage and composes every
     leaf occurrence, and returns (group estimates, the root stage's
     estimate, outer folding, one folding number per index from its first
-    occurrence's f * M_i, the occurrence estimate); that estimate is the
-    half-up rounded mean of f * M_i + r_i over every occurrence.  It
+    occurrence, the occurrence estimate); that estimate is the half-up
+    rounded mean of f * M_i + r_i over every occurrence.  A plan of at
+    most one stage returns its root estimate there: a stage's estimate,
+    n_k M_k + r_k + (es + bias) // 2c, is that mean over its inputs,
+    since 2 sum(f_i M_i + r_i) = 2c (n_k M_k + r_k) + es + bias - c.  It
     never raises: a failure returns (None, partial estimate, reason,
     partial folding), so slot 1 is the root stage's estimate, or the
     partial one, either way.
@@ -551,24 +560,28 @@ def _compile_solve(moduli: tuple[int, ...], stages, groups, outer):
     size = len(moduli)
     body, occurrences = _solve_lines(size, stages, const)
     first: dict[int, str] = {}
-    for j, t in occurrences:
-        first.setdefault(j, t)
-    count = len(occurrences)
-    total = _sum_source([x for j, t in occurrences for x in (t, f"v{j}")])
+    for j, f, _ in occurrences:
+        first.setdefault(j, f)
+    root = f"v{size + len(stages) - 1}" if stages else "v0"
+    estimate = root
+    if len(stages) > 1:
+        count = len(occurrences)
+        total = _sum_source(
+            [x for j, _, t in occurrences for x in (t, f"v{j}")]
+        )
+        estimate = f"(2 * {total} + {const(count)}) // {const(2 * count)}"
     parts = dict(
         values=", ".join(f"v{j}" for j in range(size)),
         body="\n    ".join(body),
         groups=_tuple_source(f"v{j}" for j in groups),
-        root=f"v{size + len(stages) - 1}" if stages else "v0",
+        root=root,
         outer=_tuple_source(
             _fold_name(stages[s][0], s, i)
             for s in outer
             for i in range(len(stages[s][1]))
         ),
-        folding=_tuple_source(
-            f"{first[j]} // {const(m)}" for j, m in enumerate(moduli)
-        ),
-        estimate=f"(2 * {total} + {const(count)}) // {const(2 * count)}",
+        folding=_tuple_source(first[j] for j in range(size)),
+        estimate=estimate,
     )
     return const.build(_SOLVE.format(**parts), "solve")
 

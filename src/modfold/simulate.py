@@ -78,6 +78,15 @@ carry all a trial needs (_compile_rows), and a level is scored over it
 by one call of its scan, generated per plan and clamping
 (_compile_scans).
 
+The drawer runs splitmix64 once per draw index for the whole block, on
+one int that packs a 128-bit lane per trial (_streams).  Each lane holds
+a value below 2**64, so a 64 x 64-bit product stays below 2**128, inside
+its own lane, and the sum of two values carries no further than bit 64.
+A right shift by s moves the low s bits of the next lane into the top of
+each lane, so every round masks the lanes back to their low 64 bits
+after its shift and xor, and again after its multiply; only the shifted
+bits cross a lane, so the masked lanes are splitmix64's values exactly.
+
 A raw error draw x enters a scan only as x % span, and x % s == (x % P)
 % s whenever s divides P.  So levels whose spans share a multiple P may
 scan a copy of the block with every raw draw taken mod P, and score
@@ -277,23 +286,17 @@ _SCORE = """if e < 0:
             top = e
         if e > tau:
             bad += 1"""
-# the generated source of a moduli set's drawer and reducer
+# the generated source of a moduli set's drawer and reducer: d is a
+# trial's draw 0, which its unknown is taken from
 _ROWS = """def draw(seed, start, stop, reconstruct):
     rows = []
-    step = (seed + start * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    for _ in range(start, stop):
-        z = step = (step + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        {mix}
-        key = z ^ (z >> 31)
-        {draws}
+    for d, {raws} in zip(*streams(seed, start, stop - start, {draws})):
+        {remainders}
         rows.append(({row}))
     return rows
 
 def reduce(rows, p):
     return [({reduced}) for {cells} in rows]"""
-# splitmix64's two mixing rounds on z, as _splitmix64 computes them
-_MIX = """z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF"""
 
 
 def _compile_scans(moduli: Sequence[int], stages, clamp: bool, solve):
@@ -406,11 +409,12 @@ def _compile_rows(moduli: tuple[int, ...]):
     returns one row (x_0..x_{L-1}, r_0..r_{L-1}, a, n) of 2L + 2 cells
     per trial: the raw error draws, the true remainders n mod M_j, the
     anchor offset a = reconstruct((r_0, ..., r_{L-1}))[1] - n and the
-    unknown n.  Its loop body computes splitmix64 inline: the trial
-    key's input steps by gamma = 0x9E3779B97F4A7C15 from seed + start *
-    gamma, and draw j adds (j + 1) * gamma to the key, so it equals
-    _splitmix64 bit for bit.  reduce(rows, p) copies rows with each raw
-    draw x_j taken mod p, the other cells as they were.
+    unknown n.  The raw draws come from _streams, which draws all of
+    the block's trials at once on packed 128-bit lanes, one column per
+    draw index (draw 0 for the unknown, then x_0..x_{L-1}); the
+    generated loop zips the columns into rows.  reduce(rows, p) copies
+    rows with each raw draw x_j taken mod p, the other cells as they
+    were.
 
     A row reads only the moduli, and the plan only through reconstruct,
     so _rows keeps one pair per moduli set, whatever plans and clampings
@@ -419,25 +423,74 @@ def _compile_rows(moduli: tuple[int, ...]):
     """
     const = _Factory()
     size = len(moduli)
-    # a trial's draw j is splitmix64 of its key stepped by (j + 1) gamma:
-    # the unknown at j = 0, then x_0..x_{L-1}
-    outs = [f"n = (z ^ (z >> 31)) % {const(math.lcm(*moduli))}"]
-    outs += [f"x{j} = z ^ (z >> 31)" for j in range(size)]
-    draws = []
-    for j, out in enumerate(outs):
-        step = const((j + 1) * 0x9E3779B97F4A7C15)
-        draws += [f"z = (key + {step}) & 0xFFFFFFFFFFFFFFFF", _MIX, out]
-    draws += [f"r{j} = n % {const(m)}" for j, m in enumerate(moduli)]
     cells = _cells(size)
     rs = ", ".join(cells[size:2 * size])
+    remainders = [f"n = d % {const(math.lcm(*moduli))}"]
+    remainders += [f"r{j} = n % {const(m)}" for j, m in enumerate(moduli)]
     source = _ROWS.format(
-        mix=_MIX,
-        draws="\n        ".join(draws),
+        raws=", ".join(cells[:size]),
+        draws=size + 1,
+        remainders="\n        ".join(remainders),
         row=", ".join(cells[:-2] + [f"reconstruct(({rs},))[1] - n", "n"]),
         reduced=", ".join([f"{x} % p" for x in cells[:size]] + cells[size:]),
         cells=", ".join(cells),
     )
-    return const.build(source, "draw, reduce")
+    return const.build(source, "draw, reduce", streams=_streams)
+
+
+@lru_cache(maxsize=4)
+def _lanes(count: int) -> tuple[int, int, int]:
+    """(ones, mask, ramp) over count 128-bit lanes: lane i of each holds
+    1, 2**64 - 1 and i * gamma mod 2**64.  A sweep's blocks take at most
+    two counts, _BLOCK and the last block's."""
+    ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")
+    steps = (i * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF for i in range(count))
+    ramp = b"".join(step.to_bytes(16, "little") for step in steps)
+    return ones, ones * 0xFFFFFFFFFFFFFFFF, int.from_bytes(ramp, "little")
+
+
+def _mix(z: int, mask: int) -> int:
+    """splitmix64's output function on every 128-bit lane of z, each
+    lane below 2**64 (the module docstring says why masks keep the lanes
+    apart).  Each lane's low 64 bits come out right; bits 97-127 hold
+    the next lane's low bits, which its readers mask or drop."""
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
+def _streams(seed: int, start: int, count: int, draws: int) -> list:
+    """Draws 0..draws-1 of trials start..start+count-1 of a run seeded
+    with seed: one column per draw index, column j holding
+    splitmix64(k_t, j) for each trial t, as _splitmix64 computes them.
+
+    The keys k_t are one packed int, lane i for trial start + i, whose
+    inputs seed + (start + 1 + i) gamma are a broadcast plus _lanes'
+    ramp.  A key's bits 64-96 are 0, so adding (j + 1) gamma carries
+    into none of the bits 97-127 that _mix leaves, and the mask drops
+    them.
+    """
+    ones, mask, ramp = _lanes(count)
+    base = (seed + (start + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    keys = _mix((base * ones + ramp) & mask, mask)
+    columns = []
+    for j in range(draws):
+        step = (j + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+        columns.append(_words(_mix((keys + step * ones) & mask, mask), count))
+    return columns
+
+
+# which of the 64-bit words of z.to_bytes(16 * count, order), read in
+# that byte order, are the lanes' low halves, lane 0 first
+_LOW_HALVES = {"little": slice(0, None, 2), "big": slice(None, None, -2)}
+
+
+def _words(z: int, count: int):
+    """The low 64 bits of each of z's count 128-bit lanes, lane 0 first,
+    as a memoryview: z's bytes in the machine's byte order, cast to
+    native 64-bit words."""
+    words = memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")
+    return words[_LOW_HALVES[sys.byteorder]]
 
 
 @lru_cache(maxsize=256)

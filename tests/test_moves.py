@@ -25,7 +25,8 @@ failure triple alike, on random and shared plans, a 300-stage chain and
 moduli past the digit limit.  They hold the drawer to rows built from
 simulate._splitmix64, across seeds, block starts and plan sizes, check
 that every plan over a moduli set draws the same rows from one drawer,
-and catch a drawer with one mixing or step constant altered.  They also
+put the packed drawer's lanes, block sizes and draws at their edges,
+and catch it with one constant, shift, lane width or lane mask altered.  They also
 hold the error-free solve, whose estimate minus N is each row's anchor
 offset, to N on plans of every kind.  checked_move, watch and scored
 (tests/conftest.py) score one error vector through a plan's checked scan,
@@ -33,6 +34,7 @@ record the calls a checked scan makes to its solve, and read what one
 scan call adds into a fresh level.
 """
 
+import inspect
 import math
 import random
 import re
@@ -60,6 +62,7 @@ from modfold.multistage import (
     Leaf,
     Node,
     _compile_solve,
+    _fold_name,
     _program_for,
     _solve_lines,
     _tree_program,
@@ -947,6 +950,25 @@ def unobservable(source, at, sign, stages, occurrences):
     )
 
 
+def root_edge_reading(ms, stages):
+    """Remainders on which the root stage, of one pair (k, i), merges
+    n_k = 1 and derives folding number 0 for input i: each leaf under
+    input k reads 0 and each other leaf reads M_k, input k's lcm, so the
+    root's inputs read 0 and M_k.  Every reading is M_k mod its M_j."""
+    size = len(ms)
+    root, slots = stages[-1]
+    reading = [None] * size
+
+    def leaves(slot):
+        if slot < size:
+            return [slot]
+        return [j for child in stages[slot - size][1] for j in leaves(child)]
+
+    for j in leaves(slots[root.k]):
+        reading[j] = 0
+    return tuple(root.moduli[root.k] if r is None else r for r in reading)
+
+
 class TestEmittedSolve:
     """A plan's one solve, as its sweeps call it, is the pure solver: the
     estimate, failure versus success, and the partial estimate of a root
@@ -996,9 +1018,21 @@ class TestEmittedSolve:
                 tuple(n - wide.randint(-40, 40) * m for m in ms)
                 for n in (wide.randrange(math.lcm(*ms)) for _ in range(200))
             ]
+            root, _ = stages[-1]
+            if len(root.pairs) == 1:
+                vectors.append(root_edge_reading(ms, stages))
             assert solve_mismatches(plan, vectors)[0] == []
             solve = _scans(plan, False)[2]
             want = [solve(rt) for rt in vectors]
+            if len(root.pairs) == 1:
+                # the reading on which n_k * (c - 1) < q fails a success:
+                # the root merges n_k >= 1 and derives folding number 0
+                k = root.k
+                assert any(
+                    out[0] is not None and out[2][k] >= 1
+                    and out[2][1 - k] == 0
+                    for out in want
+                ), layout
             # every folding number of a success is below its M_j - 1
             assert all(
                 f < m - 1
@@ -1045,16 +1079,18 @@ class TestEmittedSolve:
                     equivalent += missed
         # a bias and a g per stage, save the g's that no direction keeps;
         # a c per one-pair stage, in its test, its fold and a root's
-        # partial folding; and per plan its folding divisors and count
-        assert equivalent == 35
+        # partial folding; and per tree its folding divisors below the
+        # root and its count
+        assert equivalent == 30
         # the solve's results alone catch every other mutant, and the
         # rows most of them
-        assert sites > 110 and caught["solve"] == 2 * sites - equivalent
+        assert sites == 109 and caught["solve"] == 2 * sites - equivalent
         assert caught["rows"] > sites, caught
 
 
 class TestComposedOccurrences:
-    """A plan's one solve composes every leaf occurrence."""
+    """A plan's one solve composes every leaf occurrence; a plan of one
+    stage has nothing to compose."""
 
     MS = (135, 180, 162)
     DEPTH3 = ((192, 288, 216, 360, 320, 448), "[[[0,1],[2,3]],[4,5]]")
@@ -1074,13 +1110,23 @@ class TestComposedOccurrences:
             (s, i) for s, (_, slots) in enumerate(stages)
             for i in range(len(slots))
         ]
-        assert {m.group(1) for m in assigned if m} == {
-            f"t{s}_{i}" for s, i in inputs
-        } | {f"f{s}_{i}" for s, i in inputs if i != stages[s][0].k}
+        composed = {f"t{s}_{i}" for s, i in inputs} if layout else set()
+        assert {m.group(1) for m in assigned if m} == composed | {
+            f"f{s}_{i}" for s, i in inputs if i != stages[s][0].k
+        }
         tree = parse_tree(layout or list(range(len(ms))))
-        assert [j for j, _ in occurrences] == [
+        assert [j for j, *_ in occurrences] == [
             j for leaf in tree_leaves(tree) for j in leaf.indices
         ]
+        # an occurrence under the root stage alone reads its folding
+        # number as the root's own local
+        root, slots = len(stages) - 1, stages[-1][1]
+        direct = {
+            j: _fold_name(stages[root][0], root, i)
+            for i, j in enumerate(slots) if j < len(ms)
+        }
+        assert direct == {j: f for j, f, _ in occurrences if j in direct}
+        assert bool(direct) == (layout in (None, "[[0,1],[2]]"))
 
 
 class TestGeneratedRun:
@@ -1195,6 +1241,22 @@ class TestGeneratedRun:
 # the drawer's seeds (past both ends of [0, 2**64)) and block starts
 DRAW_SEEDS = (0, -7, 2**64 + 3)
 DRAW_STARTS = (0, 1024)
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def unmix(z):
+    """The input whose splitmix64 output function value is z: each
+    xorshift z ^ (z >> s) undone by repeating it, each multiply by the
+    multiplier's inverse mod 2**64."""
+    for shift, mult in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9)):
+        x = z
+        for _ in range(3):
+            x = z ^ (x >> shift)
+        z = x * pow(mult, -1, 2**64) % 2**64
+    x = z
+    for _ in range(3):
+        x = z ^ (x >> 30)
+    return x
 
 
 def drawer_plans(rng):
@@ -1261,8 +1323,11 @@ class TestDrawer:
         assert all(draw(9, 0, 30, first) == want for draw in draws)
 
     def test_altered_constant_is_caught(self, monkeypatch):
-        # each hex constant and shift count in the drawer's source, one
-        # site at a time, off by one bit or one place
+        # each splitmix64 constant, shift count, lane width, lane unit and
+        # lane mask of the packed drawer (_lanes, _mix, _streams, _words),
+        # one site at a time: a constant off by one bit, a shift one
+        # place longer, a 16-byte lane made 24 bytes, ones made twos, an
+        # "& mask" dropped
         ms = (8, 12, 15)
         plan = _folding_plan(ms, select_reference(ms))
         reconstruct = plan.run
@@ -1272,41 +1337,112 @@ class TestDrawer:
             for start in DRAW_STARTS
         ]
         want = [loop_draw(ms)(*args) for args in runs]
-        sources = []
-
-        def capture(source, namespace):
-            sources.append(source)
-            exec(source, namespace)
-
-        monkeypatch.setattr(robust, "exec", capture, raising=False)
-        simulate._compile_rows(ms)
-        (source,) = sources
-        body, end = source.index("def draw("), source.index("def reduce(")
-        altered = Counter()
-        for found in re.finditer(r"0x[0-9A-F]+|>> \d+", source[body:end]):
-            text = found.group()
-            if text.startswith("0x"):
-                new = f"0x{int(text, 16) ^ 1:X}"
-            else:
-                new = f">> {int(text[3:]) + 1}"
-            at, stop = body + found.start(), body + found.end()
-            mutant = source[:at] + new + source[stop:]
-
-            def mutated(_, namespace):
-                exec(mutant, namespace)
-
-            monkeypatch.setattr(robust, "exec", mutated, raising=False)
-            draw = simulate._compile_rows(ms)[0]
-            got = [draw(*args) for args in runs]
-            assert got != want, (at, text, new)
-            altered[text] += 1
-        # the step gamma, both multipliers, the mask and the three shifts,
-        # at 43 sites over three moduli
-        assert set(altered) == {
-            "0x9E3779B97F4A7C15", "0xBF58476D1CE4E5B9", "0x94D049BB133111EB",
-            "0xFFFFFFFFFFFFFFFF", ">> 30", ">> 27", ">> 31",
+        helpers = {
+            name: inspect.getsource(getattr(simulate, name))
+            for name in ("_lanes", "_mix", "_streams", "_words")
         }
-        assert sum(altered.values()) == 43
+        altered = Counter()
+        for name, source in helpers.items():
+            # the code after the docstring
+            body = source.index('"""', source.index('"""') + 3) + 3
+            pattern = r"0x[0-9A-F]+|>> \d+|\b16\b|\(1\)|& mask"
+            for found in re.finditer(pattern, source[body:]):
+                text = found.group()
+                if text.startswith("0x"):
+                    new = f"0x{int(text, 16) ^ 1:X}"
+                elif text.startswith(">>"):
+                    new = f">> {int(text[3:]) + 1}"
+                else:
+                    new = {"16": "24", "(1)": "(2)", "& mask": ""}[text]
+                at, stop = body + found.start(), body + found.end()
+                namespace = dict(vars(simulate))
+                for other, text_of in helpers.items():
+                    if other == name:
+                        text_of = text_of[:at] + new + text_of[stop:]
+                    exec(text_of, namespace)
+                streams = namespace["_streams"]
+                monkeypatch.setattr(simulate, "_streams", streams)
+                draw = simulate._compile_rows(ms)[0]
+                try:
+                    got = [draw(*args) for args in runs]
+                except OverflowError:  # a lane spilt past the top lane
+                    got = None
+                assert got != want, (name, at, text, new)
+                altered[text] += 1
+        # gamma, both multipliers, the 64-bit mask and the three shifts;
+        # the lane width, the lane unit and the lane masks: 22 sites
+        assert altered == {
+            "0x9E3779B97F4A7C15": 3, "0xBF58476D1CE4E5B9": 1,
+            "0x94D049BB133111EB": 1, "0xFFFFFFFFFFFFFFFF": 4,
+            ">> 30": 1, ">> 27": 1, ">> 31": 1,
+            "16": 3, "(1)": 1, "& mask": 6,
+        }
+
+    def test_lane_reader_at_the_lane_edges(self):
+        # adjacent lanes holding 0 and 2**64 - 1, each with its upper
+        # half clear or full: the reader returns the low halves
+        top = 2**64 - 1
+        lanes = [0, top, top, 0, 0, 0, top, top, 1, top - 1]
+        for upper in (0, top):
+            packed = sum(
+                (upper << 64 | v) << 128 * i for i, v in enumerate(lanes)
+            )
+            if upper:
+                # the top lane's upper half is clear in every packed int
+                # the drawer reads
+                packed &= (1 << 128 * len(lanes) - 64) - 1
+            assert list(simulate._words(packed, len(lanes))) == lanes
+            # the slice for each byte order picks the low halves from the
+            # 64-bit words as a machine of that order reads the bytes
+            for order, low in simulate._LOW_HALVES.items():
+                raw = packed.to_bytes(16 * len(lanes), order)
+                words = [
+                    int.from_bytes(raw[at:at + 8], order)
+                    for at in range(0, len(raw), 8)
+                ]
+                assert words[low] == lanes, order
+        assert list(simulate._words(0, 0)) == []
+
+    def test_blocks_at_their_size_edges(self):
+        # one lane, a whole block, a block and one trial; seeds near 2**64
+        ms = (8, 12, 15)
+        reconstruct = _folding_plan(ms, select_reference(ms)).run
+        want, draw = loop_draw(ms), simulate._rows(ms)[0]
+        for seed in (2**64 - 1, 2**64 - 2, 2**64, -1, 2**65 - 1):
+            for start, count in ((0, 1), (2**40, 1), (0, 1024), (7, 1025)):
+                args = (seed, start, start + count, reconstruct)
+                assert draw(*args) == want(*args), (seed, start, count)
+
+    def test_draws_at_the_range_ends(self):
+        # seeds chosen through splitmix64's inverse, so that a key or a
+        # draw is 0 or 2**64 - 1, in a block's first, middle or last lane
+        ms = (8, 12, 15)
+        reconstruct = _folding_plan(ms, select_reference(ms)).run
+        want, draw = loop_draw(ms), simulate._rows(ms)[0]
+        mix, top = simulate._splitmix64, 2**64 - 1
+        start, stop = 5, 12
+        hits = 0
+        for t in (start, 8, stop - 1):
+            for value in (0, top):
+                # draw j of trial t is value; draw -1 stands for the key
+                for j in range(-1, len(ms) + 1):
+                    key = (
+                        value if j < 0
+                        else (unmix(value) - (j + 1) * GAMMA) % 2**64
+                    )
+                    seed = (unmix(key) - (t + 1) * GAMMA) % 2**64
+                    assert mix(seed, t) == key
+                    assert j < 0 or mix(key, j) == value
+                    args = (seed, start, stop, reconstruct)
+                    rows = draw(*args)
+                    assert rows == want(*args), (t, value, j)
+                    row = rows[t - start]
+                    if j == 0:
+                        assert row[-1] == value % math.lcm(*ms)
+                    elif j > 0:
+                        assert row[j - 1] == value
+                    hits += j >= 0
+        assert hits == 2 * 3 * (len(ms) + 1)
 
 
 # plans by kind, each over moduli 0..size-1 (size is one more than the
