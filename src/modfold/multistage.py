@@ -554,7 +554,7 @@ def _compile_solve(moduli: tuple[int, ...], stages, groups, outer):
     since 2 sum(f_i M_i + r_i) = 2c (n_k M_k + r_k) + es + bias - c.  It
     never raises: a failure returns (None, partial estimate, reason,
     partial folding), so slot 1 is the root stage's estimate, or the
-    partial one, either way.
+    partial one, either way; each plan's run wraps it to raise.
     """
     const = _Factory()
     size = len(moduli)
@@ -596,7 +596,7 @@ class _TreeProgram:
     remainder's slot.  Each stage's reference is its layout reference,
     the index select_reference would pick.  stages is what a sweep's
     scans check and move, stage by stage (see the simulate module); with
-    moduli and run it is the protocol a robust._FoldingPlan shares.
+    moduli, solve and run it is a robust._FoldingPlan's protocol too.
 
     Building a program checks the moduli (positive, distinct, nonempty,
     through their profile) and the tree, so a cached program's inputs are

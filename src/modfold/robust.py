@@ -399,8 +399,8 @@ class _FoldingPlan:
     pairs holds (i, g_i) per index i != k: the exactness condition the
     sweep checks, and the window it certifies, are stated once, in the
     simulate module.  A sweep takes a plan as it takes a
-    multistage._TreeProgram, through moduli, stages and run, and builds
-    its solve on its first sweep (simulate._scans), not with the plan.
+    multistage._TreeProgram, through moduli, stages, solve and run; solve
+    compiles on first read, so solve_folding's plans compile nothing.
 
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least
@@ -409,7 +409,7 @@ class _FoldingPlan:
 
     __slots__ = (
         "moduli", "k", "mk", "head", "steps", "derive", "twice_size", "bias",
-        "pairs",
+        "pairs", "_solve",
     )
 
     def __init__(self, moduli: tuple[int, ...], k: int):
@@ -439,9 +439,22 @@ class _FoldingPlan:
         # a reference cycle that outlives its eviction from _folding_plan
         return ((self, range(len(self.moduli))),)
 
-    def run(self, remainders: Sequence[int]) -> tuple[tuple[int, ...], int]:
-        """_solve_with_plan on this plan, looked up at call time."""
-        return _solve_with_plan(self, remainders)
+    @property
+    def solve(self):
+        try:
+            return self._solve
+        except AttributeError:  # compiled on first read
+            from .multistage import _compile_solve  # it imports robust
+            self._solve = _compile_solve(self.moduli, self.stages, (), ())
+            return self._solve
+
+    def run(self, remainders: Sequence[int]):
+        """The solve's ((), estimate, (), folding, estimate), as a
+        program's run returns it; a failure raises FoldingFailure."""
+        out = self.solve(remainders)
+        if out[0] is None:
+            raise FoldingFailure(out[2], out[3], out[1])
+        return out
 
 
 @lru_cache(maxsize=512)

@@ -46,19 +46,18 @@ robust.check_ns_condition is the same test for one stage.
 So a trial whose errors pass the check is scored as the error-free
 anchor's outcome plus the root move, and a trial that fails it is solved
 on its erroneous remainders by the plan's one solve, the pure solver's
-arithmetic written out per stage (multistage._compile_solve): a tree
-program's own, which its run wraps for reconstruct_tree, or for a single
-stage one built on the plan's first sweep (_scans).  The solve returns
-a failure rather than raise it, and the scan reads slot 1 of what it
-returns, the root stage's estimate or the partial one.  The anchor is
-the plan's run on the trial's true remainders, one per trial, made when
-the trial is drawn: the pure solver for a single stage, and for a tree
-that same solve.  So a tree's anchor and failing trials could share a
-fault of the solve; the guards independent of it are the golden CSVs,
-the recursive reconstruction the tests hold every run to, and the
-benchmark's oracle.  Both ways give the rows the solver gives.  The
-move is the root stage's, the estimate a tree sweep scores; for the
-occurrence estimate it would be the rounded mean over leaf occurrences.
+arithmetic written out per stage (multistage._compile_solve).  The
+solve returns a failure rather than raise it, and the scan reads slot 1
+of what it returns, the root stage's estimate or the partial one.  The
+anchor is the plan's run, which wraps that solve for either plan kind,
+on the trial's true remainders, one per trial, made when the trial is
+drawn.  So no pure solver runs in a sweep, and its anchor and failing
+trials could share a fault of the solve; the guards independent of it
+are the golden CSVs, the tests' _per_level_oracle (the pure solver, for
+a single stage), TestEmittedSolve and the benchmark's oracle.  Both ways
+give the rows the solver gives.  The move is the root stage's, the
+estimate a tree sweep scores; for the occurrence estimate it would be
+the rounded mean over leaf occurrences.
 
 At some levels every trial passes, so the check is skipped there.  Let
 G be the least gcd any stage rounds by, the least g of the pairs the
@@ -121,7 +120,6 @@ from typing import Callable, Iterable, Sequence
 from .intmath import _check_index, _check_int
 from .multistage import (
     GroupTree,
-    _compile_solve,
     _program_for,
     _sum_source,
     parse_tree,
@@ -131,7 +129,6 @@ from .robust import (
     FoldingFailure,
     SearchCapExceeded,
     _Factory,
-    _FoldingPlan,
     _folding_plan,
     _ns_condition,
     _solve_with_plan,
@@ -382,18 +379,8 @@ def _compile_scans(moduli: Sequence[int], stages, clamp: bool, solve):
 @lru_cache(maxsize=256)
 def _scans(plan, clamp: bool):
     """The plan's (scan, checked_scan, solve), generated on its first
-    sweep: a program's own solve, built with it, or a single stage's,
-    built once per plan (_stage_solve) whatever it is swept with."""
-    single = isinstance(plan, _FoldingPlan)
-    solve = _stage_solve(plan) if single else plan.solve
-    return _compile_scans(plan.moduli, plan.stages, clamp, solve)
-
-
-@lru_cache(maxsize=256)
-def _stage_solve(plan):
-    """A single-stage plan's solve (multistage._compile_solve), built on
-    its first sweep: a plan built for solve_folding never needs it."""
-    return _compile_solve(plan.moduli, plan.stages, (), ())
+    sweep around the plan's one solve, which its run wraps too."""
+    return _compile_scans(plan.moduli, plan.stages, clamp, plan.solve)
 
 
 def _cells(size: int) -> list[str]:
@@ -530,10 +517,10 @@ def _run_levels(cfg: TrialConfig, taus: Sequence[int]) -> list[TrialStats]:
     checked_scan at every other.  Each block is drawn once, and each
     family of levels (_families) scans one copy of it reduced by the
     family's modulus, made when the family reaches the block and dropped
-    before the next family's.  The anchor is the plan's run, looked up
-    on each sweep and handed to the drawer, never kept with the cached
-    scans or rows, so that a run patched on the plan's class later (a
-    tracer's wrapper) is the one the sweep calls.
+    before the next family's.  The anchor is the plan's run (its solve,
+    wrapped), looked up on each sweep and handed to the drawer, never
+    kept with the cached scans or rows, so that a run patched on the
+    plan's class later (a tracer's wrapper) is the one the sweep calls.
     cfg.tau is unused.
     """
     if not taus:

@@ -301,10 +301,19 @@ class TestSimulate:
                 "135 180 162 --tau-max 120 --trials 300 --seed 11"
                 " --error-model symmetric --clamp",
             ),
+            # 161-digit moduli: means past the float range, and the
+            # plan's generated solve, each trial's anchor and the
+            # checked levels' failing trials, on 161-digit constants
+            (
+                "tests/expected/past_float_range_6_1e160.csv",
+                f"6 {10**160 + 7} {10**160 + 9} --tau-max 3 --trials 20"
+                " --error-model symmetric",
+            ),
         ],
         ids=[
             "single", "tree", "depth3", "clamped", "symmetric",
             "symmetric_depth3", "shared", "clamped_tree", "long_clamped",
+            "past_float_range",
         ],
     )
     def test_golden_csv(self, capsys, golden, argv):

@@ -56,6 +56,7 @@ from test_multistage import (
 import modfold.multistage as multistage
 import modfold.robust as robust
 import modfold.simulate as simulate
+from modfold.congruence import CongruenceSystem, crt_general
 from modfold.grouping import propose_grouping
 from modfold.multistage import (
     DegenerateTreeError,
@@ -77,8 +78,11 @@ from modfold.robust import (
     _folding_plan,
     _solve_with_plan,
     check_ns_condition,
+    per_remainder_bounds,
+    prune_redundant,
     select_reference,
     solve_folding,
+    theta_bound,
 )
 from modfold.simulate import (
     ONE_SIDED,
@@ -88,6 +92,7 @@ from modfold.simulate import (
     _scans,
     run_trials,
     sweep,
+    verify_exactness_condition,
 )
 
 # the scan families, by clamping: the plain scans, then the clamped ones
@@ -174,8 +179,8 @@ def loop_solve(moduli, stages, rt):
 
 def solve_of(plan):
     """The plan's one solve: a program's own, or one compiled as a
-    single-stage plan's sweeps compile theirs (simulate._stage_solve),
-    kept in no cache."""
+    single-stage plan compiles its own on first read
+    (robust._FoldingPlan.solve), kept on no plan."""
     if isinstance(plan, robust._FoldingPlan):
         return _compile_solve(plan.moduli, plan.stages, (), ())
     return plan.solve
@@ -1496,6 +1501,78 @@ class TestErrorFreeSolve:
 
 
 class TestBuiltOnFirstSweep:
+    @staticmethod
+    def counted_builds(monkeypatch):
+        """The list that records, from here on, "solve" per call of
+        multistage._compile_solve and "build" per robust._Factory.build
+        (a solve's build included)."""
+        builds = []
+        compile_solve, build = multistage._compile_solve, _Factory.build
+
+        def counted_compile(*args):
+            builds.append("solve")
+            return compile_solve(*args)
+
+        def counted_build(self, *args, **free):
+            builds.append("build")
+            return build(self, *args, **free)
+
+        monkeypatch.setattr(multistage, "_compile_solve", counted_compile)
+        monkeypatch.setattr(_Factory, "build", counted_build)
+        return builds
+
+    def test_cold_paths_compile_nothing(self, monkeypatch):
+        # solve_folding, the exactness campaign and the design chain call
+        # the pure solver on plans built cold: no solve, no generated code
+        builds = self.counted_builds(monkeypatch)
+        # a fresh factor keeps every plan cache cold for these sets
+        rng = random.Random(3303)
+        f = rng.randrange(10**12, 10**13)
+        ms = tuple(f * m for m in (135, 180, 162))
+        n = rng.randrange(math.lcm(*ms))
+        k = select_reference(ms)
+        assert solve_folding(ms, [n % m + 1 for m in ms], k).estimate == n + 1
+        q = rng.randrange(100, 400)
+        small = (2 * q, 3 * q)
+        report = verify_exactness_condition(small, window=1)
+        assert report.passed and report.cases == 6 * q * 9
+        # the design chain, as the benchmark's design workload runs it
+        raw = (*ms, f * 27)  # 27 divides 135: pruned
+        assert prune_redundant(raw) == ms
+        theta_bound(ms)
+        per_remainder_bounds(ms, k)
+        proposal = propose_grouping(ms)
+        assert proposal.verdict == "success"
+        stage_bounds(parse_tree([list(g) for g in proposal.groups]), ms)
+        assert crt_general(CongruenceSystem([n % m for m in ms], ms)) == n
+        assert solve_folding(ms, [n % m for m in ms], k).estimate == n
+        assert builds == []
+        # the plans these paths built hold no solve
+        for plan in (_folding_plan(ms, k),
+                     _folding_plan(small, select_reference(small))):
+            with pytest.raises(AttributeError):
+                plan._solve
+
+    def test_single_stage_solve_compiled_once_per_plan(self, monkeypatch):
+        # a swept single-stage plan compiles its one solve on the first
+        # read, and its run, both scan families and later sweeps share it
+        builds = self.counted_builds(monkeypatch)
+        rng = random.Random(3304)
+        f = rng.randrange(10**12, 10**13)
+        ms = tuple(f * m for m in (135, 180, 162))
+        plan = _folding_plan(ms, select_reference(ms))
+        cfg = TrialConfig(moduli=ms, trials=20, error_model=SYMMETRIC)
+        sweep(cfg, [0, 9])
+        assert builds.count("solve") == 1
+        solve = plan.solve
+        for clamp in FAMILIES:
+            sweep(replace(cfg, clamp_remainders=clamp), [3, 40])
+            assert _scans(plan, clamp)[2] is solve
+        run_trials(cfg)
+        n = rng.randrange(math.lcm(*ms))
+        assert plan.run([n % m for m in ms])[1] == n
+        assert plan.solve is solve and builds.count("solve") == 1
+
     def test_each_family_on_first_use(self, monkeypatch):
         calls = []  # (stages of the plan, clamping) per compile
 

@@ -845,6 +845,72 @@ class TestFusedKernel:
                         assert outcome(_solve_with_plan, plan, rt) == want
 
 
+def run_outcome(plan, rt):
+    """plan.run's outcome as outcome(_solve_with_plan, plan, rt) lays it
+    out: (folding, estimate), or the failure's (reason, partial folding,
+    partial estimate).  A success's other slots are checked here: a
+    single stage has no groups and no outer folding, and its occurrence
+    estimate is its root estimate."""
+    try:
+        groups, root, outer, folding, estimate = plan.run(rt)
+    except FoldingFailure as exc:
+        return exc.reason, exc.partial_folding, exc.partial_estimate
+    assert (groups, outer, estimate) == ((), (), root)
+    return folding, root
+
+
+class TestPlanRun:
+    """A single-stage plan's run, which wraps its generated solve, against
+    the pure solver, outcome by outcome."""
+
+    def test_matches_the_solver(self):
+        rng = random.Random(3305)
+        kinds: dict[str, int] = {}
+        digits = 0
+        for size in range(2, 8):
+            for scale in (1, 1, HUGE):  # HUGE: no constant can be printed
+                for _ in range(3):
+                    ms = set()
+                    while len(ms) < size:
+                        ms.add(math.prod(rng.choice((1, 2, 3, 4, 5, 7, 9))
+                                         for _ in range(4)))
+                    ms.discard(1)
+                    if len(ms) < size:
+                        continue
+                    ms = tuple(scale * m for m in rng.sample(sorted(ms), size))
+                    lam = math.lcm(*ms)
+                    digits += scale == HUGE
+                    for k in range(size):  # every reference
+                        plan = _FoldingPlan(ms, k)  # uncached: a fresh solve
+                        g_min = min(math.gcd(ms[k], m) for m in ms)
+                        for _ in range(12):
+                            n = rng.randrange(lam)
+                            tau = rng.choice((0, 1, g_min // 4, g_min,
+                                              3 * g_min))
+                            rt = [n % m + rng.randint(-tau, tau) for m in ms]
+                            roll = rng.random()
+                            if roll < 0.2:  # far outside [0, M_i)
+                                rt = [rng.randint(-3 * m, 3 * m) for m in ms]
+                            elif roll < 0.35:
+                                # N = -x, reduced except at the reference:
+                                # each q_i is n_i, so n_k is 0 and every
+                                # other folding number -1
+                                x = rng.randrange(1, min(ms))
+                                rt = [-x if i == k else -x % m
+                                      for i, m in enumerate(ms)]
+                            want = outcome(_solve_with_plan, plan, rt)
+                            assert run_outcome(plan, rt) == want, (ms, k, rt)
+                            kind = want[0] if len(want) == 3 else "ok"
+                            kinds[kind] = kinds.get(kind, 0) + 1
+        assert digits >= 3
+        assert set(kinds) == {
+            "ok",
+            "remainder errors produced contradictory congruences",
+            "negative folding number",
+        }, kinds
+        assert min(kinds.values()) > 20, kinds
+
+
 # each value type whose __init__ robust._vars_init generates, with one
 # value per field
 CONSTRUCTED = {

@@ -22,6 +22,7 @@ from modfold.multistage import (
 from modfold.robust import (
     FoldingFailure,
     SearchCapExceeded,
+    _FoldingPlan,
     _folding_plan,
     _solve_with_plan,
     check_ns_condition,
@@ -367,15 +368,15 @@ class TestSweep:
         [
             # one stage, G = 27: every check passes at one-sided levels
             # 0..13 (2w < G); past them some fail
-            ((135, 180, 162), None, ONE_SIDED, False, robust,
-             "_solve_with_plan", range(14), range(14, 29)),
+            ((135, 180, 162), None, ONE_SIDED, False, _FoldingPlan, "run",
+             range(14), range(14, 29)),
             # G = 45
             ((135, 180, 162), "[[0,1],[2]]", ONE_SIDED, False, _TreeProgram,
              "run", range(23), range(23, 47)),
             # G = 3 and w = 2 tau, clamped; 9 of the 50 trials fail every
             # check at levels 1..3, and each still has its anchor
-            ((8, 12, 15), None, SYMMETRIC, True, robust,
-             "_solve_with_plan", range(1), range(1, 4)),
+            ((8, 12, 15), None, SYMMETRIC, True, _FoldingPlan, "run",
+             range(1), range(1, 4)),
             # a shared index, G = 6
             ((36, 54, 60), "[[0,2],[1,2]]", ONE_SIDED, False, _TreeProgram,
              "run", range(3), range(3, 8)),
@@ -447,8 +448,9 @@ class TestAnchorLookup:
     """A sweep reaches its anchor through the plan's run on each sweep, so
     a run patched on the class after the scans were compiled, as the
     benchmark's span recorder patches _TreeProgram.run, is the one it
-    calls: for a tree that run, for a single stage robust._solve_with_plan
-    and never a tree's run."""
+    calls: for a tree that run, for a single stage the plan's own run
+    (robust._FoldingPlan.run), never a tree's run and never the pure
+    solver robust._solve_with_plan."""
 
     TRIALS = 40
     # certified and checked levels on both plans
@@ -475,15 +477,16 @@ class TestAnchorLookup:
         assert sweep(cfg, self.TAUS) == want
         assert len(runs) == self.TRIALS
 
-    def test_single_stage_anchor_is_the_solver(self, monkeypatch):
+    def test_single_stage_anchor_is_the_plans_run(self, monkeypatch):
         cfg = TrialConfig(
             moduli=(135, 180, 162), trials=self.TRIALS, rng_seed=17
         )
         want = sweep(cfg, self.TAUS)
+        plan_runs = self.counted(monkeypatch, _FoldingPlan, "run")
         solves = self.counted(monkeypatch, robust, "_solve_with_plan")
         runs = self.counted(monkeypatch, _TreeProgram, "run")
         assert sweep(cfg, self.TAUS) == want
-        assert (len(solves), runs) == (self.TRIALS, [])
+        assert (len(plan_runs), solves, runs) == (self.TRIALS, [], [])
 
 
 def _stage_wise_move(moduli, tree, errors):
