@@ -123,14 +123,13 @@ class _Factory:
 
 def _vars_init(cls):
     """cls, a frozen dataclass, with an __init__ generated from its fields
-    that sets them all in one vars(self).update, past the dataclass's
-    __setattr__: a call costs one dict update, and its keywords are the
-    field list itself."""
+    that stores each one straight into vars(self), past the dataclass's
+    __setattr__: a call costs one dict store per field, and the stores
+    are the field list itself."""
     names = [f.name for f in fields(cls)]
-    source = (
-        f"def __init__(self, {', '.join(names)}):\n"
-        f"    vars(self).update({', '.join(f'{n}={n}' for n in names)})"
-    )
+    d = "_" * (1 + max(map(len, names)))  # longer than any field's name
+    source = f"def __init__(self, {', '.join(names)}):\n    {d} = vars(self)"
+    source += "".join(f"\n    {d}[{n!r}] = {n}" for n in names)
     cls.__init__ = _Factory().build(source, "__init__")
     return cls
 
@@ -372,6 +371,20 @@ def _ns_condition(
     )
 
 
+# solve_folding compiles a plan's solve on the plan's _COMPILE_AT-th
+# decode; the decodes before it run the pure _solve_with_plan.  One
+# compile costs 0.21-0.54 ms and saves 0.6-0.9 us per later decode (3-7
+# moduli; least of several timeit runs on one core of a 2-core Xeon,
+# CPython 3.11), so it pays for itself after about 350-630 decodes; both
+# grow with the moduli count, so one constant fits every set size.  This is
+# the ski-rental rule: buy (compile) once the rent paid (pure decodes)
+# would have bought it.  Whatever number of decodes a plan serves, it
+# costs at most about twice the better of never compiling and compiling
+# at once, and a plan decoded once, as a design decodes it, compiles
+# nothing.
+_COMPILE_AT = 512
+
+
 class _FoldingPlan:
     """Precomputed constants for solve_folding on a fixed (moduli, k).
 
@@ -400,7 +413,10 @@ class _FoldingPlan:
     sweep checks, and the window it certifies, are stated once, in the
     simulate module.  A sweep takes a plan as it takes a
     multistage._TreeProgram, through moduli, stages, solve and run; solve
-    compiles on first read, so solve_folding's plans compile nothing.
+    compiles on first read.  cold counts the solve_folding decodes left
+    before the plan's solve is compiled (_COMPILE_AT); reading solve sets
+    it to 0, so a plan a sweep compiled decodes through its solve at once,
+    and a cold plan compiles nothing.
 
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least
@@ -409,7 +425,7 @@ class _FoldingPlan:
 
     __slots__ = (
         "moduli", "k", "mk", "head", "steps", "derive", "twice_size", "bias",
-        "pairs", "_solve",
+        "pairs", "cold", "_solve",
     )
 
     def __init__(self, moduli: tuple[int, ...], k: int):
@@ -432,6 +448,7 @@ class _FoldingPlan:
         self.twice_size = 2 * len(moduli)
         self.bias = len(moduli) - sum(t[1] for t in terms)
         self.pairs = tuple((i, g) for i, g, _, _, _ in terms)
+        self.cold = _COMPILE_AT - 1
 
     @property
     def stages(self):
@@ -446,6 +463,7 @@ class _FoldingPlan:
         except AttributeError:  # compiled on first read
             from .multistage import _compile_solve  # it imports robust
             self._solve = _compile_solve(self.moduli, self.stages, (), ())
+            self.cold = 0
             return self._solve
 
     def run(self, remainders: Sequence[int]):
@@ -465,7 +483,9 @@ def _folding_plan(moduli: tuple[int, ...], k: int) -> _FoldingPlan:
 def _solve_with_plan(
     plan: _FoldingPlan, remainders: Sequence[int]
 ) -> tuple[tuple[int, ...], int]:
-    """Hot path shared by solve_folding and the multi-stage engine.
+    """The pure solve: a cold plan's solve_folding decodes, and the
+    reference that verify_exactness_condition and the tests hold the
+    generated solve to.
 
     The merge steps are congruence._merge's loop applied inline; see
     _FoldingPlan for the loops and the fused estimate.
@@ -512,6 +532,11 @@ def solve_folding(
 
     Raises FoldingFailure when the errors were too large for recovery to be
     trusted: contradictory congruences or a negative folding number.
+
+    The plan of (moduli, k) is cached.  Its first _COMPILE_AT - 1 decodes
+    run the pure _solve_with_plan; the next compiles the plan's solve
+    once, and it and every later decode run it (at once, if a sweep
+    compiled it).  Both give the same solution or failure, bit for bit.
     """
     # exact ints first: (135.0, 180, 162) would hit the int tuple's plan;
     # the plan checks the rest of the moduli once, when it is built
@@ -521,7 +546,12 @@ def solve_folding(
         raise ValueError("remainders and moduli lengths differ")
     _check_index("reference index", k, len(ms))
     rt = _check_ints("remainder", rt)
-    folding, est = _solve_with_plan(_folding_plan(ms, k), rt)
+    plan = _folding_plan(ms, k)
+    if plan.cold:
+        plan.cold -= 1
+        folding, est = _solve_with_plan(plan, rt)
+    else:
+        _, est, _, folding, _ = plan.run(rt)
     return FoldingSolution(folding, est, k)
 
 

@@ -27,6 +27,9 @@ from modfold.multistage import (
 )
 from modfold.robust import (
     FoldingFailure,
+    FoldingSolution,
+    _folding_plan,
+    _solve_with_plan,
     prune_redundant,
     select_reference,
     solve_folding,
@@ -202,22 +205,31 @@ def test_criterion_6_two_stage_properties():
         taus = [max(abs(deltas[i]) for i in g) for g in groups]
         assert abs(sol.final.estimate - n) <= fused_error_bound(taus, (2, 2))
 
-    # a one-leaf plan must reproduce the single-stage solver bit for bit
+    # a one-leaf plan and solve_folding must reproduce the pure
+    # single-stage solver bit for bit; both run generated code once the
+    # plan is warm, so the pure solver is the independent reference
     leaf = Leaf((0, 1, 2, 3))
     k = select_reference(ms)
+    plan = _folding_plan(ms, k)
+    decoders = {
+        "direct path": lambda rt: solve_folding(ms, rt, k),
+        "tree path": lambda rt: reconstruct_tree(ms, rt, leaf).final,
+    }
     for _ in range(500):
         n = rng.randrange(lam)
         rt = [n % m + rng.randint(-8, 8) for m in ms]
         try:
-            direct = solve_folding(ms, rt, k)
+            pure = FoldingSolution(*_solve_with_plan(plan, rt), k)
         except FoldingFailure as exc:
-            try:
-                reconstruct_tree(ms, rt, leaf)
-                assert False, "tree path succeeded where direct path failed"
-            except FoldingFailure as exc2:
-                assert exc2.reason == exc.reason
+            for name, decode in decoders.items():
+                try:
+                    decode(rt)
+                    assert False, f"{name} succeeded where the pure one failed"
+                except FoldingFailure as exc2:
+                    assert exc2.reason == exc.reason
             continue
-        assert reconstruct_tree(ms, rt, leaf).final == direct
+        for decode in decoders.values():
+            assert decode(rt) == pure
 
 
 @criterion(7, "grouping search goldens")

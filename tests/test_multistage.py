@@ -463,12 +463,17 @@ class TestReconstructTree:
         rng = random.Random(139)
         leaf = Leaf((0, 1, 2, 3))
         k = select_reference(EX_SPLIT)
+        plan = _folding_plan(EX_SPLIT, k)
         for _ in range(60):
             n = rng.randrange(math.lcm(*EX_SPLIT))
             rt = [n % m + rng.randint(-2, 2) for m in EX_SPLIT]
+            # the pure solver is the reference: solve_folding runs the
+            # plan's generated solve once the plan is warm
+            pure = FoldingSolution(*_solve_with_plan(plan, rt), k)
             direct = solve_folding(EX_SPLIT, rt, k)
             via_tree = reconstruct_tree(EX_SPLIT, rt, leaf)
-            assert via_tree.final == direct
+            assert direct == pure
+            assert via_tree.final == pure
             assert via_tree.per_group_estimates == ()
             assert via_tree.outer_folding == ()
 

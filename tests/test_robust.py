@@ -2,12 +2,15 @@ import inspect
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError, fields, replace
+from collections import Counter
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
+import modfold.multistage as multistage
 import modfold.robust as robust
 
 from modfold.congruence import (
@@ -46,7 +49,12 @@ from modfold.robust import (
     theta_bound,
     validate_moduli,
 )
-from modfold.simulate import TrialStats, verify_exactness_condition
+from modfold.simulate import (
+    TrialConfig,
+    TrialStats,
+    sweep,
+    verify_exactness_condition,
+)
 
 EX1 = (70, 75, 80, 90)
 
@@ -859,56 +867,167 @@ def run_outcome(plan, rt):
     return folding, root
 
 
+def plan_cases(rng):
+    """(moduli, k, readings) per plan: L = 2..7, every reference k, plain
+    moduli and moduli times HUGE, whose constants no str() can print,
+    and 12 readings each: successes, contradictions and negative folding
+    numbers among them."""
+    for size in range(2, 8):
+        for scale in (1, 1, HUGE):
+            for _ in range(3):
+                ms = set()
+                while len(ms) < size:
+                    ms.add(math.prod(rng.choice((1, 2, 3, 4, 5, 7, 9))
+                                     for _ in range(4)))
+                ms.discard(1)
+                if len(ms) < size:
+                    continue
+                ms = tuple(scale * m for m in rng.sample(sorted(ms), size))
+                lam = math.lcm(*ms)
+                for k in range(size):  # every reference
+                    g_min = min(math.gcd(ms[k], m) for m in ms)
+                    readings = []
+                    for _ in range(12):
+                        n = rng.randrange(lam)
+                        tau = rng.choice((0, 1, g_min // 4, g_min,
+                                          3 * g_min))
+                        rt = [n % m + rng.randint(-tau, tau) for m in ms]
+                        roll = rng.random()
+                        if roll < 0.2:  # far outside [0, M_i)
+                            rt = [rng.randint(-3 * m, 3 * m) for m in ms]
+                        elif roll < 0.35:
+                            # N = -x, reduced except at the reference:
+                            # each q_i is n_i, so n_k is 0 and every
+                            # other folding number -1
+                            x = rng.randrange(1, min(ms))
+                            rt = [-x if i == k else -x % m
+                                  for i, m in enumerate(ms)]
+                        readings.append(rt)
+                    yield ms, k, readings
+
+
+def check_kinds(kinds):
+    """Every outcome kind of the solve was met, each more than 20 times."""
+    assert set(kinds) == {
+        "ok",
+        "remainder errors produced contradictory congruences",
+        "negative folding number",
+    }, kinds
+    assert min(kinds.values()) > 20, kinds
+
+
+def kind_of(result):
+    return result[0] if len(result) == 3 else "ok"
+
+
 class TestPlanRun:
     """A single-stage plan's run, which wraps its generated solve, against
     the pure solver, outcome by outcome."""
 
     def test_matches_the_solver(self):
-        rng = random.Random(3305)
-        kinds: dict[str, int] = {}
-        digits = 0
-        for size in range(2, 8):
-            for scale in (1, 1, HUGE):  # HUGE: no constant can be printed
-                for _ in range(3):
-                    ms = set()
-                    while len(ms) < size:
-                        ms.add(math.prod(rng.choice((1, 2, 3, 4, 5, 7, 9))
-                                         for _ in range(4)))
-                    ms.discard(1)
-                    if len(ms) < size:
-                        continue
-                    ms = tuple(scale * m for m in rng.sample(sorted(ms), size))
-                    lam = math.lcm(*ms)
-                    digits += scale == HUGE
-                    for k in range(size):  # every reference
-                        plan = _FoldingPlan(ms, k)  # uncached: a fresh solve
-                        g_min = min(math.gcd(ms[k], m) for m in ms)
-                        for _ in range(12):
-                            n = rng.randrange(lam)
-                            tau = rng.choice((0, 1, g_min // 4, g_min,
-                                              3 * g_min))
-                            rt = [n % m + rng.randint(-tau, tau) for m in ms]
-                            roll = rng.random()
-                            if roll < 0.2:  # far outside [0, M_i)
-                                rt = [rng.randint(-3 * m, 3 * m) for m in ms]
-                            elif roll < 0.35:
-                                # N = -x, reduced except at the reference:
-                                # each q_i is n_i, so n_k is 0 and every
-                                # other folding number -1
-                                x = rng.randrange(1, min(ms))
-                                rt = [-x if i == k else -x % m
-                                      for i, m in enumerate(ms)]
-                            want = outcome(_solve_with_plan, plan, rt)
-                            assert run_outcome(plan, rt) == want, (ms, k, rt)
-                            kind = want[0] if len(want) == 3 else "ok"
-                            kinds[kind] = kinds.get(kind, 0) + 1
-        assert digits >= 3
-        assert set(kinds) == {
-            "ok",
-            "remainder errors produced contradictory congruences",
-            "negative folding number",
-        }, kinds
-        assert min(kinds.values()) > 20, kinds
+        kinds = Counter()
+        huge = 0
+        for ms, k, readings in plan_cases(random.Random(3305)):
+            plan = _FoldingPlan(ms, k)  # uncached: a fresh solve
+            huge += ms[0] > HUGE
+            for rt in readings:
+                want = outcome(_solve_with_plan, plan, rt)
+                assert run_outcome(plan, rt) == want, (ms, k, rt)
+                kinds[kind_of(want)] += 1
+        assert huge >= 3
+        check_kinds(kinds)
+
+
+def decoded(ms, rt, k):
+    """solve_folding's outcome as outcome(_solve_with_plan, ...) lays it
+    out, after checking the solution's reference index."""
+    try:
+        sol = solve_folding(ms, rt, k)
+    except FoldingFailure as exc:
+        return exc.reason, exc.partial_folding, exc.partial_estimate
+    assert type(sol) is FoldingSolution and sol.reference_index == k
+    return sol.folding, sol.estimate
+
+
+class TestTiering:
+    """solve_folding runs a plan's first _COMPILE_AT - 1 decodes through
+    the pure solver, compiles the plan's solve on the next decode, and
+    runs it from then on; a plan whose solve a sweep compiled runs it
+    from its first decode."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The compiles and pure solves, in order."""
+        calls = []
+        compile_solve, pure = multistage._compile_solve, _solve_with_plan
+
+        def counted_compile(*args):
+            calls.append("compile")
+            return compile_solve(*args)
+
+        def counted_pure(*args):
+            calls.append("pure")
+            return pure(*args)
+
+        monkeypatch.setattr(multistage, "_compile_solve", counted_compile)
+        monkeypatch.setattr(robust, "_solve_with_plan", counted_pure)
+        return calls
+
+    def test_compiled_on_the_switching_decode(self, calls):
+        # a fresh factor keeps the plan cache cold for this set
+        rng = random.Random(3401)
+        f = rng.randrange(10**12, 10**13)
+        ms = tuple(f * m for m in (180, 220, 486, 513))
+        k = select_reference(ms)
+        lam = math.lcm(*ms)
+        for _ in range(robust._COMPILE_AT - 1):
+            n = rng.randrange(lam)
+            assert solve_folding(ms, [n % m for m in ms], k).estimate == n
+        assert calls == ["pure"] * (robust._COMPILE_AT - 1)
+        # the switching decode compiles even when it fails
+        calls.clear()
+        with pytest.raises(FoldingFailure, match="contradictory"):
+            solve_folding(ms, [0, 0, 0, 9 * f], k)
+        assert calls == ["compile"]
+        for _ in range(100):
+            n = rng.randrange(lam)
+            assert solve_folding(ms, [n % m for m in ms], k).estimate == n
+        assert calls == ["compile"]
+
+    def test_a_swept_plan_is_warm_from_its_first_decode(self, calls):
+        f = random.Random(3402).randrange(10**12, 10**13)
+        ms = tuple(f * m for m in (135, 180, 162))
+        sweep(TrialConfig(moduli=ms, trials=20), [0, 9])
+        assert calls == ["compile"]  # the sweep's
+        calls.clear()
+        k = select_reference(ms)
+        for n in (0, 1244, math.lcm(*ms) - 1):
+            assert solve_folding(ms, [n % m for m in ms], k).estimate == n
+        assert calls == []
+
+    def test_same_outcomes_across_the_switch(self, calls, monkeypatch):
+        # a fresh cache: no earlier test has warmed these plans
+        monkeypatch.setattr(robust, "_folding_plan",
+                            lru_cache(maxsize=512)(_FoldingPlan))
+        # each plan decodes its readings in turn, _COMPILE_AT + 12 calls:
+        # its first 12 decodes are pure, its last 12 generated
+        kinds = Counter()
+        plans = 0
+        for ms, k, readings in plan_cases(random.Random(3403)):
+            want = [outcome(_solve_with_plan, _FoldingPlan(ms, k), rt)
+                    for rt in readings]
+            calls.clear()
+            for i in range(robust._COMPILE_AT + len(readings)):
+                j = i % len(readings)
+                assert decoded(ms, readings[j], k) == want[j], (
+                    ms, k, readings[j]
+                )
+            pure = ["pure"] * (robust._COMPILE_AT - 1)
+            assert calls == pure + ["compile"], (ms, k)
+            plans += 1
+            kinds.update(map(kind_of, want))
+        assert plans > 200
+        check_kinds(kinds)
 
 
 # each value type whose __init__ robust._vars_init generates, with one
@@ -944,6 +1063,16 @@ def check_dataclass_contract(cls, values):
         setattr(obj, names[0], values[0])
 
 
+@robust._vars_init
+@dataclass(frozen=True)
+class Shadowing:
+    """Fields named as the locals of a generated __init__ could be."""
+
+    d: int
+    _: int
+    __: int
+
+
 class TestGeneratedConstructors:
     @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
     def test_dataclass_contract(self, name):
@@ -957,3 +1086,7 @@ class TestGeneratedConstructors:
         robust._vars_init(cls)
         with pytest.raises(TypeError, match="positional argument"):
             check_dataclass_contract(cls, values)
+
+
+def test_no_field_name_shadows_the_generated_locals():
+    check_dataclass_contract(Shadowing, (1, 2, 3))
