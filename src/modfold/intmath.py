@@ -56,13 +56,18 @@ def _check_exact(name: str, value, low: int | None = None) -> int | Fraction:
     return value
 
 
+# whether an iterable of types holds int alone, bound once
+_ONLY_INT = {int}.issuperset
+
+
 def _check_ints(name: str, values: Iterable) -> tuple[int, ...]:
     """_check_int on every value; returns them as a tuple.
 
     A tuple of plain ints passes in one type scan and is returned as is.
     """
-    values = tuple(values)
-    if not {int}.issuperset(map(type, values)):
+    if type(values) is not tuple:
+        values = tuple(values)
+    if not _ONLY_INT(map(type, values)):
         for v in values:
             _check_int(name, v)
     return values

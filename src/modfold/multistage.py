@@ -19,7 +19,9 @@ alike, so both fail on the same inputs: each _TreeProgram compiles its
 solve once, when it is built (_compile_solve, from the one writer of
 stage arithmetic, _solve_lines).  The solve never raises; it returns a
 failure as a value, and the program's run raises it as FoldingFailure,
-while a sweep's failing trials call the solve itself.  The module also
+while a sweep's failing trials call the solve itself.  The same source
+generates the solve's checked entry, solve.decode, through which a
+warm reconstruct_tree call decodes.  The module also
 computes the stage-bound calculus of a plan (StageBounds), every
 stage's gcd coming from _layout.
 """
@@ -47,6 +49,7 @@ from .robust import (
     _NEGATIVE,
     _Factory,
     _folding_plan,
+    _keep_warm,
     _maxmin_gcd,
     _profile,
     _profile_of,
@@ -531,11 +534,22 @@ def _tuple_source(items) -> str:
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
-# the generated source of a plan's solve
+# the generated source of a plan's solve and of its checked entry
 _SOLVE = """def solve(remainders):
     {values}, = remainders
     {body}
-    return {groups}, {root}, {outer}, {folding}, {estimate}"""
+    return {groups}, {root}, {outer}, {folding}, {estimate}
+def decode(moduli, remainders):
+    if type(moduli) is tuple and (
+        type(remainders) is tuple or type(remainders) is list
+    ):
+        try:
+            {moduli}, = moduli
+            {values}, = remainders
+        except ValueError:
+            return None
+        if int is {types}:
+            return solve(remainders)"""
 
 
 def _compile_solve(moduli: tuple[int, ...], stages, groups, outer):
@@ -555,6 +569,15 @@ def _compile_solve(moduli: tuple[int, ...], stages, groups, outer):
     never raises: a failure returns (None, partial estimate, reason,
     partial folding), so slot 1 is the root stage's estimate, or the
     partial one, either way; each plan's run wraps it to raise.
+
+    The returned solve carries, as solve.decode, the entry
+    decode(moduli, remainders) generated beside it, which a warm
+    decode calls with its caller's raw inputs.  It returns the solve of
+    the remainders when the moduli are a tuple and the remainders a
+    list or tuple, both of L plain ints, and None otherwise, consuming
+    no iterator and raising nothing.  It trusts its caller to have
+    matched the moduli to the plan's by a dict key: a tuple of plain
+    ints equals the plan's moduli exactly when their values do.
     """
     const = _Factory()
     size = len(moduli)
@@ -570,8 +593,12 @@ def _compile_solve(moduli: tuple[int, ...], stages, groups, outer):
             [x for j, _, t in occurrences for x in (t, f"v{j}")]
         )
         estimate = f"(2 * {total} + {const(count)}) // {const(2 * count)}"
+    moduli_names = [f"m{j}" for j in range(size)]
+    values = [f"v{j}" for j in range(size)]
     parts = dict(
-        values=", ".join(f"v{j}" for j in range(size)),
+        values=", ".join(values),
+        moduli=", ".join(moduli_names),
+        types=" is ".join(f"type({x})" for x in moduli_names + values),
         body="\n    ".join(body),
         groups=_tuple_source(f"v{j}" for j in groups),
         root=root,
@@ -583,7 +610,9 @@ def _compile_solve(moduli: tuple[int, ...], stages, groups, outer):
         folding=_tuple_source(first[j] for j in range(size)),
         estimate=estimate,
     )
-    return const.build(_SOLVE.format(**parts), "solve")
+    solve, decode = const.build(_SOLVE.format(**parts), "solve, decode")
+    solve.decode = decode
+    return solve
 
 
 class _TreeProgram:
@@ -601,8 +630,9 @@ class _TreeProgram:
     Building a program checks the moduli (positive, distinct, nonempty,
     through their profile) and the tree, so a cached program's inputs are
     not checked again, and compiles its solve (_compile_solve) once,
-    which is most of a build.  run wraps the solve for decoding; a
-    sweep's failing trials call the solve directly.
+    which is most of a build.  run wraps the solve for the checked
+    decode, a warm one calls solve.decode, and a sweep's failing trials
+    call the solve directly.
     """
 
     def __init__(self, moduli: tuple[int, ...], tree: GroupTree):
@@ -652,7 +682,14 @@ class _TreeProgram:
         return out
 
 
-@lru_cache(maxsize=128)
+_PROGRAMS = 128
+# a decoded program per raw (moduli, tree) key, as robust._WARM keeps a
+# warm plan's entry: registered by each reconstruct_tree call the checked
+# path serves, and capped at the program cache's size
+_WARM: dict = {}
+
+
+@lru_cache(maxsize=_PROGRAMS)
 def _tree_program(moduli: tuple[int, ...], tree: GroupTree) -> _TreeProgram:
     return _TreeProgram(moduli, tree)
 
@@ -684,7 +721,26 @@ def reconstruct_tree(
 
     A string or nested-list layout is parsed on every call; to decode
     many readings with one plan, call parse_tree once and pass the tree.
+    A call the checks below serve keeps the program in _WARM under
+    (moduli, tree), and a later call whose key finds it decodes through
+    the solve's generated entry alone (see _compile_solve), which falls
+    through to the checks on any input it does not pass; a layout never
+    equals a GroupTree, so it always takes the checks.
     """
+    try:
+        program = _WARM.get((moduli, tree))
+    except Exception:  # a list layout is unhashable, too deep a tree
+        program = None  # exhausts the recursion limit: the checks say so
+    if program is not None:
+        out = program.solve.decode(moduli, remainders)
+        if out is not None:
+            if out[0] is None:
+                raise FoldingFailure(out[2], out[3], out[1])
+            return StageSolution(
+                out[0],
+                out[2],
+                FoldingSolution(out[3], out[4], program.reference_index),
+            )
     # exact ints first: (135.0, 180, 162) would hit the int tuple's
     # program; the program checks the rest of the moduli once, when built
     ms = _check_ints("modulus", moduli)
@@ -694,6 +750,7 @@ def reconstruct_tree(
         raise ValueError("remainders and moduli lengths differ")
     rt = _check_ints("remainder", rt)
     program = _program_for(ms, tree)
+    _keep_warm(_WARM, _PROGRAMS, (ms, tree), program)
     groups, _, outer, folding, estimate = program.run(rt)
     return StageSolution(
         groups,

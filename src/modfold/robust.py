@@ -384,6 +384,25 @@ def _ns_condition(
 # nothing.
 _COMPILE_AT = 512
 
+# a warm plan's checked decode entry per (moduli, k) key, so that its
+# solve_folding skips the input gate and the plan cache: registered by
+# each decode the checked path serves through a compiled solve (from a
+# plan's _COMPILE_AT-th decode, or its first once a sweep compiled it),
+# and capped at the plan cache's size
+_PLANS = 512
+_WARM: dict = {}
+
+
+def _keep_warm(table: dict, cap: int, key, entry) -> None:
+    """Store entry under key unless table holds one there.  A table of
+    cap entries is emptied first, and each plan dropped comes back on its
+    next checked decode: unlike dropping the oldest entry, that holds
+    when another thread stores at once."""
+    if key not in table:
+        if len(table) >= cap:
+            table.clear()
+        table[key] = entry
+
 
 class _FoldingPlan:
     """Precomputed constants for solve_folding on a fixed (moduli, k).
@@ -416,7 +435,8 @@ class _FoldingPlan:
     compiles on first read.  cold counts the solve_folding decodes left
     before the plan's solve is compiled (_COMPILE_AT); reading solve sets
     it to 0, so a plan a sweep compiled decodes through its solve at once,
-    and a cold plan compiles nothing.
+    and a cold plan compiles nothing.  The solve's generated entry,
+    solve.decode, serves a warm plan's solve_folding (see _WARM).
 
     Its gcds are row k of the moduli's _Profile, whose build checks that
     they are distinct positive ints; the plan checks there are at least
@@ -475,7 +495,7 @@ class _FoldingPlan:
         return out
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=_PLANS)
 def _folding_plan(moduli: tuple[int, ...], k: int) -> _FoldingPlan:
     return _FoldingPlan(moduli, k)
 
@@ -536,8 +556,25 @@ def solve_folding(
     The plan of (moduli, k) is cached.  Its first _COMPILE_AT - 1 decodes
     run the pure _solve_with_plan; the next compiles the plan's solve
     once, and it and every later decode run it (at once, if a sweep
-    compiled it).  Both give the same solution or failure, bit for bit.
+    compiled it).  Such a decode also keeps the solve's generated entry,
+    solve.decode, in _WARM under (moduli, k), and a later call
+    whose key finds it decodes through it alone: it checks in generated
+    code that the moduli are a tuple and the remainders a list or tuple
+    of as many plain ints, and gives None on anything else, which falls
+    through to the checks below.  Every tier gives the same solution or
+    failure, and every input the same error, bit for bit.
     """
+    if type(k) is int:  # True and 1.0 hash and compare like 1
+        try:
+            decode = _WARM.get((moduli, k))
+        except Exception:  # as a list of moduli is unhashable: the checks
+            decode = None  # meet whatever hashing the key raised
+        if decode is not None:
+            out = decode(moduli, remainders)
+            if out is not None:
+                if out[0] is None:
+                    raise FoldingFailure(out[2], out[3], out[1])
+                return FoldingSolution(out[3], out[1], k)
     # exact ints first: (135.0, 180, 162) would hit the int tuple's plan;
     # the plan checks the rest of the moduli once, when it is built
     ms = _check_ints("modulus", moduli)
@@ -551,6 +588,7 @@ def solve_folding(
         plan.cold -= 1
         folding, est = _solve_with_plan(plan, rt)
     else:
+        _keep_warm(_WARM, _PLANS, (ms, k), plan.solve.decode)
         _, est, _, folding, _ = plan.run(rt)
     return FoldingSolution(folding, est, k)
 

@@ -1,9 +1,11 @@
+from enum import IntEnum
 from functools import lru_cache
 from types import CellType, FunctionType
 
 import pytest
 
 from modfold import simulate
+from modfold.robust import FoldingFailure
 
 
 def watch(family):
@@ -73,3 +75,40 @@ def _checked_move(plan, errors):
 @pytest.fixture
 def checked_move():
     return _checked_move
+
+
+def result_of(call):
+    """call()'s value, or the exception it raised as its type and message,
+    with a FoldingFailure's partial results."""
+    try:
+        return call()
+    except FoldingFailure as exc:
+        return FoldingFailure, exc.reason, exc.partial_folding, exc.partial_estimate
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class Unseen(dict):
+    """A warm table that finds nothing and hashes no key: a decode with
+    it in place runs the checked path alone."""
+
+    def get(self, key, default=None):
+        return default
+
+
+class Tone(IntEnum):
+    """Remainders of 1244 over (135, 180, 162) as int subclass values."""
+
+    LOW = 29
+    HIGH = 164
+
+
+class Moduli(tuple):
+    """A tuple subclass: it hashes and compares as its tuple."""
+
+
+class HashRaises(tuple):
+    """A tuple subclass whose hash raises what a key's hash seldom does."""
+
+    def __hash__(self):
+        raise ArithmeticError("no hash")

@@ -6,9 +6,11 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from conftest import HashRaises, Moduli, Tone, Unseen, result_of
 
 import modfold.multistage as multistage
 import modfold.robust as robust
@@ -1051,11 +1053,15 @@ class TestResultObjects:
         rt = [1000 % m for m in ms]
         a, b = parse_tree("[[0,1],[2]]"), parse_tree([[0, 1], [2]])
         assert a == b and a is not b and hash(a) == hash(b)
+        # one program is built, and the second decode builds nothing: it
+        # finds the first's program, warm, under the equal tree
         before = _tree_program.cache_info()
-        assert reconstruct_tree(ms, rt, a) == reconstruct_tree(ms, rt, b)
-        after = _tree_program.cache_info()
-        assert after.misses - before.misses == 1
-        assert after.hits - before.hits == 1
+        first = reconstruct_tree(ms, rt, a)
+        built = _tree_program.cache_info()
+        assert built.misses - before.misses == 1
+        assert reconstruct_tree(ms, rt, b) == first
+        assert _tree_program.cache_info().misses == built.misses
+        assert multistage._WARM[ms, b] is _tree_program(ms, a)
 
     def test_pickle_round_trip(self):
         tree = parse_tree("[[[0],[1]],[2]]")
@@ -1136,6 +1142,140 @@ class TestExactIntegers:
         for door in front_doors:
             with pytest.raises(ValueError):
                 door(build())
+
+
+def cold_result(call):
+    """result_of(call) on a fresh program cache and a warm table that
+    finds nothing: the checked path, through a program built afresh."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(multistage, "_tree_program",
+                  lru_cache(maxsize=4)(_TreeProgram))
+        m.setattr(multistage, "_WARM", Unseen())
+        return result_of(call)
+
+
+@pytest.fixture
+def fresh_warm_table(monkeypatch):
+    """A warm table that no other test has filled."""
+    monkeypatch.setattr(multistage, "_WARM", {})
+
+
+class TestWarmEntry:
+    """A decoded program's reconstruct_tree decodes through the generated
+    entry that checks its own inputs; on everything else it falls through
+    to the checked path.  Each outcome is held to a fresh cold decode of
+    the same input: the same value, or the same exception type and
+    message."""
+
+    TREE = parse_tree("[[0,1],[2]]")
+    # 1244 reads (29, 164, 110) over EX_SIM
+    # (label, moduli, remainders made fresh per call, plan, entry serves it)
+    CASES = [
+        ("list", EX_SIM, lambda: [29, 164, 110], TREE, True),
+        ("tuple", EX_SIM, lambda: (29, 164, 110), TREE, True),
+        ("failure", EX_SIM, lambda: [0, 0, 90], TREE, True),
+        ("generator", EX_SIM, lambda: (r for r in [29, 164, 110]), TREE,
+         False),
+        ("float modulus", (135.0, 180, 162), lambda: [29, 164, 110], TREE,
+         False),
+        ("float remainder", EX_SIM, lambda: [29, 164.0, 110], TREE, False),
+        ("bool remainder", EX_SIM, lambda: [29, True, 110], TREE, False),
+        ("IntEnum remainder", EX_SIM, lambda: [Tone.LOW, 164, 110], TREE,
+         False),
+        ("short", EX_SIM, lambda: [29, 164], TREE, False),
+        ("long", EX_SIM, lambda: [29, 164, 110, 5], TREE, False),
+        ("str", EX_SIM, lambda: "abc", TREE, False),
+        ("list moduli", list(EX_SIM), lambda: [29, 164, 110], TREE, None),
+        ("tuple subclass", Moduli(EX_SIM), lambda: [29, 164, 110], TREE,
+         False),
+        ("hash raises", HashRaises(EX_SIM), lambda: [29, 164, 110], TREE,
+         None),
+        ("str layout", EX_SIM, lambda: [29, 164, 110], "[[0,1],[2]]", None),
+        ("list layout", EX_SIM, lambda: [29, 164, 110], [[0, 1], [2]], None),
+        ("int layout", EX_SIM, lambda: [29, 164, 110], 0, None),
+        ("too deep", (3, 5), lambda: [1, 2], deep_chain(1200), None),
+    ]
+
+    @pytest.mark.parametrize("label, ms, remainders, tree, served", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_same_outcome_as_a_cold_decode(self, fresh_warm_table, label,
+                                           ms, remainders, tree, served):
+        want = cold_result(lambda: reconstruct_tree(ms, remainders(), tree))
+        reconstruct_tree(EX_SIM, [29, 164, 110], self.TREE)
+        if served is not None:  # the key finds the program: its entry decides
+            program = multistage._WARM[ms, tree]
+            out = program.solve.decode(ms, remainders())
+            assert (out is not None) == served
+        got = result_of(lambda: reconstruct_tree(ms, remainders(), tree))
+        assert got == want and type(got) is type(want)
+        if label in ("float modulus", "bool remainder", "too deep"):
+            assert want[:2] == (ValueError, {
+                "float modulus": "modulus must be an int, got 135.0",
+                "bool remainder": "remainder must be an int, got True",
+                "too deep": "grouping plan is nested too deeply",
+            }[label])
+
+    @pytest.mark.parametrize("ms, layout", [
+        (EX_SIM, "[[0,1],[2]]"),
+        (EX_SIM, "[[0,2],[1,2]]"),
+        (tuple(m * (10**4400 + 1) for m in EX_SIM), "[[0,2],[1,2]]"),
+        (EX_THREE, "[[[0,1],[2,3]],[4,5]]"),
+    ])
+    def test_bit_identical_outcomes(self, fresh_warm_table, ms, layout):
+        tree = parse_tree(layout)
+        rng = random.Random(3504)
+        lam = math.lcm(*ms)
+        readings = []
+        for _ in range(60):
+            n = rng.randrange(lam)
+            tau = rng.choice((0, 3, min(ms) // 8, min(ms) // 2))
+            readings.append([n % m + rng.randint(-tau, tau) for m in ms])
+            if rng.random() < 0.2:  # far outside [0, M_i)
+                readings[-1] = [rng.randint(-3 * m, 3 * m) for m in ms]
+        want = [cold_result(lambda: reconstruct_tree(ms, rt, tree))
+                for rt in readings]
+        reconstruct_tree(ms, readings[0], tree)
+        program = multistage._WARM[ms, tree]
+        kinds = Counter()
+        for rt, w in zip(readings, want):
+            assert program.solve.decode(ms, rt) is not None
+            got = result_of(lambda: reconstruct_tree(ms, rt, tree))
+            assert got == w, (layout, rt)
+            if type(w) is StageSolution:
+                assert all(type(x) is int for x in (
+                    *got.per_group_estimates, *got.outer_folding,
+                    *got.final.folding, got.final.estimate,
+                ))
+            kinds["ok" if type(w) is StageSolution else w[1]] += 1
+        assert kinds["ok"] >= 10 and len(kinds) >= 2, kinds
+
+
+class TestWarmTable:
+    def test_capped_at_the_program_cache_size(self, fresh_warm_table):
+        cap = multistage._PROGRAMS
+        assert cap == _tree_program.cache_info().maxsize
+        f = random.Random(3505).randrange(10**12, 10**13)
+        tree = parse_tree("[[0,1],[2]]")
+        sizes = []
+        for q in range(cap + 3):
+            ms = tuple(f * (q + 1) * m for m in EX_SIM)
+            reconstruct_tree(ms, [0, 0, 0], tree)
+            sizes.append(len(multistage._WARM))
+        # a full table is emptied before its next entry is stored
+        assert sizes[cap - 1:] == [cap, 1, 2, 3]
+
+    def test_a_dropped_program_returns_on_the_next_checked_decode(
+        self, fresh_warm_table
+    ):
+        tree = parse_tree("[[0,2],[1,2]]")
+        rt = [1244 % m for m in EX_SIM]
+        want = reconstruct_tree(EX_SIM, rt, tree)
+        program = multistage._WARM[EX_SIM, tree]
+        multistage._WARM.clear()
+        before = _tree_program.cache_info()
+        assert reconstruct_tree(EX_SIM, rt, tree) == want
+        assert multistage._WARM[EX_SIM, tree] is program
+        assert _tree_program.cache_info().misses == before.misses
 
 
 def random_entangled(rng, size):

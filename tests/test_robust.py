@@ -12,6 +12,7 @@ import pytest
 
 import modfold.multistage as multistage
 import modfold.robust as robust
+from conftest import HashRaises, Moduli, Tone, Unseen, result_of
 
 from modfold.congruence import (
     CongruenceSystem,
@@ -1028,6 +1029,161 @@ class TestTiering:
             kinds.update(map(kind_of, want))
         assert plans > 200
         check_kinds(kinds)
+
+
+def cold_result(call):
+    """result_of(call) on a fresh plan cache and a warm table that finds
+    nothing: the checked path and, on a fresh plan, the pure solver."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(robust, "_folding_plan", lru_cache(maxsize=4)(_FoldingPlan))
+        m.setattr(robust, "_WARM", Unseen())
+        return result_of(call)
+
+
+def warm_up(ms, k):
+    """Compile the plan's solve as a sweep does, and make the one checked
+    decode that keeps its entry in the warm table."""
+    robust._folding_plan(ms, k).solve
+    result_of(lambda: solve_folding(ms, list(ms), k))
+    assert (ms, k) in robust._WARM
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """A plan cache and a warm table that no other test has filled."""
+    monkeypatch.setattr(robust, "_folding_plan",
+                        lru_cache(maxsize=robust._PLANS)(_FoldingPlan))
+    monkeypatch.setattr(robust, "_WARM", {})
+
+
+class TestWarmEntry:
+    """A warm plan's solve_folding decodes through the generated entry
+    that checks its own inputs; on everything else it falls through to
+    the checked path.  Each outcome is held to a fresh cold decode of
+    the same input: the same value, or the same exception type and
+    message."""
+
+    MS = (135, 180, 162)  # reference 0; 1244 reads (29, 164, 110)
+    # (label, moduli, remainders made fresh per call, k, entry serves it)
+    CASES = [
+        ("list", MS, lambda: [29, 164, 110], 0, True),
+        ("tuple", MS, lambda: (29, 164, 110), 0, True),
+        ("failure", MS, lambda: [0, 0, 90], 0, True),
+        ("negative", MS, lambda: [-1, 179, 161], 0, True),
+        ("generator", MS, lambda: (r for r in [29, 164, 110]), 0, False),
+        ("float modulus", (135.0, 180, 162), lambda: [29, 164, 110], 0,
+         False),
+        ("k True", MS, lambda: [29, 164, 110], True, None),
+        ("k float", MS, lambda: [29, 164, 110], 0.0, None),
+        ("k out of range", MS, lambda: [29, 164, 110], 3, None),
+        ("float remainder", MS, lambda: [29, 164.0, 110], 0, False),
+        ("bool remainder", MS, lambda: [29, True, 110], 0, False),
+        ("IntEnum remainder", MS, lambda: [Tone.LOW, 164, 110], 0, False),
+        ("short", MS, lambda: [29, 164], 0, False),
+        ("long", MS, lambda: [29, 164, 110, 5], 0, False),
+        ("short generator", MS, lambda: iter([29, 164]), 0, False),
+        ("str", MS, lambda: "abc", 0, False),
+        ("None", MS, lambda: None, 0, False),
+        ("list moduli", list(MS), lambda: [29, 164, 110], 0, None),
+        ("tuple subclass", Moduli(MS), lambda: [29, 164, 110], 0, False),
+        ("hash raises", HashRaises(MS), lambda: [29, 164, 110], 0, None),
+    ]
+
+    @pytest.mark.parametrize("label, ms, remainders, k, served", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_same_outcome_as_a_cold_decode(self, fresh_tables, label, ms,
+                                           remainders, k, served):
+        want = cold_result(lambda: solve_folding(ms, remainders(), k))
+        warm_up(self.MS, 0)
+        if served is not None:  # the key finds the entry: it decides
+            out = robust._WARM[ms, k](ms, remainders())
+            assert (out is not None) == served
+        got = result_of(lambda: solve_folding(ms, remainders(), k))
+        assert got == want and type(got) is type(want)
+        if label in ("float modulus", "bool remainder"):
+            assert want[:2] == (ValueError, {
+                "float modulus": "modulus must be an int, got 135.0",
+                "bool remainder": "remainder must be an int, got True",
+            }[label])
+
+    def test_bit_identical_on_every_plan_case(self, fresh_tables):
+        kinds = Counter()
+        huge = 0
+        for ms, k, readings in plan_cases(random.Random(3501)):
+            want = [cold_result(lambda: solve_folding(ms, rt, k))
+                    for rt in readings]
+            warm_up(ms, k)
+            huge += ms[0] > HUGE
+            entry = robust._WARM[ms, k]
+            for rt, w in zip(readings, want):
+                assert entry(ms, rt) is not None  # the entry serves it
+                got = result_of(lambda: solve_folding(ms, rt, k))
+                assert got == w, (ms, k, rt)
+                if type(w) is FoldingSolution:
+                    assert all(type(f) is int for f in got.folding)
+                    assert type(got.estimate) is int
+                kinds["ok" if type(w) is FoldingSolution else w[1]] += 1
+        assert huge >= 3
+        check_kinds(kinds)
+
+
+class TestWarmTable:
+    def test_capped_at_the_plan_cache_size(self, fresh_tables):
+        assert robust._PLANS == robust._folding_plan.cache_info().maxsize
+        sizes = []
+        for q in range(5, 5 + robust._PLANS + 3):
+            warm_up((2 * q, 3 * q), 0)
+            sizes.append(len(robust._WARM))
+        assert max(sizes) == robust._PLANS
+        # a full table is emptied before its next entry is stored
+        assert sizes[robust._PLANS - 1:] == [robust._PLANS, 1, 2, 3]
+
+    def test_a_dropped_entry_returns_on_the_next_checked_decode(
+        self, fresh_tables
+    ):
+        ms, k = (135, 180, 162), 0
+        warm_up(ms, k)
+        plans = robust._folding_plan.cache_info()
+        robust._WARM.clear()
+        assert solve_folding(ms, [29, 164, 110], k).estimate == 1244
+        entry = robust._WARM[ms, k]
+        assert solve_folding(ms, [29, 164, 110], k).estimate == 1244
+        assert robust._WARM[ms, k] is entry
+        # the checked decode found the plan, still warm: nothing rebuilt
+        after = robust._folding_plan.cache_info()
+        assert after.misses == plans.misses and after.hits == plans.hits + 1
+
+    def test_cold_decodes_keep_no_entry(self, fresh_tables):
+        # as a design decodes: one solve per set, its plan cold
+        rng = random.Random(3502)
+        for _ in range(20):
+            f = rng.randrange(10**12, 10**13)
+            ms = tuple(f * m for m in (135, 180, 162))
+            n = rng.randrange(math.lcm(*ms))
+            assert solve_folding(ms, [n % m for m in ms], 0).estimate == n
+        assert robust._WARM == {}
+        # a plan decoded fewer than _COMPILE_AT times stays cold too
+        for _ in range(robust._COMPILE_AT - 2):
+            solve_folding(ms, [n % m for m in ms], 0)
+        assert robust._WARM == {}
+        solve_folding(ms, [n % m for m in ms], 0)
+        assert list(robust._WARM) == [(ms, 0)]
+
+    def test_warm_decodes_build_no_plan(self, fresh_tables):
+        # as the benchmark's decode runs: one plan per set and reference,
+        # built by its first call; warm calls leave the plan cache alone
+        sets = [(70, 75, 80, 90), (180, 220, 486, 513),
+                (210, 143, 77, 128, 81, 125, 169)]
+        rng = random.Random(3503)
+        for ms in sets:
+            warm_up(ms, 0)
+        before = robust._folding_plan.cache_info()
+        for _ in range(300):
+            ms = rng.choice(sets)
+            n = rng.randrange(math.lcm(*ms))
+            assert solve_folding(ms, [n % m for m in ms], 0).estimate == n
+        assert robust._folding_plan.cache_info() == before
+        assert before.misses == len(sets)
 
 
 # each value type whose __init__ robust._vars_init generates, with one
